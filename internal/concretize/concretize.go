@@ -81,8 +81,11 @@
 // The target schedule is sat.Config.Descent: linear stepping below the
 // incumbent (DescentLinear, classic and optimal when the first model is
 // already best), binary-search midpoints (DescentBinary, O(log range)
-// rounds from arbitrarily bad incumbents), or adaptive (the default:
-// linear on a shape's first visit, binary once a bound is banked). Guards
+// rounds from arbitrarily bad incumbents), or adaptive (the default: one
+// linear probe on a shape's first visit, then binary once that probe
+// improves or a bound is banked — a warm solver's saved phases can hand
+// it a first model far above the optimum and, probed linearly, only the
+// next model down each round). Guards
 // are retired at request end (fixed false and their PB constraints
 // garbage-collected), so bounds from past requests never constrain, slow
 // down, or leak memory into future ones.

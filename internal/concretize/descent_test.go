@@ -122,23 +122,7 @@ func TestBinaryDescentSolveCallsLogarithmic(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		u, root := repo.SynthDense(20, 6, 3, seed)
 		roots := []Root{{Pkg: root}}
-
-		// The objective's total weight bounds the descent range.
-		order, _, err := reachable(u, roots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		costs, err := DefaultObjective.Costs(ObjectiveRequest{Universe: u, Order: order, Roots: roots})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total int64
-		for _, pc := range costs {
-			total += pc.Install + pc.Omit
-			for _, w := range pc.Version {
-				total += w
-			}
-		}
+		total := objectiveTotal(t, u, roots)
 
 		sess := NewSession(u, SessionOptions{CacheSize: -1, Solver: sat.Config{Descent: sat.DescentBinary}})
 		res, err := sess.Resolve(context.Background(), roots, Options{})
@@ -152,6 +136,58 @@ func TestBinaryDescentSolveCallsLogarithmic(t *testing.T) {
 		if res.Stats.SolveCalls > limit {
 			t.Errorf("seed %d: binary descent took %d solve calls, want <= %d (total weight %d)",
 				seed, res.Stats.SolveCalls, limit, total)
+		}
+	}
+}
+
+// objectiveTotal returns the default objective's total weight over the
+// request's reachable set, which bounds the descent range.
+func objectiveTotal(t *testing.T, u *repo.Universe, roots []Root) int64 {
+	t.Helper()
+	order, _, err := reachable(u, roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs, err := DefaultObjective.Costs(ObjectiveRequest{Universe: u, Order: order, Roots: roots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, pc := range costs {
+		total += pc.Install + pc.Omit
+		for _, w := range pc.Version {
+			total += w
+		}
+	}
+	return total
+}
+
+// TestAdaptiveDescentWarmFirstVisitLogarithmic: on a warm eager session,
+// saved phases start a first-visit search from the previous request's
+// model, and the first model found can sit far above the optimum while
+// every linear probe below it returns only the next model down. Adaptive
+// descent must notice (its first linear probe improves) and bisect, so a
+// miss costs O(log range) solve calls like binary descent plus the one
+// linear probe — and still returns the cold path's answer pick for pick
+// (registry optima are unique).
+func TestAdaptiveDescentWarmFirstVisitLogarithmic(t *testing.T) {
+	u, _ := repo.SynthRegistry(firstVisitPkgs, firstVisitVers)
+	sess := newFirstVisitSession(t, u)
+	for _, roots := range firstVisitRoots(48) {
+		res, err := sess.Resolve(context.Background(), roots, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", rootsString(roots), err)
+		}
+		if limit := 2*bits.Len64(uint64(objectiveTotal(t, u, roots))) + 5; res.Stats.SolveCalls > limit {
+			t.Errorf("%s: first visit took %d solve calls (%d models), want <= %d",
+				rootsString(roots), res.Stats.SolveCalls, res.Stats.Improvements, limit)
+		}
+		cold, err := Concretize(u, roots, Options{})
+		if err != nil {
+			t.Fatalf("%s: cold: %v", rootsString(roots), err)
+		}
+		if !reflect.DeepEqual(res.Picks, cold.Picks) {
+			t.Fatalf("%s: warm picks diverge from cold:\n%v\n%v", rootsString(roots), res.Picks, cold.Picks)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package concretize
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
@@ -91,34 +92,121 @@ func BenchmarkRegistryWarm(b *testing.B) {
 	reportRegistryMetrics(b, u, root)
 }
 
+// registryChurnStream is the number of publishes one BenchmarkRegistryChurn
+// iteration lands: every iteration replays the same stream on a fresh
+// universe and session, so ns/op and allocs/op are per stream whatever b.N
+// the framework picks.
+const registryChurnStream = 32
+
 // BenchmarkRegistryChurn measures a lazy session absorbing registry
-// publishes while serving: each iteration lands one append-only delta on a
-// rotating package and re-resolves the root. The rotation stride keeps
-// nearly every delta outside the root's materialized subgraph, so the
-// dominant path is delta parking — dirty-mark the unreached name, keep the
-// cached answer — with the occasional in-closure delta forcing a re-solve.
+// publishes while serving: each iteration builds a fresh universe and warms
+// a lazy session on the root off the clock, then lands a fixed stream of
+// append-only deltas on rotating packages, re-resolving the root after
+// each. The rotation stride keeps nearly every delta outside the root's
+// materialized subgraph, so the dominant path is delta parking — dirty-mark
+// the unreached name, keep the cached answer — with the occasional
+// in-closure delta forcing a re-solve.
 func BenchmarkRegistryChurn(b *testing.B) {
-	u, root := repo.SynthRegistry(benchRegPkgs, benchRegVers)
-	roots := []Root{{Pkg: root}}
-	sess := NewSession(u, SessionOptions{Lazy: true})
-	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
-		b.Fatalf("prime Resolve: %v", err)
-	}
+	var u *repo.Universe
+	var root string
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := repo.NewDelta()
-		d.Add(fmt.Sprintf("reg%d", (1000+i*37)%benchRegPkgs), fmt.Sprintf("%d.0", benchRegVers+1+i))
-		if _, err := sess.Extend(d); err != nil {
-			b.Fatalf("Extend: %v", err)
+	// A b.N loop, not b.Loop: Go 1.24's b.Loop sizes its next round from
+	// the time since the last StartTimer, so a body that stops the timer
+	// never reaches a time-based -benchtime.
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		u, root = repo.SynthRegistry(benchRegPkgs, benchRegVers)
+		roots := []Root{{Pkg: root}}
+		sess := NewSession(u, SessionOptions{Lazy: true})
+		if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
+			b.Fatalf("prime Resolve: %v", err)
 		}
-		res, err := sess.Resolve(context.Background(), roots, Options{})
-		if err != nil {
-			b.Fatalf("Resolve: %v", err)
-		}
-		if len(res.Picks) == 0 {
-			b.Fatal("empty resolution")
+		b.StartTimer()
+		for i := 0; i < registryChurnStream; i++ {
+			d := repo.NewDelta()
+			d.Add(fmt.Sprintf("reg%d", (1000+i*37)%benchRegPkgs), fmt.Sprintf("%d.0", benchRegVers+1+i))
+			if _, err := sess.Extend(d); err != nil {
+				b.Fatalf("Extend: %v", err)
+			}
+			res, err := sess.Resolve(context.Background(), roots, Options{})
+			if err != nil {
+				b.Fatalf("Resolve: %v", err)
+			}
+			if len(res.Picks) == 0 {
+				b.Fatal("empty resolution")
+			}
 		}
 	}
 	reportRegistryMetrics(b, u, root)
+}
+
+// The warm first-visit scenario: an eager session over SynthRegistry(600, 8)
+// — the daemon's default encoder at the daemon benchmark's scale —
+// prewarmed with bare roots from the short last block, then asked for roots
+// it has never seen. Saved phases start each first visit from the previous
+// request's model, so this is where objective descent, not the first
+// solve, sets the cost of a miss.
+const (
+	firstVisitPkgs, firstVisitVers = 600, 8
+	// SynthRegistry's layout at that size: blocks of 48 packages, the
+	// first 11 of them full, then 32 dependency-free hubs from reg568.
+	firstVisitBlock, firstVisitFullBlocks, firstVisitHubStart = 48, 11, 568
+)
+
+// newFirstVisitSession builds the eager session and prewarms it with the
+// bare roots the daemon benchmark's cold-fanout workload prewarms: every
+// third position of the last, short block.
+func newFirstVisitSession(tb testing.TB, u *repo.Universe) *Session {
+	tb.Helper()
+	sess := NewSession(u, SessionOptions{})
+	for pkg := firstVisitFullBlocks * firstVisitBlock; pkg < firstVisitHubStart; pkg += 3 {
+		if _, err := sess.Resolve(context.Background(), []Root{{Pkg: fmt.Sprintf("reg%d", pkg)}}, Options{}); err != nil {
+			tb.Fatalf("prewarm reg%d: %v", pkg, err)
+		}
+	}
+	return sess
+}
+
+// firstVisitRoots returns n fixed first-visit requests from the full
+// blocks: distinct packages, each bare or capped at a drawn version. Tight
+// packages (every fourth, whose own dependencies are capped) stay bare:
+// capping them is the documented descent limitation. A longer list extends
+// a shorter one.
+func firstVisitRoots(n int) [][]Root {
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([][]Root, n)
+	for k, pkg := range rng.Perm(firstVisitFullBlocks * firstVisitBlock)[:n] {
+		spec := fmt.Sprintf("reg%d", pkg)
+		if capAt := rng.Intn(firstVisitVers); pkg%4 != 0 && capAt > 0 {
+			spec += fmt.Sprintf("@:%d", capAt)
+		}
+		reqs[k] = []Root{MustParseRoot(spec)}
+	}
+	return reqs
+}
+
+// BenchmarkRegistryFirstVisit measures misses on a warm eager session: each
+// iteration builds a fresh universe and prewarms a fresh session off the
+// clock, then resolves a fixed list of 24 first-visit roots, so every
+// iteration does the same work whatever b.N is. solve_calls/miss is the
+// descent rounds a miss takes.
+func BenchmarkRegistryFirstVisit(b *testing.B) {
+	reqs := firstVisitRoots(24)
+	calls := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ { // not b.Loop: see BenchmarkRegistryChurn
+		b.StopTimer()
+		u, _ := repo.SynthRegistry(firstVisitPkgs, firstVisitVers)
+		sess := newFirstVisitSession(b, u)
+		b.StartTimer()
+		for _, roots := range reqs {
+			res, err := sess.Resolve(context.Background(), roots, Options{})
+			if err != nil {
+				b.Fatalf("Resolve %s: %v", rootsString(roots), err)
+			}
+			calls += res.Stats.SolveCalls
+		}
+	}
+	b.ReportMetric(float64(calls)/float64(b.N*len(reqs)), "solve_calls/miss")
 }

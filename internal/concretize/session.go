@@ -963,10 +963,13 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		// of that neighborhood instead of refuting it clause by clause.
 		// Linear descent probes just below the incumbent — fewest rounds
 		// when the first model is already optimal, which is the norm for a
-		// fresh (cold) solver. Adaptive picks linear until a request shape
-		// has a proven bound banked, then switches to binary.
+		// fresh (cold) solver. Adaptive probes linearly once, and bisects
+		// from then on if that probe improved (the first model came from
+		// stale saved phases, and each further linear probe would hand back
+		// only the next model down) or if the shape has a proven bound
+		// banked.
 		var target int64
-		if cfg.Descent == sat.DescentBinary || (cfg.Descent == sat.DescentAdaptive && warmBound) {
+		if cfg.Descent == sat.DescentBinary || (cfg.Descent == sat.DescentAdaptive && (warmBound || stats.Improvements > 1)) {
 			target = lo + (bestCost-1-lo)/2
 		} else {
 			target = bestCost - cfg.DescentStep

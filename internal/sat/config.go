@@ -42,15 +42,20 @@ type Config struct {
 type DescentStrategy uint8
 
 const (
-	// DescentAdaptive (the default) descends linearly by DescentStep on a
-	// request shape it has no information about — matching the classic
-	// cold-path behavior, whose first incumbent is usually near-optimal —
-	// and switches to binary-search midpoints as soon as a proven lower
-	// bound for the request is known (a warm session remembers bounds per
-	// request shape). Midpoint probes stay far away from the incumbent,
-	// which avoids the pathological "refute a region right next to the
-	// just-excluded model" rounds that a phase-polluted warm solver can
-	// burn tens of thousands of conflicts on.
+	// DescentAdaptive (the default) makes one linear probe at incumbent -
+	// DescentStep on a request shape it has no information about, and
+	// bisects for the rest of the request as soon as that probe returns a
+	// model, or from the start once a proven lower bound for the shape is
+	// known (a warm session remembers bounds per request shape). On a fresh
+	// solver the first incumbent is usually optimal, so the single probe is
+	// the closing refutation and the request ends in two rounds. An
+	// improving probe proves the first incumbent came from stale saved
+	// phases: a warm solver restarts from the previous request's model and,
+	// probed linearly, hands back only the next model down each round.
+	// Midpoint probes stay far away from the incumbent, which also avoids
+	// the pathological "refute a region right next to the just-excluded
+	// model" rounds that a phase-polluted warm solver can burn tens of
+	// thousands of conflicts on.
 	DescentAdaptive DescentStrategy = iota
 
 	// DescentLinear always probes incumbent - DescentStep (clamped to the

@@ -29,8 +29,9 @@ type BackendConfig struct {
 func DefaultPortfolio() []BackendConfig {
 	return []BackendConfig{
 		// The defaults: negative-first branching ("install nothing extra"
-		// first), standard restarts, adaptive descent (linear on unseen
-		// request shapes, binary search once a bound is banked).
+		// first), standard restarts, adaptive descent (one linear probe on
+		// an unseen request shape, binary search once that probe improves
+		// or a bound is banked).
 		{Name: "baseline", Options: SessionOptions{}},
 		// Positive-first branching commits to installs early — strong when
 		// the optimum installs most of the reachable set.
