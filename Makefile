@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr13
-PREV_PR ?= pr10
+PR ?= pr15
+PREV_PR ?= pr13
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
 # portfolio, the HTTP daemon pipeline, and the registry-scale lazy suite

@@ -1,0 +1,456 @@
+package resolve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/paper-repo-growth/go-arxiv/internal/concretize"
+	"github.com/paper-repo-growth/go-arxiv/internal/faultpoint"
+	"github.com/paper-repo-growth/go-arxiv/internal/repo"
+)
+
+// Fault-injection sites (see internal/faultpoint for the naming
+// convention). The sites label injections with the member's instance —
+// the portfolio member name, the pool shard index — so schedules can
+// target "member 'dive' panics" without a site per member.
+var (
+	fpPortfolioSolve   = faultpoint.New("resolve/portfolio/solve")
+	fpPortfolioRebuild = faultpoint.New("resolve/portfolio/rebuild")
+	fpPoolSolve        = faultpoint.New("resolve/pool/solve")
+	fpPoolRebuild      = faultpoint.New("resolve/pool/rebuild")
+)
+
+// ErrNoActiveMembers is returned by Resolve on a PortfolioResolver or
+// PoolResolver whose members are all benched — quarantined by a failed
+// Apply broadcast, contained after a panic, or crashlooping: the backend
+// has fail-stopped until Heal or Rebuild returns a member to service.
+var ErrNoActiveMembers = errors.New("resolve: portfolio has no active members")
+
+// PanicError reports a panic contained at a resolver boundary: instead of
+// crashing the process, the panicking member is benched with this error
+// (stack included) and healed through the rebuild paths. It is the
+// daemon tier's signal that an answer failed for a recoverable internal
+// reason — retry-worthy, unlike the taxonomy's definitive answers
+// (unsat, unknown package, budget).
+type PanicError struct {
+	// Op names the boundary that contained the panic:
+	// "<backend>/<instance>" for a solve or extension panic
+	// ("portfolio/dive", "pool/3"), "<backend>/rebuild/<instance>" for a
+	// rebuild ("portfolio/rebuild/dive", "pool/rebuild/3"), and
+	// "serve/backend" at the serving tier.
+	Op string
+	// Value is the panic value, stringified at capture.
+	Value string
+	// Stack is the panicking goroutine's stack at capture.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("resolve: panic contained at %s: %s", e.Op, e.Value)
+}
+
+// MemberHealth reports one member's serving state: a portfolio member
+// ("dive") or a pool shard ("pool/3"). A quarantined member is out of
+// service: its skeleton fell behind the shared universe during an Apply
+// broadcast, or a contained panic or failed rebuild benched it. CrashLoop
+// marks a sticky bench — the member exhausted its rebuild budget inside
+// the crashloop window and stays out until an explicit Rebuild.
+type MemberHealth struct {
+	Name        string
+	Quarantined bool
+	CrashLoop   bool
+	Epoch       Epoch // universe epoch the member's skeleton reflects
+	Err         error // the failure that benched it (nil when healthy)
+}
+
+// benchState is why a member is out of service. nil (no state) means
+// healthy and serving; the pointer is stored atomically so the
+// panic-containment path — which runs under the shared side of the
+// Apply barrier — can bench without the write lock.
+type benchState struct {
+	err    error // the benching failure
+	panics bool  // benched by a contained panic or failed rebuild: eligible for auto-heal
+	sticky bool  // crashlooping: only an explicit Rebuild tries it again
+}
+
+// Crashloop policy defaults: more than defaultCrashLoopRebuilds heal
+// attempts inside defaultCrashLoopWindow bench a member sticky. See
+// SetCrashLoopPolicy.
+const (
+	defaultCrashLoopRebuilds = 3
+	defaultCrashLoopWindow   = 30 * time.Second
+)
+
+// healScope selects the benched members one pass of the heal loop tries.
+type healScope int
+
+const (
+	healPanicked healScope = iota // Resolve entry: panic-benched, not sticky
+	healBenched                   // Heal and the pool's post-broadcast heal: every bench but sticky
+	healAll                       // Rebuild: every bench, sticky windows reset
+)
+
+// memberSet is the supervision behind both multi-session backends: warm
+// sessions over one shared universe, kept in service by one contract.
+// PortfolioResolver races its members; PoolResolver routes each request to
+// one of them.
+//
+//   - Growth. Apply applies a delta to the universe once, then extends
+//     every serving member's skeleton in place under the write barrier mu;
+//     requests hold mu shared, so none observes a half-applied set. Epoch
+//     reads a lock-free mirror, so per-request coalescing keys never queue
+//     behind a broadcast.
+//   - Benching. A member whose extension fails is benched rather than left
+//     serving at a stale epoch. With healOnApply (the pool) the broadcast
+//     rebuilds it at once; otherwise (the portfolio) it waits for Heal or
+//     Rebuild, since re-admitting an unexplained failure is an operator
+//     decision.
+//   - Containment. A panic at any boundary — solve, extension, rebuild — is
+//     contained as a *PanicError: the member is benched with its stack and
+//     auto-heals with a fresh session at a later Resolve entry.
+//   - Crashloop. Every heal attempt counts against the member's sliding
+//     window. Over budget, the member goes sticky: no automatic path —
+//     Resolve entry, Heal, the post-broadcast heal — tries it again; only
+//     Rebuild, the operator override, resets the window.
+type memberSet struct {
+	u       *repo.Universe
+	backend string // "portfolio" or "pool": the PanicError.Op prefix
+
+	// fpSolve and fpRebuild are the backend's faultpoint sites.
+	fpSolve, fpRebuild *faultpoint.Point
+
+	// healOnApply rebuilds members whose extension failed within Apply
+	// instead of leaving them benched.
+	healOnApply bool
+
+	// mu quiesces the set around Apply and heals: Resolve holds it shared
+	// (each member's session lock serializes actual solving); Apply,
+	// Heal and Rebuild hold it exclusively.
+	//
+	// goarxivlint:lock
+	mu      sync.RWMutex
+	members []*member
+
+	// epochA mirrors the shared universe's epoch for lock-free reads.
+	// Epoch() must not touch mu: Apply holds it exclusively for the whole
+	// broadcast, and the serving tier computes coalescing keys from
+	// Epoch() on every request — reading it through the barrier would
+	// queue every arrival behind an in-flight delta, the same
+	// serialization bug Session.Epoch() once had.
+	//
+	// goarxivlint:lockfree
+	epochA atomic.Uint64
+
+	// healNeeded flags that some member is benched, heal-eligible and not
+	// sticky; Resolve checks it lock-free on entry and takes the write
+	// barrier only when there is healing to do.
+	//
+	// goarxivlint:lockfree
+	healNeeded atomic.Bool
+
+	// rebuilt counts members returned to service by a rebuild; panics
+	// counts panics contained at the solve boundary.
+	//
+	// goarxivlint:lockfree
+	rebuilt atomic.Uint64
+	panics  atomic.Uint64
+
+	// Crashloop policy; zero values select the package defaults. Written
+	// only through SetCrashLoopPolicy (write barrier), read under mu.
+	crashMaxRebuilds int
+	crashWindow      time.Duration
+}
+
+// member is one supervised session.
+type member struct {
+	name  string              // Health, Rebuild and attribution name: "dive", "pool/3"
+	label string              // faultpoint label and PanicError.Op instance: "dive", "3"
+	opts  SessionOptions      // construction options, kept for rebuilds
+	se    *concretize.Session // replaced by a rebuild, under mu held exclusively
+
+	// bench is nil while serving, else why the member is out. Stored
+	// atomically because solve-panic containment runs under the shared
+	// side of the barrier (a solving goroutine cannot take the write lock
+	// its own request holds shared); every other writer holds mu
+	// exclusively.
+	//
+	// goarxivlint:lockfree
+	bench atomic.Pointer[benchState]
+
+	// rebuilds timestamps recent heal attempts — the crashloop sliding
+	// window. Guarded by mu held exclusively.
+	rebuilds []time.Time
+
+	// The pool's routing counters (a portfolio leaves them zero): inflight
+	// counts requests solving or queued on the member, served the requests
+	// it answered, and cacheHits the subset its solution cache answered.
+	//
+	// goarxivlint:lockfree
+	inflight  atomic.Int64
+	served    atomic.Uint64
+	cacheHits atomic.Uint64
+}
+
+// addMember encodes one more member session over the set's universe, which
+// the set then serves at.
+func (s *memberSet) addMember(name, label string, opts SessionOptions) {
+	s.members = append(s.members, &member{name: name, label: label, opts: opts, se: concretize.NewSession(s.u, opts)})
+	s.epochA.Store(uint64(s.u.Epoch()))
+}
+
+// SetCrashLoopPolicy tunes the crashloop detector: a member healed more
+// than maxRebuilds times inside window is sticky-benched instead of
+// rebuilt again (for a pool shard, a loss of capacity). Zero (or
+// negative) values select the defaults (3 rebuilds in 30s). Takes the
+// write barrier; call before or between serving, not per request.
+//
+// goarxivlint:blocking cancel=none
+func (s *memberSet) SetCrashLoopPolicy(maxRebuilds int, window time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.crashMaxRebuilds = maxRebuilds
+	s.crashWindow = window
+}
+
+// Apply grows the shared universe by one append-only delta and broadcasts
+// it to every serving member under the write barrier, so no request ever
+// observes a half-applied backend. The delta is applied to the universe
+// exactly once: a validation failure mutates nothing, touches no member,
+// and is returned with the unchanged epoch. Otherwise the returned epoch
+// is the universe's new one, which every serving member reaches.
+//
+// A member whose extension fails — or panics, which the broadcast
+// contains — is benched. A PortfolioResolver quarantines it, excluded
+// from every later race until Heal or Rebuild (a panic-benched member
+// also auto-heals like a solve panic), and returns a *MemberError naming
+// it (errors.Join of several). A PoolResolver rebuilds it at once from
+// the grown universe, losing the shard's warmth but not its capacity,
+// and returns nil; only a crashlooping shard stays benched.
+//
+// goarxivlint:blocking cancel=none
+func (s *memberSet) Apply(d *Delta) (Epoch, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	epoch, err := s.u.Apply(d)
+	if err != nil {
+		return s.u.Epoch(), err
+	}
+	s.epochA.Store(uint64(epoch))
+	var errs []error
+	for _, m := range s.members {
+		if m.bench.Load() != nil {
+			// Benched already: a heal re-encodes from the grown universe,
+			// so the delta need not reach a session it will replace.
+			continue
+		}
+		err := s.contain(m, false, func() error {
+			_, err := m.se.Extend(d)
+			return err
+		})
+		if err != nil {
+			s.benchMember(m, err)
+			errs = append(errs, &MemberError{Member: m.name, Epoch: m.se.Epoch(), Err: err})
+		}
+	}
+	if s.healOnApply {
+		s.healLocked(healBenched)
+		return epoch, nil
+	}
+	return epoch, errors.Join(errs...)
+}
+
+// solve runs one request on one member with panic containment: a
+// panicking member is benched (atomically: callers hold the barrier
+// shared) and the request gets the contained *PanicError instead of
+// crashing the process. The rebuild happens at a later Resolve entry,
+// which can take the write barrier.
+func (s *memberSet) solve(ctx context.Context, m *member, req Request) (*concretize.Resolution, error) {
+	var res *concretize.Resolution
+	err := s.contain(m, false, func() (err error) {
+		if err = s.fpSolve.Inject(m.label); err == nil {
+			res, err = m.se.Resolve(ctx, req.Roots, concretize.Options{MaxConflicts: req.MaxConflicts, Objective: req.Objective})
+		}
+		return err
+	})
+	if _, panicked := err.(*PanicError); panicked {
+		s.panics.Add(1)
+		s.benchMember(m, err)
+	}
+	return res, err
+}
+
+// contain runs f, converting a panic into an unwrapped *PanicError that
+// names the boundary: "<backend>/<label>", or "<backend>/rebuild/<label>"
+// for a rebuild. A panicking session is in an unknown state, so callers
+// bench the member exactly as for an error.
+func (s *memberSet) contain(m *member, rebuild bool, f func() error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			op := s.backend + "/" + m.label
+			if rebuild {
+				op = s.backend + "/rebuild/" + m.label
+			}
+			err = &PanicError{Op: op, Value: fmt.Sprint(rec), Stack: debug.Stack()}
+		}
+	}()
+	return f()
+}
+
+// benchMember takes a member out of service for err, flagging an
+// auto-heal when err is a panic contain caught.
+func (s *memberSet) benchMember(m *member, err error) {
+	_, panicked := err.(*PanicError)
+	m.bench.Store(&benchState{err: err, panics: panicked})
+	if panicked {
+		s.healNeeded.Store(true)
+	}
+}
+
+// Heal returns every benched member that is not crashlooping to service
+// with a fresh session, and returns the names of those it healed (nil when
+// none). Unlike Rebuild it respects the crashloop breaker: a sticky member
+// stays out, and each attempt counts against the member's window. The
+// serving tier calls it when a request finds no active member.
+//
+// goarxivlint:blocking cancel=none
+func (s *memberSet) Heal() []string { return s.heal(healBenched) }
+
+// Rebuild re-admits every benched member by replacing its session with a
+// fresh one — same configuration, encoded from the current universe — and
+// returns the names of the members it healed (nil when none was benched).
+// A benched member's skeleton is behind the shared universe (or corrupted
+// by a contained panic) and cannot be extended in place; re-encoding is
+// the only way back, and it restarts the member cold: learnt clauses,
+// banked bounds, and cached answers are gone, correctness is not. Rebuild
+// is the operator override: it resets a crashlooping member's sticky
+// bench and window (no automatic path does), and each attempt is still
+// bounded by the crashloop policy, so even an operator loop converges to
+// sticky. A member whose rebuild fails stays benched but heal-eligible:
+// the next Resolve entry tries it again.
+//
+// goarxivlint:blocking cancel=none
+func (s *memberSet) Rebuild() []string { return s.heal(healAll) }
+
+// heal runs the heal loop under the write barrier, so it never races a
+// broadcast and no request observes a half-rebuilt backend.
+//
+// goarxivlint:blocking cancel=none
+func (s *memberSet) heal(scope healScope) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.healLocked(scope)
+}
+
+// healLocked is the heal loop: one crashloop-bounded rebuild attempt for
+// every benched member in scope, in member order, returning the names of
+// those it returned to service. It recomputes healNeeded from the members
+// it leaves benched, so a member any path leaves heal-eligible is retried
+// at the next Resolve entry. Callers hold mu exclusively, which excludes
+// the shared-side panic benches, so the recomputation cannot lose one.
+func (s *memberSet) healLocked(scope healScope) []string {
+	var healed []string
+	pending := false
+	for _, m := range s.members {
+		b := m.bench.Load()
+		if b == nil {
+			continue
+		}
+		if scope == healAll || !b.sticky && (b.panics || scope == healBenched) {
+			if b.sticky {
+				// Only Rebuild gets here: the operator override resets
+				// the window and tries once more.
+				m.rebuilds = m.rebuilds[:0]
+			}
+			if s.healMemberLocked(m, b) {
+				healed = append(healed, m.name)
+				continue
+			}
+		}
+		if nb := m.bench.Load(); nb.panics && !nb.sticky {
+			pending = true
+		}
+	}
+	s.healNeeded.Store(pending)
+	return healed
+}
+
+// healMemberLocked attempts one contained rebuild of a benched member,
+// counting the attempt against the crashloop window: with the policy's
+// budget of attempts already inside the window, the member goes sticky
+// instead — it keeps its last failure in Health() (CrashLoop set) and
+// stops consuming rebuilds until an explicit Rebuild. A rebuild that
+// fails or panics leaves it benched and heal-eligible. Returns whether the
+// member returned to service. Callers hold mu exclusively.
+func (s *memberSet) healMemberLocked(m *member, b *benchState) bool {
+	maxRebuilds, window := s.crashMaxRebuilds, s.crashWindow
+	if maxRebuilds <= 0 {
+		maxRebuilds = defaultCrashLoopRebuilds
+	}
+	if window <= 0 {
+		window = defaultCrashLoopWindow
+	}
+	now := time.Now()
+	recent := m.rebuilds[:0]
+	for _, t := range m.rebuilds {
+		if now.Sub(t) < window {
+			recent = append(recent, t)
+		}
+	}
+	m.rebuilds = recent
+	if len(recent) >= maxRebuilds {
+		m.bench.Store(&benchState{
+			err:    fmt.Errorf("resolve: member %s crashlooping (%d rebuilds in %v): %w", m.name, len(recent), window, b.err),
+			panics: b.panics,
+			sticky: true,
+		})
+		return false
+	}
+	m.rebuilds = append(m.rebuilds, now)
+	err := s.contain(m, true, func() error {
+		if err := s.fpRebuild.Inject(m.label); err != nil {
+			return err
+		}
+		m.se = concretize.NewSession(s.u, m.opts)
+		return nil
+	})
+	if err != nil {
+		m.bench.Store(&benchState{err: err, panics: true})
+		return false
+	}
+	m.bench.Store(nil)
+	s.rebuilt.Add(1)
+	return true
+}
+
+// Health reports each member's serving state, in member order: its name,
+// the epoch its skeleton reflects, and — for benched members — the
+// failure that benched it, with CrashLoop marking a sticky bench.
+func (s *memberSet) Health() []MemberHealth {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]MemberHealth, len(s.members))
+	for i, m := range s.members {
+		out[i] = MemberHealth{Name: m.name, Epoch: m.se.Epoch()}
+		if b := m.bench.Load(); b != nil {
+			out[i].Quarantined = true
+			out[i].CrashLoop = b.sticky
+			out[i].Err = b.err
+		}
+	}
+	return out
+}
+
+// Epoch returns the epoch of the shared universe, which every serving
+// member serves at (the write barrier keeps them in lockstep). It reads
+// the atomic mirror, never mu: the serving tier calls Epoch() per request
+// to key coalescing, and must not queue behind an Apply broadcast.
+//
+// goarxivlint:lockfree
+func (s *memberSet) Epoch() Epoch {
+	return Epoch(s.epochA.Load())
+}

@@ -5,13 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"github.com/paper-repo-growth/go-arxiv/internal/concretize"
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
 )
 
@@ -35,90 +31,23 @@ import (
 // a racing arrival can turn a "steal" into a short queue, which costs
 // latency, never correctness.
 //
-// The universe grows through Apply under the same write barrier the
-// portfolio uses, with a stronger liveness contract: a shard whose in-place
-// extension fails is rebuilt as a fresh session over the already-grown
-// universe (cheap under Lazy: the rebuild encodes nothing until requests
-// re-reach their subgraphs) rather than quarantined, so a pool never loses
-// serving capacity — it loses one shard's warmth and counts the event in
-// PoolStats.Rebuilds.
-//
-// Failure is contained the same way the portfolio contains it: a shard
-// that panics mid-solve is marked broken (excluded from routing, the
-// request fails with the contained *PanicError), healed with a fresh
-// session at the next Apply or Resolve entry, and sticky-benched by the
-// crashloop detector when it keeps crashing.
+// A pool never gives up capacity it can rebuild: a shard whose Apply
+// extension fails is rebuilt within the broadcast as a fresh session over
+// the grown universe (cheap under Lazy: the rebuild encodes nothing until
+// requests re-reach their subgraphs), and a shard that panics mid-solve
+// fails that request, leaves routing, and is rebuilt at the next Resolve
+// entry. Only a crashlooping shard (SetCrashLoopPolicy) stays out until
+// Rebuild. Shards are named "pool/<index>" in Result.Config, Health and
+// Rebuild.
 type PoolResolver struct {
-	u    *repo.Universe
-	opts SessionOptions
-
-	// mu is the Apply write barrier: Resolve holds it shared (each shard's
-	// session lock serializes actual solving), Apply holds it exclusively
-	// while broadcasting the delta — or rebuilding a shard — so no request
-	// ever observes a half-applied pool.
-	//
-	// goarxivlint:lock
-	mu     sync.RWMutex
-	shards []*poolShard
-
-	// epochA mirrors the shared universe's epoch for lock-free reads, so
-	// serving tiers can key coalescing on Epoch() without queuing behind an
-	// in-flight Apply broadcast.
-	//
-	// goarxivlint:lockfree
-	epochA atomic.Uint64
-
-	// healNeeded flags that some shard broke under the shared side of the
-	// barrier (a solve panic) and waits for a heal; Resolve checks it
-	// lock-free on entry.
-	//
-	// goarxivlint:lockfree
-	healNeeded atomic.Bool
+	memberSet
 
 	// Routing counters; see PoolStats.
 	//
 	// goarxivlint:lockfree
-	hits     atomic.Uint64
-	steals   atomic.Uint64
-	waits    atomic.Uint64
-	rebuilds atomic.Uint64
-	panics   atomic.Uint64
-
-	// Crashloop policy; zero values select the package defaults. Written
-	// only through SetCrashLoopPolicy (write barrier), read under mu.
-	crashMaxRebuilds int
-	crashWindow      time.Duration
-}
-
-// poolShard is one warm session plus its routing state.
-type poolShard struct {
-	se *concretize.Session
-
-	// inflight counts requests currently solving (or queued) on this
-	// shard; the router reads it lock-free to prefer idle shards.
-	//
-	// goarxivlint:lockfree
-	inflight atomic.Int64
-	// served counts requests this shard answered; cacheHits counts the
-	// subset answered from its solution cache. Their ratio is the shard's
-	// hit rate, exported through PoolStats for the stats endpoint.
-	//
-	// goarxivlint:lockfree
-	served    atomic.Uint64
-	cacheHits atomic.Uint64
-
-	// broken, when non-nil, excludes the shard from routing until a heal
-	// replaces it. Stored atomically because the panic-containment path
-	// runs under the shared side of the barrier; every other writer holds
-	// mu exclusively.
-	//
-	// goarxivlint:lockfree
-	broken atomic.Pointer[benchState]
-
-	// rebuilds timestamps recent heal attempts — the crashloop sliding
-	// window, inherited across shard replacements. Guarded by mu held
-	// exclusively.
-	rebuilds []time.Time
+	hits   atomic.Uint64
+	steals atomic.Uint64
+	waits  atomic.Uint64
 }
 
 var _ Resolver = (*PoolResolver)(nil)
@@ -134,185 +63,15 @@ func NewPoolResolver(u *repo.Universe, n int, opts SessionOptions) *PoolResolver
 			n = 8
 		}
 	}
-	p := &PoolResolver{u: u, opts: opts}
+	p := &PoolResolver{memberSet: memberSet{u: u, backend: "pool", fpSolve: fpPoolSolve, fpRebuild: fpPoolRebuild, healOnApply: true}}
 	for i := 0; i < n; i++ {
-		p.shards = append(p.shards, &poolShard{se: concretize.NewSession(u, opts)})
+		p.addMember(fmt.Sprintf("pool/%d", i), strconv.Itoa(i), opts)
 	}
-	p.epochA.Store(uint64(u.Epoch()))
 	return p
 }
 
 // NumShards returns the pool width.
-func (p *PoolResolver) NumShards() int { return len(p.shards) }
-
-// SetCrashLoopPolicy tunes the crashloop detector: a shard healed more
-// than maxRebuilds times inside window is sticky-benched (capacity loss!)
-// instead of rebuilt again. Zero (or negative) values select the defaults
-// (3 rebuilds in 30s). Takes the write barrier; call before or between
-// serving, not per request.
-//
-// goarxivlint:blocking cancel=none
-func (p *PoolResolver) SetCrashLoopPolicy(maxRebuilds int, window time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.crashMaxRebuilds = maxRebuilds
-	p.crashWindow = window
-}
-
-// Apply grows the shared universe by one append-only delta and broadcasts
-// it across the shards under the write barrier. The delta is applied to
-// the universe exactly once (a validation failure mutates nothing and
-// touches no shard). A shard whose in-place extension fails — or panics,
-// which the broadcast contains — self-heals: it is replaced by a fresh
-// session over the already-grown universe, losing its warmth, never its
-// capacity, and the event is counted in PoolStats.Rebuilds. Apply
-// therefore fails only on delta validation, and every non-sticky shard
-// serves at the returned epoch afterwards (a crashlooping shard stays
-// benched; see SetCrashLoopPolicy and Rebuild).
-//
-// goarxivlint:blocking cancel=none
-func (p *PoolResolver) Apply(d *Delta) (Epoch, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	epoch, err := p.u.Apply(d)
-	if err != nil {
-		return p.u.Epoch(), err
-	}
-	p.epochA.Store(uint64(epoch))
-	for _, s := range p.shards {
-		if s.broken.Load() != nil {
-			// Already broken (a contained solve panic): the heal below
-			// re-encodes from the post-delta universe, so the delta need
-			// not be replayed into a session about to be discarded.
-			continue
-		}
-		if err := p.extendShard(s, d); err != nil {
-			s.broken.Store(&benchState{err: err, panics: isContainedPanic(err)})
-		}
-	}
-	p.healBrokenLocked()
-	return epoch, nil
-}
-
-// extendShard extends one shard's skeleton with panic containment,
-// mirroring the portfolio's broadcast.
-func (p *PoolResolver) extendShard(s *poolShard, d *Delta) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = &PanicError{Op: "pool/extend", Value: fmt.Sprint(rec), Stack: debug.Stack()}
-		}
-	}()
-	_, err = s.se.Extend(d)
-	return err
-}
-
-// Rebuild force-heals every broken shard — the operator override, also
-// resetting sticky (crashlooping) shards' windows the automatic paths
-// respect — and returns the healed shard names ("pool/2"). Nil when
-// nothing was broken.
-//
-// goarxivlint:blocking cancel=none
-func (p *PoolResolver) Rebuild() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var healed []string
-	for i, s := range p.shards {
-		b := s.broken.Load()
-		if b == nil {
-			continue
-		}
-		if b.sticky {
-			s.rebuilds = s.rebuilds[:0]
-		}
-		if p.healShardLocked(i, b) {
-			healed = append(healed, fmt.Sprintf("pool/%d", i))
-		}
-	}
-	return healed
-}
-
-// healBroken is the Resolve-entry heal: takes the write barrier and
-// rebuilds every broken, non-sticky shard.
-//
-// goarxivlint:blocking cancel=none
-func (p *PoolResolver) healBroken() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.healBrokenLocked()
-}
-
-// healBrokenLocked rebuilds every broken, non-sticky shard, crashloop-
-// bounded. Callers hold mu exclusively.
-func (p *PoolResolver) healBrokenLocked() {
-	pending := false
-	for i, s := range p.shards {
-		b := s.broken.Load()
-		if b == nil || b.sticky {
-			continue
-		}
-		p.healShardLocked(i, b)
-		if nb := p.shards[i].broken.Load(); nb != nil && !nb.sticky {
-			pending = true
-		}
-	}
-	p.healNeeded.Store(pending)
-}
-
-// healShardLocked attempts one contained rebuild of a broken shard,
-// counting the attempt against the crashloop window: over budget, the
-// shard goes sticky — a real capacity loss, reported through Stats, that
-// only an explicit Rebuild undoes. The replacement shard inherits the
-// window so a crashloop cannot reset itself by being rebuilt. Callers
-// hold mu exclusively.
-func (p *PoolResolver) healShardLocked(i int, b *benchState) bool {
-	s := p.shards[i]
-	maxRebuilds, window := crashPolicy(p.crashMaxRebuilds, p.crashWindow)
-	now := time.Now()
-	var over bool
-	s.rebuilds, over = crashWindowTrim(s.rebuilds, now, window, maxRebuilds)
-	if over {
-		s.broken.Store(&benchState{
-			err:    fmt.Errorf("resolve: pool shard %d crashlooping (%d rebuilds in %v): %w", i, len(s.rebuilds), window, b.err),
-			panics: b.panics,
-			sticky: true,
-		})
-		return false
-	}
-	s.rebuilds = append(s.rebuilds, now)
-	fresh := &poolShard{rebuilds: s.rebuilds}
-	if err := p.rebuildShardSession(i, fresh); err != nil {
-		s.broken.Store(&benchState{err: err, panics: true})
-		return false
-	}
-	p.shards[i] = fresh
-	p.rebuilds.Add(1)
-	return true
-}
-
-// rebuildShardSession encodes the replacement session with panic
-// containment: a rebuild that panics burns one crashloop attempt instead
-// of taking down the Apply or Resolve that triggered the heal.
-func (p *PoolResolver) rebuildShardSession(i int, fresh *poolShard) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = &PanicError{Op: "pool/rebuild/" + strconv.Itoa(i), Value: fmt.Sprint(rec), Stack: debug.Stack()}
-		}
-	}()
-	if err := fpPoolRebuild.Inject(strconv.Itoa(i)); err != nil {
-		return err
-	}
-	fresh.se = concretize.NewSession(p.u, p.opts)
-	return nil
-}
-
-// Epoch returns the epoch of the shared universe, which every shard serves
-// at. It reads the atomic mirror, never mu, so per-request coalescing keys
-// never queue behind an Apply broadcast.
-//
-// goarxivlint:lockfree
-func (p *PoolResolver) Epoch() Epoch {
-	return Epoch(p.epochA.Load())
-}
+func (p *PoolResolver) NumShards() int { return len(p.members) }
 
 // shapeShard maps a request-shape key onto a home shard (FNV-1a).
 func shapeShard(key string, n int) int {
@@ -329,27 +88,27 @@ func shapeShard(key string, n int) int {
 // the home shard (a steal) and whether the target's cache held the answer
 // at probe time. Callers hold p.mu shared.
 func (p *PoolResolver) route(home int, key string) (shard int, stolen, cached, ok bool) {
-	healthy := func(i int) bool { return p.shards[i].broken.Load() == nil }
-	if healthy(home) && p.shards[home].se.HasCached(key) {
+	healthy := func(i int) bool { return p.members[i].bench.Load() == nil }
+	if healthy(home) && p.members[home].se.HasCached(key) {
 		return home, false, true, true
 	}
-	for i, s := range p.shards {
-		if i != home && healthy(i) && s.se.HasCached(key) {
+	for i, m := range p.members {
+		if i != home && healthy(i) && m.se.HasCached(key) {
 			return i, true, true, true
 		}
 	}
-	if healthy(home) && p.shards[home].inflight.Load() == 0 {
+	if healthy(home) && p.members[home].inflight.Load() == 0 {
 		return home, false, false, true
 	}
-	for i, s := range p.shards {
-		if i != home && healthy(i) && s.inflight.Load() == 0 {
+	for i, m := range p.members {
+		if i != home && healthy(i) && m.inflight.Load() == 0 {
 			return i, true, false, true
 		}
 	}
 	if healthy(home) {
 		return home, false, false, true
 	}
-	for i := range p.shards {
+	for i := range p.members {
 		if healthy(i) {
 			return i, true, false, true
 		}
@@ -360,76 +119,52 @@ func (p *PoolResolver) route(home int, key string) (shard int, stolen, cached, o
 // Resolve implements Resolver: it routes the request to one shard —
 // shape-affine, cache-aware, stealing idle capacity — and solves there.
 // Result.Config names the serving shard ("pool/3"). A shard that panics
-// mid-solve is contained: the request fails with the *PanicError, the
-// shard is excluded from routing and healed (fresh session) at the next
-// Apply or Resolve entry. With every shard broken — only reachable
-// through sticky crashloop benches — Resolve fail-stops with
-// ErrNoActiveMembers.
+// mid-solve is contained: the request fails with the *PanicError, and the
+// shard leaves routing until the next Resolve entry rebuilds it. With
+// every shard benched — only reachable through sticky crashloop benches —
+// Resolve fail-stops with ErrNoActiveMembers.
 //
 // goarxivlint:blocking
 func (p *PoolResolver) Resolve(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(p.shards) == 0 {
+	if len(p.members) == 0 {
 		return nil, fmt.Errorf("resolve: pool has no shards")
 	}
 	if p.healNeeded.Load() {
-		p.healBroken()
+		p.heal(healPanicked)
 	}
 	key := req.Key()
 	// Shared-mode barrier against Apply: requests proceed concurrently
 	// with each other, never interleaved with a half-broadcast delta.
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	home := shapeShard(key, len(p.shards))
+	home := shapeShard(key, len(p.members))
 	idx, stolen, cached, ok := p.route(home, key)
 	if !ok {
 		return nil, ErrNoActiveMembers
 	}
-	s := p.shards[idx]
+	m := p.members[idx]
 	if cached {
 		p.hits.Add(1)
-	} else if s.inflight.Load() > 0 {
+	} else if m.inflight.Load() > 0 {
 		p.waits.Add(1)
 	}
 	if stolen {
 		p.steals.Add(1)
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	res, err := p.solveShard(ctx, idx, s, req)
+	m.inflight.Add(1)
+	defer m.inflight.Add(-1)
+	res, err := p.solve(ctx, m, req)
 	if err != nil {
 		return nil, err
 	}
-	s.served.Add(1)
+	m.served.Add(1)
 	if res.Stats.SolutionCacheHit {
-		s.cacheHits.Add(1)
+		m.cacheHits.Add(1)
 	}
-	return &Result{Picks: res.Picks, Stats: res.Stats, Config: fmt.Sprintf("pool/%d", idx)}, nil
-}
-
-// solveShard runs one shard's solve with panic containment: a panicking
-// shard is marked broken — excluded from routing, healed at the next
-// Apply or Resolve entry — and the request fails with the contained
-// *PanicError rather than crashing the daemon.
-func (p *PoolResolver) solveShard(ctx context.Context, idx int, s *poolShard, req Request) (res *concretize.Resolution, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			perr := &PanicError{Op: "pool/" + strconv.Itoa(idx), Value: fmt.Sprint(rec), Stack: debug.Stack()}
-			s.broken.Store(&benchState{err: perr, panics: true})
-			p.panics.Add(1)
-			p.healNeeded.Store(true)
-			res, err = nil, perr
-		}
-	}()
-	if err := fpPoolSolve.Inject(strconv.Itoa(idx)); err != nil {
-		return nil, err
-	}
-	return s.se.Resolve(ctx, req.Roots, concretize.Options{
-		MaxConflicts: req.MaxConflicts,
-		Objective:    req.Objective,
-	})
+	return &Result{Picks: res.Picks, Stats: res.Stats, Config: m.name}, nil
 }
 
 // ShardStats reports one shard's serving state: how much it has answered,
@@ -480,21 +215,21 @@ func (p *PoolResolver) Stats() PoolStats {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	st := PoolStats{
-		Shards:   len(p.shards),
+		Shards:   len(p.members),
 		Hits:     p.hits.Load(),
 		Steals:   p.steals.Load(),
 		Waits:    p.waits.Load(),
-		Rebuilds: p.rebuilds.Load(),
+		Rebuilds: p.rebuilt.Load(),
 		Panics:   p.panics.Load(),
 	}
-	for _, s := range p.shards {
+	for _, m := range p.members {
 		ss := ShardStats{
-			Served:    s.served.Load(),
-			CacheHits: s.cacheHits.Load(),
-			Inflight:  s.inflight.Load(),
-			Encoding:  s.se.EncodingStats(),
+			Served:    m.served.Load(),
+			CacheHits: m.cacheHits.Load(),
+			Inflight:  m.inflight.Load(),
+			Encoding:  m.se.EncodingStats(),
 		}
-		if b := s.broken.Load(); b != nil {
+		if b := m.bench.Load(); b != nil {
 			ss.Broken = true
 			ss.CrashLoop = b.sticky
 			st.Broken++
@@ -510,8 +245,8 @@ func (p *PoolResolver) CacheLen() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	n := 0
-	for _, s := range p.shards {
-		n += s.se.CacheLen()
+	for _, m := range p.members {
+		n += m.se.CacheLen()
 	}
 	return n
 }

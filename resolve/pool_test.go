@@ -89,38 +89,38 @@ func TestPoolRouting(t *testing.T) {
 	}
 
 	// Home busy, others idle: steal an idle shard.
-	p.shards[home].inflight.Add(1)
+	p.members[home].inflight.Add(1)
 	got, stolen, cached, ok := p.route(home, key)
 	if got == home || !stolen || cached || !ok {
 		t.Fatalf("busy-home route = (%d,%v,%v,%v), want a steal", got, stolen, cached, ok)
 	}
 
 	// Everything busy: queue on home.
-	for i := range p.shards {
+	for i := range p.members {
 		if i != home {
-			p.shards[i].inflight.Add(1)
+			p.members[i].inflight.Add(1)
 		}
 	}
 	if got, stolen, _, ok := p.route(home, key); got != home || stolen || !ok {
 		t.Fatalf("all-busy route = (%d,%v,%v), want the home queue", got, stolen, ok)
 	}
-	for i := range p.shards {
-		p.shards[i].inflight.Add(-1)
+	for i := range p.members {
+		p.members[i].inflight.Add(-1)
 	}
 
 	// A non-home shard holds the answer: routed there even when busy.
 	other := (home + 1) % 3
-	if _, err := p.shards[other].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
+	if _, err := p.members[other].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
 		t.Fatalf("prime other shard: %v", err)
 	}
-	p.shards[other].inflight.Add(1)
+	p.members[other].inflight.Add(1)
 	if got, stolen, cached, ok := p.route(home, key); got != other || !stolen || !cached || !ok {
 		t.Fatalf("cached-elsewhere route = (%d,%v,%v,%v), want shard %d cached", got, stolen, cached, ok, other)
 	}
-	p.shards[other].inflight.Add(-1)
+	p.members[other].inflight.Add(-1)
 
 	// Home holds it too: home wins regardless.
-	if _, err := p.shards[home].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
+	if _, err := p.members[home].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
 		t.Fatalf("prime home shard: %v", err)
 	}
 	if got, stolen, cached, ok := p.route(home, key); got != home || stolen || !cached || !ok {
@@ -128,18 +128,18 @@ func TestPoolRouting(t *testing.T) {
 	}
 
 	// A broken home falls back to a healthy shard at every tier.
-	p.shards[home].broken.Store(&benchState{err: fmt.Errorf("injected")})
+	p.members[home].bench.Store(&benchState{err: fmt.Errorf("injected")})
 	if got, _, _, ok := p.route(home, key); got == home || !ok {
 		t.Fatalf("broken-home route = (%d,%v), want a healthy fallback", got, ok)
 	}
-	for i := range p.shards {
-		p.shards[i].broken.Store(&benchState{err: fmt.Errorf("injected")})
+	for i := range p.members {
+		p.members[i].bench.Store(&benchState{err: fmt.Errorf("injected")})
 	}
 	if _, _, _, ok := p.route(home, key); ok {
 		t.Fatal("all-broken route reported ok")
 	}
-	for i := range p.shards {
-		p.shards[i].broken.Store(nil)
+	for i := range p.members {
+		p.members[i].bench.Store(nil)
 	}
 }
 
@@ -152,8 +152,8 @@ func TestPoolApplyBroadcast(t *testing.T) {
 
 	// Warm every shard on the pre-delta universe directly.
 	req := poolRequest(root)
-	for i := range p.shards {
-		if _, err := p.shards[i].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
+	for i := range p.members {
+		if _, err := p.members[i].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
 			t.Fatalf("warm shard %d: %v", i, err)
 		}
 	}
@@ -167,8 +167,8 @@ func TestPoolApplyBroadcast(t *testing.T) {
 	if p.Epoch() != 1 {
 		t.Fatalf("pool epoch %d, want 1", p.Epoch())
 	}
-	for i := range p.shards {
-		res, err := p.shards[i].se.Resolve(context.Background(), req.Roots, concretizeOptions(req))
+	for i := range p.members {
+		res, err := p.members[i].se.Resolve(context.Background(), req.Roots, concretizeOptions(req))
 		if err != nil {
 			t.Fatalf("shard %d post-delta: %v", i, err)
 		}
@@ -214,12 +214,12 @@ func TestPoolApplyRebuildsFailedShard(t *testing.T) {
 	if !enc.Lazy || enc.MaterializedPackages != 0 {
 		t.Fatalf("rebuilt shard not fresh: %+v", enc)
 	}
-	if got := p.shards[1].se.Epoch(); got != 1 {
+	if got := p.members[1].se.Epoch(); got != 1 {
 		t.Fatalf("rebuilt shard at epoch %d, want 1", got)
 	}
 	// Full capacity: every shard answers, including the rebuilt one.
-	for i := range p.shards {
-		res, err := p.shards[i].se.Resolve(context.Background(), req.Roots, concretizeOptions(req))
+	for i := range p.members {
+		res, err := p.members[i].se.Resolve(context.Background(), req.Roots, concretizeOptions(req))
 		if err != nil || !res.Stats.Optimal {
 			t.Fatalf("shard %d after rebuild: %v", i, err)
 		}

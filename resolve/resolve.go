@@ -18,8 +18,7 @@
 //     the objective-descent strategy (sat.Config.Descent: adaptive,
 //     linear stepping, or binary search between the incumbent and the
 //     proven lower bound) — so every member returns cost-identical
-//     answers; racing changes latency, never results. Rebuild returns
-//     quarantined members to the race with fresh sessions.
+//     answers; racing changes latency, never results.
 //   - PoolResolver shards requests across N identically-configured
 //     Sessions for throughput: shape-affine routing (hash of Request.Key)
 //     with cache-aware work stealing, so distinct request shapes solve in
@@ -28,6 +27,17 @@
 //     for the subgraphs its requests reach — the registry-scale
 //     configuration, where a pool over a catalog of thousands of packages
 //     carries formulas proportional to the working set, not the catalog.
+//
+// The portfolio and the pool are two policies over one supervised member
+// set. Both contain a panic at any member boundary (solve, extension,
+// rebuild) as a *PanicError and bench the member instead of crashing;
+// both heal benched members with fresh sessions — automatically at a
+// later Resolve entry after a panic, on demand through Heal, and through
+// Rebuild, the operator override — bounded by a crashloop breaker
+// (SetCrashLoopPolicy); and both report each member through Health. They
+// differ in one policy: a portfolio member whose Apply extension fails is
+// quarantined until Heal or Rebuild, while a pool shard is rebuilt inside
+// the broadcast.
 //
 // Warm requests are cheap twice over: beyond the solution cache, each
 // Session banks per-request-shape facts — the lowered objective and the

@@ -97,9 +97,10 @@ type ApplyResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// MemberHealthResponse is one portfolio member's state in GET /v1/stats.
-// CrashLoop marks a sticky bench: the member exhausted its rebuild budget
-// and stays out until POST /v1/rebuild.
+// MemberHealthResponse is one backend member's state in GET /v1/stats: a
+// portfolio member or a pool shard ("pool/3"). CrashLoop marks a sticky
+// bench: the member exhausted its rebuild budget and stays out until POST
+// /v1/rebuild.
 type MemberHealthResponse struct {
 	Name        string `json:"name"`
 	Quarantined bool   `json:"quarantined"`

@@ -33,17 +33,20 @@ var (
 )
 
 // rebuilder is implemented by backends whose benched capacity can be
-// force-healed (resolve.PortfolioResolver, resolve.PoolResolver). The
-// retry loop invokes it when the backend reports no active members, and
-// POST /v1/rebuild exposes it to operators.
+// healed (resolve.PortfolioResolver, resolve.PoolResolver). The retry
+// loop calls Heal when the backend reports no active members — bounded by
+// the crashloop breaker, so crashlooping members stay out — and POST
+// /v1/rebuild exposes Rebuild, the override that resets the breaker, to
+// operators.
 type rebuilder interface {
+	Heal() []string
 	Rebuild() []string
 }
 
 // transient reports whether a resolve failure is worth retrying: the
 // backend failed for an internal, plausibly self-healing reason rather
 // than answering. Contained panics and a fully-benched backend are
-// transient (the retry path rebuilds); so is any remaining member failure
+// transient (the retry path heals); so is any remaining member failure
 // that does not wrap a definitive answer, and a raw injected fault (which
 // simulates exactly this class). Definitive answers and caller outcomes
 // are not.

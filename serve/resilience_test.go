@@ -304,6 +304,58 @@ func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 	}
 }
 
+// TestServeRetryRespectsCrashLoop: the retry path heals benched capacity
+// but never overrides the crashloop breaker — once every member is sticky,
+// requests fail without further rebuild attempts (only POST /v1/rebuild
+// resets the window).
+func TestServeRetryRespectsCrashLoop(t *testing.T) {
+	u, root := repo.SynthDiamond(3, 4)
+	p, err := resolve.NewPortfolioResolver(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetCrashLoopPolicy(1, time.Hour)
+	s := New(p, Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// Every member panics on every solve and on every rebuild.
+	armServeFault(t, "resolve/portfolio/solve", faultpoint.Panic(0, "injected solve panic"))
+	if err := faultpoint.Arm("resolve/portfolio/rebuild", faultpoint.Any(faultpoint.Panic(0, "injected rebuild panic"))); err != nil {
+		t.Fatal(err)
+	}
+	allSticky := func() bool {
+		for _, h := range p.Health() {
+			if !h.CrashLoop {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 5 && !allSticky(); i++ {
+		if _, _, _, err := postResolve(ts.URL, ResolveRequest{Roots: []string{root}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !allSticky() {
+		t.Fatalf("members never all went sticky: %+v", p.Health())
+	}
+
+	before := faultpoint.Hits("resolve/portfolio/rebuild")
+	for i := 0; i < 5; i++ {
+		status, _, bad, err := postResolve(ts.URL, ResolveRequest{Roots: []string{root}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != http.StatusServiceUnavailable || bad.Kind != "no_members" {
+			t.Fatalf("resolve %d against a sticky backend = %d kind %q, want 503 no_members", i, status, bad.Kind)
+		}
+	}
+	if after := faultpoint.Hits("resolve/portfolio/rebuild"); after != before {
+		t.Fatalf("sticky backend made %d rebuild attempts across 5 requests, want 0", after-before)
+	}
+}
+
 // diamondDeltaServe mirrors the resolve package's test delta for the
 // diamond universe.
 func diamondDeltaServe() *resolve.Delta {

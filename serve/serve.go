@@ -67,7 +67,8 @@ type Backend interface {
 }
 
 // healthReporter is implemented by backends with per-member state
-// (resolve.PortfolioResolver); /v1/stats surfaces it when present.
+// (resolve.PortfolioResolver, resolve.PoolResolver); /v1/stats surfaces it
+// when present.
 type healthReporter interface {
 	Health() []resolve.MemberHealth
 }
@@ -325,8 +326,10 @@ func (s *Server) resolve(ctx context.Context, req resolve.Request, timeout time.
 // retried on transient failures with jittered backoff, every sleep
 // budgeted against the deadline (a retry that cannot finish in time
 // surfaces the failure instead of burning the caller's budget). A
-// fully-benched backend is rebuilt before the retry — the self-heal that
-// turns "every member crashed" back into capacity.
+// fully-benched backend is healed before the retry — the self-heal that
+// turns "every member crashed" back into capacity. The heal respects the
+// crashloop breaker: once every member is sticky, requests fail fast
+// until an operator POST /v1/rebuild.
 func (s *Server) solveBackend(ctx context.Context, req resolve.Request) (*resolve.Result, error) {
 	for attempt := 0; ; attempt++ {
 		r, err := s.callBackend(ctx, req)
@@ -349,7 +352,7 @@ func (s *Server) solveBackend(ctx context.Context, req resolve.Request) (*resolv
 		}
 		if errors.Is(err, resolve.ErrNoActiveMembers) {
 			if rb, ok := s.backend.(rebuilder); ok {
-				rb.Rebuild()
+				rb.Heal()
 				s.metrics.rebuilds.Add(1)
 			}
 		}

@@ -237,7 +237,8 @@ func TestServerStatsAndHealthz(t *testing.T) {
 
 // TestServerStatsLazyPoolSections: the registry-scale observability is
 // wired through /v1/stats — a lazy session backend exposes its encoder
-// coverage, and a pool backend its per-shard routing counters.
+// coverage, and a pool backend its per-shard routing counters and its
+// shards' health under members.
 func TestServerStatsLazyPoolSections(t *testing.T) {
 	fetchStats := func(t *testing.T, url string) ServerStats {
 		t.Helper()
@@ -297,6 +298,9 @@ func TestServerStatsLazyPoolSections(t *testing.T) {
 	}
 	if served != 2 || rate <= 0 {
 		t.Fatalf("shards served %d (hit rate sum %.2f), want 2 served with a warm hit", served, rate)
+	}
+	if len(st.Members) != 3 || st.Members[0].Name != "pool/0" || st.Members[2].Name != "pool/2" {
+		t.Fatalf("pool members section %+v, want shards pool/0..pool/2", st.Members)
 	}
 }
 
