@@ -1,10 +1,10 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr15
-PREV_PR ?= pr13
+PR ?= pr21
+PREV_PR ?= pr15
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
-# portfolio, the HTTP daemon pipeline, and the registry-scale lazy suite
+# portfolio, the HTTP daemon pipeline, and the registry-scale suite
 # (which also reports solver_vars and heap_bytes). `make bench` runs it and
 # records the numbers in $(BENCH_JSON) so performance is tracked across PRs.
 BENCH_PATTERN ?= BenchmarkConcretize|BenchmarkSessionWarm|BenchmarkPortfolio|BenchmarkSessionResolver|BenchmarkSessionChurn|BenchmarkSessionExtend|BenchmarkDaemon|BenchmarkRegistry
@@ -74,3 +74,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/version/
 	$(GO) test -run=NONE -fuzz='^FuzzParseRange$$' -fuzztime=20s ./internal/version/
 	$(GO) test -run=NONE -fuzz='^FuzzParseRoot$$' -fuzztime=20s ./internal/concretize/
+	$(GO) test -run=NONE -fuzz='^FuzzOracle$$' -fuzztime=20s ./internal/concretize/

@@ -62,7 +62,7 @@ func checkResolve(family, backend string) error {
 	if err != nil {
 		return err
 	}
-	b, err := buildBackend(backend, u, false, 0)
+	b, err := buildBackend(backend, u, 0)
 	if err != nil {
 		return err
 	}
@@ -86,15 +86,13 @@ func checkResolve(family, backend string) error {
 	return nil
 }
 
-// checkDaemon runs a resolve -> apply -> resolve -> stats cycle over the
-// real HTTP surface.
-// checkLazyCoverage serves a registry-family universe through a lazy
-// session and demands (a) the answer is optimal, (b) the solver carries
-// only the reached subgraph — the encoder counters /v1/stats exposes must
-// show materialized packages strictly below the universe size.
+// checkLazyCoverage serves a registry-family universe through a session
+// and demands (a) the answer is optimal, (b) the solver carries only the
+// reached subgraph — the encoder counters /v1/stats exposes must show
+// materialized packages strictly below the universe size.
 func checkLazyCoverage() error {
 	u, root, _ := buildUniverse("registry", 2000, 12)
-	b, _ := buildBackend("session", u, true, 0)
+	b, _ := buildBackend("session", u, 0)
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
@@ -113,8 +111,6 @@ func checkLazyCoverage() error {
 	switch {
 	case enc == nil:
 		return fmt.Errorf("stats: no encoding counters from session backend")
-	case !enc.Lazy:
-		return fmt.Errorf("stats: backend not lazy")
 	case enc.UniversePackages != 2000:
 		return fmt.Errorf("stats: universe %d packages, want 2000", enc.UniversePackages)
 	case enc.MaterializedPackages == 0 || enc.MaterializedPackages >= enc.UniversePackages/2:
@@ -126,12 +122,12 @@ func checkLazyCoverage() error {
 	return nil
 }
 
-// checkPoolRouting serves duplicate requests through a lazy pool and
+// checkPoolRouting serves duplicate requests through a pool and
 // demands shape-affine routing: the repeat must hit the warm shard's
 // cache, and /v1/stats must expose the per-shard counters.
 func checkPoolRouting() error {
 	u, root, _ := buildUniverse("registry", 1000, 8)
-	b, _ := buildBackend("pool", u, true, 4)
+	b, _ := buildBackend("pool", u, 4)
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
@@ -178,7 +174,7 @@ func checkPoolRouting() error {
 func checkDegradedMode() error {
 	defer faultpoint.DisarmAll()
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	b, _ := buildBackend("session", u, false, 0)
+	b, _ := buildBackend("session", u, 0)
 	ts := httptest.NewServer(serve.New(b, serve.Options{MaxRetries: -1}))
 	defer ts.Close()
 
@@ -278,9 +274,11 @@ func checkCrashLoop() error {
 	return nil
 }
 
+// checkDaemon runs a resolve -> apply -> resolve -> stats cycle over the
+// real HTTP surface.
 func checkDaemon() error {
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	b, _ := buildBackend("session", u, false, 0)
+	b, _ := buildBackend("session", u, 0)
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 

@@ -3,7 +3,6 @@
 // Subcommands:
 //
 //	serve   start the HTTP daemon over a synthetic universe
-//	bench   storm an in-process daemon and report latency/coalescing
 //	doctor  run self-checks across the synthetic families and the daemon
 //
 // Run `goarxivd <subcommand> -h` for flags.
@@ -27,8 +26,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = runServe(os.Args[2:])
-	case "bench":
-		err = runBench(os.Args[2:])
 	case "doctor":
 		err = runDoctor(os.Args[2:])
 	case "-h", "--help", "help":
@@ -48,8 +45,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `goarxivd — go-arxiv serving daemon
 
 usage:
-  goarxivd serve  [-addr :8080] [-family dense] [-pkgs 40] [-vers 8] [-backend portfolio] [-lazy] [-shards 0] ...
-  goarxivd bench  [-n 2000] [-c 32] [-shapes 4] [-lazy] ...
+  goarxivd serve  [-addr :8080] [-family dense] [-pkgs 40] [-vers 8] [-backend portfolio] [-shards 0] ...
   goarxivd doctor
 
 `)
@@ -82,21 +78,16 @@ func buildUniverse(family string, pkgs, vers int) (*repo.Universe, string, error
 	}
 }
 
-// buildBackend wires a resolve backend over the universe. lazy selects
-// first-reach clause materialization (the registry-scale configuration);
-// shards sizes the pool backend (0: GOMAXPROCS capped at 8).
-func buildBackend(kind string, u *repo.Universe, lazy bool, shards int) (serve.Backend, error) {
+// buildBackend wires a resolve backend over the universe; shards sizes the
+// pool backend (0: GOMAXPROCS capped at 8).
+func buildBackend(kind string, u *repo.Universe, shards int) (serve.Backend, error) {
 	switch kind {
 	case "session":
-		return resolve.NewSessionResolver(u, resolve.SessionOptions{Lazy: lazy}), nil
+		return resolve.NewSessionResolver(u, resolve.SessionOptions{}), nil
 	case "portfolio":
-		configs := resolve.DefaultPortfolio()
-		for i := range configs {
-			configs[i].Options.Lazy = lazy
-		}
-		return resolve.NewPortfolioResolver(u, configs...)
+		return resolve.NewPortfolioResolver(u, resolve.DefaultPortfolio()...)
 	case "pool":
-		return resolve.NewPoolResolver(u, shards, resolve.SessionOptions{Lazy: lazy}), nil
+		return resolve.NewPoolResolver(u, shards, resolve.SessionOptions{}), nil
 	default:
 		return nil, fmt.Errorf("unknown backend %q (session|portfolio|pool)", kind)
 	}

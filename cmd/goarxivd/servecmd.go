@@ -23,7 +23,6 @@ func runServe(args []string) error {
 	pkgs := fs.Int("pkgs", 40, "family size (packages / width / length / virtuals)")
 	vers := fs.Int("vers", 8, "versions per package")
 	backend := fs.String("backend", "portfolio", "resolver backend (session|portfolio|pool)")
-	lazy := fs.Bool("lazy", false, "materialize clauses on first reach instead of encoding the whole universe up front (registry-scale)")
 	shards := fs.Int("shards", 0, "pool backend width (0: GOMAXPROCS capped at 8)")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrent backend solves (0: GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 0, "max queued leaders before 429 (0: 4x max-inflight)")
@@ -37,7 +36,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	b, err := buildBackend(*backend, u, *lazy, *shards)
+	b, err := buildBackend(*backend, u, *shards)
 	if err != nil {
 		return err
 	}

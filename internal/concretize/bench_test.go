@@ -153,9 +153,10 @@ func BenchmarkSessionWarmDescent(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionColdStart measures NewSession itself (fingerprint plus
-// whole-universe skeleton encoding) — the one-time cost a Session
-// amortizes across its lifetime.
+// BenchmarkSessionColdStart measures NewSession itself plus the universe
+// fingerprint. A Session encodes nothing until a request reaches it, so
+// this is the O(1) construction cost a pool shard or a rebuilt member
+// pays.
 func BenchmarkSessionColdStart(b *testing.B) {
 	u, _ := repo.SynthDense(40, 8, 3, 1)
 	b.ReportAllocs()
@@ -239,7 +240,7 @@ func BenchmarkConcretizeUnsatWeb(b *testing.B) {
 //     way — mutate the universe, re-encode a fresh session from scratch,
 //     re-solve all eight shapes cold. The warm/cold ratio is the payoff of
 //     in-place extension with delta-scoped invalidation.
-//   - SessionExtend: the Extend call alone (skeleton growth plus
+//   - SessionExtend: the Extend call alone (encoding growth plus
 //     invalidation sweep), isolating the delta-application cost itself.
 //
 // Both churn benchmarks rebuild the universe every 64 deltas (off the

@@ -13,7 +13,7 @@ import (
 
 // This file is the churn differential harness for live universes: ~100
 // seeded universes each grow through a random stream of append-only
-// deltas, with a long-lived Session extending its skeleton in place
+// deltas, with a long-lived Session extending its encoding in place
 // (Session.Extend) while fresh cold Concretize calls over the
 // post-delta universe serve as the oracle. Requests mix new shapes with
 // replays of pre-delta shapes, so delta-scoped cache invalidation is

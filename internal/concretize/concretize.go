@@ -28,13 +28,13 @@
 // condition trigger, a request root — is lowered through one interface,
 // repo.Candidates: the concrete (package, version) selections able to
 // satisfy it, whether the name is a concrete package or a virtual provided
-// by competing packages. The encoder is split into a per-universe skeleton
-// and a per-request activation layer, both owned by Session — the
-// long-lived warm path that the one-shot Concretize entry point also runs
-// through:
+// by competing packages. The encoder is split into an encoding of the
+// packages requests have reached and a per-request activation layer, both
+// owned by Session — the long-lived warm path that the one-shot Concretize
+// entry point also runs through:
 //
-//   - Skeleton (encoded once per Session, covering the whole universe):
-//     each package p gets an "installed" variable y_p and one variable
+//   - Encoding (materialized per package the first time a request reaches
+//     it; see Session): each package p gets an "installed" variable y_p and one variable
 //     x_{p,v} per available version v, with x_{p,v} -> y_p and
 //     y_p -> OR_v x_{p,v} tying selection to installation; an at-most-one
 //     pseudo-Boolean constraint over the x_{p,v} makes selection
@@ -53,7 +53,7 @@
 //     x_{p,v} AND z -> (dep-or-conflict clause). Support literals are
 //     allocated with sat.Solver.NewAuxVar, so the solver defines them by
 //     propagation but never branches on them: richer declaration forms do
-//     not widen the search space. With no roots asserted the skeleton is
+//     not widen the search space. With no roots asserted the encoding is
 //     satisfied by installing nothing, so it can never drive the solver
 //     into a top-level conflict.
 //
@@ -103,42 +103,28 @@
 // terrible first incumbent).
 //
 // Live universes. Session.Extend (extend.go) applies a repo.Delta to the
-// bound universe and grows the encoded skeleton in place — new variables
-// and clauses are appended, requirement clauses whose candidate sets
-// widened are detached and re-emitted over the current candidates, and
-// parked declarations (dead dependency targets, dormant triggers, vacuous
-// conflicts) are revived — instead of rebuilding the session. Learnt
-// clauses are dropped once per delta (widening invalidates them), while
-// VSIDS activity and saved phases persist. Invalidation of the solution
-// cache and the bound memo is delta-scoped: each entry records the names
-// its request could reach, and only entries intersecting the delta's
-// touched set are evicted, so a request untouched by a delta keeps its
-// cached answer with zero new solver work. Stats.Epoch reports the
-// universe epoch an answer was computed at.
-//
-// Lazy materialization. SessionOptions.Lazy (lazy.go) defers the skeleton
-// entirely: construction encodes nothing, and each request materializes
-// clauses only for its reachable subgraph — the closure of its roots over
-// dependency, conflict, trigger, and provides edges — on first contact.
-// Against registry-shaped universes (thousands of packages, sparse
-// per-root closures) this shrinks the solver formula and session footprint
-// by the catalog-to-working-set ratio while returning answers identical to
-// an eager session's: materialization is purely additive once closed, and
-// the one hazard — re-emitting a requirement clause over a widened
-// candidate set while stale learnt clauses pin its old support — is fenced
-// by the same ForgetLearnts discipline Extend uses. Deltas touching only
-// unmaterialized names park: the name is dirty-marked and its clauses
-// simply materialize post-delta when first reached, with no learnt-clause
-// drop and no cache sweep beyond the reach-scoped invalidation above.
-// EncodingStats reports coverage (materialized packages and solver
-// variables against the bound universe) for observability.
+// bound universe and grows the materialized encoding in place — new
+// variables and clauses are appended, requirement clauses whose candidate
+// sets widened are detached and re-emitted over the current candidates,
+// and parked declarations (dead dependency targets, dormant triggers,
+// vacuous conflicts) are revived — instead of rebuilding the session.
+// Learnt clauses are dropped when a delta touches a materialized package
+// (widening invalidates them), while VSIDS activity and saved phases
+// persist; packages no request reached wait for the first request that
+// does. A version the solver already fixed false at the top level cannot
+// be revived in place: a delta that makes one buildable again resets the
+// session's encoding, and requests re-materialize what they reach.
+// Invalidation of the solution cache and the bound memo is delta-scoped:
+// each entry records the names its request could reach, and only entries
+// intersecting the delta's touched set are evicted, so a request untouched
+// by a delta keeps its cached answer with zero new solver work.
+// Stats.Epoch reports the universe epoch an answer was computed at.
 package concretize
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
@@ -329,7 +315,7 @@ func canceledError(err error) error {
 }
 
 // pkgVars holds the solver variables for one encoded package, plus the
-// handles to the clauses a skeleton extension re-emits when the package
+// handles to the clauses Extend re-emits when the package
 // gains versions: the y_p -> OR_v x_{p,v} disjunction and the at-most-one
 // PB row, both widened by detach (remove) + re-add.
 type pkgVars struct {
@@ -542,26 +528,18 @@ func verify(u *repo.Universe, roots []Root, picks map[string]version.Version) er
 // conflict budget expires before any model is found; a budget expiring
 // after a model was found returns that model with Stats.Optimal == false.
 //
-// Internally this is the cold path: one one-shot Session (solution cache
-// disabled, skeleton scoped to the request's reachable packages, so cost
-// tracks the request rather than the catalog), meaning there is exactly
-// one encoder and the warm and cold paths cannot drift apart. Callers
-// answering a stream of requests over the same universe should hold a
-// Session — or, at the serving tier, a resolve.Resolver — instead; that
-// is also the context-aware path (Session.Resolve), while this wrapper's
-// only bound is the opts.MaxConflicts budget.
+// Internally this is the cold path: one one-shot Session with its
+// solution cache disabled. A Session materializes only what the request
+// reaches, so cost tracks the request rather than the catalog, and there
+// is exactly one encoder: the warm and cold paths cannot drift apart.
+// Callers answering a stream of requests over the same universe should
+// hold a Session — or, at the serving tier, a resolve.Resolver — instead;
+// that is also the context-aware path (Session.Resolve), while this
+// wrapper's only bound is the opts.MaxConflicts budget.
 //
 // goarxivlint:blocking cancel=none
 func Concretize(u *repo.Universe, roots []Root, opts Options) (*Resolution, error) {
-	if len(roots) == 0 {
-		return &Resolution{Picks: map[string]version.Version{}, Stats: Stats{Optimal: true}}, nil
-	}
-	scope, _, err := reachable(u, roots)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(scope)
-	return newSession(u, scope, SessionOptions{CacheSize: -1}, false).Resolve(context.Background(), roots, opts)
+	return NewSession(u, SessionOptions{CacheSize: -1}).Resolve(context.Background(), roots, opts)
 }
 
 func rootsString(roots []Root) string {

@@ -162,7 +162,7 @@ func objectiveTotal(t *testing.T, u *repo.Universe, roots []Root) int64 {
 	return total
 }
 
-// TestAdaptiveDescentWarmFirstVisitLogarithmic: on a warm eager session,
+// TestAdaptiveDescentWarmFirstVisitLogarithmic: on a warm session,
 // saved phases start a first-visit search from the previous request's
 // model, and the first model found can sit far above the optimum while
 // every linear probe below it returns only the next model down. Adaptive

@@ -67,8 +67,8 @@ func runDifferentialStream(t *testing.T, rng *rand.Rand, u *repo.Universe, pkgs,
 // runDifferentialGenStream is the generator-agnostic core of the
 // differential harness: requests come from gen, so universe families with
 // their own root vocabulary (virtual roots, trigger packages) plug in their
-// own request shapes.
-func runDifferentialGenStream(t *testing.T, rng *rand.Rand, u *repo.Universe, gen func(rng *rand.Rand) []Root, nReqs int, exactPicks bool) {
+// own request shapes. It returns the warm session for further checks.
+func runDifferentialGenStream(t *testing.T, rng *rand.Rand, u *repo.Universe, gen func(rng *rand.Rand) []Root, nReqs int, exactPicks bool) *Session {
 	t.Helper()
 	sess := NewSession(u, SessionOptions{})
 	var replay [][]Root
@@ -110,6 +110,7 @@ func runDifferentialGenStream(t *testing.T, rng *rand.Rand, u *repo.Universe, ge
 				rootsString(roots), pickStrings(cold), pickStrings(warm))
 		}
 	}
+	return sess
 }
 
 // TestDifferentialMonotone: the strong oracle. 140 seeded monotone

@@ -1,7 +1,6 @@
 package concretize
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
@@ -9,43 +8,43 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
-// Extend grows the session's encoded skeleton in place to absorb one
-// append-only delta, instead of rebuilding the session: new packages and
-// versions get fresh variables and clauses, widenable constraints touched
-// by the delta (exactly-one rows, requirement-definition disjunctions,
+// Extend grows the session's materialized encoding in place to absorb one
+// append-only delta, instead of rebuilding the session: new versions of
+// materialized packages get fresh variables and clauses, widenable
+// constraints touched by the delta (exactly-one rows, requirement clauses,
 // provider selections) are re-emitted through their handles, parked
 // declarations whose targets the delta grew are revived, and only the
 // solution-cache / bound-memo entries whose recorded reach set intersects
-// the delta's touched names are invalidated. Activation literals for
-// untouched roots — and everything the solver learnt about them — survive.
+// the delta's touched names are invalidated. Packages no request has
+// reached stay unencoded: the first request to reach them materializes
+// their post-delta definitions. Activation literals for untouched roots —
+// and everything the solver learnt about them — survive. A delta that
+// would make a version, package, or virtual buildable again after the
+// solver fixed it false at the top level resets the encoding instead
+// (resetEncodingLocked); the swept solution cache survives the reset.
 //
 // The epoch contract: when the bound universe is at the session's epoch,
 // Extend applies the delta to it (repo.Universe.Apply) and then extends
-// the skeleton; when the universe is already exactly one epoch ahead — a
+// the encoding; when the universe is already exactly one epoch ahead — a
 // sibling session sharing the universe applied this same delta first,
 // which is how a portfolio broadcasts — Extend trusts the caller that d
-// is that delta and only extends the skeleton. Any other epoch gap is an
+// is that delta and only extends the encoding. Any other epoch gap is an
 // error: the universe changed behind the session's back.
 //
-// A validation failure mutates nothing. Extend requires a full-universe
-// session (NewSession); the request-scoped sessions Concretize builds
-// internally cannot extend. Callers must serialize Extend against their
-// own concurrent Resolves only in the sense that Resolve calls issued
-// concurrently will simply order before or after the extension (both hold
-// the session lock); a resolver layer that needs "no request observes a
-// half-applied broadcast" adds its own barrier (resolve.PortfolioResolver
-// does).
+// A validation failure mutates nothing. Callers must serialize Extend
+// against their own concurrent Resolves only in the sense that Resolve
+// calls issued concurrently will simply order before or after the
+// extension (both hold the session lock); a resolver layer that needs "no
+// request observes a half-applied broadcast" adds its own barrier
+// (resolve.PortfolioResolver does).
 //
 // goarxivlint:blocking cancel=none
 func (se *Session) Extend(d *repo.Delta) (repo.Epoch, error) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if !se.full {
-		return se.epoch, errors.New("concretize: Extend on a request-scoped session")
-	}
 	// Fault-injection site, before any mutation: an injected error aborts
 	// cleanly here (universe untouched) — unless a sibling session already
-	// applied the delta, in which case this session's skeleton is left one
+	// applied the delta, in which case this session's encoding is left one
 	// epoch behind the shared universe, the state the caller's quarantine
 	// or rebuild path must handle.
 	if err := fpExtend.Inject(""); err != nil {
@@ -58,9 +57,9 @@ func (se *Session) Extend(d *repo.Delta) (repo.Epoch, error) {
 		}
 	case ue == se.epoch+1:
 		// A sibling session sharing the universe already applied this
-		// delta; only the skeleton needs to catch up.
+		// delta; only the encoding needs to catch up.
 	default:
-		return se.epoch, fmt.Errorf("concretize: universe at epoch %d, session skeleton at epoch %d: universe mutated behind the session", ue, se.epoch)
+		return se.epoch, fmt.Errorf("concretize: universe at epoch %d, session encoding at epoch %d: universe mutated behind the session", ue, se.epoch)
 	}
 	se.extendLocked(d)
 	se.epoch = se.u.Epoch()
@@ -68,151 +67,43 @@ func (se *Session) Extend(d *repo.Delta) (repo.Epoch, error) {
 	return se.epoch, nil
 }
 
-// extendLocked performs the in-place skeleton extension for a delta the
-// universe has already absorbed. Callers hold se.mu.
+// extendLocked absorbs a delta the universe has already applied: it
+// extends the encoding (or resets it) and invalidates what the delta could
+// change. Callers hold se.mu.
 //
 // goarxivlint:blocking cancel=none
 func (se *Session) extendLocked(d *repo.Delta) {
-	s := se.solver
-
-	// Learnt clauses are consequences of the formula as it was; widening a
-	// clause (detach + re-add a weaker one) can invalidate them, and stale
-	// level-0 learnt units would be folded into re-added clauses by
-	// normalization, silently narrowing them forever. Forget learnts and
-	// rebuild the level-0 trail from axioms FIRST, before any re-adds.
-	//
-	// Exception: a delta that touches only packages a lazy session never
-	// materialized detaches nothing — all skeleton work is deferred to
-	// first reach — so the learnt clauses (and the warmth they encode)
-	// survive the delta intact.
-	needForget := !se.lazy
-	if !needForget {
-		for _, a := range d.Adds() {
-			if _, ok := se.vars[a.Pkg]; ok {
-				needForget = true
-				break
-			}
-		}
-	}
-	if needForget {
-		s.ForgetLearnts()
-	}
-
-	// dirty collects every name the delta touches, directly or through
-	// revival cascades; the worklist re-examines each name's widenable
-	// structures. A name can be legitimately re-pushed after processing
-	// (a resurrection allocating fresh variables for its candidates), so
-	// queue membership is tracked separately from dirtiness.
+	// dirty holds every name the delta touches: its packages and the
+	// virtuals their new versions provide.
 	dirty := make(map[string]bool)
-	var queue []string
-	inQ := make(map[string]bool)
-	push := func(name string) {
-		dirty[name] = true
-		if !inQ[name] {
-			inQ[name] = true
-			queue = append(queue, name)
+	for _, a := range d.Adds() {
+		dirty[a.Pkg] = true
+		for _, pr := range a.Def.Provides {
+			dirty[pr.Virtual] = true
 		}
+	}
+	if se.extendEncodingLocked(d) {
+		// Activations whose target name is dirty carry stale candidate
+		// clauses: deactivate them permanently (a later request
+		// re-allocates).
+		for el := se.actsLRU.Front(); el != nil; {
+			next := el.Next()
+			ent := el.Value.(*actEntry)
+			if dirty[ent.target] {
+				se.solver.AddClause(ent.lit.Neg())
+				se.actsLRU.Remove(el)
+				delete(se.acts, ent.key)
+			}
+			el = next
+		}
+	} else {
+		se.resetEncodingLocked()
 	}
 
-	// Allocate variables and selection structure for the delta's versions.
-	// Within a package group Adds() orders versions descending, so
-	// insertion indices ascend and earlier recorded indices stay valid.
-	type newVer struct {
-		pv  *pkgVars
-		idx int
-	}
-	var newVers []newVer
-	adds := d.Adds()
-	for gi := 0; gi < len(adds); {
-		gj := gi
-		for gj < len(adds) && adds[gj].Pkg == adds[gi].Pkg {
-			gj++
-		}
-		group := adds[gi:gj]
-		pkg := group[0].Pkg
-		pv, ok := se.vars[pkg]
-		if !ok && se.lazy {
-			// Unmaterialized package on a lazy session (brand-new, or in
-			// the universe but never reached): encoding is deferred to
-			// first reach, which reads the post-delta universe. Only the
-			// invalidation bookkeeping needs the touched names now —
-			// cache/memo entries and activations keyed on the package or
-			// its provided virtuals must still fall. Neither joins the
-			// worklist: there is no encoded structure on them to widen
-			// yet, and materialization revives any parked work.
-			dirty[pkg] = true
-			for _, a := range group {
-				for _, pr := range a.Def.Provides {
-					dirty[pr.Virtual] = true
-				}
-			}
-			gi = gj
-			continue
-		}
-		switch {
-		case !ok:
-			// Brand-new package: the universe already holds exactly the
-			// delta's versions for it.
-			pv = se.encodePackage(pkg)
-			for i := range pv.vers {
-				newVers = append(newVers, newVer{pv, i})
-			}
-		case s.FixedFalse(sat.Lit(pv.installed)):
-			// The package died at level 0 (every version was proven
-			// unbuildable); its variables are unrevivable, so rebuild it
-			// wholesale — covering the delta's versions too.
-			se.resurrectPackage(pv, push)
-		default:
-			for _, a := range group {
-				idx := pv.pkg.IndexOf(a.Def.Version)
-				x := s.NewVar()
-				pv.vers = append(pv.vers, 0)
-				copy(pv.vers[idx+1:], pv.vers[idx:])
-				pv.vers[idx] = x
-				s.AddClause(sat.Lit(x).Neg(), sat.Lit(pv.installed))
-				newVers = append(newVers, newVer{pv, idx})
-			}
-			se.emitPackageStructure(pv)
-		}
-		push(pkg)
-		for _, a := range group {
-			for _, pr := range a.Def.Provides {
-				push(pr.Virtual)
-			}
-		}
-		gi = gj
-	}
-
-	// Requirements for the new versions, after every delta package has its
-	// structure in place so cross-references between them resolve.
-	for _, nv := range newVers {
-		se.encodeVersionReqs(nv.pv, nv.idx)
-	}
-
-	// Worklist: re-examine every touched name's widenable structures.
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		delete(inQ, name)
-		se.extendName(name, push)
-	}
-
-	// Delta-scoped invalidation. Activations whose target name is dirty
-	// carry stale candidate clauses: deactivate them permanently (a later
-	// request re-allocates). Cache and bound-memo entries fall only when
-	// their recorded reach set intersects the dirty names; everything else
-	// — including the learnt clauses and phases backing those shapes —
-	// survives the delta untouched.
-	for el := se.actsLRU.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*actEntry)
-		if dirty[ent.target] {
-			s.AddClause(ent.lit.Neg())
-			se.actsLRU.Remove(el)
-			delete(se.acts, ent.key)
-		}
-		el = next
-	}
+	// Delta-scoped invalidation: cache and bound-memo entries fall only
+	// when their recorded reach set intersects the dirty names; everything
+	// else — including the learnt clauses and phases backing those shapes,
+	// unless the encoding reset — survives the delta untouched.
 	touches := func(reach map[string]bool) bool {
 		if len(reach) < len(dirty) {
 			for n := range reach {
@@ -238,33 +129,118 @@ func (se *Session) extendLocked(d *repo.Delta) {
 	se.syncEncodingStats()
 }
 
-// extendName re-examines one touched name: requirement-definition keys on
-// it are widened or revived, support keys gain clauses for new candidates,
-// its provider-selection clause (when the name is a virtual) is re-emitted,
-// and declarations parked under it are re-run.
-func (se *Session) extendName(name string, push func(string)) {
+// extendEncodingLocked widens the materialized encoding for the delta's
+// versions of materialized packages; the rest of the delta waits for the
+// first request that reaches it. It reports false — leaving the encoding
+// half-extended, for the caller to reset — when the delta would revive a
+// variable the solver fixed false at the top level.
+func (se *Session) extendEncodingLocked(d *repo.Delta) bool {
+	s := se.solver
+	adds := d.Adds()
+
+	// Learnt clauses are consequences of the formula as it was; widening a
+	// clause (detach + re-add a weaker one) can invalidate them, and stale
+	// level-0 learnt units would be folded into re-added clauses by
+	// normalization, silently narrowing them forever. Forget learnts and
+	// rebuild the level-0 trail from axioms FIRST, before any re-adds —
+	// but only when the delta touches a materialized package: otherwise
+	// nothing is detached, and the learnt clauses (and the warmth they
+	// encode) survive the delta intact.
+	for _, a := range adds {
+		if _, ok := se.vars[a.Pkg]; ok {
+			s.ForgetLearnts()
+			break
+		}
+	}
+
+	// Variables and selection structure for the new versions. Within a
+	// package group Adds() orders versions descending, so insertion
+	// indices ascend and earlier recorded indices stay valid. touched
+	// collects the names whose widenable structures the new variables
+	// affect: the packages and the virtuals their new versions provide.
+	type newVer struct {
+		pv  *pkgVars
+		idx int
+	}
+	var newVers []newVer
+	var touched []string
+	inTouched := make(map[string]bool)
+	touch := func(name string) {
+		if !inTouched[name] {
+			inTouched[name] = true
+			touched = append(touched, name)
+		}
+	}
+	for gi := 0; gi < len(adds); {
+		gj := gi
+		for gj < len(adds) && adds[gj].Pkg == adds[gi].Pkg {
+			gj++
+		}
+		group := adds[gi:gj]
+		gi = gj
+		pv, ok := se.vars[group[0].Pkg]
+		if !ok {
+			continue
+		}
+		if s.FixedFalse(sat.Lit(pv.installed)) {
+			// Every version died at the top level; a new one would have
+			// to revive the package.
+			return false
+		}
+		for _, a := range group {
+			idx := pv.pkg.IndexOf(a.Def.Version)
+			x := s.NewVar()
+			pv.vers = append(pv.vers, 0)
+			copy(pv.vers[idx+1:], pv.vers[idx:])
+			pv.vers[idx] = x
+			s.AddClause(sat.Lit(x).Neg(), sat.Lit(pv.installed))
+			newVers = append(newVers, newVer{pv, idx})
+			for _, pr := range a.Def.Provides {
+				touch(pr.Virtual)
+			}
+		}
+		se.emitPackageStructure(pv)
+		touch(pv.pkg.Name)
+	}
+
+	// Re-examine the touched names before the new versions' own
+	// requirements exist, so every declaration re-run here predates the
+	// delta.
+	for _, name := range touched {
+		if !se.extendName(name) {
+			return false
+		}
+	}
+	// Requirements for the new versions, over candidate sets that already
+	// include the whole delta.
+	for _, nv := range newVers {
+		se.encodeVersionReqs(nv.pv, nv.idx)
+	}
+	return true
+}
+
+// extendName re-examines one touched name: requirement clauses keyed on
+// it are re-emitted over the widened candidate set, support keys gain
+// clauses for new candidates, its provider-selection clause (when the name
+// is a virtual) is re-emitted, and declarations parked under it are
+// re-run. It reports false, mid-way, when that would revive a variable
+// the solver fixed false at the top level.
+func (se *Session) extendName(name string) bool {
 	s := se.solver
 
 	// Requirement keys: every dependency site that lowered against a key
 	// on this name has its inlined requirement clause detached and its
 	// declaration re-run, re-emitting the clause over the current
-	// candidate set. This covers widening (new candidates join the
-	// disjunction) and revival (a clause that had collapsed into a hard
-	// prune — every candidate dead — comes back) uniformly; a site whose
-	// own version literal died at level 0 is resurrected by rerunDecl.
+	// candidate set.
 	for _, key := range se.defsByName[name] {
 		de := se.defs[key]
 		users := de.users
 		de.users = nil
-		seen := make(map[string]bool, len(users))
 		for _, site := range users {
-			k := siteKey(site.id)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
 			s.DetachClause(site.ref)
-			se.rerunDecl(site.id, push)
+			if !se.rerunDecl(site.id) {
+				return false
+			}
 		}
 	}
 
@@ -287,11 +263,11 @@ func (se *Session) extendName(name string, push func(string)) {
 	}
 
 	// Provider selection: widen (or first-encode) the virtual's selection
-	// clause. A "needed" variable killed at level 0 (every provider died)
-	// is replaced — its activations are evicted via dirty anyway.
+	// clause. A "needed" variable killed at the top level (every provider
+	// died) cannot take a new provider.
 	if vv, ok := se.virts[name]; ok {
 		if s.FixedFalse(sat.Lit(vv.needed)) {
-			vv.needed = s.NewVar()
+			return false
 		}
 		se.emitVirtualSelection(vv, se.scopedCandidates(name))
 	} else if se.u.IsVirtual(name) {
@@ -300,104 +276,42 @@ func (se *Session) extendName(name string, push func(string)) {
 
 	// Parked declarations: consume the name's pending list and re-run each
 	// site against the current universe (it re-parks itself if still
-	// unemittable). Revival cascades can park duplicates, so sites dedup
-	// by declaration identity.
+	// unemittable).
 	sites := se.pendingByName[name]
-	if len(sites) == 0 {
-		return
-	}
 	delete(se.pendingByName, name)
-	seen := make(map[string]bool, len(sites))
 	for _, site := range sites {
-		k := siteKey(site.id)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
 		s.DetachClause(site.ref)
-		se.rerunDecl(site.id, push)
+		if !se.rerunDecl(site.id) {
+			return false
+		}
 	}
+	return true
 }
 
 // rerunDecl re-lowers one declaration, identified stably, against the
-// current universe and variables. A declaring version whose variable died
-// at level 0 (an unconditional unsatisfiable dependency became a unit
-// axiom) cannot be revived in place: the whole version is resurrected,
-// which re-runs all of its declarations including this one.
-func (se *Session) rerunDecl(id declID, push func(string)) {
-	pv, ok := se.vars[id.pkg]
-	if !ok {
-		return
-	}
+// current universe and variables. It reports false instead when the
+// declaring version died at the top level and the re-run would revive it:
+// an unconditional dependency that now has candidates. A conflict or a
+// conditional dependency never forces a version false at the top level
+// (its clause carries a trigger or a target literal nothing fixes true
+// there), and a dependency that still has no candidate would kill the
+// version again, so those re-run in place.
+func (se *Session) rerunDecl(id declID) bool {
+	pv := se.vars[id.pkg]
 	idx := pv.pkg.IndexOf(id.ver)
-	if idx < 0 {
-		return
-	}
 	xi := sat.Lit(pv.vers[idx])
-	if se.solver.FixedFalse(xi) {
-		se.resurrectVersion(pv, idx, push)
-		return
-	}
-	defs := pv.pkg.Versions()
+	def := &pv.pkg.Versions()[idx]
 	if id.conflict {
-		c := defs[idx].Conflicts[id.idx]
+		c := def.Conflicts[id.idx]
 		se.addRequirement(xi, id, c.When, c.Pkg, c.Range, true)
-		return
+		return true
 	}
-	dd := defs[idx].Deps[id.idx]
+	dd := def.Deps[id.idx]
+	if dd.When.IsZero() && se.solver.FixedFalse(xi) && len(se.matchingLits(dd.Pkg, dd.Range)) > 0 {
+		return false
+	}
 	se.addRequirement(xi, id, dd.When, dd.Pkg, dd.Range, false)
-}
-
-// resurrectVersion replaces one level-0-dead version variable with a fresh
-// one and re-emits everything anchored on it: the x -> y implication, the
-// package's widenable structure, and the version's declarations. The
-// package name (so definition and support keys on it pick up the fresh
-// variable) and the version's provided virtuals are pushed.
-func (se *Session) resurrectVersion(pv *pkgVars, idx int, push func(string)) {
-	s := se.solver
-	if s.FixedFalse(sat.Lit(pv.installed)) {
-		se.resurrectPackage(pv, push)
-		return
-	}
-	x := s.NewVar()
-	pv.vers[idx] = x
-	s.AddClause(sat.Lit(x).Neg(), sat.Lit(pv.installed))
-	se.emitPackageStructure(pv)
-	se.encodeVersionReqs(pv, idx)
-	push(pv.pkg.Name)
-	for _, pr := range pv.pkg.Versions()[idx].Provides {
-		push(pr.Virtual)
-	}
-}
-
-// resurrectPackage rebuilds a package whose installed variable died at
-// level 0 — which only happens when every version died, so every variable
-// is reallocated. Sized from the universe's current definitions, it also
-// covers delta versions not yet given slots. All requirements are re-run
-// and every name that can reference the package's variables is pushed.
-func (se *Session) resurrectPackage(pv *pkgVars, push func(string)) {
-	s := se.solver
-	s.DetachClause(pv.orRef)
-	pv.orRef = sat.ClauseRef{}
-	s.RemovePB(pv.amoRef)
-	pv.amoRef = sat.PBRef{}
-	pv.installed = s.NewVar()
-	pv.vers = pv.vers[:0]
-	for range pv.pkg.Versions() {
-		x := s.NewVar()
-		pv.vers = append(pv.vers, x)
-		s.AddClause(sat.Lit(x).Neg(), sat.Lit(pv.installed))
-	}
-	se.emitPackageStructure(pv)
-	for i := range pv.pkg.Versions() {
-		se.encodeVersionReqs(pv, i)
-	}
-	push(pv.pkg.Name)
-	for _, def := range pv.pkg.Versions() {
-		for _, pr := range def.Provides {
-			push(pr.Virtual)
-		}
-	}
+	return true
 }
 
 // matchingLits enumerates the current in-scope candidate literals for a
@@ -410,13 +324,4 @@ func (se *Session) matchingLits(name string, rng version.Range) []sat.Lit {
 		}
 	}
 	return out
-}
-
-// siteKey is the dedup identity of a declaration site.
-func siteKey(id declID) string {
-	kind := "d"
-	if id.conflict {
-		kind = "c"
-	}
-	return fmt.Sprintf("%s\x00%s\x00%s%d", id.pkg, id.ver.String(), kind, id.idx)
 }

@@ -333,8 +333,7 @@ func TestExtendDormantTrigger(t *testing.T) {
 
 // TestExtendEpochContract: Extend accepts the delta only when the session
 // can reconcile its epoch with the universe's — apply-and-extend at parity,
-// extend-only one epoch behind a sibling, error otherwise — and refuses
-// request-scoped sessions outright.
+// extend-only one epoch behind a sibling, error otherwise.
 func TestExtendEpochContract(t *testing.T) {
 	u := repo.New()
 	u.Add("app", "1.0", repo.Dep("lib", ":"))
@@ -391,14 +390,6 @@ func TestExtendEpochContract(t *testing.T) {
 	}
 	if fresh.Epoch() != 0 || se.epoch != 0 {
 		t.Fatalf("failed Extend moved epochs: universe %d, session %d", fresh.Epoch(), se.epoch)
-	}
-
-	// Request-scoped sessions cannot extend.
-	scoped := newSession(fresh, fresh.Names(), SessionOptions{}, false)
-	ok := repo.NewDelta()
-	ok.Add("app", "2.0")
-	if _, err := scoped.Extend(ok); err == nil {
-		t.Fatal("Extend on a request-scoped session did not error")
 	}
 }
 

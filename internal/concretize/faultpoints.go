@@ -9,12 +9,12 @@ import "github.com/paper-repo-growth/go-arxiv/internal/faultpoint"
 // through their own labeled sites.
 var (
 	// fpExtend fires at the top of Session.Extend, before the universe or
-	// the skeleton mutate. For a session whose universe a sibling already
+	// the encoding mutate. For a session whose universe a sibling already
 	// advanced (the portfolio/pool broadcast case) an injected error
-	// leaves the skeleton one epoch behind the universe — exactly the
+	// leaves the encoding one epoch behind the universe — exactly the
 	// stale-member state quarantine and shard-rebuild exist for.
 	fpExtend = faultpoint.New("concretize/extend")
-	// fpMaterialize fires when a lazy session is about to materialize a
+	// fpMaterialize fires when a session is about to materialize a
 	// request's reachable subgraph; an injected error fails the request
 	// before any solver mutation.
 	fpMaterialize = faultpoint.New("concretize/materialize")

@@ -13,73 +13,39 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
 )
 
-// This file is the lazy-encoder suite: differential streams holding a
-// first-reach-materializing Session (SessionOptions.Lazy) against an
-// eagerly-encoded one over every synthetic family, churn streams where
-// deltas park under unreached names, the encoder-coverage counters, and
-// the registry-scale payoff (vars and memory vs eager). The oracle logic
-// mirrors differential_test.go: monotone families compare pick-for-pick,
+// This file is the materialization suite: warm streams over every
+// synthetic family checked against fresh cold Concretize calls, with the
+// materialized package count pinned to the union of the requests'
+// closures; churn streams where deltas park under unreached names; the
+// encoder-coverage counters; and the registry-scale payoff (solver
+// variables against the whole-universe floor). The answer checks mirror
+// differential_test.go: monotone families compare pick-for-pick,
 // adversarial ones on satisfiability and optimal cost with every answer
 // independently verified.
 
-// runLazyDifferentialGenStream fires one request stream through a lazy
-// session and an eager session over the same universe, replaying earlier
-// shapes so both sessions' caches are differentially checked too.
+// runLazyDifferentialGenStream fires one request stream through one warm
+// session and through fresh Concretize calls (runDifferentialGenStream),
+// replaying earlier shapes so cached answers are checked too. The session
+// must then have materialized exactly the union of the stream's closures,
+// as the brute-force oracle computes them.
 func runLazyDifferentialGenStream(t *testing.T, rng *rand.Rand, u *repo.Universe, gen func(rng *rand.Rand) []Root, nReqs int, exactPicks bool) {
 	t.Helper()
-	lazy := NewSession(u, SessionOptions{Lazy: true})
-	eager := NewSession(u, SessionOptions{})
-	var replay [][]Root
-	for i := 0; i < nReqs; i++ {
-		var roots []Root
-		if len(replay) > 0 && rng.Intn(4) == 0 {
-			roots = replay[rng.Intn(len(replay))]
-		} else {
-			roots = gen(rng)
-			replay = append(replay, roots)
+	reached := make(map[string]bool)
+	se := runDifferentialGenStream(t, rng, u, func(rng *rand.Rand) []Root {
+		roots := gen(rng)
+		closure, _ := oracleClosure(u, roots)
+		for name := range closure {
+			reached[name] = true
 		}
-
-		lres, lerr := lazy.Resolve(context.Background(), roots, Options{})
-		eres, eerr := eager.Resolve(context.Background(), roots, Options{})
-
-		if (lerr == nil) != (eerr == nil) {
-			t.Fatalf("roots %s: lazy err %v, eager err %v", rootsString(roots), lerr, eerr)
-		}
-		if lerr != nil {
-			if !errors.Is(lerr, ErrUnsatisfiable) || !errors.Is(eerr, ErrUnsatisfiable) {
-				t.Fatalf("roots %s: non-unsat errors: lazy %v, eager %v", rootsString(roots), lerr, eerr)
-			}
-			continue
-		}
-		if !lres.Stats.Optimal || !eres.Stats.Optimal {
-			t.Fatalf("roots %s: non-optimal without a budget", rootsString(roots))
-		}
-		if lres.Stats.Cost != eres.Stats.Cost {
-			t.Fatalf("roots %s: cost %d (lazy) vs %d (eager)", rootsString(roots), lres.Stats.Cost, eres.Stats.Cost)
-		}
-		if err := verify(u, roots, lres.Picks); err != nil {
-			t.Fatalf("roots %s: lazy answer invalid: %v", rootsString(roots), err)
-		}
-		if err := verify(u, roots, eres.Picks); err != nil {
-			t.Fatalf("roots %s: eager answer invalid: %v", rootsString(roots), err)
-		}
-		if exactPicks && !reflect.DeepEqual(pickStrings(lres), pickStrings(eres)) {
-			t.Fatalf("roots %s: picks differ:\n lazy:  %v\n eager: %v",
-				rootsString(roots), pickStrings(lres), pickStrings(eres))
-		}
-	}
-	// A lazy stream must never materialize more packages than the eager
-	// baseline. (Variable counts may run marginally higher on overlapping
-	// batches: re-emitting a widened structure allocates a fresh guard or
-	// needed variable where the skeleton allocated one.)
-	ls, es := lazy.EncodingStats(), eager.EncodingStats()
-	if ls.MaterializedPackages > es.MaterializedPackages {
-		t.Fatalf("lazy coverage exceeds eager: %+v vs %+v", ls, es)
+		return roots
+	}, nReqs, exactPicks)
+	if got := se.EncodingStats().MaterializedPackages; got != len(reached) {
+		t.Fatalf("materialized %d packages, the stream's closures cover %d", got, len(reached))
 	}
 }
 
-// TestLazyDifferentialMonotone: the strong oracle — lazy must equal eager
-// pick-for-pick across seeded monotone universes.
+// TestLazyDifferentialMonotone: the strong check — a warm session must
+// equal cold Concretize pick-for-pick across seeded monotone universes.
 func TestLazyDifferentialMonotone(t *testing.T) {
 	nUniverses := 60
 	if testing.Short() {
@@ -101,7 +67,7 @@ func TestLazyDifferentialMonotone(t *testing.T) {
 
 // TestLazyDifferentialConflicts: adversarial universes — satisfiability
 // and optimal cost must agree; conflict clauses materialized on first
-// reach must prune exactly as eagerly-encoded ones.
+// reach by an earlier request must prune exactly as freshly encoded ones.
 func TestLazyDifferentialConflicts(t *testing.T) {
 	nUniverses := 40
 	if testing.Short() {
@@ -122,10 +88,10 @@ func TestLazyDifferentialConflicts(t *testing.T) {
 	}
 }
 
-// TestLazyDifferentialVirtualDiamond: provider selection under lazy
+// TestLazyDifferentialVirtualDiamond: provider selection under
 // materialization — the selection clause for a virtual widens as later
-// requests reach more providers, and must stay answer-identical to the
-// eagerly-complete one.
+// requests reach more providers, and must stay answer-identical to one
+// encoded complete in a fresh session.
 func TestLazyDifferentialVirtualDiamond(t *testing.T) {
 	nUniverses := 30
 	if testing.Short() {
@@ -147,8 +113,8 @@ func TestLazyDifferentialVirtualDiamond(t *testing.T) {
 }
 
 // TestLazyDifferentialConditionalChain: trigger-guarded requirements —
-// support literals lowered at materialization time must behave exactly as
-// skeleton-time ones, including the sat-flipping ccx/cc0 encounters.
+// support literals widened by later materializations must behave exactly
+// as freshly lowered ones, including the sat-flipping ccx/cc0 encounters.
 func TestLazyDifferentialConditionalChain(t *testing.T) {
 	nUniverses := 30
 	if testing.Short() {
@@ -199,12 +165,12 @@ func TestLazyDifferentialRegistry(t *testing.T) {
 	}
 }
 
-// Lazy churn: the churner's delta streams through a lazy extended session
-// vs cold Concretize over the grown universe. Deltas routinely touch
+// Churn with materialization: the churner's delta streams through an
+// extended session vs cold Concretize over the grown universe. Deltas routinely touch
 // packages the session never materialized — the parking path — and later
 // requests root them — the revival path.
 
-// TestLazyChurnMonotone: the strong oracle under churn with lazy
+// TestLazyChurnMonotone: the strong check under churn with
 // materialization.
 func TestLazyChurnMonotone(t *testing.T) {
 	nUniverses := 25
@@ -220,7 +186,7 @@ func TestLazyChurnMonotone(t *testing.T) {
 		u, _ := repo.SynthDense(pkgs, versions, depsPer, seed)
 		t.Run(fmt.Sprintf("u%03d_p%d_v%d_d%d", i, pkgs, versions, depsPer), func(t *testing.T) {
 			c := newChurner(rng, u, denseNames(pkgs), denseNames(pkgs))
-			runChurnStream(t, c, 3, 4, true, SessionOptions{Lazy: true})
+			runChurnStream(t, c, 3, 4, true, SessionOptions{})
 		})
 	}
 }
@@ -243,7 +209,7 @@ func TestLazyChurnVirtual(t *testing.T) {
 			targets := []string{root, "vbase"}
 			rootable := append([]string{root}, u.VirtualNames()...)
 			c := newChurner(rng, u, targets, rootable)
-			runChurnStream(t, c, 3, 4, false, SessionOptions{Lazy: true})
+			runChurnStream(t, c, 3, 4, false, SessionOptions{})
 		})
 	}
 }
@@ -267,26 +233,20 @@ func TestLazyChurnConditional(t *testing.T) {
 			rootable := append([]string{}, targets...)
 			rootable = append(rootable, "ccx")
 			c := newChurner(rng, u, targets, rootable)
-			runChurnStream(t, c, 3, 4, false, SessionOptions{Lazy: true})
+			runChurnStream(t, c, 3, 4, false, SessionOptions{})
 		})
 	}
 }
 
-// TestLazyEncodingStats pins the counter contract: an eager session covers
-// the universe at construction, a lazy one covers nothing until a request
-// reaches it, then exactly the union of reached subgraphs.
+// TestLazyEncodingStats pins the counter contract: a session covers
+// nothing until a request reaches it, then exactly the union of reached
+// subgraphs.
 func TestLazyEncodingStats(t *testing.T) {
 	u, root := repo.SynthRegistry(200, 4)
 
-	eager := NewSession(u, SessionOptions{})
-	es := eager.EncodingStats()
-	if es.Lazy || es.MaterializedPackages != 200 || es.UniversePackages != 200 || es.SolverVars == 0 {
-		t.Fatalf("eager stats %+v: want full coverage of 200 packages", es)
-	}
-
-	lazy := NewSession(u, SessionOptions{Lazy: true})
+	lazy := NewSession(u, SessionOptions{})
 	ls := lazy.EncodingStats()
-	if !ls.Lazy || ls.MaterializedPackages != 0 || ls.UniversePackages != 200 || ls.SolverVars != 0 {
+	if ls.MaterializedPackages != 0 || ls.UniversePackages != 200 || ls.SolverVars != 0 {
 		t.Fatalf("lazy stats before any request %+v: want zero coverage", ls)
 	}
 
@@ -294,8 +254,8 @@ func TestLazyEncodingStats(t *testing.T) {
 		t.Fatalf("Resolve: %v", err)
 	}
 	ls = lazy.EncodingStats()
-	if ls.MaterializedPackages == 0 || ls.MaterializedPackages >= 200 || ls.SolverVars == 0 || ls.SolverVars >= es.SolverVars {
-		t.Fatalf("lazy stats after one request %+v (eager %+v): want partial coverage", ls, es)
+	if ls.MaterializedPackages == 0 || ls.MaterializedPackages >= 200 || ls.SolverVars == 0 {
+		t.Fatalf("lazy stats after one request %+v: want partial coverage", ls)
 	}
 }
 
@@ -305,7 +265,7 @@ func TestLazyEncodingStats(t *testing.T) {
 // rooting the parked package must see the delta's version.
 func TestLazyDeltaParking(t *testing.T) {
 	u, root := repo.SynthRegistry(300, 5)
-	se := NewSession(u, SessionOptions{Lazy: true})
+	se := NewSession(u, SessionOptions{})
 
 	res1, err := se.Resolve(context.Background(), []Root{{Pkg: root}}, Options{})
 	if err != nil {
@@ -364,56 +324,43 @@ func heapAlloc() uint64 {
 	return m.HeapAlloc
 }
 
-// TestLazyRegistryScaling is the payoff test: at a paired scale where
-// eager encoding is affordable, the lazy session must answer identically
-// while allocating >= 10x fewer solver variables and >= 5x less heap; at
-// full registry scale (10000 packages x 100 versions, where eager
-// encoding is minutes and gigabytes) the lazy session must stay an order
-// of magnitude under eager's analytic variable floor.
+// TestLazyRegistryScaling is the payoff test: a session must stay an
+// order of magnitude under the whole-universe variable floor — one
+// installed plus one per-version variable per package, pkgs*(versions+1),
+// which is what encoding the catalog would cost — at a paired scale whose
+// answer a second session confirms, and at full registry scale (10000
+// packages x 100 versions).
 func TestLazyRegistryScaling(t *testing.T) {
 	const pkgs, versions = 2500, 16
 	u, root := repo.SynthRegistry(pkgs, versions)
 	roots := []Root{{Pkg: root}}
 
-	h0 := heapAlloc()
-	eager := NewSession(u, SessionOptions{})
-	eres, err := eager.Resolve(context.Background(), roots, Options{})
-	if err != nil {
-		t.Fatalf("eager Resolve: %v", err)
-	}
-	eagerHeap := heapAlloc() - h0
-
-	h0 = heapAlloc()
-	lazy := NewSession(u, SessionOptions{Lazy: true})
+	lazy := NewSession(u, SessionOptions{})
 	lres, err := lazy.Resolve(context.Background(), roots, Options{})
 	if err != nil {
 		t.Fatalf("lazy Resolve: %v", err)
 	}
-	lazyHeap := heapAlloc() - h0
-
-	if lres.Stats.Cost != eres.Stats.Cost || !reflect.DeepEqual(pickStrings(lres), pickStrings(eres)) {
-		t.Fatalf("answers differ: lazy cost %d %v, eager cost %d %v",
-			lres.Stats.Cost, pickStrings(lres), eres.Stats.Cost, pickStrings(eres))
+	cold, err := Concretize(u, roots, Options{})
+	if err != nil {
+		t.Fatalf("Concretize: %v", err)
 	}
-	es, ls := eager.EncodingStats(), lazy.EncodingStats()
-	if ls.SolverVars*10 > es.SolverVars {
-		t.Fatalf("lazy %d vars vs eager %d: want >= 10x fewer", ls.SolverVars, es.SolverVars)
+	if lres.Stats.Cost != cold.Stats.Cost || !reflect.DeepEqual(pickStrings(lres), pickStrings(cold)) {
+		t.Fatalf("answers differ: session cost %d %v, cold cost %d %v",
+			lres.Stats.Cost, pickStrings(lres), cold.Stats.Cost, pickStrings(cold))
 	}
-	if lazyHeap*5 > eagerHeap {
-		t.Fatalf("lazy heap %dKB vs eager %dKB: want >= 5x less", lazyHeap>>10, eagerHeap>>10)
+	floor := pkgs * (versions + 1)
+	ls := lazy.EncodingStats()
+	if ls.SolverVars*10 > floor {
+		t.Fatalf("lazy %d vars vs whole-universe floor %d: want >= 10x fewer", ls.SolverVars, floor)
 	}
-	t.Logf("paired %dx%d: vars %d vs %d (%.0fx), heap %dKB vs %dKB (%.0fx)",
-		pkgs, versions, ls.SolverVars, es.SolverVars, float64(es.SolverVars)/float64(ls.SolverVars),
-		lazyHeap>>10, eagerHeap>>10, float64(eagerHeap)/float64(lazyHeap))
+	t.Logf("paired %dx%d: %d vars vs floor %d (%.0fx)",
+		pkgs, versions, ls.SolverVars, floor, float64(floor)/float64(ls.SolverVars))
 
 	if testing.Short() || raceEnabled {
 		t.Skip("full-scale registry: skipped under -short and -race")
 	}
-	// Full scale: eager variables are exactly bounded below by
-	// pkgs*(versions+1) — one installed plus one per-version variable per
-	// package — so the lazy session is measured against that floor.
 	uFull, rootFull := repo.SynthRegistry(10000, 100)
-	lazyFull := NewSession(uFull, SessionOptions{Lazy: true})
+	lazyFull := NewSession(uFull, SessionOptions{})
 	for _, spec := range []string{rootFull, "reg5000"} {
 		res, err := lazyFull.Resolve(context.Background(), []Root{MustParseRoot(spec)}, Options{})
 		if err != nil {
@@ -444,7 +391,7 @@ func TestLazyRegistryScaling(t *testing.T) {
 func TestLazySessionHammer(t *testing.T) {
 	const workers = 8
 	u, _ := repo.SynthRegistry(400, 4)
-	se := NewSession(u, SessionOptions{Lazy: true})
+	se := NewSession(u, SessionOptions{})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,19 +1,20 @@
 package concretize
 
-// Lazy materialization: a Session built with SessionOptions.Lazy encodes
-// nothing at construction. solveLocked materializes the request's
-// reachable subgraph the first time any request touches it, and later
-// requests share everything already encoded. The key soundness property
-// is that steady-state materialization is *purely additive*: the
-// reachability closure pulls in every dependency target and every
-// provider of any dep'd or rooted virtual, so a requirement clause is
-// complete over its candidate set the moment it is first emitted, and
-// learnt clauses / saved phases survive first touches. The only events
-// that force a clause detach — and therefore a ForgetLearnts, exactly as
-// in Extend — are revivals of work a delta parked under a then-unreached
-// name, and widening a virtual's provider selection when a later batch
-// materializes more of its providers. materializeHazard detects those
-// cases before any mutation.
+// Materialization: a Session encodes nothing at construction.
+// solveLocked materializes the request's reachable subgraph the first time
+// any request touches it, and later requests share everything already
+// encoded. The key soundness property is that steady-state materialization
+// is *purely additive*: the reachability closure pulls in every dependency
+// target and every provider of any dep'd or rooted virtual, so a
+// requirement clause is complete over its candidate set the moment it is
+// first emitted, and learnt clauses / saved phases survive first touches.
+// The only events that force a clause detach — and therefore a
+// ForgetLearnts, exactly as in Extend — are revivals of work a delta
+// parked under a then-unreached name, and widening a virtual's provider
+// selection when a later batch materializes more of its providers.
+// materializeHazard detects those cases before any mutation. A revival
+// that would have to bring back a variable the solver fixed false at the
+// top level resets the encoding and materializes the closure afresh.
 
 import (
 	"fmt"
@@ -22,13 +23,10 @@ import (
 )
 
 // EncodingStats is a point-in-time snapshot of how much of the bound
-// universe a session's solver formula actually carries. For an eager
-// session MaterializedPackages tracks UniversePackages; for a lazy one it
-// tracks the union of subgraphs requests have reached — the number that
-// makes registry-scale universes servable at all.
+// universe a session's solver formula actually carries. MaterializedPackages
+// tracks the union of subgraphs requests have reached since the last reset
+// — the number that makes registry-scale universes servable at all.
 type EncodingStats struct {
-	// Lazy reports whether the session materializes on first reach.
-	Lazy bool
 	// MaterializedPackages counts packages with encoded variables and
 	// clauses.
 	MaterializedPackages int
@@ -37,6 +35,11 @@ type EncodingStats struct {
 	// SolverVars is the solver's current variable count (package,
 	// version, activation, support, and guard variables alike).
 	SolverVars int
+	// Resets counts encoding resets: deltas that made a version, package,
+	// or virtual buildable again after the solver had fixed it false at
+	// the top level, answered by dropping the encoding and
+	// re-materializing on demand.
+	Resets int
 }
 
 // EncodingStats returns the session's encoder-coverage counters. It never
@@ -47,15 +50,15 @@ type EncodingStats struct {
 // goarxivlint:lockfree
 func (se *Session) EncodingStats() EncodingStats {
 	return EncodingStats{
-		Lazy:                 se.lazy,
 		MaterializedPackages: int(se.matPkgsA.Load()),
 		UniversePackages:     int(se.uniPkgsA.Load()),
 		SolverVars:           int(se.matVarsA.Load()),
+		Resets:               int(se.resetsA.Load()),
 	}
 }
 
 // syncEncodingStats refreshes the atomic stats mirrors from the encoder
-// state. Callers hold se.mu (newSession runs before the handle escapes).
+// state. Callers hold se.mu (NewSession runs before the handle escapes).
 func (se *Session) syncEncodingStats() {
 	se.matPkgsA.Store(int64(len(se.vars)))
 	se.uniPkgsA.Store(int64(se.u.NumPackages()))
@@ -63,21 +66,37 @@ func (se *Session) syncEncodingStats() {
 }
 
 // materializeLocked brings one request's reachable subgraph into the
-// solver: every order package without variables is encoded, and the
-// touched names (the fresh packages, the virtuals they provide, and any
-// first-rooted virtual) run through the same extendName worklist a delta
-// uses, which widens provider selections, revives parked declarations,
-// and resurrects level-0-dead versions uniformly. Requirements of the
-// fresh packages are emitted last, after the worklist, so a declaration
-// that parks itself in this batch (a dormant trigger on a still-unreached
-// name) is not immediately revived. Callers hold se.mu; order must be a
-// reachability closure over the current universe. The only error path is
-// the injection site, which fires before any mutation — a real
-// materialization failure is a bug, not a runtime condition.
+// solver (see materializeBatch). When the batch would revive a variable
+// the solver fixed false at the top level, the encoding resets and the
+// closure is materialized again from nothing, where no declaration is
+// parked and no variable is dead; a second revival is therefore an
+// internal error. Callers hold se.mu; order must be a reachability closure
+// over the current universe. Apart from that internal error, the only
+// error path is the injection site, which fires before any mutation.
 func (se *Session) materializeLocked(order []string, roots []Root) error {
 	if err := fpMaterialize.Inject(""); err != nil {
 		return fmt.Errorf("concretize: materialize: %w", err)
 	}
+	if !se.materializeBatch(order, roots) {
+		se.resetEncodingLocked()
+		if !se.materializeBatch(order, roots) {
+			return fmt.Errorf("concretize: internal error: materializing %d packages after an encoding reset revived a dead variable", len(order))
+		}
+	}
+	se.syncEncodingStats()
+	return nil
+}
+
+// materializeBatch encodes every order package without variables, then
+// runs the touched names (the fresh packages, the virtuals they provide,
+// and any first-rooted virtual) through extendName, exactly as a delta
+// does: provider selections widen and parked declarations revive.
+// Requirements of the fresh packages are emitted last, after the touched
+// names, so a declaration that parks itself in this batch (a dormant
+// trigger on a still-unreached name) is not immediately revived. It
+// reports false, leaving the encoding half-built for the caller to reset,
+// when extendName would revive a dead variable.
+func (se *Session) materializeBatch(order []string, roots []Root) bool {
 	var fresh []string
 	for _, name := range order {
 		if _, ok := se.vars[name]; !ok {
@@ -121,13 +140,13 @@ func (se *Session) materializeLocked(order []string, roots []Root) error {
 		add(name)
 	}
 	if len(touched) == 0 {
-		return nil
+		return true
 	}
 
 	// Detaches invalidate learnt clauses (stale level-0 learnt units would
 	// be folded into re-added clauses by normalization, silently narrowing
 	// them forever), so when this batch will detach anything, learnts are
-	// dropped FIRST — before any mutation — mirroring extendLocked.
+	// dropped FIRST — before any mutation — mirroring Extend.
 	if se.materializeHazard(touched) {
 		se.solver.ForgetLearnts()
 	}
@@ -138,27 +157,13 @@ func (se *Session) materializeLocked(order []string, roots []Root) error {
 		se.encodePackage(name)
 	}
 
-	// The extend worklist over the touched names: widens support keys and
-	// provider selections with the freshly in-scope candidates, re-runs
-	// definitions and parked declarations, encodes first-referenced
-	// virtuals. Resurrection cascades enqueue further names exactly as
-	// they do during a delta.
-	queue := append([]string(nil), touched...)
-	inQ := make(map[string]bool, len(queue))
-	for _, name := range queue {
-		inQ[name] = true
-	}
-	push := func(name string) {
-		if !inQ[name] {
-			inQ[name] = true
-			queue = append(queue, name)
+	// Widen support keys and provider selections with the freshly
+	// materialized candidates, re-run definitions and parked declarations,
+	// and encode first-referenced virtuals.
+	for _, name := range touched {
+		if !se.extendName(name) {
+			return false
 		}
-	}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		delete(inQ, name)
-		se.extendName(name, push)
 	}
 
 	// Requirements of the fresh packages, now that every package they can
@@ -169,21 +174,18 @@ func (se *Session) materializeLocked(order []string, roots []Root) error {
 			se.encodeVersionReqs(pv, i)
 		}
 	}
-
-	se.syncEncodingStats()
-	return nil
+	return true
 }
 
 // materializeHazard reports whether materializing the touched names will
-// detach any live clause: a definition key on a touched name re-emits
-// every user's requirement clause; an already-encoded virtual re-emits
-// its provider selection; a parked declaration holding a pruning clause
-// detaches it on revival; and a parked site whose declaring version died
-// at level 0 resurrects the version, detaching its package structure.
-// Dormant-trigger revivals with live declaring versions are additive and
-// do not count. Cascades cannot escape the scan: a resurrection only
-// happens under a definition re-run or a parked-site revival, both of
-// which already report true.
+// detach any live clause, or meet a parked site whose declaring version
+// died at level 0: a definition key on a touched name re-emits every
+// user's requirement clause; an already-encoded virtual re-emits its
+// provider selection; a parked declaration holding a pruning clause
+// detaches it on revival. The dead-version case counts so that a death
+// resting only on a learnt clause is released before rerunDecl judges
+// whether reviving the version needs a reset. Dormant-trigger revivals
+// with live declaring versions are additive and do not count.
 func (se *Session) materializeHazard(touched []string) bool {
 	for _, name := range touched {
 		if len(se.defsByName[name]) > 0 {

@@ -10,23 +10,23 @@ import (
 )
 
 // The BenchmarkRegistry* benchmarks are the registry-scale perf trajectory:
-// a lazy session over a sparse SynthRegistry universe whose single-root
+// a session over a sparse SynthRegistry universe whose single-root
 // reachable closure is a tiny, scale-free fraction of the catalog. Beyond
 // ns/op they report two custom metrics the bench scripts track across PRs:
 //
 //   - solver_vars: variables in the measurement session's solver formula —
-//     the lazy encoder's coverage (an eager session at the same scale
-//     allocates pkgs*(versions+1) before the first request).
+//     the encoder's coverage (encoding the whole universe would allocate
+//     pkgs*(versions+1) before the first request).
 //   - heap_bytes: heap growth attributable to one warmed session, the
 //     memory the encoding actually costs.
 //
-// Scale is 2500 packages x 16 versions: large enough that lazy-vs-eager
-// separation is an order of magnitude, small enough that CI can afford the
-// cold path per iteration.
+// Scale is 2500 packages x 16 versions: large enough that the coverage
+// sits an order of magnitude under the whole-universe floor, small enough
+// that CI can afford the cold path per iteration.
 
 const benchRegPkgs, benchRegVers = 2500, 16
 
-// reportRegistryMetrics builds one fresh lazy session off the clock, warms
+// reportRegistryMetrics builds one fresh session off the clock, warms
 // it with the root request, and reports its encoder coverage and heap
 // footprint.
 func reportRegistryMetrics(b *testing.B, u *repo.Universe, root string) {
@@ -34,7 +34,7 @@ func reportRegistryMetrics(b *testing.B, u *repo.Universe, root string) {
 	b.StopTimer()
 	defer b.StartTimer()
 	before := heapAlloc()
-	sess := NewSession(u, SessionOptions{Lazy: true})
+	sess := NewSession(u, SessionOptions{})
 	if _, err := sess.Resolve(context.Background(), []Root{{Pkg: root}}, Options{}); err != nil {
 		b.Fatalf("metrics Resolve: %v", err)
 	}
@@ -46,7 +46,7 @@ func reportRegistryMetrics(b *testing.B, u *repo.Universe, root string) {
 	}
 }
 
-// BenchmarkRegistryCold measures first contact: a fresh lazy session
+// BenchmarkRegistryCold measures first contact: a fresh session
 // materializes the root's reachable subgraph and solves it. This is the
 // registry-scale cold-start number — construction is O(1), so the whole
 // cost sits in one materialization plus one solve.
@@ -56,7 +56,7 @@ func BenchmarkRegistryCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := NewSession(u, SessionOptions{Lazy: true})
+		sess := NewSession(u, SessionOptions{})
 		res, err := sess.Resolve(context.Background(), roots, Options{})
 		if err != nil {
 			b.Fatalf("Resolve: %v", err)
@@ -69,12 +69,12 @@ func BenchmarkRegistryCold(b *testing.B) {
 }
 
 // BenchmarkRegistryWarm measures the steady serving path: a repeat request
-// against an already-materialized lazy session — a cache lookup plus a
+// against an already-materialized session — a cache lookup plus a
 // picks-map copy, independent of registry size.
 func BenchmarkRegistryWarm(b *testing.B) {
 	u, root := repo.SynthRegistry(benchRegPkgs, benchRegVers)
 	roots := []Root{{Pkg: root}}
-	sess := NewSession(u, SessionOptions{Lazy: true})
+	sess := NewSession(u, SessionOptions{})
 	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
 		b.Fatalf("prime Resolve: %v", err)
 	}
@@ -98,9 +98,9 @@ func BenchmarkRegistryWarm(b *testing.B) {
 // the framework picks.
 const registryChurnStream = 32
 
-// BenchmarkRegistryChurn measures a lazy session absorbing registry
+// BenchmarkRegistryChurn measures a session absorbing registry
 // publishes while serving: each iteration builds a fresh universe and warms
-// a lazy session on the root off the clock, then lands a fixed stream of
+// a session on the root off the clock, then lands a fixed stream of
 // append-only deltas on rotating packages, re-resolving the root after
 // each. The rotation stride keeps nearly every delta outside the root's
 // materialized subgraph, so the dominant path is delta parking — dirty-mark
@@ -117,7 +117,7 @@ func BenchmarkRegistryChurn(b *testing.B) {
 		b.StopTimer()
 		u, root = repo.SynthRegistry(benchRegPkgs, benchRegVers)
 		roots := []Root{{Pkg: root}}
-		sess := NewSession(u, SessionOptions{Lazy: true})
+		sess := NewSession(u, SessionOptions{})
 		if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
 			b.Fatalf("prime Resolve: %v", err)
 		}
@@ -140,9 +140,8 @@ func BenchmarkRegistryChurn(b *testing.B) {
 	reportRegistryMetrics(b, u, root)
 }
 
-// The warm first-visit scenario: an eager session over SynthRegistry(600, 8)
-// — the daemon's default encoder at the daemon benchmark's scale —
-// prewarmed with bare roots from the short last block, then asked for roots
+// The warm first-visit scenario: a session over SynthRegistry(600, 8) — the
+// daemon benchmark's scale — prewarmed with bare roots from the short last block, then asked for roots
 // it has never seen. Saved phases start each first visit from the previous
 // request's model, so this is where objective descent, not the first
 // solve, sets the cost of a miss.
@@ -153,7 +152,7 @@ const (
 	firstVisitBlock, firstVisitFullBlocks, firstVisitHubStart = 48, 11, 568
 )
 
-// newFirstVisitSession builds the eager session and prewarms it with the
+// newFirstVisitSession builds the session and prewarms it with the
 // bare roots the daemon benchmark's cold-fanout workload prewarms: every
 // third position of the last, short block.
 func newFirstVisitSession(tb testing.TB, u *repo.Universe) *Session {
@@ -185,7 +184,7 @@ func firstVisitRoots(n int) [][]Root {
 	return reqs
 }
 
-// BenchmarkRegistryFirstVisit measures misses on a warm eager session: each
+// BenchmarkRegistryFirstVisit measures misses on a warm session: each
 // iteration builds a fresh universe and prewarms a fresh session off the
 // clock, then resolves a fixed list of 24 first-visit roots, so every
 // iteration does the same work whatever b.N is. solve_calls/miss is the

@@ -37,20 +37,6 @@ type SessionOptions struct {
 	// DefaultSessionMaxActivations; a negative value means unbounded.
 	MaxActivations int
 
-	// Lazy defers clause materialization to first reach: the session
-	// encodes nothing at construction and lowers each package (variables,
-	// selection structure, requirement clauses, trigger plumbing) the
-	// first time any request's reachability walk touches it, sharing the
-	// materialized subgraph with every later request. Solver size then
-	// tracks what requests actually reach instead of what the universe
-	// contains — the only mode that scales to registry-sized universes
-	// (see SynthRegistry), at the cost of a small first-touch encode per
-	// novel subgraph. Answers are identical to an eager session's (pinned
-	// by the lazy-vs-eager differential harness). Ignored by the
-	// request-scoped sessions Concretize builds internally, which already
-	// scope their skeleton to one request.
-	Lazy bool
-
 	// Solver tunes the underlying SAT search (branching polarity, restart
 	// schedule, objective-descent step). The zero value selects the
 	// defaults; differently-tuned Sessions return cost-identical answers,
@@ -59,24 +45,39 @@ type SessionOptions struct {
 }
 
 // Session is a reusable concretization handle bound to one universe: the
-// warm path of the resolver. Creating a Session encodes the CNF skeleton
-// for the whole universe exactly once; each Resolve call then activates its
-// roots through assumption literals and runs branch-and-bound on the shared
-// solver, so learnt clauses, VSIDS activity, and saved phases accumulate
-// across requests instead of being rebuilt and discarded per call. Optimal
-// answers (and definitive unsatisfiability) are memoized in an LRU keyed by
-// the canonical request shape (objective key + canonicalized roots), so
-// repeat requests are answered without touching the solver at all. Beneath
-// the answer cache, a bound memo banks each request shape's lowered
-// objective and proven lower bound, so even cache-disabled repeat solves
-// skip the objective lowering and usually skip the closing optimality
-// refutation.
+// warm path of the resolver. A new Session encodes nothing. Each request's
+// reachable subgraph — the closure of its roots over dependency, conflict,
+// trigger, and provides edges — is materialized into the shared solver the
+// first time any request reaches it (materialize.go), so the solver formula
+// tracks the union of what requests reach rather than the catalog. Each
+// Resolve call then activates its roots through assumption literals and
+// runs branch-and-bound on the shared solver, so learnt clauses, VSIDS
+// activity, and saved phases accumulate across requests instead of being
+// rebuilt and discarded per call. Optimal answers (and definitive
+// unsatisfiability) are memoized in an LRU keyed by the canonical request
+// shape (objective key + canonicalized roots), so repeat requests are
+// answered without touching the solver at all. Beneath the answer cache, a
+// bound memo banks each request shape's lowered objective and proven lower
+// bound, so even cache-disabled repeat solves skip the objective lowering
+// and usually skip the closing optimality refutation.
+//
+// Against registry-shaped universes (thousands of packages, sparse
+// per-root closures) materializing on first reach shrinks the solver
+// formula and the session footprint by the catalog-to-working-set ratio;
+// EncodingStats reports the coverage. Materialization is purely additive
+// once a closure is encoded, and the one hazard — re-emitting a
+// requirement clause over a widened candidate set while stale learnt
+// clauses pin its old support — is fenced by the same ForgetLearnts
+// discipline Extend uses.
 //
 // A live universe grows through Session.Extend (see extend.go): the
-// skeleton is widened in place and only the cache/memo entries whose
-// recorded reach set intersects the delta are invalidated, which is what
-// keeps shape keys (rather than fingerprint-qualified keys) sound across
-// epochs.
+// materialized encoding is widened in place and only the cache/memo
+// entries whose recorded reach set intersects the delta are invalidated,
+// which is what keeps shape keys (rather than fingerprint-qualified keys)
+// sound across epochs. When a delta would revive a variable the solver
+// already fixed false at the top level, the session resets its encoding
+// instead (resetEncodingLocked) and requests re-materialize what they
+// reach.
 //
 // A Session is safe for concurrent use: cache lookups take a read lock and
 // solver access is serialized. The universe must not be mutated behind the
@@ -85,9 +86,7 @@ type SessionOptions struct {
 // Extend calls; see the epoch contract on Extend).
 type Session struct {
 	u     *repo.Universe
-	epoch repo.Epoch // universe epoch the skeleton reflects (guarded by mu)
-	full  bool       // skeleton covers the whole universe (Extend requires it)
-	lazy  bool       // materialize on first reach (immutable after construction)
+	epoch repo.Epoch // universe epoch the encoding reflects (guarded by mu)
 
 	// epochA mirrors epoch for lock-free reads: serving tiers key request
 	// coalescing on Epoch(), and an Epoch() that waited on mu would
@@ -107,6 +106,8 @@ type Session struct {
 	uniPkgsA atomic.Int64
 	// goarxivlint:lockfree
 	matVarsA atomic.Int64
+	// goarxivlint:lockfree
+	resetsA atomic.Int64
 
 	// mu serializes all solver access (the encoding, activation literals,
 	// and the branch-and-bound loop all mutate solver state).
@@ -143,10 +144,10 @@ type Session struct {
 	supsByName    map[string][]string
 	pendingByName map[string][]declSite
 
-	// bounds memoizes per-request-shape solve facts that stay valid for
-	// the session's lifetime: the reachability order, the lowered
-	// objective terms, and — the warm-path keystone — the proven lower
-	// bound on the optimal cost. Guarded by mu.
+	// bounds memoizes per-request-shape solve facts that stay valid until
+	// a delta touches the shape or the encoding resets: the reachability
+	// order, the lowered objective terms, and — the warm-path keystone —
+	// the proven lower bound on the optimal cost. Guarded by mu.
 	bounds *lru[*boundEntry]
 
 	// Per-request scratch reused across Resolve calls (guarded by mu):
@@ -197,8 +198,6 @@ type declSite struct {
 // set, Extend detaches each user's clause and re-runs the declaration so
 // the clause is re-emitted over the current candidates.
 type reqDef struct {
-	name  string
-	rng   version.Range
 	users []declSite
 }
 
@@ -212,43 +211,20 @@ type supEntry struct {
 	seen map[sat.Lit]bool
 }
 
-// NewSession encodes the universe's CNF skeleton and returns a warm handle
-// for resolving requests against it.
+// NewSession returns a warm handle for resolving requests against the
+// universe. It encodes nothing: requests materialize what they reach.
 func NewSession(u *repo.Universe, opts SessionOptions) *Session {
-	return newSession(u, u.Names(), opts, true)
-}
-
-// newSession builds a session whose skeleton covers only the given
-// packages (sorted). Concretize uses this to scope its one-shot session to
-// the request's reachable set, so cold-path cost tracks the request, not
-// the catalog. full marks a whole-universe session eligible for Extend;
-// request-scoped sessions skip the Extend-only site bookkeeping.
-func newSession(u *repo.Universe, names []string, opts SessionOptions, full bool) *Session {
 	se := &Session{
-		u:             u,
-		full:          full,
-		epoch:         u.Epoch(),
-		solver:        sat.NewWithConfig(opts.Solver),
-		vars:          make(map[string]*pkgVars),
-		virts:         make(map[string]*virtVars),
-		defs:          make(map[string]*reqDef),
-		defsByName:    make(map[string][]string),
-		sups:          make(map[string]*supEntry),
-		supsByName:    make(map[string][]string),
-		pendingByName: make(map[string][]declSite),
-		acts:          make(map[string]*list.Element),
-		actsLRU:       list.New(),
-		actsMax:       opts.MaxActivations,
-		pinnedBuf:     make(map[sat.Lit]bool),
-		byPartBuf:     make(map[string]Root),
+		u:         u,
+		epoch:     u.Epoch(),
+		actsMax:   opts.MaxActivations,
+		pinnedBuf: make(map[sat.Lit]bool),
+		byPartBuf: make(map[string]Root),
 	}
 	se.epochA.Store(uint64(se.epoch))
 	if se.actsMax == 0 {
 		se.actsMax = DefaultSessionMaxActivations
 	}
-	// The bound memo shares the activation memo's capacity policy: both
-	// grow with the number of distinct request shapes a session serves.
-	se.bounds = newLRU[*boundEntry](se.actsMax)
 	size := opts.CacheSize
 	if size == 0 {
 		size = DefaultSessionCacheSize
@@ -256,15 +232,45 @@ func newSession(u *repo.Universe, names []string, opts SessionOptions, full bool
 	if size > 0 {
 		se.cache = newLRU[cacheEntry](size)
 	}
-	// Lazy sessions materialize per reachable subgraph on first touch (see
-	// lazy.go); only full-universe sessions qualify — Concretize's
-	// request-scoped sessions already cut their skeleton to one closure.
-	se.lazy = opts.Lazy && full
-	if !se.lazy {
-		se.encodeSkeleton(names)
-	}
+	se.newEncoding(sat.NewWithConfig(opts.Solver))
 	se.syncEncodingStats()
 	return se
+}
+
+// newEncoding installs an empty encoding over the given solver: no
+// materialized package or virtual, no requirement bookkeeping, no
+// activation, and an empty bound memo (whose entries name solver
+// variables). The solution cache is not part of the encoding.
+func (se *Session) newEncoding(s *sat.Solver) {
+	se.solver = s
+	se.vars = make(map[string]*pkgVars)
+	se.virts = make(map[string]*virtVars)
+	se.defs = make(map[string]*reqDef)
+	se.defsByName = make(map[string][]string)
+	se.sups = make(map[string]*supEntry)
+	se.supsByName = make(map[string][]string)
+	se.pendingByName = make(map[string][]declSite)
+	se.acts = make(map[string]*list.Element)
+	se.actsLRU = list.New()
+	// The bound memo shares the activation memo's capacity policy: both
+	// grow with the number of distinct request shapes a session serves.
+	se.bounds = newLRU[*boundEntry](se.actsMax)
+}
+
+// resetEncodingLocked drops the whole encoding — the solver with its learnt
+// clauses and phases, the materialized packages, the requirement
+// bookkeeping, the activations, and the bound memo — and starts over with
+// an empty one under the same solver configuration. It is the revival
+// path: a variable the solver fixed false at the top level can never be
+// assigned again, so when a delta makes such a version (or package, or
+// virtual) buildable again, re-encoding from scratch replaces reviving it
+// in place. Nothing is encoded up front, so the reset itself costs O(1);
+// requests re-materialize what they reach. The solution cache survives:
+// callers have already swept the entries a delta could change. Callers
+// hold se.mu.
+func (se *Session) resetEncodingLocked() {
+	se.newEncoding(sat.NewWithConfig(se.solver.Config()))
+	se.resetsA.Add(1)
 }
 
 // Fingerprint returns the content hash of the bound universe at its
@@ -278,7 +284,7 @@ func (se *Session) Fingerprint() string {
 	return se.u.Fingerprint()
 }
 
-// Epoch returns the universe epoch the session's skeleton currently
+// Epoch returns the universe epoch the session's encoding currently
 // reflects. It never blocks — in particular not on an in-flight solve —
 // so serving tiers can read it on every request to qualify coalescing
 // keys.
@@ -313,42 +319,6 @@ func (se *Session) HasCached(key string) bool {
 	defer se.cacheMu.RUnlock()
 	_, ok := se.cache.peek(key)
 	return ok
-}
-
-// encodeSkeleton lowers the given packages into the solver once, in sorted
-// package order: installed/version variables, selection structure,
-// exactly-one constraints, virtual provider-selection clauses, and the
-// dependency/conflict requirements — conditional ones guarded behind their
-// trigger literals. Roots are deliberately absent — they arrive per request
-// as assumption literals — so the skeleton with no assumptions is trivially
-// satisfiable (install nothing) and the solver can never be poisoned into a
-// top-level conflict. The name set must be dependency-closed (all of the
-// universe, or a reachability closure, which traverses virtual and
-// conditional edges): a requirement on a name wholly outside it is encoded
-// as unbuildable (dependencies) or vacuous (conflicts and triggers —
-// nothing outside the closure can ever be installed).
-func (se *Session) encodeSkeleton(names []string) {
-	for _, name := range names {
-		se.encodePackage(name)
-	}
-
-	// Virtual "needed" variables with provider-selection clauses:
-	// y_virt -> OR {x_{q,w} : (q,w) in scope provides virt}. Virtuals with
-	// no in-scope provider stay unencoded; requirements on them lower to
-	// empty candidate sets below.
-	for _, virt := range se.u.VirtualNames() {
-		se.encodeVirtual(virt)
-	}
-
-	// Requirements per (package, version): dependencies and conflicts,
-	// both lowered through the same candidate enumeration and trigger
-	// guarding.
-	for _, name := range names {
-		pv := se.vars[name]
-		for i := range pv.pkg.Versions() {
-			se.encodeVersionReqs(pv, i)
-		}
-	}
 }
 
 // encodePackage allocates the installed/version variables for one package
@@ -436,11 +406,11 @@ func (se *Session) encodeVersionReqs(pv *pkgVars, i int) {
 }
 
 // scopedCandidates enumerates the candidates for a requirement target that
-// the session's skeleton actually carries variables for. Out-of-scope
-// providers of a virtual are dropped: the reachability closure pulls in
-// every provider of any dependency target, so a dropped provider can only
-// belong to a conflict or trigger target — and those are vacuous for
-// packages that can never be installed.
+// the session has materialized variables for. Unmaterialized providers of
+// a virtual are dropped: the reachability closure pulls in every provider
+// of any dependency target, so a dropped provider can only belong to a
+// conflict or trigger target — and those are vacuous for packages that
+// can never be installed.
 func (se *Session) scopedCandidates(name string) []repo.Candidate {
 	cands, ok := se.u.Candidates(name)
 	if !ok {
@@ -488,9 +458,7 @@ func (se *Session) supportLit(name string, rng version.Range) (sat.Lit, bool) {
 		en.seen[x] = true
 	}
 	se.sups[key] = en
-	if se.full {
-		se.supsByName[name] = append(se.supsByName[name], key)
-	}
+	se.supsByName[name] = append(se.supsByName[name], key)
 	return z, true
 }
 
@@ -505,7 +473,7 @@ func (se *Session) defEntry(name string, rng version.Range) *reqDef {
 	if de, ok := se.defs[key]; ok {
 		return de
 	}
-	de := &reqDef{name: name, rng: rng}
+	de := &reqDef{}
 	se.defs[key] = de
 	se.defsByName[name] = append(se.defsByName[name], key)
 	return de
@@ -513,13 +481,9 @@ func (se *Session) defEntry(name string, rng version.Range) *reqDef {
 
 // addPending parks a declaration that currently lowers to nothing emittable
 // (dormant trigger, dead dependency target, vacuous conflict) under the
-// name whose growth would change it. Extend re-runs parked declarations
-// when that name is touched; request-scoped sessions never Extend, so they
-// skip the bookkeeping.
+// name whose growth would change it. Extend and materialization re-run
+// parked declarations when that name is touched.
 func (se *Session) addPending(name string, site declSite) {
-	if !se.full {
-		return
-	}
 	se.pendingByName[name] = append(se.pendingByName[name], site)
 }
 
@@ -574,10 +538,8 @@ func (se *Session) addRequirement(xi sat.Lit, id declID, when repo.Condition, ta
 		return
 	}
 	ref, _ := se.solver.AddClauseRef(guard(matching...)...)
-	if se.full {
-		de := se.defEntry(target, rng)
-		de.users = append(de.users, declSite{id: id, ref: ref})
-	}
+	de := se.defEntry(target, rng)
+	de.users = append(de.users, declSite{id: id, ref: ref})
 }
 
 // activation returns the assumption literal enforcing one root constraint,
@@ -738,7 +700,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	// The bound memo remembers, per request shape, everything a repeat
 	// solve can reuse: the reachability order, the lowered objective
 	// terms, and the proven lower bound on the optimal cost. All three
-	// stay valid for the session's lifetime — the universe is immutable,
+	// stay valid until a delta touches the shape or the encoding resets —
 	// the objective is a pure function of (universe, order, roots), and a
 	// bound proven under the request's activation assumptions is a fact
 	// about the formula, which later requests only extend with learnt
@@ -757,16 +719,14 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		if err != nil {
 			return nil, err
 		}
-		// First visit of this shape since construction or the last
-		// touching delta: a lazy session encodes whatever the closure
-		// reaches that isn't materialized yet. A bound-memo hit implies
-		// the shape's whole closure already materialized (entries fall
-		// whenever a delta touches their reach set), so the warm path
-		// skips even the membership scan.
-		if se.lazy {
-			if err := se.materializeLocked(order, roots); err != nil {
-				return nil, err
-			}
+		// First visit of this shape since construction, the last touching
+		// delta, or the last reset: encode whatever the closure reaches
+		// that isn't materialized yet. A bound-memo hit implies the
+		// shape's whole closure already materialized (entries fall
+		// whenever a delta touches their reach set, and all of them at a
+		// reset), so the warm path skips even the membership scan.
+		if err := se.materializeLocked(order, roots); err != nil {
+			return nil, err
 		}
 	}
 
@@ -822,23 +782,14 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		}
 		memo = &boundEntry{order: order, reach: reach, terms: objTerms, total: total}
 		se.bounds.put(shapeKey, memo)
-		// First visit of this shape on a lazy session: seed saved phases
-		// toward the greedy assignment so the descent's first incumbent
-		// starts near the optimum. On the version-deep universes lazy
-		// sessions exist for (SynthRegistry carries up to 100 versions per
-		// package) this replaces a linear walk down hundreds of cost units
-		// — each a full solver round — with a handful of rounds; phases
-		// are pure heuristics, so seeding can never change the answer.
-		// Eager sessions keep their organic phases: on small dense
-		// universes the seed measurably degrades the warm steady state
-		// (BenchmarkConcretizeVirtualDiamondWarm regressed >2x when seeded
-		// — the one-time overwrite shifts the learnt-clause trajectory
-		// into a worse attractor) while buying nothing, since their
-		// version depth never produces the long descent walks the seed
-		// shortcuts.
-		if se.lazy {
-			se.seedPhases(order, roots)
-		}
+		// First visit of this shape: seed saved phases toward the greedy
+		// assignment so the descent's first incumbent starts near the
+		// optimum. On version-deep universes (SynthRegistry carries up to
+		// 100 versions per package) this replaces a linear walk down
+		// hundreds of cost units — each a full solver round — with a
+		// handful of rounds; phases are pure heuristics, so seeding can
+		// never change the answer.
+		se.seedPhases(order, roots)
 	}
 
 	s := se.solver
@@ -1075,7 +1026,7 @@ func (se *Session) seedPhases(order []string, roots []Root) {
 // costs weight y_p, Omit costs weight !y_p, and version costs weight
 // x_{p,v}; zero costs produce no term.
 //
-// Skeleton variables outside the reachable set carry no weight and are
+// Materialized variables outside the reachable set carry no weight and are
 // ignored by decode, so their (arbitrary) assignments never affect the
 // request's cost or picks: any model restricted to the reachable set
 // extends to a full model by leaving everything else uninstalled.

@@ -189,18 +189,19 @@ func TestSessionBudgetIsPerRequest(t *testing.T) {
 // TestSessionGuardRetirementBoundsSolverMemory is the regression test for
 // the ROADMAP latent inefficiency: branch-and-bound guards from past
 // requests must not accumulate in the solver. After every request the
-// active PB constraints are exactly the skeleton's, the occurrence lists
-// are back to their skeleton size, and constraint slots are recycled.
+// active PB constraints are exactly the encoding's (materialized by the
+// first request), the occurrence lists are back to their encoding size,
+// and constraint slots are recycled.
 func TestSessionGuardRetirementBoundsSolverMemory(t *testing.T) {
 	u, root := repo.SynthDense(20, 5, 3, 5)
 	sess := NewSession(u, SessionOptions{CacheSize: -1}) // every request hits the solver
-	skeletonPBs := sess.solver.ActivePBs()
-	skeletonOcc := sess.solver.PBOccupancy()
 	roots := []Root{{Pkg: root}}
 
 	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
+	skeletonPBs := sess.solver.ActivePBs()
+	skeletonOcc := sess.solver.PBOccupancy()
 	slotsAfterFirst := sess.solver.PBSlots()
 
 	for i := 0; i < 20; i++ {

@@ -283,3 +283,96 @@ func TestLiveUnsatFlip(t *testing.T) {
 		t.Fatalf("missing pick = %s, want 1.0", got)
 	}
 }
+
+// TestPoolRevivingDeltaAnswersSat: on a pool, a delta that supplies the
+// missing dependency of an already-refuted package must flip the answer
+// to what a fresh resolver returns. The shard that refuted the request
+// materialized the package with its only version dead; the delta touches
+// only an unmaterialized name, so the revival happens when the next
+// request materializes it, and a root activation built over the dead
+// version must not survive that.
+func TestPoolRevivingDeltaAnswersSat(t *testing.T) {
+	u := repo.New()
+	u.Add("app", "1.0", repo.Dep("missing", ":"))
+	p := NewPoolResolver(u, 2, SessionOptions{})
+	req := Request{Roots: []Root{{Pkg: "app"}}}
+	if _, err := p.Resolve(context.Background(), req); !errors.Is(err, ErrUnsatisfiable) {
+		t.Fatalf("pre-delta err = %v, want ErrUnsatisfiable", err)
+	}
+
+	d := NewDelta()
+	d.Add("missing", "1.0")
+	if _, err := p.Apply(d); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	res, err := p.Resolve(context.Background(), req)
+	if err != nil {
+		t.Fatalf("post-delta err = %v, want success", err)
+	}
+	fresh, err := NewSessionResolver(u, SessionOptions{}).Resolve(context.Background(), req)
+	if err != nil {
+		t.Fatalf("fresh resolver: %v", err)
+	}
+	if fmt.Sprint(res.Picks) != fmt.Sprint(fresh.Picks) || res.Stats.Cost != fresh.Stats.Cost {
+		t.Fatalf("pool answer %v (cost %d), fresh resolver %v (cost %d)",
+			res.Picks, res.Stats.Cost, fresh.Picks, fresh.Stats.Cost)
+	}
+}
+
+// TestPoolRevivingDeltaResetsOncePerShard: once every shard has
+// materialized a package whose only version is dead (it needs a range of
+// itself nothing satisfies), one delta adding a buildable version resets
+// each shard's encoding exactly once — at Apply, not again when the next
+// requests re-materialize — and every shard then answers what a fresh
+// resolver does.
+func TestPoolRevivingDeltaResetsOncePerShard(t *testing.T) {
+	u := repo.New()
+	u.Add("selfdep", "1.0", repo.Dep("selfdep", "3:"))
+	p := NewPoolResolver(u, 2, SessionOptions{})
+
+	// Distinct request shapes hash to distinct home shards; send them until
+	// every shard has materialized selfdep.
+	reached := func() bool {
+		for _, sh := range p.Stats().Shard {
+			if sh.Encoding.MaterializedPackages == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; !reached(); i++ {
+		if i == 64 {
+			t.Fatal("64 request shapes did not reach every shard")
+		}
+		req := Request{Roots: []Root{MustParseRootT(t, fmt.Sprintf("selfdep@:%d", 10+i))}}
+		if _, err := p.Resolve(context.Background(), req); !errors.Is(err, ErrUnsatisfiable) {
+			t.Fatalf("pre-delta %s: %v, want ErrUnsatisfiable", req.Roots[0], err)
+		}
+	}
+
+	d := NewDelta()
+	d.Add("selfdep", "2.0")
+	if _, err := p.Apply(d); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	req := Request{Roots: []Root{{Pkg: "selfdep"}}}
+	fresh, err := NewSessionResolver(u, SessionOptions{}).Resolve(context.Background(), req)
+	if err != nil {
+		t.Fatalf("fresh resolver: %v", err)
+	}
+	for i, m := range p.members {
+		res, err := m.se.Resolve(context.Background(), req.Roots, concretizeOptions(req))
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if fmt.Sprint(res.Picks) != fmt.Sprint(fresh.Picks) || res.Stats.Cost != fresh.Stats.Cost {
+			t.Fatalf("shard %d answer %v (cost %d), fresh resolver %v (cost %d)",
+				i, res.Picks, res.Stats.Cost, fresh.Picks, fresh.Stats.Cost)
+		}
+	}
+	for i, sh := range p.Stats().Shard {
+		if sh.Encoding.Resets != 1 {
+			t.Fatalf("shard %d: %d resets, want 1", i, sh.Encoding.Resets)
+		}
+	}
+}

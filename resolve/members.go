@@ -56,7 +56,7 @@ func (e *PanicError) Error() string {
 
 // MemberHealth reports one member's serving state: a portfolio member
 // ("dive") or a pool shard ("pool/3"). A quarantined member is out of
-// service: its skeleton fell behind the shared universe during an Apply
+// service: its encoding fell behind the shared universe during an Apply
 // broadcast, or a contained panic or failed rebuild benched it. CrashLoop
 // marks a sticky bench — the member exhausted its rebuild budget inside
 // the crashloop window and stays out until an explicit Rebuild.
@@ -64,7 +64,7 @@ type MemberHealth struct {
 	Name        string
 	Quarantined bool
 	CrashLoop   bool
-	Epoch       Epoch // universe epoch the member's skeleton reflects
+	Epoch       Epoch // universe epoch the member's encoding reflects
 	Err         error // the failure that benched it (nil when healthy)
 }
 
@@ -101,7 +101,7 @@ const (
 // one of them.
 //
 //   - Growth. Apply applies a delta to the universe once, then extends
-//     every serving member's skeleton in place under the write barrier mu;
+//     every serving member's encoding in place under the write barrier mu;
 //     requests hold mu shared, so none observes a half-applied set. Epoch
 //     reads a lock-free mirror, so per-request coalescing keys never queue
 //     behind a broadcast.
@@ -323,7 +323,7 @@ func (s *memberSet) Heal() []string { return s.heal(healBenched) }
 // Rebuild re-admits every benched member by replacing its session with a
 // fresh one — same configuration, encoded from the current universe — and
 // returns the names of the members it healed (nil when none was benched).
-// A benched member's skeleton is behind the shared universe (or corrupted
+// A benched member's encoding is behind the shared universe (or corrupted
 // by a contained panic) and cannot be extended in place; re-encoding is
 // the only way back, and it restarts the member cold: learnt clauses,
 // banked bounds, and cached answers are gone, correctness is not. Rebuild
@@ -428,7 +428,7 @@ func (s *memberSet) healMemberLocked(m *member, b *benchState) bool {
 }
 
 // Health reports each member's serving state, in member order: its name,
-// the epoch its skeleton reflects, and — for benched members — the
+// the epoch its encoding reflects, and — for benched members — the
 // failure that benched it, with CrashLoop marking a sticky bench.
 func (s *memberSet) Health() []MemberHealth {
 	s.mu.RLock()

@@ -16,9 +16,9 @@ import (
 // solvers on every request to win a latency race, a pool spends one solver
 // per request and wins throughput: distinct request shapes solve in
 // parallel on distinct shards, and each shard accumulates warm state —
-// learnt clauses, saved phases, banked bounds, cached answers, and (under
-// SessionOptions.Lazy) a materialized subgraph — for the slice of the
-// request space that hashes to it.
+// learnt clauses, saved phases, banked bounds, cached answers, and a
+// materialized subgraph — for the slice of the request space that hashes
+// to it.
 //
 // Routing is shape-affine with cache-aware stealing. A request's home
 // shard is hash(Request.Key()) mod N, so repeats of a shape land on the
@@ -33,8 +33,8 @@ import (
 //
 // A pool never gives up capacity it can rebuild: a shard whose Apply
 // extension fails is rebuilt within the broadcast as a fresh session over
-// the grown universe (cheap under Lazy: the rebuild encodes nothing until
-// requests re-reach their subgraphs), and a shard that panics mid-solve
+// the grown universe (cheap: the rebuild encodes nothing until requests
+// re-reach their subgraphs), and a shard that panics mid-solve
 // fails that request, leaves routing, and is rebuilt at the next Resolve
 // entry. Only a crashlooping shard (SetCrashLoopPolicy) stays out until
 // Rebuild. Shards are named "pool/<index>" in Result.Config, Health and
@@ -53,9 +53,9 @@ type PoolResolver struct {
 var _ Resolver = (*PoolResolver)(nil)
 
 // NewPoolResolver builds a pool of n identically-configured sessions over
-// the universe; n <= 0 selects GOMAXPROCS capped at 8. With opts.Lazy set,
-// construction is O(1) per shard regardless of universe size — the
-// configuration that makes registry-scale pools practical.
+// the universe; n <= 0 selects GOMAXPROCS capped at 8. Construction is
+// O(1) per shard regardless of universe size: sessions materialize what
+// requests reach, which is what makes registry-scale pools practical.
 func NewPoolResolver(u *repo.Universe, n int, opts SessionOptions) *PoolResolver {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -169,7 +169,7 @@ func (p *PoolResolver) Resolve(ctx context.Context, req Request) (*Result, error
 
 // ShardStats reports one shard's serving state: how much it has answered,
 // how much of that came from its solution cache, and how much of the
-// universe its solver formula actually carries (the lazy-encoder coverage
+// universe its solver formula actually carries (the encoder-coverage
 // counters).
 type ShardStats struct {
 	// Served counts successfully answered requests; CacheHits the subset

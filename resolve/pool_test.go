@@ -26,7 +26,7 @@ func poolRequest(spec string) Request {
 // other shard ever solves.
 func TestPoolShapeAffinity(t *testing.T) {
 	u, root := repo.SynthRegistry(300, 5)
-	p := NewPoolResolver(u, 4, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 4, SessionOptions{})
 	if p.NumShards() != 4 {
 		t.Fatalf("NumShards = %d, want 4", p.NumShards())
 	}
@@ -78,7 +78,7 @@ func TestPoolShapeAffinity(t *testing.T) {
 // first) beats idle home beats idle steal beats busy home.
 func TestPoolRouting(t *testing.T) {
 	u, root := repo.SynthRegistry(120, 3)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 	req := poolRequest(root)
 	key := req.Key()
 	home := shapeShard(key, 3)
@@ -148,7 +148,7 @@ func TestPoolRouting(t *testing.T) {
 // delta's answer.
 func TestPoolApplyBroadcast(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 
 	// Warm every shard on the pre-delta universe directly.
 	req := poolRequest(root)
@@ -189,7 +189,7 @@ func TestPoolApplyBroadcast(t *testing.T) {
 // Apply reports success, and the pool keeps full serving capacity.
 func TestPoolApplyRebuildsFailedShard(t *testing.T) {
 	u, root := repo.SynthRegistry(200, 4)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 	req := poolRequest(root)
 	if _, err := p.Resolve(context.Background(), req); err != nil {
 		t.Fatalf("warm: %v", err)
@@ -209,9 +209,9 @@ func TestPoolApplyRebuildsFailedShard(t *testing.T) {
 	if st.Rebuilds != 1 {
 		t.Fatalf("rebuilds = %d, want 1", st.Rebuilds)
 	}
-	// The rebuilt shard is fresh: lazy, nothing materialized, new epoch.
+	// The rebuilt shard is fresh: nothing materialized, new epoch.
 	enc := st.Shard[1].Encoding
-	if !enc.Lazy || enc.MaterializedPackages != 0 {
+	if enc.MaterializedPackages != 0 {
 		t.Fatalf("rebuilt shard not fresh: %+v", enc)
 	}
 	if got := p.members[1].se.Epoch(); got != 1 {
@@ -232,7 +232,7 @@ func TestPoolApplyRebuildsFailedShard(t *testing.T) {
 func TestPoolHammer(t *testing.T) {
 	const workers = 8
 	u, _ := repo.SynthRegistry(400, 4)
-	p := NewPoolResolver(u, 4, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 4, SessionOptions{})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -46,10 +46,10 @@ func DefaultPortfolio() []BackendConfig {
 // PortfolioResolver races differently-configured Sessions over the same
 // universe on every request and returns the first definitive answer —
 // an optimal resolution or a proof of unsatisfiability — canceling the
-// remaining members through the solver interrupt. Each member's skeleton
-// is encoded once at construction and its solver state (learnt clauses,
-// caches) warms across requests, so the race's marginal cost is solver
-// time, not re-encoding.
+// remaining members through the solver interrupt. Each member
+// materializes what requests reach once and its solver state (learnt
+// clauses, caches) warms across requests, so the race's marginal cost is
+// solver time, not re-encoding.
 //
 // Budget-limited outcomes are not definitive: if a member returns a
 // non-optimal incumbent (or concretize.ErrBudget) while another later
@@ -68,8 +68,8 @@ type PortfolioResolver struct {
 var _ Resolver = (*PortfolioResolver)(nil)
 
 // NewPortfolioResolver builds a portfolio over the universe from the
-// given configs (DefaultPortfolio when none are passed), encoding one
-// Session skeleton per member. Config names must be unique and non-empty.
+// given configs (DefaultPortfolio when none are passed), one Session per
+// member. Config names must be unique and non-empty.
 func NewPortfolioResolver(u *repo.Universe, configs ...BackendConfig) (*PortfolioResolver, error) {
 	if len(configs) == 0 {
 		configs = DefaultPortfolio()

@@ -163,7 +163,7 @@ func TestPortfolioCrashLoopSticky(t *testing.T) {
 // recovers without an Apply.
 func TestPoolSolvePanicHeal(t *testing.T) {
 	u, root := repo.SynthRegistry(120, 3)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 	req := poolRequest(root)
 
 	armFault(t, "resolve/pool/solve", faultpoint.Panic(1, "injected shard panic"))
@@ -201,7 +201,7 @@ func TestPoolSolvePanicHeal(t *testing.T) {
 // capacity loss, and an operator Rebuild restores it.
 func TestPoolCrashLoopSticky(t *testing.T) {
 	u, root := repo.SynthRegistry(120, 3)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 	p.SetCrashLoopPolicy(2, time.Hour)
 	req := poolRequest(root)
 
@@ -292,7 +292,7 @@ func TestPortfolioExtendPanicContained(t *testing.T) {
 // pool keeps full capacity.
 func TestPoolExtendPanicContained(t *testing.T) {
 	u, root := repo.SynthRegistry(200, 4)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 	req := poolRequest(root)
 	if _, err := p.Resolve(context.Background(), req); err != nil {
 		t.Fatalf("warm: %v", err)
@@ -349,7 +349,7 @@ func TestPortfolioFailedRebuildAutoHeals(t *testing.T) {
 // instead of leaving it out of routing until the next Apply.
 func TestPoolFailedRebuildAutoHeals(t *testing.T) {
 	u, root := repo.SynthRegistry(120, 3)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 	p.SetCrashLoopPolicy(2, time.Hour)
 	req := poolRequest(root)
 
@@ -394,7 +394,7 @@ func TestPoolFailedRebuildAutoHeals(t *testing.T) {
 // keeps names the shard ("pool/1"), like a solve panic does.
 func TestPoolExtendPanicNamesShard(t *testing.T) {
 	u, _ := repo.SynthRegistry(120, 3)
-	p := NewPoolResolver(u, 3, SessionOptions{Lazy: true})
+	p := NewPoolResolver(u, 3, SessionOptions{})
 	p.SetCrashLoopPolicy(1, time.Hour)
 	for i := 0; i < 2; i++ {
 		armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Panic(1, "injected extend panic"))

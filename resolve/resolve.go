@@ -22,10 +22,9 @@
 //   - PoolResolver shards requests across N identically-configured
 //     Sessions for throughput: shape-affine routing (hash of Request.Key)
 //     with cache-aware work stealing, so distinct request shapes solve in
-//     parallel and repeats land on the shard already warm for them. With
-//     SessionOptions.Lazy set, each shard materializes solver clauses only
-//     for the subgraphs its requests reach — the registry-scale
-//     configuration, where a pool over a catalog of thousands of packages
+//     parallel and repeats land on the shard already warm for them. Each
+//     shard materializes solver clauses only for the subgraphs its
+//     requests reach, so a pool over a catalog of thousands of packages
 //     carries formulas proportional to the working set, not the catalog.
 //
 // The portfolio and the pool are two policies over one supervised member
@@ -51,11 +50,13 @@
 // leaves every backend reusable, which is what makes deadline-bounded
 // serving and loser-cancellation safe.
 //
-// Universes are live: both backends implement Apply(repo.Delta), which
+// Universes are live: every backend implements Apply(repo.Delta), which
 // grows the shared universe by one epoch and extends every member
-// session's encoded skeleton in place under a write barrier — no rebuild,
-// and no in-flight request ever observes a half-applied delta. Cached
-// answers whose requests a delta cannot touch survive it;
+// session's materialized encoding in place under a write barrier — no
+// rebuild, and no in-flight request ever observes a half-applied delta. A
+// delta that makes a dead version buildable again resets the encoding of
+// each member that had materialized it (EncodingStats.Resets counts them).
+// Cached answers whose requests a delta cannot touch survive it;
 // Result.Stats.Epoch reports the epoch each answer was computed at.
 //
 // Objectives are pluggable per request (NewestVersion by default,
@@ -107,9 +108,9 @@ type (
 	// reports the epoch an answer was computed at.
 	Epoch = repo.Epoch
 	// EncodingStats is a session's encoder-coverage snapshot: how much of
-	// the bound universe the solver formula actually carries. Under
-	// SessionOptions.Lazy the materialized counts track the union of
-	// subgraphs requests have reached, not the universe.
+	// the bound universe the solver formula actually carries (the union of
+	// subgraphs requests have reached, not the universe), and how often a
+	// reviving delta reset the encoding.
 	EncodingStats = concretize.EncodingStats
 )
 
@@ -219,15 +220,16 @@ type SessionResolver struct {
 var _ Resolver = (*SessionResolver)(nil)
 
 // NewSessionResolver builds a resolver over one Session bound to the
-// universe (encoding its skeleton once). The universe must not be mutated
-// behind the resolver's back: growth arrives through Apply, which keeps
-// the universe, the encoded skeleton, and the caches in lockstep.
+// universe (which encodes nothing until requests reach it). The universe
+// must not be mutated behind the resolver's back: growth arrives through
+// Apply, which keeps the universe, the encoding, and the caches in
+// lockstep.
 func NewSessionResolver(u *repo.Universe, opts SessionOptions) *SessionResolver {
 	return &SessionResolver{name: "session", se: concretize.NewSession(u, opts)}
 }
 
 // Apply grows the resolver's universe by one append-only delta and extends
-// the warm session's skeleton in place (concretize.Session.Extend): new
+// the warm session's encoding in place (concretize.Session.Extend): new
 // clauses for the delta's candidates, widened constraints for touched
 // names, and invalidation scoped to the cache entries whose reachable set
 // the delta intersects — answers for untouched request shapes keep being
@@ -266,6 +268,6 @@ func (r *SessionResolver) Epoch() Epoch { return r.se.Epoch() }
 
 // EncodingStats returns the session's encoder-coverage counters (lock-free;
 // see concretize.Session.EncodingStats). Stats endpoints surface it so
-// operators can watch a lazy session's materialized subgraph grow against
+// operators can watch the session's materialized subgraph grow against
 // the universe it serves.
 func (r *SessionResolver) EncodingStats() EncodingStats { return r.se.EncodingStats() }

@@ -117,14 +117,15 @@ type RebuildResponse struct {
 
 // EncodingResponse is one backend session's encoder-coverage snapshot in
 // GET /v1/stats: how much of the bound universe the solver formula
-// actually carries. For a lazy backend the materialized counts track the
-// union of subgraphs requests have reached — the number that makes
-// registry-scale universes servable.
+// actually carries. The materialized counts track the union of subgraphs
+// requests have reached — the number that makes registry-scale universes
+// servable — and resets counts the deltas that made the session drop its
+// encoding to revive a dead version.
 type EncodingResponse struct {
-	Lazy                 bool `json:"lazy"`
-	MaterializedPackages int  `json:"materialized_packages"`
-	UniversePackages     int  `json:"universe_packages"`
-	SolverVars           int  `json:"solver_vars"`
+	MaterializedPackages int `json:"materialized_packages"`
+	UniversePackages     int `json:"universe_packages"`
+	SolverVars           int `json:"solver_vars"`
+	Resets               int `json:"resets"`
 }
 
 // ShardStatsResponse is one pool shard's state in GET /v1/stats.

@@ -84,7 +84,7 @@ func runChaos(t *testing.T, kind string, seed int64) {
 		backend = p
 		solveSite = "resolve/portfolio/solve"
 	case "pool":
-		backend = resolve.NewPoolResolver(uSrv, 4, resolve.SessionOptions{Lazy: true})
+		backend = resolve.NewPoolResolver(uSrv, 4, resolve.SessionOptions{})
 		solveSite = "resolve/pool/solve"
 	default:
 		t.Fatalf("unknown backend kind %q", kind)

@@ -75,7 +75,7 @@ type healthReporter interface {
 
 // encodingReporter is implemented by backends fronting one session
 // (resolve.SessionResolver); /v1/stats surfaces the encoder-coverage
-// counters when present — the live view of a lazy session's materialized
+// counters when present — the live view of a session's materialized
 // subgraph against the universe it serves.
 type encodingReporter interface {
 	EncodingStats() resolve.EncodingStats
@@ -618,10 +618,10 @@ func (s *Server) Stats() ServerStats {
 // encodingResponse lowers encoder-coverage counters onto the wire.
 func encodingResponse(e resolve.EncodingStats) EncodingResponse {
 	return EncodingResponse{
-		Lazy:                 e.Lazy,
 		MaterializedPackages: e.MaterializedPackages,
 		UniversePackages:     e.UniversePackages,
 		SolverVars:           e.SolverVars,
+		Resets:               e.Resets,
 	}
 }
 

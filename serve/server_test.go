@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
 	"github.com/paper-repo-growth/go-arxiv/resolve"
@@ -255,7 +256,7 @@ func TestServerStatsLazyPoolSections(t *testing.T) {
 	}
 
 	u, root := repo.SynthRegistry(600, 6)
-	sess := httptest.NewServer(New(resolve.NewSessionResolver(u, resolve.SessionOptions{Lazy: true}), Options{}))
+	sess := httptest.NewServer(New(resolve.NewSessionResolver(u, resolve.SessionOptions{}), Options{}))
 	defer sess.Close()
 	var rr ResolveResponse
 	if status, er := postJSON(t, sess.URL+"/v1/resolve", ResolveRequest{Roots: []string{root}}, &rr); status != http.StatusOK {
@@ -265,15 +266,15 @@ func TestServerStatsLazyPoolSections(t *testing.T) {
 	if st.Encoding == nil {
 		t.Fatal("lazy session backend exposed no encoding section")
 	}
-	if !st.Encoding.Lazy || st.Encoding.UniversePackages != 600 {
-		t.Fatalf("encoding section %+v, want lazy over 600 packages", st.Encoding)
+	if st.Encoding.UniversePackages != 600 {
+		t.Fatalf("encoding section %+v, want 600 packages", st.Encoding)
 	}
 	if st.Encoding.MaterializedPackages == 0 || st.Encoding.MaterializedPackages >= 600 {
 		t.Fatalf("materialized %d of 600 — lazy coverage should be partial", st.Encoding.MaterializedPackages)
 	}
 
 	u2, root2 := repo.SynthRegistry(600, 6)
-	pool := httptest.NewServer(New(resolve.NewPoolResolver(u2, 3, resolve.SessionOptions{Lazy: true}), Options{}))
+	pool := httptest.NewServer(New(resolve.NewPoolResolver(u2, 3, resolve.SessionOptions{}), Options{}))
 	defer pool.Close()
 	for i := 0; i < 2; i++ {
 		if status, er := postJSON(t, pool.URL+"/v1/resolve", ResolveRequest{Roots: []string{root2}}, &rr); status != http.StatusOK {
@@ -341,5 +342,75 @@ func TestServerDeadlineOnHardInstance(t *testing.T) {
 	}
 	if s.Stats().Timeouts != 1 {
 		t.Fatalf("timeout counter = %d, want 1", s.Stats().Timeouts)
+	}
+}
+
+// TestServerApplyRevivesDeadVersion drives the publish sequence that
+// revives a dead version through a default two-shard pool: publish a
+// package whose only version needs a range of itself nothing satisfies,
+// resolve it (422), publish a buildable version, resolve it again. Every
+// call must answer within a client timeout — a revival that loops holds
+// the write barrier and stalls every later request — and the last answer
+// must match a fresh resolver's.
+func TestServerApplyRevivesDeadVersion(t *testing.T) {
+	u, _ := repo.SynthDiamond(4, 6)
+	ts := httptest.NewServer(New(resolve.NewPoolResolver(u, 2, resolve.SessionOptions{}), Options{}))
+	// A handler stuck in a loop would make Close wait forever; leave the
+	// server to the process when the test already failed.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			ts.Close()
+		}
+	})
+	client := &http.Client{Timeout: 3 * time.Second}
+	post := func(path string, body any, out any) int {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK && out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+
+	apply1 := ApplyRequest{Adds: []VersionAddRequest{{
+		Pkg: "selfdep", Version: "1.0",
+		Deps: []DeclRequest{{Pkg: "selfdep", Range: "3:"}},
+	}}}
+	if status := post("/v1/apply", apply1, nil); status != http.StatusOK {
+		t.Fatalf("apply selfdep@1.0: %d", status)
+	}
+	if status := post("/v1/resolve", ResolveRequest{Roots: []string{"selfdep"}}, nil); status != http.StatusUnprocessableEntity {
+		t.Fatalf("resolve selfdep before a buildable version: %d, want 422", status)
+	}
+	apply2 := ApplyRequest{Adds: []VersionAddRequest{{Pkg: "selfdep", Version: "2.0"}}}
+	if status := post("/v1/apply", apply2, nil); status != http.StatusOK {
+		t.Fatalf("apply selfdep@2.0: %d", status)
+	}
+	var rr ResolveResponse
+	if status := post("/v1/resolve", ResolveRequest{Roots: []string{"selfdep"}}, &rr); status != http.StatusOK {
+		t.Fatalf("resolve selfdep after a buildable version: %d", status)
+	}
+	fresh, err := resolve.NewSessionResolver(u, resolve.SessionOptions{}).Resolve(context.Background(),
+		resolve.Request{Roots: []resolve.Root{{Pkg: "selfdep"}}})
+	if err != nil {
+		t.Fatalf("fresh resolver: %v", err)
+	}
+	if len(rr.Picks) != len(fresh.Picks) || rr.Picks["selfdep"] != "2.0" {
+		t.Fatalf("daemon picks %v, fresh resolver %v", rr.Picks, fresh.Picks)
+	}
+	for name, v := range fresh.Picks {
+		if rr.Picks[name] != v.String() {
+			t.Fatalf("daemon picks %v, fresh resolver %v", rr.Picks, fresh.Picks)
+		}
 	}
 }
