@@ -249,11 +249,7 @@ func (se *Session) extendName(name string) bool {
 	// support literal need no rewrite.
 	for _, key := range se.supsByName[name] {
 		en := se.sups[key]
-		for _, c := range se.scopedCandidates(en.name) {
-			if !en.rng.Satisfies(c.Matched) {
-				continue
-			}
-			x := sat.Lit(se.vars[c.Pkg].vers[c.Index])
+		for _, x := range se.matchingLits(en.name, en.rng) {
 			if en.seen[x] {
 				continue
 			}
@@ -315,9 +311,23 @@ func (se *Session) rerunDecl(id declID) bool {
 }
 
 // matchingLits enumerates the current in-scope candidate literals for a
-// requirement key.
+// requirement key, in Universe.Candidates order. A concrete target is its
+// own only candidate package, so its versions are walked in place (newest
+// first) instead of copying the candidate list: materializing a closure
+// lowers every dependency of every version through here.
 func (se *Session) matchingLits(name string, rng version.Range) []sat.Lit {
 	var out []sat.Lit
+	if _, ok := se.u.Package(name); ok {
+		if pv, ok := se.vars[name]; ok {
+			defs := pv.pkg.Versions()
+			for i := range defs {
+				if rng.Satisfies(defs[i].Version) {
+					out = append(out, sat.Lit(pv.vers[i]))
+				}
+			}
+		}
+		return out
+	}
 	for _, c := range se.scopedCandidates(name) {
 		if rng.Satisfies(c.Matched) {
 			out = append(out, sat.Lit(se.vars[c.Pkg].vers[c.Index]))

@@ -151,9 +151,11 @@ type Session struct {
 	bounds *lru[*boundEntry]
 
 	// Per-request scratch reused across Resolve calls (guarded by mu):
-	// assumption literals, the guarded PB term copy handed to the solver,
-	// and the pinned-activation / root-by-part lookups.
+	// assumption literals, the decision scope, the guarded PB term copy
+	// handed to the solver, and the pinned-activation / root-by-part
+	// lookups.
 	assumpsBuf []sat.Lit
+	scopeBuf   []int
 	termsBuf   []sat.PBTerm
 	pinnedBuf  map[sat.Lit]bool
 	byPartBuf  map[string]Root
@@ -442,12 +444,7 @@ func (se *Session) supportLit(name string, rng version.Range) (sat.Lit, bool) {
 	if en, ok := se.sups[key]; ok {
 		return en.lit, true
 	}
-	var support []sat.Lit
-	for _, c := range se.scopedCandidates(name) {
-		if rng.Satisfies(c.Matched) {
-			support = append(support, sat.Lit(se.vars[c.Pkg].vers[c.Index]))
-		}
-	}
+	support := se.matchingLits(name, rng)
 	if len(support) == 0 {
 		return 0, false
 	}
@@ -793,6 +790,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	}
 
 	s := se.solver
+	scope := se.decisionScope(order)
 	stats := Stats{Packages: len(order), Epoch: se.epoch, BoundMemoHit: memoHit}
 	conflicts0, decisions0, props0 := s.Conflicts, s.Decisions, s.Propagations
 	if opts.MaxConflicts > 0 {
@@ -864,7 +862,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		if err := ctx.Err(); err != nil {
 			return nil, canceledError(err)
 		}
-		st := s.SolveAssuming(assumps)
+		st := s.SolveAssuming(assumps, scope)
 		stats.SolveCalls++
 		switch st {
 		case sat.Canceled:
@@ -971,6 +969,29 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	}
 }
 
+// decisionScope lists the solver variables a request's search branches
+// on: the installed and version variables of every reachable package.
+// Everything else the session has materialized (other requests' closures,
+// activations, support literals, virtuals' needed variables) stays
+// unassigned in a scoped model and reads false, which the encoding keeps
+// sound: every clause carries the negated literal of the version,
+// activation or support variable that declared it, reachable is closed
+// under dependency targets and providers, and PB rows weigh out-of-reach
+// variables only positively (see sat.Solver.SolveAssuming). A root
+// virtual's needed variable is forced true by its assumed activation, the
+// one clause where it occurs positively, so it never needs a decision.
+// The slice is session-owned scratch, valid until the next request.
+func (se *Session) decisionScope(order []string) []int {
+	scope := se.scopeBuf[:0]
+	for _, name := range order {
+		pv := se.vars[name]
+		scope = append(scope, pv.installed)
+		scope = append(scope, pv.vers...)
+	}
+	se.scopeBuf = scope
+	return scope
+}
+
 // seedPhases seeds the solver's saved phases with the greedy
 // newest-version assignment over the request's reachable packages:
 // nothing installed until propagation demands it, and the newest version
@@ -1027,9 +1048,11 @@ func (se *Session) seedPhases(order []string, roots []Root) {
 // x_{p,v}; zero costs produce no term.
 //
 // Materialized variables outside the reachable set carry no weight and are
-// ignored by decode, so their (arbitrary) assignments never affect the
-// request's cost or picks: any model restricted to the reachable set
-// extends to a full model by leaving everything else uninstalled.
+// ignored by decode, so their assignments never affect the request's cost
+// or picks: any model restricted to the reachable set extends to a full
+// model by leaving everything else uninstalled. That is why the search
+// branches only on the reach set (decisionScope, and the scope contract
+// of sat.Solver.SolveAssuming), leaving everything else unassigned.
 func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) ([]sat.PBTerm, int64, error) {
 	costs, err := obj.Costs(ObjectiveRequest{Universe: se.u, Order: order, Roots: roots})
 	if err != nil {

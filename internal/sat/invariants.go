@@ -2,12 +2,17 @@
 
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the checked solver build: a deep structural audit of the
 // solver's propagation state, compiled in only under the satcheck build
-// tag. The mutating entry points (Solve, TightenPB, DetachClause, RemovePB,
-// RetireGuard, ForgetLearnts) call checkInvariants at their boundaries;
+// tag. The mutating entry points (SolveAssuming, TightenPB, DetachClause,
+// RemovePB, RetireGuard, ForgetLearnts) call checkInvariants at their
+// boundaries, and every scoped Sat verdict is checked against the scope
+// contract (checkScopedModel);
 // without the tag those calls are empty functions (invariants_off.go) and
 // cost nothing. CI runs the full test suite — including the differential
 // and churn harnesses — with -tags satcheck, so every constraint edit those
@@ -92,11 +97,54 @@ func (s *Solver) CheckInvariants() error {
 	return s.checkPBState()
 }
 
+// checkScopedModel panics unless the model of a scoped SolveAssuming call
+// satisfies the scope contract: with every variable the search left
+// unassigned read as false, each live original clause, each learnt clause
+// and each live PB constraint holds. It compiles to a no-op without the
+// satcheck build tag.
+func (s *Solver) checkScopedModel() {
+	if err := s.scopedModelError(); err != nil {
+		panic(fmt.Sprintf("sat: scoped model violates the scope contract: %v", err))
+	}
+}
+
+// scopedModelError is the walk behind checkScopedModel.
+func (s *Solver) scopedModelError() error {
+	holds := func(l Lit) bool { return (s.model[l.Var()] == lTrue) != l.Sign() }
+	for _, cs := range [2][]*clause{s.clauses, s.learnts} {
+		for _, c := range cs {
+			if c.deleted || slices.ContainsFunc(c.lits, holds) {
+				continue
+			}
+			kind := "original"
+			if c.learnt {
+				kind = "learnt"
+			}
+			return fmt.Errorf("%s clause %v is false", kind, c.lits)
+		}
+	}
+	for pi, p := range s.pbs {
+		if p == nil {
+			continue
+		}
+		sum := int64(0)
+		for i, l := range p.lits {
+			if holds(l) {
+				sum += p.weights[i]
+			}
+		}
+		if sum > p.k {
+			return fmt.Errorf("PB slot %d sums to %d > k=%d", pi, sum, p.k)
+		}
+	}
+	return nil
+}
+
 // checkGeometry verifies the per-variable and per-literal arrays all agree
 // on the variable count (index 0 is the unused sentinel slot).
 func (s *Solver) checkGeometry() error {
 	if n := s.nVars + 1; len(s.assigns) != n || len(s.level) != n || len(s.trailPos) != n ||
-		len(s.reasons) != n || len(s.polarity) != n || len(s.decision) != n || len(s.seen) != n {
+		len(s.reasons) != n || len(s.polarity) != n || len(s.decision) != n || len(s.scopeMark) != n || len(s.seen) != n {
 		return fmt.Errorf("per-variable arrays out of step with nVars=%d", s.nVars)
 	}
 	if n := 2 * (s.nVars + 1); len(s.watches) != n || len(s.pbOcc) != n {

@@ -10,6 +10,10 @@ const satCheckEnabled = false
 // build tag it is an empty function and the call sites compile away.
 func (s *Solver) checkInvariants(string) {}
 
+// checkScopedModel is the checked-build scope-contract audit; without the
+// satcheck build tag it is an empty function.
+func (s *Solver) checkScopedModel() {}
+
 // CheckInvariants audits the solver's internal state under the satcheck
 // build tag (see invariants.go). Without the tag the audit is not compiled
 // in and the result is always nil.

@@ -172,3 +172,23 @@ func TestSatCheckEnabled(t *testing.T) {
 		t.Fatal("satcheck test build reports satCheckEnabled == false")
 	}
 }
+
+// TestSolveAssumingScopeAuditFires breaks the scope contract — the clause
+// (a OR b) with a and b both outside the scope, so a scoped Sat verdict
+// leaves it false once unassigned variables read false — and expects the
+// checked build's audit to panic.
+func TestSolveAssumingScopeAuditFires(t *testing.T) {
+	s := New()
+	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	if !s.AddClause(Lit(a), Lit(b)) {
+		t.Fatal("AddClause failed")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "scope contract") || !strings.Contains(msg, "is false") {
+			t.Fatalf("scoped solve panicked with %q, want a scope-contract violation", msg)
+		}
+	}()
+	s.SolveAssuming(nil, []int{c})
+	t.Fatal("a scoped Sat verdict that leaves (a OR b) false passed the audit")
+}

@@ -13,23 +13,23 @@ func TestSolveAssumingIncremental(t *testing.T) {
 	s.AddClause(Lit(b).Neg(), Lit(c))
 	s.AddClause(Lit(a), Lit(c))
 
-	if st := s.SolveAssuming([]Lit{Lit(a)}); st != Sat {
+	if st := s.SolveAssuming([]Lit{Lit(a)}, nil); st != Sat {
 		t.Fatalf("assuming a: %v, want SAT", st)
 	}
 	if !s.ValueOf(b) || !s.ValueOf(c) {
 		t.Fatal("assuming a must propagate b and c")
 	}
-	if st := s.SolveAssuming([]Lit{Lit(a), Lit(c).Neg()}); st != Unsat {
+	if st := s.SolveAssuming([]Lit{Lit(a), Lit(c).Neg()}, nil); st != Unsat {
 		t.Fatalf("assuming a, !c: %v, want UNSAT", st)
 	}
 	// The solver must remain usable after an assumption-scoped UNSAT.
-	if st := s.SolveAssuming([]Lit{Lit(a).Neg()}); st != Sat {
+	if st := s.SolveAssuming([]Lit{Lit(a).Neg()}, nil); st != Sat {
 		t.Fatalf("assuming !a after UNSAT round: %v, want SAT", st)
 	}
 	if !s.ValueOf(c) {
 		t.Fatal("assuming !a must still satisfy (a | c) via c")
 	}
-	if st := s.SolveAssuming(nil); st != Sat {
+	if st := s.SolveAssuming(nil, nil); st != Sat {
 		t.Fatalf("no assumptions: %v, want SAT", st)
 	}
 }

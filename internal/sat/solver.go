@@ -13,6 +13,7 @@
 package sat
 
 import (
+	"math"
 	"sync/atomic"
 )
 
@@ -122,6 +123,16 @@ type Solver struct {
 	varInc   float64
 	order    *varHeap
 
+	// Per-call decision scope (see SolveAssuming). During a scoped call,
+	// scopeMark[v] == scopeEpoch puts v in scope and scopeEpoch+1 records
+	// that pickBranchVar set v aside; setAside lists those variables until
+	// the call puts them back into the heap. Epochs advance by two per
+	// scoped call, so marking costs O(|scope|) and stale marks never match.
+	scoped     bool
+	scopeMark  []uint32
+	scopeEpoch uint32
+	setAside   []int
+
 	// PB constraints
 	pbs      []*pbConstraint
 	pbGens   []uint32  // slot -> generation, bumped on retirement (validates PBRefs)
@@ -176,6 +187,7 @@ func NewWithConfig(cfg Config) *Solver {
 	s.reasons = append(s.reasons, reason{})
 	s.polarity = append(s.polarity, false)
 	s.decision = append(s.decision, false)
+	s.scopeMark = append(s.scopeMark, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -254,7 +266,8 @@ func (s *Solver) NewVar() int {
 // the antecedent's negation, and extending the model with aux = false
 // satisfies the rest). Encoders use this for shared requirement-definition
 // and support literals, whose truth is only ever needed when propagation
-// derives it.
+// derives it. SolveAssuming's decision scope is the per-call form of the
+// same contract.
 func (s *Solver) NewAuxVar() int {
 	return s.allocVar()
 }
@@ -270,6 +283,7 @@ func (s *Solver) allocVar() int {
 	// the default; Config.PositiveFirst flips it.
 	s.polarity = append(s.polarity, !s.cfg.PositiveFirst)
 	s.decision = append(s.decision, false)
+	s.scopeMark = append(s.scopeMark, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -560,30 +574,75 @@ func luby(i int64) int64 {
 // Assumptions are decided (in order) before any free variable; an Unsat
 // result means unsatisfiable under these assumptions, not necessarily
 // globally. On Sat, the model is retrievable via ValueOf until the next
-// solve or constraint addition.
+// solve or constraint addition. It returns Unknown when the MaxConflicts
+// budget is exhausted and Canceled when Interrupt stopped the search; both
+// leave the solver consistent and reusable.
+//
+// scope limits the call's decisions to the listed variables; nil means
+// every decision variable. The search sets aside unassigned variables
+// outside the scope instead of branching on them and reports Sat once
+// every in-scope variable is assigned, so out-of-scope variables may stay
+// unassigned in the model, where ValueOf reports them false. Every
+// set-aside variable is back in the branch heap when the call returns,
+// whatever its status. This is the per-call form of NewAuxVar's contract,
+// and soundness is again the caller's: every constraint must hold once
+// each variable the search left unassigned reads false. A sufficient shape
+// is that every clause mentioning an out-of-scope variable holds a
+// negative out-of-scope literal, and that PB constraints weigh
+// out-of-scope variables only positively; then nothing in scope can force
+// an out-of-scope variable true, a scoped model extends to a full model
+// with the unassigned variables false, and scoped and unscoped calls
+// agree on satisfiability. The satcheck build audits every scoped Sat
+// verdict against the contract.
 //
 // goarxivlint:blocking cancel=interrupt
-func (s *Solver) SolveAssuming(assumptions []Lit) Status {
-	return s.Solve(assumptions...)
-}
-
-// Solve searches for a model under the given assumptions. On Sat, the model
-// is retrievable via ValueOf until the next Solve or clause addition. It
-// returns Unknown when the MaxConflicts budget is exhausted and Canceled
-// when Interrupt stopped the search; both leave the solver consistent and
-// reusable.
-//
-// goarxivlint:blocking cancel=interrupt
-func (s *Solver) Solve(assumptions ...Lit) Status {
+func (s *Solver) SolveAssuming(assumptions []Lit, scope []int) Status {
 	s.checkInvariants("solve entry")
+	s.markScope(scope)
 	st := s.solve(assumptions)
+	for _, v := range s.setAside {
+		s.order.insert(v)
+	}
+	s.setAside = s.setAside[:0]
+	if st == Sat && s.scoped {
+		s.checkScopedModel()
+	}
+	s.scoped = false
 	s.checkInvariants("solve exit")
 	return st
 }
 
-// solve is the search loop behind Solve. Every return path backtracks to
-// decision level 0 (or freezes the solver with ok=false), which is what
-// lets the satcheck boundary audits in Solve assume a quiesced state.
+// Solve is SolveAssuming over the given assumptions with every decision
+// variable in scope.
+//
+// goarxivlint:blocking cancel=interrupt
+func (s *Solver) Solve(assumptions ...Lit) Status {
+	return s.SolveAssuming(assumptions, nil)
+}
+
+// markScope opens a scoped call over the listed variables (nil: unscoped).
+func (s *Solver) markScope(scope []int) {
+	s.scoped = scope != nil
+	if !s.scoped {
+		return
+	}
+	if s.scopeEpoch >= math.MaxUint32-2 {
+		clear(s.scopeMark)
+		s.scopeEpoch = 0
+	}
+	s.scopeEpoch += 2
+	for _, v := range scope {
+		if v < 1 || v > s.nVars {
+			panic("sat: scope names an out-of-range variable")
+		}
+		s.scopeMark[v] = s.scopeEpoch
+	}
+}
+
+// solve is the search loop behind SolveAssuming. Every return path
+// backtracks to decision level 0 (or freezes the solver with ok=false),
+// which is what lets the satcheck boundary audits in SolveAssuming assume
+// a quiesced state.
 func (s *Solver) solve(assumptions []Lit) Status {
 	if !s.ok {
 		return Unsat
@@ -718,8 +777,15 @@ func (s *Solver) solve(assumptions []Lit) Status {
 func (s *Solver) pickBranchVar() int {
 	for !s.order.empty() {
 		v := s.order.removeMin()
-		if s.assigns[v] == lUndef {
+		switch {
+		case s.assigns[v] != lUndef:
+		case !s.scoped || s.scopeMark[v] == s.scopeEpoch:
 			return v
+		case s.scopeMark[v] != s.scopeEpoch+1:
+			// Out of scope: keep it out of this call's search. A variable
+			// that backtracking re-inserted is listed already.
+			s.scopeMark[v] = s.scopeEpoch + 1
+			s.setAside = append(s.setAside, v)
 		}
 	}
 	return 0
