@@ -1,13 +1,13 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr22
-PREV_PR ?= pr21
+PR ?= pr23
+PREV_PR ?= pr22
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
 # portfolio, the HTTP daemon pipeline, and the registry-scale suite
 # (which also reports solver_vars and heap_bytes). `make bench` runs it and
 # records the numbers in $(BENCH_JSON) so performance is tracked across PRs.
-BENCH_PATTERN ?= BenchmarkConcretize|BenchmarkSessionWarm|BenchmarkPortfolio|BenchmarkSessionResolver|BenchmarkSessionChurn|BenchmarkSessionExtend|BenchmarkDaemon|BenchmarkRegistry
+BENCH_PATTERN ?= BenchmarkConcretize|BenchmarkSessionWarm|BenchmarkPortfolio|BenchmarkSessionChurn|BenchmarkSessionExtend|BenchmarkDaemon|BenchmarkRegistry
 
 .PHONY: all build vet fmt lint satcheck test race bench benchdiff fuzz-smoke serve-smoke chaos checkbin
 
@@ -43,7 +43,7 @@ race:
 bench:
 	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -benchtime=$(BENCHTIME) -benchmem \
 		./internal/concretize/ ./resolve/ ./serve/ | tee .bench_raw.txt
-	./scripts/benchjson.sh $(PR) < .bench_raw.txt > $(BENCH_JSON)
+	./scripts/benchjson.sh $(PR) '$(BENCH_PATTERN)' < .bench_raw.txt > $(BENCH_JSON)
 	@rm -f .bench_raw.txt
 	@echo "wrote $(BENCH_JSON)"
 

@@ -37,7 +37,7 @@ func runDoctor(args []string) error {
 	}
 
 	for _, family := range []string{"dense", "diamond", "chain", "virtual", "conditional", "registry"} {
-		for _, backend := range []string{"session", "portfolio", "pool"} {
+		for _, backend := range []string{"portfolio", "pool"} {
 			check(family+"/"+backend, checkResolve(family, backend))
 		}
 	}
@@ -56,7 +56,7 @@ func runDoctor(args []string) error {
 }
 
 // checkResolve resolves a family's root twice (cold, then warm) and
-// demands optimal answers and a warm cache hit.
+// demands optimal answers and a warm answer-store hit.
 func checkResolve(family, backend string) error {
 	u, root, err := buildUniverse(family, 8, 4)
 	if err != nil {
@@ -83,16 +83,20 @@ func checkResolve(family, backend string) error {
 	if res2.Stats.Cost != res.Stats.Cost {
 		return fmt.Errorf("warm cost %d != cold cost %d", res2.Stats.Cost, res.Stats.Cost)
 	}
+	if !res2.Stats.SolutionCacheHit || res2.Config != res.Config {
+		return fmt.Errorf("warm repeat: hit %v by %s, want a hit naming %s", res2.Stats.SolutionCacheHit, res2.Config, res.Config)
+	}
 	return nil
 }
 
-// checkLazyCoverage serves a registry-family universe through a session
-// and demands (a) the answer is optimal, (b) the solver carries only the
-// reached subgraph — the encoder counters /v1/stats exposes must show
-// materialized packages strictly below the universe size.
+// checkLazyCoverage serves a registry-family universe through a
+// single-session pool and demands (a) the answer is optimal, (b) the
+// solver carries only the reached subgraph — the encoder counters
+// /v1/stats exposes for the shard must show materialized packages
+// strictly below the universe size.
 func checkLazyCoverage() error {
 	u, root, _ := buildUniverse("registry", 2000, 12)
-	b, _ := buildBackend("session", u, 0)
+	b, _ := buildBackend("pool", u, 1)
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
@@ -107,10 +111,11 @@ func checkLazyCoverage() error {
 	if err := getJSON(ts.URL+"/v1/stats", &st); err != nil {
 		return err
 	}
-	enc := st.Encoding
+	if st.Pool == nil || len(st.Pool.Shard) != 1 {
+		return fmt.Errorf("stats: no single-shard pool section")
+	}
+	enc := st.Pool.Shard[0].Encoding
 	switch {
-	case enc == nil:
-		return fmt.Errorf("stats: no encoding counters from session backend")
 	case enc.UniversePackages != 2000:
 		return fmt.Errorf("stats: universe %d packages, want 2000", enc.UniversePackages)
 	case enc.MaterializedPackages == 0 || enc.MaterializedPackages >= enc.UniversePackages/2:
@@ -122,9 +127,9 @@ func checkLazyCoverage() error {
 	return nil
 }
 
-// checkPoolRouting serves duplicate requests through a pool and
-// demands shape-affine routing: the repeat must hit the warm shard's
-// cache, and /v1/stats must expose the per-shard counters.
+// checkPoolRouting serves duplicate requests through a pool and demands
+// that the repeat is answered by the pool's answer store without reaching
+// a shard, and that /v1/stats exposes the pool and per-shard counters.
 func checkPoolRouting() error {
 	u, root, _ := buildUniverse("registry", 1000, 8)
 	b, _ := buildBackend("pool", u, 4)
@@ -151,16 +156,15 @@ func checkPoolRouting() error {
 		return fmt.Errorf("stats: no pool counters from pool backend")
 	case pool.Shards != 4:
 		return fmt.Errorf("stats: %d shards, want 4", pool.Shards)
-	case pool.Hits < 1:
-		return fmt.Errorf("stats: repeat request missed the warm shard (hits=%d)", pool.Hits)
+	case pool.Hits != 1:
+		return fmt.Errorf("stats: repeat request missed the answer store (hits=%d)", pool.Hits)
 	}
-	served, hits := uint64(0), uint64(0)
+	served := uint64(0)
 	for _, sh := range pool.Shard {
 		served += sh.Served
-		hits += sh.CacheHits
 	}
-	if served != 2 || hits < 1 {
-		return fmt.Errorf("stats: shard counters served=%d cache_hits=%d, want 2/>=1", served, hits)
+	if served != 1 {
+		return fmt.Errorf("stats: shards solved %d requests, want 1 (the repeat is a hit)", served)
 	}
 	return nil
 }
@@ -174,7 +178,7 @@ func checkPoolRouting() error {
 func checkDegradedMode() error {
 	defer faultpoint.DisarmAll()
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	b, _ := buildBackend("session", u, 0)
+	b, _ := buildBackend("pool", u, 1)
 	ts := httptest.NewServer(serve.New(b, serve.Options{MaxRetries: -1}))
 	defer ts.Close()
 
@@ -186,7 +190,8 @@ func checkDegradedMode() error {
 	if warm.Degraded {
 		return fmt.Errorf("warm resolve already degraded")
 	}
-	// Advance the universe so the stale answer's epoch is genuinely old.
+	// Advance the universe with a delta the shape reaches, so its stored
+	// answer goes stale and its epoch is genuinely old.
 	var ar serve.ApplyResponse
 	delta := serve.ApplyRequest{Adds: []serve.VersionAddRequest{{Pkg: "base", Version: "99.0"}}}
 	if err := postJSON(ts.URL+"/v1/apply", delta, &ar); err != nil {
@@ -274,11 +279,11 @@ func checkCrashLoop() error {
 	return nil
 }
 
-// checkDaemon runs a resolve -> apply -> resolve -> stats cycle over the
-// real HTTP surface.
+// checkDaemon runs a resolve -> apply -> stats -> rebuild cycle over the
+// real HTTP surface of a single-session pool.
 func checkDaemon() error {
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	b, _ := buildBackend("session", u, 0)
+	b, _ := buildBackend("pool", u, 1)
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
@@ -304,24 +309,33 @@ func checkDaemon() error {
 	if st.Requests < 1 || st.Epoch != 1 || st.Applies != 1 {
 		return fmt.Errorf("stats: requests=%d epoch=%d applies=%d", st.Requests, st.Epoch, st.Applies)
 	}
+	var rb serve.RebuildResponse
+	if err := postJSON(ts.URL+"/v1/rebuild", struct{}{}, &rb); err != nil {
+		return fmt.Errorf("rebuild: %w", err)
+	}
+	if len(rb.Healed) != 0 {
+		return fmt.Errorf("rebuild healed %v with nothing benched", rb.Healed)
+	}
 	return nil
 }
 
-// checkCoalescing fires waves of duplicate concurrent requests on a
-// cache-disabled backend and demands the coalesce counter caught
-// duplicates. A single wave can legitimately miss (the leader may publish
-// before any follower's request arrives — coalescing collapses *overlap*,
-// and overlap is timing), so the check runs waves over pooled connections
-// until duplicates collide; the exact-count contract is pinned
-// deterministically in serve's -race tests.
+// checkCoalescing fires waves of duplicate concurrent requests and
+// demands the coalesce counter caught duplicates. Each wave asks for a
+// shape no earlier wave asked for, so no wave is answered by the answer
+// store before the backend solves. A single wave can legitimately miss
+// (the leader may publish before any follower's request arrives —
+// coalescing collapses *overlap*, and overlap is timing), so the check
+// runs waves over pooled connections until duplicates collide; the
+// exact-count contract is pinned deterministically in serve's -race tests.
 func checkCoalescing() error {
 	u, root, _ := buildUniverse("dense", 64, 8)
-	b := resolve.NewSessionResolver(u, resolve.SessionOptions{CacheSize: -1})
+	b, _ := buildBackend("pool", u, 1)
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
 	const n = 16
 	for wave := 0; wave < 50; wave++ {
+		req := serve.ResolveRequest{Roots: []string{root, fmt.Sprintf("dense%d", wave+1)}}
 		var wg sync.WaitGroup
 		errs := make([]error, n)
 		for i := 0; i < n; i++ {
@@ -330,7 +344,7 @@ func checkCoalescing() error {
 			go func() {
 				defer wg.Done()
 				var rr serve.ResolveResponse
-				errs[i] = postJSON(ts.URL+"/v1/resolve", serve.ResolveRequest{Roots: []string{root}}, &rr)
+				errs[i] = postJSON(ts.URL+"/v1/resolve", req, &rr)
 			}()
 		}
 		wg.Wait()

@@ -79,16 +79,14 @@ func buildUniverse(family string, pkgs, vers int) (*repo.Universe, string, error
 }
 
 // buildBackend wires a resolve backend over the universe; shards sizes the
-// pool backend (0: GOMAXPROCS capped at 8).
+// pool backend (0: GOMAXPROCS capped at 8; 1: a single session).
 func buildBackend(kind string, u *repo.Universe, shards int) (serve.Backend, error) {
 	switch kind {
-	case "session":
-		return resolve.NewSessionResolver(u, resolve.SessionOptions{}), nil
 	case "portfolio":
 		return resolve.NewPortfolioResolver(u, resolve.DefaultPortfolio()...)
 	case "pool":
 		return resolve.NewPoolResolver(u, shards, resolve.SessionOptions{}), nil
 	default:
-		return nil, fmt.Errorf("unknown backend %q (session|portfolio|pool)", kind)
+		return nil, fmt.Errorf("unknown backend %q (portfolio|pool)", kind)
 	}
 }

@@ -22,8 +22,8 @@ func runServe(args []string) error {
 	family := fs.String("family", "dense", "synthetic universe family (dense|diamond|chain|virtual|conditional|registry)")
 	pkgs := fs.Int("pkgs", 40, "family size (packages / width / length / virtuals)")
 	vers := fs.Int("vers", 8, "versions per package")
-	backend := fs.String("backend", "portfolio", "resolver backend (session|portfolio|pool)")
-	shards := fs.Int("shards", 0, "pool backend width (0: GOMAXPROCS capped at 8)")
+	backend := fs.String("backend", "portfolio", "resolver backend (portfolio|pool)")
+	shards := fs.Int("shards", 0, "pool backend width (0: GOMAXPROCS capped at 8; 1: a single session)")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrent backend solves (0: GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 0, "max queued leaders before 429 (0: 4x max-inflight)")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-request timeout")

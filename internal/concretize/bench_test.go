@@ -48,20 +48,20 @@ func BenchmarkConcretizeDense(b *testing.B) {
 // dense universe as BenchmarkConcretizeDense, which is their cold
 // baseline:
 //
-//   - WarmHit: repeat request against a caching Session — a cache lookup
-//     plus a picks-map copy, no solver contact.
-//   - WarmMiss: cache disabled, so every iteration re-runs branch-and-bound
-//     on the shared solver — re-encoding is skipped and learnt clauses,
-//     VSIDS activity, and saved phases carry over.
-//   - WarmMissRotate: cache disabled and the root rotates, so iterations
-//     cannot ride phase-saving toward an already-found model.
+//   - WarmHit: repeat request answered by the answer store in front of
+//     the session — a store lookup plus a picks-map copy, no solver
+//     contact.
+//   - WarmMiss: every iteration re-runs branch-and-bound on the shared
+//     solver — re-encoding is skipped and learnt clauses, VSIDS activity,
+//     and saved phases carry over.
+//   - WarmMissRotate: the root rotates, so iterations cannot ride
+//     phase-saving toward an already-found model.
 
-func benchSessionWarm(b *testing.B, cacheSize int, rootFor func(i int) []Root) {
+func benchSessionWarm(b *testing.B, rootFor func(i int) []Root) {
 	b.Helper()
 	u, root := repo.SynthDense(40, 8, 3, 1)
-	sess := NewSession(u, SessionOptions{CacheSize: cacheSize})
-	// Prime: encode is done in NewSession; run one request so the warm
-	// state (and cache, if enabled) exists.
+	sess := NewSession(u, SessionOptions{})
+	// Prime: run one request so the warm state exists.
 	if _, err := sess.Resolve(context.Background(), []Root{{Pkg: root}}, Options{}); err != nil {
 		b.Fatalf("prime Resolve: %v", err)
 	}
@@ -79,13 +79,26 @@ func benchSessionWarm(b *testing.B, cacheSize int, rootFor func(i int) []Root) {
 }
 
 func BenchmarkSessionWarmHit(b *testing.B) {
-	roots := []Root{{Pkg: "dense0"}}
-	benchSessionWarm(b, 0, func(int) []Root { return roots })
+	u, root := repo.SynthDense(40, 8, 3, 1)
+	sess := NewSession(u, SessionOptions{})
+	store := NewAnswers(AnswersPerSession)
+	roots := []Root{{Pkg: root}}
+	key := ShapeKey(nil, roots)
+	res, err := sess.Resolve(context.Background(), roots, Options{})
+	store.Put(key, "session", res, err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _, _, ok := store.Get(key, roots)
+		if !ok || len(res.Picks) == 0 {
+			b.Fatal("store miss")
+		}
+	}
 }
 
 func BenchmarkSessionWarmMiss(b *testing.B) {
 	roots := []Root{{Pkg: "dense0"}}
-	benchSessionWarm(b, -1, func(int) []Root { return roots })
+	benchSessionWarm(b, func(int) []Root { return roots })
 }
 
 func BenchmarkSessionWarmMissRotate(b *testing.B) {
@@ -93,7 +106,7 @@ func BenchmarkSessionWarmMissRotate(b *testing.B) {
 	for i := range pool {
 		pool[i] = []Root{{Pkg: fmt.Sprintf("dense%d", i)}}
 	}
-	benchSessionWarm(b, -1, func(i int) []Root { return pool[i%len(pool)] })
+	benchSessionWarm(b, func(i int) []Root { return pool[i%len(pool)] })
 }
 
 // BenchmarkSessionWarmDescent isolates the cost of bound-tightening
@@ -106,7 +119,7 @@ func BenchmarkSessionWarmMissRotate(b *testing.B) {
 // directly on this number.
 func BenchmarkSessionWarmDescent(b *testing.B) {
 	u, root := repo.SynthDense(40, 8, 3, 1)
-	sess := NewSession(u, SessionOptions{CacheSize: -1})
+	sess := NewSession(u, SessionOptions{})
 	roots := []Root{{Pkg: root}}
 	objs := [2]Objective{
 		ObjectiveFunc{ID: "newest-heavy", Fn: func(req ObjectiveRequest) (map[string]PkgCost, error) {
@@ -153,17 +166,16 @@ func BenchmarkSessionWarmDescent(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionColdStart measures NewSession itself plus the universe
-// fingerprint. A Session encodes nothing until a request reaches it, so
-// this is the O(1) construction cost a pool shard or a rebuilt member
-// pays.
+// BenchmarkSessionColdStart measures NewSession itself. A Session encodes
+// nothing until a request reaches it, so this is the O(1) construction
+// cost a pool shard or a rebuilt member pays.
 func BenchmarkSessionColdStart(b *testing.B) {
 	u, _ := repo.SynthDense(40, 8, 3, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sess := NewSession(u, SessionOptions{})
-		if sess.Fingerprint() == "" {
-			b.Fatal("empty fingerprint")
+		if sess.EncodingStats().UniversePackages == 0 {
+			b.Fatal("empty universe")
 		}
 	}
 }
@@ -179,12 +191,11 @@ func BenchmarkConcretizeVirtualDiamond(b *testing.B) {
 }
 
 // BenchmarkConcretizeVirtualDiamondWarm measures the warm path over the
-// same virtual-diamond universe with the cache disabled and the root
-// rotating between the app and the virtuals themselves, so every
+// same virtual-diamond universe with the root rotating between the app and the virtuals themselves, so every
 // iteration re-runs provider selection on the shared solver.
 func BenchmarkConcretizeVirtualDiamondWarm(b *testing.B) {
 	u, root := repo.SynthVirtualDiamond(6, 3, 6)
-	sess := NewSession(u, SessionOptions{CacheSize: -1})
+	sess := NewSession(u, SessionOptions{})
 	pool := [][]Root{
 		{{Pkg: root}},
 		{MustParseRoot("virtual:virt0")},
@@ -231,11 +242,12 @@ func BenchmarkConcretizeUnsatWeb(b *testing.B) {
 // answering a fixed working set of request shapes. The universe is eight
 // independent root->mid->leaf clusters, and each delta adds one new leaf
 // version to one rotating cluster — so per delta, seven of the eight
-// shapes are untouched (their cached answers must survive invalidation)
+// shapes are untouched (their stored answers must survive invalidation)
 // and one must be re-solved.
 //
-//   - SessionChurn: Extend in place + resolve all eight shapes (7 cache
-//     hits, 1 re-solve) on one warm session.
+//   - SessionChurn: Extend in place + store invalidation, then resolve all
+//     eight shapes through the answer store (7 hits, 1 re-solve) on one
+//     warm session.
 //   - SessionChurnColdRebuild: the same delta stream answered the pre-live
 //     way — mutate the universe, re-encode a fresh session from scratch,
 //     re-solve all eight shapes cold. The warm/cold ratio is the payoff of
@@ -273,15 +285,15 @@ func churnRoots() [][]Root {
 func BenchmarkSessionChurn(b *testing.B) {
 	shapes := churnRoots()
 	var (
-		u    *repo.Universe
-		sess *Session
+		sess  *Session
+		store *Answers
 	)
 	next := 0
 	rebuild := func() {
-		u = benchChurnUniverse()
-		sess = NewSession(u, SessionOptions{})
+		sess = NewSession(benchChurnUniverse(), SessionOptions{})
+		store = NewAnswers(AnswersPerSession)
 		for _, roots := range shapes {
-			if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
+			if _, err := storeResolve(store, sess, roots, Options{}); err != nil {
 				b.Fatalf("prime Resolve: %v", err)
 			}
 		}
@@ -298,11 +310,9 @@ func BenchmarkSessionChurn(b *testing.B) {
 		next++
 		d := repo.NewDelta()
 		d.Add(fmt.Sprintf("leaf%d", i%churnClusters), fmt.Sprintf("4.%d", next))
-		if _, err := sess.Extend(d); err != nil {
-			b.Fatalf("Extend: %v", err)
-		}
+		storeExtend(b, store, sess, d)
 		for _, roots := range shapes {
-			res, err := sess.Resolve(context.Background(), roots, Options{})
+			res, err := storeResolve(store, sess, roots, Options{})
 			if err != nil {
 				b.Fatalf("Resolve: %v", err)
 			}

@@ -20,16 +20,18 @@ func TestResolveCanceledBeforeStart(t *testing.T) {
 	sess := NewSession(u, SessionOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sess.Resolve(ctx, []Root{{Pkg: root}}, Options{})
+	res, err := sess.Resolve(ctx, []Root{{Pkg: root}}, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The canceled request must not have been cached as an answer.
-	if sess.CacheLen() != 0 {
-		t.Fatalf("CacheLen = %d after canceled request, want 0", sess.CacheLen())
+	// The canceled request is no answer: a store must not file it.
+	store := NewAnswers(4)
+	store.Put(ShapeKey(nil, []Root{{Pkg: root}}), "session", res, err)
+	if store.Len() != 0 {
+		t.Fatalf("store holds %d entries after a canceled request, want 0", store.Len())
 	}
 	// And the session must still serve.
-	res, err := sess.Resolve(context.Background(), []Root{{Pkg: root}}, Options{})
+	res, err = sess.Resolve(context.Background(), []Root{{Pkg: root}}, Options{})
 	if err != nil || !res.Stats.Optimal {
 		t.Fatalf("post-cancel resolve: res %+v, err %v", res, err)
 	}

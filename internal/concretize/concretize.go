@@ -7,9 +7,10 @@
 //
 // Most callers should not import this package directly: the public serving
 // surface is the resolve package (version -> repo -> sat -> concretize ->
-// resolve), whose Resolver interface fronts one Session
-// (resolve.SessionResolver) or races several differently-configured ones
-// (resolve.PortfolioResolver). Within this package, Session is the
+// resolve), whose backends shard requests over identical Sessions
+// (resolve.PoolResolver; one shard is the single-session backend) or race
+// several differently-configured ones (resolve.PortfolioResolver), with
+// one answer store (Answers) in front. Within this package, Session is the
 // long-lived warm path and the direct Concretize function is the one-shot
 // convenience wrapper for scripts and tests that resolve a single request
 // and throw the state away.
@@ -114,10 +115,11 @@
 // does. A version the solver already fixed false at the top level cannot
 // be revived in place: a delta that makes one buildable again resets the
 // session's encoding, and requests re-materialize what they reach.
-// Invalidation of the solution cache and the bound memo is delta-scoped:
-// each entry records the names its request could reach, and only entries
-// intersecting the delta's touched set are evicted, so a request untouched
-// by a delta keeps its cached answer with zero new solver work.
+// Invalidation of the bound memo and the answer store is delta-scoped, by
+// one rule: each entry records the names its request could reach, and
+// only entries intersecting the delta's touched set fall (the bound memo
+// drops them, the store marks them stale), so a request untouched by a
+// delta keeps its stored answer with zero new solver work.
 // Stats.Epoch reports the universe epoch an answer was computed at.
 package concretize
 
@@ -195,7 +197,7 @@ func (r Root) String() string {
 }
 
 // key renders the root's canonical identity: the activation-memo and
-// solution-cache key component. Unlike String it always includes the range,
+// shape-key component. Unlike String it always includes the range,
 // so "pkg" and "pkg@:" (identical constraints) share one key.
 func (r Root) key() string {
 	name := r.Pkg
@@ -226,9 +228,9 @@ type Stats struct {
 	Cost         int64 // objective value of the returned resolution
 	Optimal      bool  // false only when the conflict budget expired early
 
-	// SolutionCacheHit marks answers served from a Session's solution
-	// cache without touching the solver; BoundMemoHit marks solves that
-	// reused the request shape's banked reachability/objective/bound
+	// SolutionCacheHit marks answers served from a backend's answer store
+	// (Answers) without touching any session; BoundMemoHit marks solves
+	// that reused the request shape's banked reachability/objective/bound
 	// facts. Together they make churn-invalidation behavior observable:
 	// after a delta, untouched shapes keep reporting hits while touched
 	// shapes re-solve.
@@ -256,6 +258,10 @@ type Stats struct {
 type Resolution struct {
 	Picks map[string]version.Version
 	Stats Stats
+
+	// reach is the solved shape's reach set (see boundEntry), which
+	// Answers.Put files with the answer for delta-scoped invalidation.
+	reach map[string]bool
 }
 
 // ErrUnsatisfiable is the sentinel matched (via errors.Is) by every
@@ -274,6 +280,9 @@ var ErrBudget = errors.New("concretize: conflict budget exhausted")
 // under errors.Is.
 type UnsatError struct {
 	Roots []Root
+
+	// reach is set on a session's proof (see Resolution.reach).
+	reach map[string]bool
 }
 
 // Error implements error.
@@ -528,8 +537,7 @@ func verify(u *repo.Universe, roots []Root, picks map[string]version.Version) er
 // conflict budget expires before any model is found; a budget expiring
 // after a model was found returns that model with Stats.Optimal == false.
 //
-// Internally this is the cold path: one one-shot Session with its
-// solution cache disabled. A Session materializes only what the request
+// Internally this is the cold path: one one-shot Session. A Session materializes only what the request
 // reaches, so cost tracks the request rather than the catalog, and there
 // is exactly one encoder: the warm and cold paths cannot drift apart.
 // Callers answering a stream of requests over the same universe should
@@ -539,7 +547,7 @@ func verify(u *repo.Universe, roots []Root, picks map[string]version.Version) er
 //
 // goarxivlint:blocking cancel=none
 func Concretize(u *repo.Universe, roots []Root, opts Options) (*Resolution, error) {
-	return NewSession(u, SessionOptions{CacheSize: -1}).Resolve(context.Background(), roots, opts)
+	return NewSession(u, SessionOptions{}).Resolve(context.Background(), roots, opts)
 }
 
 func rootsString(roots []Root) string {

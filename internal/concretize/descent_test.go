@@ -42,7 +42,6 @@ func runDescentDifferential(t *testing.T, u *repo.Universe, gen func(rng *rand.R
 	rng := rand.New(rand.NewSource(seed))
 	sessions := make([]*Session, len(descentConfigs()))
 	for i, so := range descentConfigs() {
-		so.CacheSize = -1 // force every request through the descent loop
 		sessions[i] = NewSession(u, so)
 	}
 	var replay [][]Root
@@ -124,7 +123,7 @@ func TestBinaryDescentSolveCallsLogarithmic(t *testing.T) {
 		roots := []Root{{Pkg: root}}
 		total := objectiveTotal(t, u, roots)
 
-		sess := NewSession(u, SessionOptions{CacheSize: -1, Solver: sat.Config{Descent: sat.DescentBinary}})
+		sess := NewSession(u, SessionOptions{Solver: sat.Config{Descent: sat.DescentBinary}})
 		res, err := sess.Resolve(context.Background(), roots, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -199,7 +198,7 @@ func TestAdaptiveDescentWarmFirstVisitLogarithmic(t *testing.T) {
 // already-proven bound must allocate no variable at all.
 func TestDescentNoPerRoundAllocation(t *testing.T) {
 	u, root := repo.SynthVirtualDiamond(6, 3, 6)
-	sess := NewSession(u, SessionOptions{CacheSize: -1})
+	sess := NewSession(u, SessionOptions{})
 	pool := [][]Root{
 		{{Pkg: root}},
 		{MustParseRoot("virtual:virt0")},
@@ -242,10 +241,10 @@ func TestDescentNoPerRoundAllocation(t *testing.T) {
 
 // TestBoundMemoRepeatRequestStable: a repeated identical request descends
 // from its banked proven optimum — one SAT round, no bound constraint, no
-// new variables, even with the solution cache disabled.
+// new variables, with no answer store in front of the session.
 func TestBoundMemoRepeatRequestStable(t *testing.T) {
 	u, root := repo.SynthDense(30, 6, 3, 3)
-	sess := NewSession(u, SessionOptions{CacheSize: -1})
+	sess := NewSession(u, SessionOptions{})
 	roots := []Root{{Pkg: root}}
 	// Two warmup requests: the first proves the optimum (ending in a
 	// refutation round whose search trajectory perturbs the saved phases),
@@ -293,7 +292,7 @@ func TestBoundMemoRepeatRequestStable(t *testing.T) {
 // picks all-newest at cost 0).
 func TestBoundMemoBanksZeroOptimum(t *testing.T) {
 	u, root := repo.SynthDense(20, 6, 3, 2)
-	sess := NewSession(u, SessionOptions{CacheSize: -1})
+	sess := NewSession(u, SessionOptions{})
 	roots := []Root{{Pkg: root}}
 	// Version-lag-only weights: the all-newest optimum costs exactly 0,
 	// but models picking older versions cost more, so descent is armed.

@@ -14,14 +14,15 @@ import (
 // constraints touched by the delta (exactly-one rows, requirement clauses,
 // provider selections) are re-emitted through their handles, parked
 // declarations whose targets the delta grew are revived, and only the
-// solution-cache / bound-memo entries whose recorded reach set intersects
-// the delta's touched names are invalidated. Packages no request has
-// reached stay unencoded: the first request to reach them materializes
-// their post-delta definitions. Activation literals for untouched roots —
+// bound-memo entries whose recorded reach set intersects the delta's
+// touched names are invalidated (the answer store, which lives above the
+// session, applies the same rule in Answers.Invalidate). Packages no
+// request has reached stay unencoded: the first request to reach them
+// materializes their post-delta definitions. Activation literals for untouched roots —
 // and everything the solver learnt about them — survive. A delta that
 // would make a version, package, or virtual buildable again after the
 // solver fixed it false at the top level resets the encoding instead
-// (resetEncodingLocked); the swept solution cache survives the reset.
+// (resetEncodingLocked).
 //
 // The epoch contract: when the bound universe is at the session's epoch,
 // Extend applies the delta to it (repo.Universe.Apply) and then extends
@@ -73,15 +74,7 @@ func (se *Session) Extend(d *repo.Delta) (repo.Epoch, error) {
 //
 // goarxivlint:blocking cancel=none
 func (se *Session) extendLocked(d *repo.Delta) {
-	// dirty holds every name the delta touches: its packages and the
-	// virtuals their new versions provide.
-	dirty := make(map[string]bool)
-	for _, a := range d.Adds() {
-		dirty[a.Pkg] = true
-		for _, pr := range a.Def.Provides {
-			dirty[pr.Virtual] = true
-		}
-	}
+	dirty := dirtyNames(d)
 	if se.extendEncodingLocked(d) {
 		// Activations whose target name is dirty carry stale candidate
 		// clauses: deactivate them permanently (a later request
@@ -100,32 +93,11 @@ func (se *Session) extendLocked(d *repo.Delta) {
 		se.resetEncodingLocked()
 	}
 
-	// Delta-scoped invalidation: cache and bound-memo entries fall only
-	// when their recorded reach set intersects the dirty names; everything
-	// else — including the learnt clauses and phases backing those shapes,
-	// unless the encoding reset — survives the delta untouched.
-	touches := func(reach map[string]bool) bool {
-		if len(reach) < len(dirty) {
-			for n := range reach {
-				if dirty[n] {
-					return true
-				}
-			}
-			return false
-		}
-		for n := range dirty {
-			if reach[n] {
-				return true
-			}
-		}
-		return false
-	}
-	se.bounds.sweep(func(_ string, b *boundEntry) bool { return touches(b.reach) })
-	if se.cache != nil {
-		se.cacheMu.Lock()
-		se.cache.sweep(func(_ string, e cacheEntry) bool { return touches(e.reach) })
-		se.cacheMu.Unlock()
-	}
+	// Delta-scoped invalidation: bound-memo entries fall only when their
+	// recorded reach set intersects the dirty names; everything else —
+	// including the learnt clauses and phases backing those shapes, unless
+	// the encoding reset — survives the delta untouched.
+	se.bounds.sweep(func(_ string, b *boundEntry) bool { return touches(b.reach, dirty) })
 	se.syncEncodingStats()
 }
 

@@ -106,10 +106,10 @@ func TestExtendMatchesCold(t *testing.T) {
 
 // TestExtendDeltaScopedInvalidation is the acceptance regression test for
 // delta-scoped invalidation: with two disjoint dependency subgraphs, a
-// delta touching only one of them must leave the other's cached answer
+// delta touching only one of them must leave the other's stored answer
 // live — repeat resolution stays a SolutionCacheHit, allocates zero new
 // solver variables, and does zero solver work — while the touched
-// subgraph's entry is dropped and re-solved to the new optimum.
+// subgraph's entry goes stale and is re-solved to the new optimum.
 func TestExtendDeltaScopedInvalidation(t *testing.T) {
 	u := repo.New()
 	u.Add("appA", "1.0", repo.Dep("libA", ":"))
@@ -120,28 +120,27 @@ func TestExtendDeltaScopedInvalidation(t *testing.T) {
 	u.Add("libB", "1.0")
 
 	sess := NewSession(u, SessionOptions{})
+	store := NewAnswers(AnswersPerSession)
 	rootsA := []Root{MustParseRoot("appA")}
 	rootsB := []Root{MustParseRoot("appB")}
 
-	firstA, err := sess.Resolve(context.Background(), rootsA, Options{})
+	firstA, err := storeResolve(store, sess, rootsA, Options{})
 	if err != nil {
 		t.Fatalf("resolve A: %v", err)
 	}
-	if _, err := sess.Resolve(context.Background(), rootsB, Options{}); err != nil {
+	if _, err := storeResolve(store, sess, rootsB, Options{}); err != nil {
 		t.Fatalf("resolve B: %v", err)
 	}
 
 	d := repo.NewDelta()
 	d.Add("libB", "2.0")
-	if _, err := sess.Extend(d); err != nil {
-		t.Fatalf("Extend: %v", err)
-	}
+	storeExtend(t, store, sess, d)
 
 	vars := sess.solver.NumVars()
 	decisions := sess.solver.Decisions
 
 	// Untouched subgraph: still served from cache, zero solver growth.
-	againA, err := sess.Resolve(context.Background(), rootsA, Options{})
+	againA, err := storeResolve(store, sess, rootsA, Options{})
 	if err != nil {
 		t.Fatalf("repeat A: %v", err)
 	}
@@ -159,12 +158,12 @@ func TestExtendDeltaScopedInvalidation(t *testing.T) {
 	}
 
 	// Touched subgraph: entry dropped, re-solve picks the delta's version.
-	againB, err := sess.Resolve(context.Background(), rootsB, Options{})
+	againB, err := storeResolve(store, sess, rootsB, Options{})
 	if err != nil {
 		t.Fatalf("repeat B: %v", err)
 	}
 	if againB.Stats.SolutionCacheHit {
-		t.Error("delta to libB left appB's stale answer cached")
+		t.Error("delta to libB left appB's stale answer a hit")
 	}
 	if got := pickStrings(againB)["libB"]; got != "2.0" {
 		t.Errorf("libB pick = %s, want 2.0", got)
@@ -186,13 +185,14 @@ func TestExtendVirtualProviderFlip(t *testing.T) {
 	u.Add("tool", "1.0", repo.Dep("mpi", ":"))
 
 	sess := NewSession(u, SessionOptions{})
+	store := NewAnswers(AnswersPerSession)
 	appRoots := []Root{MustParseRoot("app")}
 	toolRoots := []Root{MustParseRoot("tool")}
 
-	if _, err := sess.Resolve(context.Background(), appRoots, Options{}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := storeResolve(store, sess, appRoots, Options{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("pre-delta app err = %v, want ErrUnsatisfiable", err)
 	}
-	pre, err := sess.Resolve(context.Background(), toolRoots, Options{})
+	pre, err := storeResolve(store, sess, toolRoots, Options{})
 	if err != nil {
 		t.Fatalf("pre-delta tool: %v", err)
 	}
@@ -204,23 +204,21 @@ func TestExtendVirtualProviderFlip(t *testing.T) {
 	// it both revives app and becomes tool's optimum.
 	d := repo.NewDelta()
 	d.Add("mpich-new", "2.0", repo.Prov("mpi", "2.0"))
-	if _, err := sess.Extend(d); err != nil {
-		t.Fatalf("Extend: %v", err)
-	}
+	storeExtend(t, store, sess, d)
 
-	post, err := sess.Resolve(context.Background(), appRoots, Options{})
+	post, err := storeResolve(store, sess, appRoots, Options{})
 	if err != nil {
 		t.Fatalf("post-delta app: %v", err)
 	}
 	if _, ok := post.Picks["mpich-new"]; !ok {
 		t.Errorf("app did not select the new provider: %v", pickStrings(post))
 	}
-	flip, err := sess.Resolve(context.Background(), toolRoots, Options{})
+	flip, err := storeResolve(store, sess, toolRoots, Options{})
 	if err != nil {
 		t.Fatalf("post-delta tool: %v", err)
 	}
 	if flip.Stats.SolutionCacheHit {
-		t.Error("provider delta left tool's stale answer cached")
+		t.Error("provider delta left tool's stale answer a hit")
 	}
 	if _, ok := flip.Picks["mpich-new"]; !ok {
 		t.Errorf("optimum did not flip to the new provider: %v", pickStrings(flip))

@@ -261,13 +261,14 @@ func TestLazyEncodingStats(t *testing.T) {
 
 // TestLazyDeltaParking pins the park/revive cycle end to end: a delta
 // touching only unmaterialized packages must not disturb warm state (the
-// cached answer survives, nothing new materializes), and a later request
+// stored answer stays fresh, nothing new materializes), and a later request
 // rooting the parked package must see the delta's version.
 func TestLazyDeltaParking(t *testing.T) {
 	u, root := repo.SynthRegistry(300, 5)
 	se := NewSession(u, SessionOptions{})
+	store := NewAnswers(AnswersPerSession)
 
-	res1, err := se.Resolve(context.Background(), []Root{{Pkg: root}}, Options{})
+	res1, err := storeResolve(store, se, []Root{{Pkg: root}}, Options{})
 	if err != nil {
 		t.Fatalf("Resolve %s: %v", root, err)
 	}
@@ -279,16 +280,14 @@ func TestLazyDeltaParking(t *testing.T) {
 	}
 	d := repo.NewDelta()
 	d.Add("reg150", "6.0")
-	if _, err := se.Extend(d); err != nil {
-		t.Fatalf("Extend: %v", err)
-	}
+	storeExtend(t, store, se, d)
 
-	res2, err := se.Resolve(context.Background(), []Root{{Pkg: root}}, Options{})
+	res2, err := storeResolve(store, se, []Root{{Pkg: root}}, Options{})
 	if err != nil {
 		t.Fatalf("Resolve %s after delta: %v", root, err)
 	}
 	if !res2.Stats.SolutionCacheHit {
-		t.Fatal("delta on an unreached package invalidated an untouched cached answer")
+		t.Fatal("delta on an unreached package invalidated an untouched stored answer")
 	}
 	if res2.Stats.Cost != res1.Stats.Cost {
 		t.Fatalf("cost changed across unrelated delta: %d -> %d", res1.Stats.Cost, res2.Stats.Cost)

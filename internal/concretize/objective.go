@@ -18,7 +18,7 @@ import (
 // differently-configured solvers at once.
 type Objective interface {
 	// Key returns a stable identifier for the objective's semantics,
-	// mixed into the Session solution-cache key. Two objectives that can
+	// mixed into the request-shape key (ShapeKey). Two objectives that can
 	// rank resolutions differently must return different Keys; an
 	// objective parameterized by data (e.g. an installed profile) must
 	// fold that data into its Key.
@@ -190,8 +190,8 @@ func (m minimalChange) Costs(req ObjectiveRequest) (map[string]PkgCost, error) {
 
 // ObjectiveFunc adapts a plain cost function (custom weights) into an
 // Objective. ID must be non-empty and uniquely identify the function's
-// semantics: it namespaces the solution cache, so two ObjectiveFuncs
-// sharing an ID would silently serve each other's cached resolutions.
+// semantics: it namespaces the shape key, so two ObjectiveFuncs sharing
+// an ID would silently serve each other's stored resolutions.
 type ObjectiveFunc struct {
 	ID string
 	Fn func(req ObjectiveRequest) (map[string]PkgCost, error)
@@ -201,11 +201,11 @@ type ObjectiveFunc struct {
 func (o ObjectiveFunc) Key() string { return "func:" + o.ID }
 
 // Costs implements Objective. An empty ID is rejected here — every solve
-// evaluates Costs before anything is cached, so the error fires before a
-// colliding cache key can be written or read.
+// evaluates Costs before anything is stored, so the error fires before a
+// colliding shape key can be written or read.
 func (o ObjectiveFunc) Costs(req ObjectiveRequest) (map[string]PkgCost, error) {
 	if o.ID == "" {
-		return nil, fmt.Errorf("ObjectiveFunc requires a non-empty ID (it namespaces the solution cache)")
+		return nil, fmt.Errorf("ObjectiveFunc requires a non-empty ID (it namespaces the shape key)")
 	}
 	return o.Fn(req)
 }

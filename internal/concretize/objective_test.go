@@ -165,32 +165,32 @@ func TestObjectiveCacheSeparation(t *testing.T) {
 	u.Add("app", "2.0")
 	u.Add("app", "1.0")
 	sess := NewSession(u, SessionOptions{})
+	store := NewAnswers(4)
 	roots := []Root{MustParseRoot("app")}
-	ctx := context.Background()
 
-	newest, err := sess.Resolve(ctx, roots, Options{})
+	newest, err := storeResolve(store, sess, roots, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldest, err := sess.Resolve(ctx, roots, Options{Objective: oldestObjective})
+	oldest, err := storeResolve(store, sess, roots, Options{Objective: oldestObjective})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if newest.Picks["app"].String() != "2.0" || oldest.Picks["app"].String() != "1.0" {
 		t.Fatalf("newest=%v oldest=%v", newest.Picks, oldest.Picks)
 	}
-	if sess.CacheLen() != 2 {
-		t.Fatalf("CacheLen = %d, want 2 (one per objective)", sess.CacheLen())
+	if store.Len() != 2 {
+		t.Fatalf("store Len = %d, want 2 (one per objective)", store.Len())
 	}
 	// Repeats hit their own objective's entry.
-	n2, err := sess.Resolve(ctx, roots, Options{})
+	n2, err := storeResolve(store, sess, roots, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !n2.Stats.SolutionCacheHit || n2.Picks["app"].String() != "2.0" {
 		t.Fatalf("newest repeat: hit=%v picks=%v", n2.Stats.SolutionCacheHit, n2.Picks)
 	}
-	o2, err := sess.Resolve(ctx, roots, Options{Objective: oldestObjective})
+	o2, err := storeResolve(store, sess, roots, Options{Objective: oldestObjective})
 	if err != nil {
 		t.Fatal(err)
 	}

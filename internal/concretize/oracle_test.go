@@ -254,29 +254,37 @@ func (o *oracle) judge(picks map[string]version.Version) (valid bool, price int6
 	return o.valid(sel), o.price(sel)
 }
 
-// checkOracle resolves one request on the session and checks the answer
-// against the oracle. It reports whether the oracle found the request
-// satisfiable.
-func checkOracle(t *testing.T, se *Session, u *repo.Universe, roots []Root, obj Objective, label string) bool {
+// checkOracle answers one request through the store in front of the
+// session — a fresh entry, else a solve whose definitive answer is filed —
+// and checks the answer against the oracle, so stored answers are checked
+// exactly like solved ones. It reports whether the oracle found the
+// request satisfiable and whether the store answered it.
+func checkOracle(t *testing.T, store *Answers, se *Session, u *repo.Universe, roots []Root, obj Objective, label string) (sat, hit bool) {
 	t.Helper()
 	o, err := newOracle(u, roots, obj)
 	if err != nil {
 		t.Fatalf("%s: oracle pricing: %v", label, err)
 	}
-	res, gotErr := se.Resolve(context.Background(), roots, Options{Objective: obj})
+	key := ShapeKey(obj, roots)
+	res, gotErr, _, hit := store.Get(key, roots)
+	if !hit {
+		res, gotErr = se.Resolve(context.Background(), roots, Options{Objective: obj})
+		store.Put(key, "session", res, gotErr)
+	}
+	label = fmt.Sprintf("%s hit %v", label, hit)
 	if o.unknown {
 		var ue *UnknownPackageError
 		if !errors.As(gotErr, &ue) {
 			t.Fatalf("%s: oracle: unknown root; session: %v", label, gotErr)
 		}
-		return false
+		return false, hit
 	}
 	best, cost, optima := o.solve()
 	if optima == 0 {
 		if !errors.Is(gotErr, ErrUnsatisfiable) {
 			t.Fatalf("%s: oracle: unsatisfiable; session: %v, picks %v", label, gotErr, res)
 		}
-		return false
+		return false, hit
 	}
 	if gotErr != nil {
 		t.Fatalf("%s: oracle: cost %d with %v; session: %v", label, cost, best, gotErr)
@@ -299,7 +307,7 @@ func checkOracle(t *testing.T, se *Session, u *repo.Universe, roots []Root, obj 
 			}
 		}
 	}
-	return true
+	return true, hit
 }
 
 // oracleGen generates small universes, deltas and requests over a fixed
@@ -513,18 +521,21 @@ func (g *oracleGen) objective() Objective {
 
 // oracleStats tallies one warm stream.
 type oracleStats struct {
-	answers, sat, deltas, resets int
+	answers, sat, hits, deltas, resets int
 }
 
-// runOracleStream drives one generated universe through one warm session:
-// requests under both objectives, deltas every few requests, and replays
-// of earlier requests (most of all right after a delta, when a stale
-// answer would show), every answer checked against the oracle.
+// runOracleStream drives one generated universe through one warm session
+// behind an answer store: requests under both objectives, deltas every few
+// requests (each extending the session and invalidating the store), and
+// replays of earlier requests (most of all right after a delta, when a
+// stale answer would show), every answer — solved or stored — checked
+// against the oracle.
 func runOracleStream(t *testing.T, seed int64) oracleStats {
 	t.Helper()
 	g := newOracleGen(seed)
 	u := g.universe()
 	se := NewSession(u, SessionOptions{})
+	store := NewAnswers(AnswersPerSession)
 	type request struct {
 		roots []Root
 		obj   Objective
@@ -539,6 +550,7 @@ func runOracleStream(t *testing.T, seed int64) oracleStats {
 				if _, err := se.Extend(d); err != nil {
 					t.Fatalf("seed %d step %d: Extend: %v", seed, step, err)
 				}
+				store.Invalidate(d)
 				st.deltas++
 			}
 			continue
@@ -549,8 +561,12 @@ func runOracleStream(t *testing.T, seed int64) oracleStats {
 			asked = append(asked, req)
 		}
 		label := fmt.Sprintf("seed %d step %d epoch %d roots %s objective %s", seed, step, u.Epoch(), rootsString(req.roots), req.obj.Key())
-		if checkOracle(t, se, u, req.roots, req.obj, label) {
+		sat, hit := checkOracle(t, store, se, u, req.roots, req.obj, label)
+		if sat {
 			st.sat++
+		}
+		if hit {
+			st.hits++
 		}
 		st.answers++
 	}
@@ -571,13 +587,17 @@ func TestOracleWarmStream(t *testing.T) {
 		st := runOracleStream(t, seed)
 		total.answers += st.answers
 		total.sat += st.sat
+		total.hits += st.hits
 		total.deltas += st.deltas
 		total.resets += st.resets
 	}
-	t.Logf("%d streams: %d answers (%d satisfiable), %d deltas, %d encoding resets",
-		seeds, total.answers, total.sat, total.deltas, total.resets)
+	t.Logf("%d streams: %d answers (%d satisfiable, %d from the store), %d deltas, %d encoding resets",
+		seeds, total.answers, total.sat, total.hits, total.deltas, total.resets)
 	if total.sat == 0 || total.sat == total.answers {
 		t.Fatalf("streams drew %d satisfiable answers of %d: the generator lost its mix", total.sat, total.answers)
+	}
+	if total.hits == 0 {
+		t.Fatal("no answer came from the store: the streams no longer check stored answers")
 	}
 	if total.resets == 0 {
 		t.Fatal("no stream reset an encoding: the generator no longer draws reviving deltas")

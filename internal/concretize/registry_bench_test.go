@@ -69,19 +69,20 @@ func BenchmarkRegistryCold(b *testing.B) {
 }
 
 // BenchmarkRegistryWarm measures the steady serving path: a repeat request
-// against an already-materialized session — a cache lookup plus a
-// picks-map copy, independent of registry size.
+// against an already-materialized session behind an answer store — a
+// store lookup plus a picks-map copy, independent of registry size.
 func BenchmarkRegistryWarm(b *testing.B) {
 	u, root := repo.SynthRegistry(benchRegPkgs, benchRegVers)
 	roots := []Root{{Pkg: root}}
 	sess := NewSession(u, SessionOptions{})
-	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
+	store := NewAnswers(AnswersPerSession)
+	if _, err := storeResolve(store, sess, roots, Options{}); err != nil {
 		b.Fatalf("prime Resolve: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sess.Resolve(context.Background(), roots, Options{})
+		res, err := storeResolve(store, sess, roots, Options{})
 		if err != nil {
 			b.Fatalf("Resolve: %v", err)
 		}
@@ -102,10 +103,10 @@ const registryChurnStream = 32
 // publishes while serving: each iteration builds a fresh universe and warms
 // a session on the root off the clock, then lands a fixed stream of
 // append-only deltas on rotating packages, re-resolving the root after
-// each. The rotation stride keeps nearly every delta outside the root's
-// materialized subgraph, so the dominant path is delta parking — dirty-mark
-// the unreached name, keep the cached answer — with the occasional
-// in-closure delta forcing a re-solve.
+// each through an answer store. The rotation stride keeps nearly every
+// delta outside the root's materialized subgraph, so the dominant path is
+// delta parking — dirty-mark the unreached name, keep the stored answer —
+// with the occasional in-closure delta forcing a re-solve.
 func BenchmarkRegistryChurn(b *testing.B) {
 	var u *repo.Universe
 	var root string
@@ -118,17 +119,16 @@ func BenchmarkRegistryChurn(b *testing.B) {
 		u, root = repo.SynthRegistry(benchRegPkgs, benchRegVers)
 		roots := []Root{{Pkg: root}}
 		sess := NewSession(u, SessionOptions{})
-		if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
+		store := NewAnswers(AnswersPerSession)
+		if _, err := storeResolve(store, sess, roots, Options{}); err != nil {
 			b.Fatalf("prime Resolve: %v", err)
 		}
 		b.StartTimer()
 		for i := 0; i < registryChurnStream; i++ {
 			d := repo.NewDelta()
 			d.Add(fmt.Sprintf("reg%d", (1000+i*37)%benchRegPkgs), fmt.Sprintf("%d.0", benchRegVers+1+i))
-			if _, err := sess.Extend(d); err != nil {
-				b.Fatalf("Extend: %v", err)
-			}
-			res, err := sess.Resolve(context.Background(), roots, Options{})
+			storeExtend(b, store, sess, d)
+			res, err := storeResolve(store, sess, roots, Options{})
 			if err != nil {
 				b.Fatalf("Resolve: %v", err)
 			}

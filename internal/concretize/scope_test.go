@@ -30,7 +30,7 @@ func TestSessionScopeDecisionsStayInReach(t *testing.T) {
 		}
 		u.Add(fmt.Sprintf("chain%d", i), "1.0", decls...)
 	}
-	se := NewSession(u, SessionOptions{CacheSize: -1})
+	se := NewSession(u, SessionOptions{})
 	for i := 0; i < 300; i += 37 {
 		if _, err := se.Resolve(context.Background(), []Root{MustParseRoot(fmt.Sprintf("reg%d", i))}, Options{}); err != nil {
 			t.Fatalf("warm-up reg%d: %v", i, err)
@@ -65,7 +65,7 @@ func TestExtendScopeNewDependencyTarget(t *testing.T) {
 	u.Add("warm", "1.0", repo.Dep("lib", ":"))
 	u.Add("lib", "1.0")
 	u.Add("other", "1.0")
-	se := NewSession(u, SessionOptions{CacheSize: -1})
+	se := NewSession(u, SessionOptions{})
 	app, warm := []Root{MustParseRoot("app")}, []Root{MustParseRoot("warm")}
 	for _, roots := range [][]Root{app, warm} {
 		if _, err := resolveWithin(t, se, roots); err != nil {
@@ -106,7 +106,7 @@ func TestMatchingLitsConcreteTargetInPlace(t *testing.T) {
 		u.Add("lib", fmt.Sprintf("%d.0", i))
 	}
 	u.Add("app", "1.0", repo.Dep("lib", "7.0"))
-	se := NewSession(u, SessionOptions{CacheSize: -1})
+	se := NewSession(u, SessionOptions{})
 	if _, err := se.Resolve(context.Background(), []Root{MustParseRoot("app")}, Options{}); err != nil {
 		t.Fatalf("app: %v", err)
 	}

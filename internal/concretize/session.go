@@ -3,7 +3,6 @@ package concretize
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,21 +14,12 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
-// DefaultSessionCacheSize is the solution-cache capacity used when
-// SessionOptions.CacheSize is zero.
-const DefaultSessionCacheSize = 1024
-
 // DefaultSessionMaxActivations is the activation-literal capacity used
 // when SessionOptions.MaxActivations is zero.
 const DefaultSessionMaxActivations = 4096
 
 // SessionOptions tunes a Session.
 type SessionOptions struct {
-	// CacheSize bounds the number of memoized resolutions (LRU eviction).
-	// Zero selects DefaultSessionCacheSize; a negative value disables the
-	// cache entirely, so every request runs the solver.
-	CacheSize int
-
 	// MaxActivations bounds the number of memoized root-activation
 	// literals (LRU eviction; evicted activations are fixed false in the
 	// solver and re-allocated on demand, so diverse request streams cannot
@@ -53,13 +43,13 @@ type SessionOptions struct {
 // Resolve call then activates its roots through assumption literals and
 // runs branch-and-bound on the shared solver, so learnt clauses, VSIDS
 // activity, and saved phases accumulate across requests instead of being
-// rebuilt and discarded per call. Optimal answers (and definitive
-// unsatisfiability) are memoized in an LRU keyed by the canonical request
-// shape (objective key + canonicalized roots), so repeat requests are
-// answered without touching the solver at all. Beneath the answer cache, a
-// bound memo banks each request shape's lowered objective and proven lower
-// bound, so even cache-disabled repeat solves skip the objective lowering
-// and usually skip the closing optimality refutation.
+// rebuilt and discarded per call. A Session memoizes no answers: its
+// backend's answer store (Answers) does, keyed by the canonical request
+// shape (objective key + canonicalized roots), so a repeat request never
+// reaches the session at all. What a session does bank is a bound memo
+// per request shape — the lowered objective and the proven lower bound —
+// so a repeat solve skips the objective lowering and usually skips the
+// closing optimality refutation.
 //
 // Against registry-shaped universes (thousands of packages, sparse
 // per-root closures) materializing on first reach shrinks the solver
@@ -71,7 +61,7 @@ type SessionOptions struct {
 // discipline Extend uses.
 //
 // A live universe grows through Session.Extend (see extend.go): the
-// materialized encoding is widened in place and only the cache/memo
+// materialized encoding is widened in place and only the bound-memo
 // entries whose recorded reach set intersects the delta are invalidated,
 // which is what keeps shape keys (rather than fingerprint-qualified keys)
 // sound across epochs. When a delta would revive a variable the solver
@@ -79,11 +69,11 @@ type SessionOptions struct {
 // instead (resetEncodingLocked) and requests re-materialize what they
 // reach.
 //
-// A Session is safe for concurrent use: cache lookups take a read lock and
-// solver access is serialized. The universe must not be mutated behind the
-// session's back — growth arrives only via Extend (or, for a shared
-// universe, via a sibling session's Extend between this session's own
-// Extend calls; see the epoch contract on Extend).
+// A Session is safe for concurrent use: solver access is serialized. The
+// universe must not be mutated behind the session's back — growth arrives
+// only via Extend (or, for a shared universe, via a sibling session's
+// Extend between this session's own Extend calls; see the epoch contract
+// on Extend).
 type Session struct {
 	u     *repo.Universe
 	epoch repo.Epoch // universe epoch the encoding reflects (guarded by mu)
@@ -159,9 +149,6 @@ type Session struct {
 	termsBuf   []sat.PBTerm
 	pinnedBuf  map[sat.Lit]bool
 	byPartBuf  map[string]Root
-
-	cacheMu sync.RWMutex
-	cache   *lru[cacheEntry] // nil when disabled
 }
 
 // actEntry is one memoized root-activation literal. target is the root's
@@ -227,13 +214,6 @@ func NewSession(u *repo.Universe, opts SessionOptions) *Session {
 	if se.actsMax == 0 {
 		se.actsMax = DefaultSessionMaxActivations
 	}
-	size := opts.CacheSize
-	if size == 0 {
-		size = DefaultSessionCacheSize
-	}
-	if size > 0 {
-		se.cache = newLRU[cacheEntry](size)
-	}
 	se.newEncoding(sat.NewWithConfig(opts.Solver))
 	se.syncEncodingStats()
 	return se
@@ -242,7 +222,7 @@ func NewSession(u *repo.Universe, opts SessionOptions) *Session {
 // newEncoding installs an empty encoding over the given solver: no
 // materialized package or virtual, no requirement bookkeeping, no
 // activation, and an empty bound memo (whose entries name solver
-// variables). The solution cache is not part of the encoding.
+// variables).
 func (se *Session) newEncoding(s *sat.Solver) {
 	se.solver = s
 	se.vars = make(map[string]*pkgVars)
@@ -267,23 +247,10 @@ func (se *Session) newEncoding(s *sat.Solver) {
 // assigned again, so when a delta makes such a version (or package, or
 // virtual) buildable again, re-encoding from scratch replaces reviving it
 // in place. Nothing is encoded up front, so the reset itself costs O(1);
-// requests re-materialize what they reach. The solution cache survives:
-// callers have already swept the entries a delta could change. Callers
-// hold se.mu.
+// requests re-materialize what they reach. Callers hold se.mu.
 func (se *Session) resetEncodingLocked() {
 	se.newEncoding(sat.NewWithConfig(se.solver.Config()))
 	se.resetsA.Add(1)
-}
-
-// Fingerprint returns the content hash of the bound universe at its
-// current epoch (memoized by the universe; delta-chained on live
-// universes). Cache keys no longer embed it — delta-scoped invalidation
-// keeps shape-keyed entries sound — but it remains the external identity
-// of what the session is solving against.
-func (se *Session) Fingerprint() string {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.u.Fingerprint()
 }
 
 // Epoch returns the universe epoch the session's encoding currently
@@ -294,33 +261,6 @@ func (se *Session) Fingerprint() string {
 // goarxivlint:lockfree
 func (se *Session) Epoch() repo.Epoch {
 	return repo.Epoch(se.epochA.Load())
-}
-
-// CacheLen returns the number of memoized resolutions currently held.
-func (se *Session) CacheLen() int {
-	if se.cache == nil {
-		return 0
-	}
-	se.cacheMu.RLock()
-	defer se.cacheMu.RUnlock()
-	return se.cache.len()
-}
-
-// HasCached reports whether the solution cache currently holds a
-// definitive answer for the request-shape key (see ShapeKey). It takes
-// only the cache lock — never the session lock — so routing tiers can
-// probe every member of a session pool without queuing behind in-flight
-// solves. The answer is advisory: a concurrent eviction can invalidate it
-// before the probing request lands, which costs that request a solve,
-// never its correctness.
-func (se *Session) HasCached(key string) bool {
-	if se.cache == nil {
-		return false
-	}
-	se.cacheMu.RLock()
-	defer se.cacheMu.RUnlock()
-	_, ok := se.cache.peek(key)
-	return ok
 }
 
 // encodePackage allocates the installed/version variables for one package
@@ -597,7 +537,7 @@ func (se *Session) evictActivations(pinned map[sat.Lit]bool) {
 // canonicalRootParts renders the roots in canonical form: Root.key()
 // strings ("pkg@range", virtual-namespaced when explicit), sorted and
 // deduplicated. Root order and duplicates never change the meaning of a
-// request, so canonicalization maximizes cache hits and keeps assumption
+// request, so canonicalization maximizes store hits and keeps assumption
 // order deterministic.
 func canonicalRootParts(roots []Root) []string {
 	parts := make([]string, len(roots))
@@ -617,8 +557,9 @@ func canonicalRootParts(roots []Root) []string {
 // ShapeKey returns the canonical request-shape key for (objective, roots):
 // the objective's Key plus the sorted, deduplicated root specs. Requests
 // with equal shape keys are answer-identical against the same universe
-// epoch — the invariant behind the Session's solution cache, exported so
-// serving tiers can coalesce identical in-flight requests onto one solve.
+// epoch — the invariant behind the answer store (Answers) and the bound
+// memo, exported so serving tiers can coalesce identical in-flight
+// requests onto one solve.
 // A nil objective selects DefaultObjective, mirroring Resolve.
 func ShapeKey(obj Objective, roots []Root) string {
 	if obj == nil {
@@ -637,10 +578,11 @@ func shapeKey(obj Objective, parts []string) string {
 // contract is identical to Concretize: optimal resolution under the
 // request's objective, a *UnsatError, or a wrapped ErrBudget, with
 // Stats.Optimal == false when the conflict budget expired after a model
-// was found. Stats.SolutionCacheHit marks answers served from the solution
-// cache, Stats.BoundMemoHit solves that reused a shape's banked bound, and
-// Stats.Epoch the universe epoch the answer was produced at. The returned
-// Picks map is owned by the caller.
+// was found. Stats.BoundMemoHit marks solves that reused a shape's banked
+// bound, and Stats.Epoch the universe epoch the answer was produced at.
+// Every call reaches the solver; a definitive answer carries what
+// Answers.Put needs to memoize it. The returned Picks map is owned by the
+// caller.
 //
 // Canceling ctx (or passing one past its deadline) interrupts an in-flight
 // solve promptly — the context is checked between branch-and-bound rounds
@@ -666,28 +608,18 @@ func (se *Session) Resolve(ctx context.Context, roots []Root, opts Options) (*Re
 		obj = DefaultObjective
 	}
 	// The request-shape key: objective semantics plus canonical roots. It
-	// keys the bound memo and the solution cache alike; epochs never enter
-	// the key — Extend's delta-scoped invalidation drops exactly the
-	// entries a delta could change, so surviving entries stay valid across
-	// universe growth.
+	// keys the bound memo; epochs never enter the key — Extend's
+	// delta-scoped invalidation drops exactly the entries a delta could
+	// change, so surviving entries stay valid across universe growth.
 	shapeKey := shapeKey(obj, parts)
-	if res, err, ok := se.cacheGet(shapeKey, roots); ok {
-		return res, err
-	}
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	// Re-check under the solver lock: another goroutine may have just
-	// resolved and cached the same request — and the wait for the lock may
-	// have outlived the caller's patience.
+	// Re-check under the solver lock: the wait for it may have outlived
+	// the caller's patience.
 	if err := ctx.Err(); err != nil {
 		return nil, canceledError(err)
 	}
-	if res, err, ok := se.cacheGet(shapeKey, roots); ok {
-		return res, err
-	}
-	res, err := se.solveLocked(ctx, roots, parts, shapeKey, obj, opts)
-	se.cachePut(shapeKey, res, err)
-	return res, err
+	return se.solveLocked(ctx, roots, parts, shapeKey, obj, opts)
 }
 
 // solveLocked runs branch-and-bound for one request. Callers hold se.mu.
@@ -853,7 +785,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		stats.Conflicts = s.Conflicts - conflicts0
 		stats.Decisions = s.Decisions - decisions0
 		stats.Propagations = s.Propagations - props0
-		return &Resolution{Picks: best, Stats: stats}, nil
+		return &Resolution{Picks: best, Stats: stats, reach: memo.reach}, nil
 	}
 
 	for {
@@ -888,7 +820,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 			return finish(false)
 		case sat.Unsat:
 			if best == nil {
-				return nil, unsatError(roots)
+				return nil, &UnsatError{Roots: append([]Root(nil), roots...), reach: memo.reach}
 			}
 			// UNSAT under the guard proves optimum > target.
 			lo, proved = boundAt+1, true
@@ -1145,82 +1077,6 @@ func (se *Session) decode(order []string) (map[string]version.Version, error) {
 	return picks, nil
 }
 
-// cacheGet looks up a memoized answer. It returns copies the caller owns.
-//
-// Lock-interleaving note (audited against Extend's delta-scoped
-// invalidation): the entry is read under the RLock, the lock released, and
-// re-taken exclusively only to promote. An Extend can therefore sweep the
-// entry between the peek and the return — but the peek itself is atomic
-// with respect to the sweep (both hold cacheMu), so a request observes the
-// entry either wholly before the sweep or not at all. A pre-delta answer
-// is thus only ever served to a Resolve that overlaps the Extend in time —
-// a linearizable ordering (the resolve "happened before" the apply) — and
-// its Stats.Epoch reports the pre-delta epoch it was solved at. A Resolve
-// whose cacheGet starts after Extend returns can never see the swept
-// entry: the sweep completes under cacheMu before Extend's session lock is
-// released, so the happens-before edge is the lock itself. touch() cannot
-// resurrect a swept entry (it promotes only keys still present). Pinned by
-// TestExtendVsCacheGetInterleaving.
-func (se *Session) cacheGet(key string, roots []Root) (*Resolution, error, bool) {
-	if se.cache == nil {
-		return nil, nil, false
-	}
-	se.cacheMu.RLock()
-	ent, ok := se.cache.peek(key)
-	se.cacheMu.RUnlock()
-	if !ok {
-		return nil, nil, false
-	}
-	// Promote under the write lock (list mutation is not read-safe).
-	se.cacheMu.Lock()
-	se.cache.touch(key)
-	se.cacheMu.Unlock()
-	if ent.unsat {
-		return nil, unsatError(roots), true
-	}
-	picks := make(map[string]version.Version, len(ent.picks))
-	for p, v := range ent.picks {
-		picks[p] = v
-	}
-	stats := ent.stats
-	stats.SolutionCacheHit = true
-	return &Resolution{Picks: picks, Stats: stats}, nil, true
-}
-
-// cachePut memoizes definitive answers: optimal resolutions and proven
-// unsatisfiability. Budget-limited (non-optimal or Unknown) outcomes and
-// request errors are never cached. The entry inherits the shape's
-// reachable set from the bound memo so Extend can invalidate it precisely;
-// callers hold se.mu, which guards the bound memo.
-func (se *Session) cachePut(key string, res *Resolution, err error) {
-	if se.cache == nil {
-		return
-	}
-	memo, ok := se.bounds.peek(key)
-	if !ok {
-		// Without a recorded reach set the entry could never be
-		// invalidated; skip caching (solveLocked banks the memo before
-		// solving, so this is a can't-happen safety net).
-		return
-	}
-	ent := cacheEntry{reach: memo.reach}
-	switch {
-	case err == nil && res.Stats.Optimal:
-		picks := make(map[string]version.Version, len(res.Picks))
-		for p, v := range res.Picks {
-			picks[p] = v
-		}
-		ent.picks, ent.stats = picks, res.Stats
-	case err != nil && errors.Is(err, ErrUnsatisfiable):
-		ent.unsat = true
-	default:
-		return
-	}
-	se.cacheMu.Lock()
-	se.cache.put(key, ent)
-	se.cacheMu.Unlock()
-}
-
 // boundEntry memoizes the solve facts one request shape (objective key +
 // canonical roots) carries for the session's lifetime: the reachability
 // order, the lowered objective terms with their total weight, and the
@@ -1234,28 +1090,17 @@ type boundEntry struct {
 	order []string
 	reach map[string]bool // names whose growth could change this shape's
 	// answer (reachable packages, dependency-target names, root names);
-	// Extend drops the entry when a delta touches any of them
+	// Extend drops the entry when a delta touches any of them, and the
+	// shape's answers carry it into the answer store
 	terms []sat.PBTerm
 	total int64
 }
 
-// cacheEntry is one memoized answer: either an optimal resolution or a
-// proof of unsatisfiability. reach mirrors the shape's bound-memo reach
-// set (shared map) for delta-scoped invalidation.
-type cacheEntry struct {
-	picks map[string]version.Version
-	stats Stats
-	reach map[string]bool
-	unsat bool
-}
-
-// The memo layers — the solution cache (lru[cacheEntry], callers hold
-// cacheMu) and the bound memo (lru[*boundEntry], callers hold mu; unlike
-// the solution cache it memoizes facts about the *search*, bounds and
-// lowered terms rather than answers, so it stays useful even when the
-// solution cache is disabled) — share one LRU core. The activation memo
-// keeps its own list: its eviction must skip the in-flight request's
-// pinned literals and fix evictees false in the solver.
+// The memo layers — the answer store (lru[*answer], callers hold
+// Answers.mu) and the bound memo (lru[*boundEntry], callers hold se.mu) —
+// share one LRU core. The activation memo keeps its own list: its eviction
+// must skip the in-flight request's pinned literals and fix evictees false
+// in the solver.
 
 // lru is a plain least-recently-used map. Callers synchronize.
 type lru[V any] struct {
@@ -1272,8 +1117,6 @@ type lruItem[V any] struct {
 func newLRU[V any](max int) *lru[V] {
 	return &lru[V]{max: max, ll: list.New(), m: make(map[string]*list.Element)}
 }
-
-func (c *lru[V]) len() int { return len(c.m) }
 
 // peek returns the value without promoting it.
 func (c *lru[V]) peek(key string) (V, bool) {
@@ -1319,7 +1162,7 @@ func (c *lru[V]) put(key string, val V) {
 }
 
 // sweep removes every entry drop reports true for. Extend uses it for
-// delta-scoped invalidation of the bound memo and the solution cache.
+// delta-scoped invalidation of the bound memo.
 func (c *lru[V]) sweep(drop func(key string, val V) bool) {
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()

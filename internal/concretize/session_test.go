@@ -57,118 +57,12 @@ func TestSessionMatchesColdCurated(t *testing.T) {
 	}
 }
 
-// TestSessionCacheHit: a repeated request must be answered from the cache —
-// identical picks and cost, CacheHit set, and zero additional solver work.
-func TestSessionCacheHit(t *testing.T) {
-	u, root := repo.SynthDense(20, 5, 3, 11)
-	sess := NewSession(u, SessionOptions{})
-	roots := []Root{{Pkg: root}}
-
-	first, err := sess.Resolve(context.Background(), roots, Options{})
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if first.Stats.SolutionCacheHit {
-		t.Error("first request cannot be a cache hit")
-	}
-	decisions := sess.solver.Decisions
-
-	second, err := sess.Resolve(context.Background(), roots, Options{})
-	if err != nil {
-		t.Fatalf("repeat Resolve: %v", err)
-	}
-	if !second.Stats.SolutionCacheHit {
-		t.Error("repeat request must be a cache hit")
-	}
-	if sess.solver.Decisions != decisions {
-		t.Error("cache hit touched the solver")
-	}
-	if !reflect.DeepEqual(pickStrings(first), pickStrings(second)) || first.Stats.Cost != second.Stats.Cost {
-		t.Error("cached answer differs from original")
-	}
-	// Root order and duplicates canonicalize to the same key.
-	if sess.CacheLen() != 1 {
-		t.Fatalf("CacheLen = %d, want 1", sess.CacheLen())
-	}
-	dup, err := sess.Resolve(context.Background(), []Root{{Pkg: root}, {Pkg: root}}, Options{})
-	if err != nil || !dup.Stats.SolutionCacheHit {
-		t.Errorf("duplicated roots missed the cache (err %v)", err)
-	}
-	// Returned picks are caller-owned: mutating them must not poison later hits.
-	for k := range dup.Picks {
-		delete(dup.Picks, k)
-	}
-	again, err := sess.Resolve(context.Background(), roots, Options{})
-	if err != nil || !reflect.DeepEqual(pickStrings(first), pickStrings(again)) {
-		t.Error("cache entry was corrupted by caller mutation")
-	}
-}
-
-// TestSessionCachesUnsat: proven unsatisfiability is definitive and must be
-// memoized too, so repeat failing requests skip the solver.
-func TestSessionCachesUnsat(t *testing.T) {
-	u, root := repo.SynthUnsatWeb(4, 3)
-	sess := NewSession(u, SessionOptions{})
-	roots := []Root{{Pkg: root}}
-	if _, err := sess.Resolve(context.Background(), roots, Options{}); !errors.Is(err, ErrUnsatisfiable) {
-		t.Fatalf("err = %v, want ErrUnsatisfiable", err)
-	}
-	decisions := sess.solver.Decisions
-	if _, err := sess.Resolve(context.Background(), roots, Options{}); !errors.Is(err, ErrUnsatisfiable) {
-		t.Fatalf("repeat err = %v, want ErrUnsatisfiable", err)
-	}
-	if sess.solver.Decisions != decisions {
-		t.Error("repeat unsat request touched the solver")
-	}
-}
-
-// TestSessionCacheDisabled: CacheSize < 0 turns memoization off.
-func TestSessionCacheDisabled(t *testing.T) {
-	u, root := repo.SynthDense(12, 4, 2, 3)
-	sess := NewSession(u, SessionOptions{CacheSize: -1})
-	roots := []Root{{Pkg: root}}
-	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	res, err := sess.Resolve(context.Background(), roots, Options{})
-	if err != nil {
-		t.Fatalf("repeat Resolve: %v", err)
-	}
-	if res.Stats.SolutionCacheHit || sess.CacheLen() != 0 {
-		t.Error("disabled cache served a hit")
-	}
-}
-
-// TestSessionLRUEviction: the cache holds at most CacheSize entries,
-// evicting least-recently-used.
-func TestSessionLRUEviction(t *testing.T) {
-	u, _ := repo.SynthDense(8, 3, 1, 21)
-	sess := NewSession(u, SessionOptions{CacheSize: 2})
-	for _, pkg := range []string{"dense0", "dense1", "dense2", "dense3"} {
-		if _, err := sess.Resolve(context.Background(), []Root{{Pkg: pkg}}, Options{}); err != nil {
-			t.Fatalf("Resolve %s: %v", pkg, err)
-		}
-	}
-	if got := sess.CacheLen(); got != 2 {
-		t.Fatalf("CacheLen = %d, want 2", got)
-	}
-	// dense0 was evicted long ago; resolving it again is a miss.
-	decisions := sess.solver.Decisions
-	res, err := sess.Resolve(context.Background(), []Root{{Pkg: "dense0"}}, Options{})
-	if err != nil {
-		t.Fatalf("Resolve dense0: %v", err)
-	}
-	if res.Stats.SolutionCacheHit || sess.solver.Decisions == decisions {
-		t.Error("evicted entry still served from cache")
-	}
-}
-
 // TestSessionBudgetIsPerRequest: a conflict budget scopes to one request;
 // an exhausted budget must not bleed into, or be bled into by, the
 // session's lifetime conflict count.
 func TestSessionBudgetIsPerRequest(t *testing.T) {
 	u, root := repo.SynthUnsatWeb(10, 4)
-	sess := NewSession(u, SessionOptions{CacheSize: -1})
+	sess := NewSession(u, SessionOptions{})
 	roots := []Root{{Pkg: root}}
 	// Burn some lifetime conflicts first with an unbudgeted request.
 	if _, err := sess.Resolve(context.Background(), roots, Options{}); !errors.Is(err, ErrUnsatisfiable) {
@@ -194,7 +88,7 @@ func TestSessionBudgetIsPerRequest(t *testing.T) {
 // and constraint slots are recycled.
 func TestSessionGuardRetirementBoundsSolverMemory(t *testing.T) {
 	u, root := repo.SynthDense(20, 5, 3, 5)
-	sess := NewSession(u, SessionOptions{CacheSize: -1}) // every request hits the solver
+	sess := NewSession(u, SessionOptions{}) // every request hits the solver
 	roots := []Root{{Pkg: root}}
 
 	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
@@ -260,7 +154,8 @@ func TestSessionConcurrent(t *testing.T) {
 		pool = append(pool, e)
 	}
 
-	sess := NewSession(u, SessionOptions{CacheSize: 4}) // small: force hit/miss/evict interleaving
+	sess := NewSession(u, SessionOptions{})
+	store := NewAnswers(4) // small: force hit/miss/evict interleaving
 	const goroutines, iters = 8, 30
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -269,7 +164,7 @@ func TestSessionConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				e := pool[(g*7+i)%len(pool)]
-				res, err := sess.Resolve(context.Background(), e.roots, Options{})
+				res, err := storeResolve(store, sess, e.roots, Options{})
 				if e.unsat {
 					if !errors.Is(err, ErrUnsatisfiable) {
 						t.Errorf("goroutine %d: err = %v, want ErrUnsatisfiable", g, err)
@@ -299,7 +194,7 @@ func TestSessionConcurrent(t *testing.T) {
 // allocated on demand).
 func TestSessionActivationEviction(t *testing.T) {
 	u, _ := repo.SynthDense(10, 5, 2, 13)
-	sess := NewSession(u, SessionOptions{CacheSize: -1, MaxActivations: 3})
+	sess := NewSession(u, SessionOptions{MaxActivations: 3})
 	cold := map[string]*Resolution{}
 	var specs []string
 	for pkg := 0; pkg < 5; pkg++ {
@@ -354,43 +249,32 @@ func TestSessionActivationEviction(t *testing.T) {
 	}
 }
 
-// TestSessionFingerprintMatchesUniverse: the session's cache-key prefix is
-// the universe's content hash.
-func TestSessionFingerprintMatchesUniverse(t *testing.T) {
-	u, _ := repo.SynthDense(6, 2, 1, 1)
-	sess := NewSession(u, SessionOptions{})
-	if sess.Fingerprint() != u.Fingerprint() {
-		t.Error("session fingerprint differs from universe fingerprint")
-	}
-	if sess.Fingerprint() == "" {
-		t.Error("empty fingerprint")
-	}
-}
-
 // TestSessionEmptyRoots: no roots resolves to the empty optimal resolution
-// without touching solver or cache.
+// without touching the solver, and a store does not file it.
 func TestSessionEmptyRoots(t *testing.T) {
 	u, _ := repo.SynthDense(4, 2, 1, 2)
 	sess := NewSession(u, SessionOptions{})
-	res, err := sess.Resolve(context.Background(), nil, Options{})
+	store := NewAnswers(4)
+	res, err := storeResolve(store, sess, nil, Options{})
 	if err != nil || len(res.Picks) != 0 || !res.Stats.Optimal {
 		t.Errorf("got %+v, %v; want empty optimal resolution", res, err)
 	}
-	if sess.CacheLen() != 0 {
-		t.Error("empty request was cached")
+	if store.Len() != 0 {
+		t.Error("empty request was stored")
 	}
 }
 
 // TestSessionUnknownRoot: unknown packages are request errors, distinct
-// from unsatisfiability, and are not cached.
+// from unsatisfiability, and a store does not file them.
 func TestSessionUnknownRoot(t *testing.T) {
 	u, _ := repo.SynthDense(4, 2, 1, 2)
 	sess := NewSession(u, SessionOptions{})
-	_, err := sess.Resolve(context.Background(), []Root{{Pkg: "ghost"}}, Options{})
+	store := NewAnswers(4)
+	_, err := storeResolve(store, sess, []Root{{Pkg: "ghost"}}, Options{})
 	if err == nil || errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("err = %v, want unknown-package error", err)
 	}
-	if sess.CacheLen() != 0 {
-		t.Error("request error was cached")
+	if store.Len() != 0 {
+		t.Error("request error was stored")
 	}
 }

@@ -302,7 +302,8 @@ func TestSessionVirtualDiamondRace(t *testing.T) {
 		pool = append(pool, e)
 	}
 
-	sess := NewSession(u, SessionOptions{CacheSize: 4}) // force hit/miss/evict interleaving
+	sess := NewSession(u, SessionOptions{})
+	store := NewAnswers(4) // force hit/miss/evict interleaving
 	const goroutines, iters = 8, 25
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -311,7 +312,7 @@ func TestSessionVirtualDiamondRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				e := pool[(g*5+i)%len(pool)]
-				res, err := sess.Resolve(context.Background(), e.roots, Options{})
+				res, err := storeResolve(store, sess, e.roots, Options{})
 				if e.unsat {
 					if !errors.Is(err, ErrUnsatisfiable) {
 						t.Errorf("goroutine %d: err = %v, want ErrUnsatisfiable", g, err)

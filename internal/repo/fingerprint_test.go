@@ -80,7 +80,7 @@ func TestFingerprintSensitive(t *testing.T) {
 // TestFingerprintDistinguishesProvidesAndWhen is the cache-poisoning
 // regression test for the richer declaration schema: two universes
 // differing ONLY in a Provides or When declaration must hash differently —
-// otherwise a Session solution cache could serve a resolution computed
+// otherwise a fingerprint-keyed cache could serve a resolution computed
 // under different provider or trigger semantics.
 func TestFingerprintDistinguishesProvidesAndWhen(t *testing.T) {
 	base := func() *Universe {

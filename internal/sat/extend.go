@@ -52,26 +52,33 @@ func (s *Solver) AddClauseRef(lits ...Lit) (ClauseRef, bool) {
 		panic("sat: AddClause above decision level 0")
 	}
 	// Normalize: drop false lits and duplicates, detect tautology/satisfied.
-	out := lits[:0:0]
-	seen := map[Lit]bool{}
+	// The kept literals go to the solver's scratch, each marked on its
+	// variable; every exit from the scan unmarks them.
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		if l == 0 || l.Var() > s.nVars {
+			s.unmark(out)
 			panic("sat: bad literal")
 		}
 		switch s.value(l) {
 		case lTrue:
+			s.unmark(out)
 			return ClauseRef{}, true // already satisfied
 		case lFalse:
 			continue
 		}
-		if seen[l.Neg()] {
+		switch s.clauseMark[l.Var()] {
+		case l:
+			continue // duplicate
+		case l.Neg():
+			s.unmark(out)
 			return ClauseRef{}, true // tautology
 		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
+		s.clauseMark[l.Var()] = l
+		out = append(out, l)
 	}
+	s.unmark(out)
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -87,10 +94,17 @@ func (s *Solver) AddClauseRef(lits ...Lit) (ClauseRef, bool) {
 		}
 		return ClauseRef{}, true
 	}
-	c := &clause{lits: out}
+	c := &clause{lits: append([]Lit(nil), out...)}
 	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return ClauseRef{c: c}, true
+}
+
+// unmark clears the normalization marks of the kept literals.
+func (s *Solver) unmark(kept []Lit) {
+	for _, l := range kept {
+		s.clauseMark[l.Var()] = 0
+	}
 }
 
 // DetachClause retracts a stored clause: it stops propagating immediately

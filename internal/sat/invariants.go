@@ -141,11 +141,18 @@ func (s *Solver) scopedModelError() error {
 }
 
 // checkGeometry verifies the per-variable and per-literal arrays all agree
-// on the variable count (index 0 is the unused sentinel slot).
+// on the variable count (index 0 is the unused sentinel slot), and that no
+// AddClauseRef normalization mark outlived its call.
 func (s *Solver) checkGeometry() error {
 	if n := s.nVars + 1; len(s.assigns) != n || len(s.level) != n || len(s.trailPos) != n ||
-		len(s.reasons) != n || len(s.polarity) != n || len(s.decision) != n || len(s.scopeMark) != n || len(s.seen) != n {
+		len(s.reasons) != n || len(s.polarity) != n || len(s.decision) != n || len(s.scopeMark) != n || len(s.seen) != n ||
+		len(s.clauseMark) != n {
 		return fmt.Errorf("per-variable arrays out of step with nVars=%d", s.nVars)
+	}
+	for v, m := range s.clauseMark {
+		if m != 0 {
+			return fmt.Errorf("clause normalization mark %d left on variable %d", m, v)
+		}
 	}
 	if n := 2 * (s.nVars + 1); len(s.watches) != n || len(s.pbOcc) != n {
 		return fmt.Errorf("per-literal arrays out of step with nVars=%d: %d watch lists, %d occurrence lists, want %d",

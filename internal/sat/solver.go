@@ -140,6 +140,12 @@ type Solver struct {
 	pbFree   []int32   // retired constraint slots available for reuse
 	pbActive int       // constraints added and not retired
 
+	// AddClauseRef normalization scratch: clauseMark[v] is the literal of v
+	// already kept in the clause being normalized (0: none), and addBuf
+	// holds the kept literals. Every AddClauseRef return clears the marks.
+	clauseMark []Lit
+	addBuf     []Lit
+
 	// conflict analysis scratch
 	seen        []bool
 	analyzeTmp  []Lit
@@ -190,6 +196,7 @@ func NewWithConfig(cfg Config) *Solver {
 	s.scopeMark = append(s.scopeMark, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
+	s.clauseMark = append(s.clauseMark, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.pbOcc = append(s.pbOcc, nil, nil)
 	return s
@@ -286,6 +293,7 @@ func (s *Solver) allocVar() int {
 	s.scopeMark = append(s.scopeMark, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
+	s.clauseMark = append(s.clauseMark, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.pbOcc = append(s.pbOcc, nil, nil)
 	return v

@@ -38,16 +38,15 @@ func BenchmarkPortfolioDenseCold(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolioWarmMiss measures steady-state serving with the
-// solution cache bypassed by rotating roots: each request races warm
-// members (cache disabled so the solvers actually run).
+// BenchmarkPortfolioWarmMiss measures steady-state racing over rotating
+// roots on warm members: it runs the race behind the answer store
+// directly, so the solvers actually run (each member solves from its
+// shape's banked bound).
+//
+// goarxivlint:blocking cancel=none
 func BenchmarkPortfolioWarmMiss(b *testing.B) {
 	u, _ := repo.SynthDense(40, 8, 3, 1)
-	noCache := DefaultPortfolio()
-	for i := range noCache {
-		noCache[i].Options.CacheSize = -1
-	}
-	p, err := NewPortfolioResolver(u, noCache...)
+	p, err := NewPortfolioResolver(u)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,14 +60,18 @@ func BenchmarkPortfolioWarmMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Resolve(context.Background(), reqs[i%len(reqs)]); err != nil {
+		req := reqs[i%len(reqs)]
+		p.mu.RLock()
+		_, err := p.race(context.Background(), req, req.Key())
+		p.mu.RUnlock()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPortfolioWarmHit measures the repeat-request fast path: every
-// member answers from its solution cache and the race is a cache sprint.
+// BenchmarkPortfolioWarmHit measures the repeat-request fast path: the
+// answer store answers without a race.
 func BenchmarkPortfolioWarmHit(b *testing.B) {
 	u, root := repo.SynthDense(40, 8, 3, 1)
 	p, err := NewPortfolioResolver(u)
@@ -83,26 +86,6 @@ func BenchmarkPortfolioWarmHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Resolve(context.Background(), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSessionResolverWarmMiss is the single-backend baseline the
-// portfolio numbers are read against.
-func BenchmarkSessionResolverWarmMiss(b *testing.B) {
-	u, _ := repo.SynthDense(40, 8, 3, 1)
-	r := NewSessionResolver(u, SessionOptions{CacheSize: -1})
-	reqs := benchRequests(8)
-	for _, req := range reqs {
-		if _, err := r.Resolve(context.Background(), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Resolve(context.Background(), reqs[i%len(reqs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

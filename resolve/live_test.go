@@ -21,13 +21,13 @@ func liveUniverse(clusters int) *repo.Universe {
 	return u
 }
 
-// TestSessionResolverApply: growth through the public surface — Apply
+// TestOneShardPoolApply: growth through the public surface — Apply
 // returns the advancing epoch, answers report the epoch they were computed
-// at, untouched shapes stay cache-served, and touched shapes flip to the
+// at, untouched shapes stay store-served, and touched shapes flip to the
 // delta's optimum.
-func TestSessionResolverApply(t *testing.T) {
+func TestOneShardPoolApply(t *testing.T) {
 	u := liveUniverse(2)
-	r := NewSessionResolver(u, SessionOptions{})
+	r := NewPoolResolver(u, 1, SessionOptions{})
 	req0 := Request{Roots: []Root{{Pkg: "root0"}}}
 	req1 := Request{Roots: []Root{{Pkg: "root1"}}}
 
@@ -174,7 +174,7 @@ func TestLiveConcurrentApplyResolve(t *testing.T) {
 			}
 			var r liveResolver
 			if backend == "session" {
-				r = NewSessionResolver(u, SessionOptions{})
+				r = NewPoolResolver(u, 1, SessionOptions{})
 			} else {
 				// Two members keep the hammer fast while still exercising
 				// the broadcast barrier.
@@ -259,7 +259,7 @@ func TestLiveConcurrentApplyResolve(t *testing.T) {
 func TestLiveUnsatFlip(t *testing.T) {
 	u := repo.New()
 	u.Add("app", "1.0", repo.Dep("missing", ":"))
-	r := NewSessionResolver(u, SessionOptions{})
+	r := NewPoolResolver(u, 1, SessionOptions{})
 
 	req := Request{Roots: []Root{{Pkg: "app"}}}
 	if _, err := r.Resolve(context.Background(), req); !errors.Is(err, ErrUnsatisfiable) {
@@ -309,7 +309,7 @@ func TestPoolRevivingDeltaAnswersSat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-delta err = %v, want success", err)
 	}
-	fresh, err := NewSessionResolver(u, SessionOptions{}).Resolve(context.Background(), req)
+	fresh, err := NewPoolResolver(u, 1, SessionOptions{}).Resolve(context.Background(), req)
 	if err != nil {
 		t.Fatalf("fresh resolver: %v", err)
 	}
@@ -333,7 +333,7 @@ func TestPoolRevivingDeltaResetsOncePerShard(t *testing.T) {
 	// Distinct request shapes hash to distinct home shards; send them until
 	// every shard has materialized selfdep.
 	reached := func() bool {
-		for _, sh := range p.Stats().Shard {
+		for _, sh := range p.Snapshot().Members {
 			if sh.Encoding.MaterializedPackages == 0 {
 				return false
 			}
@@ -356,7 +356,7 @@ func TestPoolRevivingDeltaResetsOncePerShard(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	req := Request{Roots: []Root{{Pkg: "selfdep"}}}
-	fresh, err := NewSessionResolver(u, SessionOptions{}).Resolve(context.Background(), req)
+	fresh, err := NewPoolResolver(u, 1, SessionOptions{}).Resolve(context.Background(), req)
 	if err != nil {
 		t.Fatalf("fresh resolver: %v", err)
 	}
@@ -370,7 +370,7 @@ func TestPoolRevivingDeltaResetsOncePerShard(t *testing.T) {
 				i, res.Picks, res.Stats.Cost, fresh.Picks, fresh.Stats.Cost)
 		}
 	}
-	for i, sh := range p.Stats().Shard {
+	for i, sh := range p.Snapshot().Members {
 		if sh.Encoding.Resets != 1 {
 			t.Fatalf("shard %d: %d resets, want 1", i, sh.Encoding.Resets)
 		}

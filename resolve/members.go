@@ -25,11 +25,12 @@ var (
 	fpPoolRebuild      = faultpoint.New("resolve/pool/rebuild")
 )
 
-// ErrNoActiveMembers is returned by Resolve on a PortfolioResolver or
-// PoolResolver whose members are all benched — quarantined by a failed
-// Apply broadcast, contained after a panic, or crashlooping: the backend
-// has fail-stopped until Heal or Rebuild returns a member to service.
-var ErrNoActiveMembers = errors.New("resolve: portfolio has no active members")
+// ErrNoActiveMembers is returned by Resolve on a backend whose members are
+// all benched — quarantined by a failed Apply broadcast, contained after a
+// panic, or crashlooping — for a request its answer store cannot answer:
+// the backend has fail-stopped until Heal or Rebuild returns a member to
+// service.
+var ErrNoActiveMembers = errors.New("resolve: backend has no active members")
 
 // PanicError reports a panic contained at a resolver boundary: instead of
 // crashing the process, the panicking member is benched with this error
@@ -66,6 +67,40 @@ type MemberHealth struct {
 	CrashLoop   bool
 	Epoch       Epoch // universe epoch the member's encoding reflects
 	Err         error // the failure that benched it (nil when healthy)
+
+	// The pool's per-shard routing counters (a portfolio leaves them
+	// zero): Served counts requests the shard solved, Inflight those
+	// solving or queued on it at snapshot time.
+	Served   uint64
+	Inflight int64
+	// Encoding is the member session's encoder-coverage snapshot.
+	Encoding EncodingStats
+}
+
+// Snapshot is a point-in-time view of a backend: its members, its answer
+// store, and its supervision and routing counters. It is read from
+// atomics and the store — never a session lock — so stats endpoints can
+// poll it on every scrape.
+type Snapshot struct {
+	// Backend names the policy: "pool" or "portfolio".
+	Backend string
+	// Members holds each member's state, in member order; Broken counts
+	// the benched ones.
+	Members []MemberHealth
+	Broken  int
+	// Answers is the number of fresh entries in the answer store; Hits
+	// counts requests it answered without touching a member.
+	Answers int
+	Hits    uint64
+	// Steals and Waits are the pool's routing counters (a portfolio leaves
+	// them zero): requests served off their home shard, and requests that
+	// queued behind an in-flight solve.
+	Steals uint64
+	Waits  uint64
+	// Rebuilds counts members returned to service by a rebuild; Panics
+	// the panics contained at the solve boundary.
+	Rebuilds uint64
+	Panics   uint64
 }
 
 // benchState is why a member is out of service. nil (no state) means
@@ -95,11 +130,16 @@ const (
 	healAll                       // Rebuild: every bench, sticky windows reset
 )
 
-// memberSet is the supervision behind both multi-session backends: warm
-// sessions over one shared universe, kept in service by one contract.
-// PortfolioResolver races its members; PoolResolver routes each request to
-// one of them.
+// memberSet is the supervision behind every backend: warm sessions over
+// one shared universe, kept in service by one contract, with one answer
+// store in front of them. PortfolioResolver races its members;
+// PoolResolver routes each request to one of them.
 //
+//   - Answers. Every request is looked up in the store before any member
+//     is picked, and every definitive answer a member produces is filed
+//     there with the member's name. Apply invalidates the store once,
+//     right after the universe grows, so the sweep happens even when every
+//     member's extension fails, and stored answers survive heals.
 //   - Growth. Apply applies a delta to the universe once, then extends
 //     every serving member's encoding in place under the write barrier mu;
 //     requests hold mu shared, so none observes a half-applied set. Epoch
@@ -130,11 +170,16 @@ type memberSet struct {
 
 	// mu quiesces the set around Apply and heals: Resolve holds it shared
 	// (each member's session lock serializes actual solving); Apply,
-	// Heal and Rebuild hold it exclusively.
+	// Heal and Rebuild hold it exclusively. The lock order is mu, then the
+	// answer store's own lock, which is never held across a session call.
 	//
 	// goarxivlint:lock
 	mu      sync.RWMutex
 	members []*member
+
+	// answers is the set's one answer memo, for its whole lifetime; the
+	// constructors size it at concretize.AnswersPerSession per member.
+	answers *concretize.Answers
 
 	// epochA mirrors the shared universe's epoch for lock-free reads.
 	// Epoch() must not touch mu: Apply holds it exclusively for the whole
@@ -154,11 +199,15 @@ type memberSet struct {
 	healNeeded atomic.Bool
 
 	// rebuilt counts members returned to service by a rebuild; panics
-	// counts panics contained at the solve boundary.
+	// counts panics contained at the solve boundary; hits, steals and
+	// waits are the Snapshot counters of the same names.
 	//
 	// goarxivlint:lockfree
 	rebuilt atomic.Uint64
 	panics  atomic.Uint64
+	hits    atomic.Uint64
+	steals  atomic.Uint64
+	waits   atomic.Uint64
 
 	// Crashloop policy; zero values select the package defaults. Written
 	// only through SetCrashLoopPolicy (write barrier), read under mu.
@@ -188,20 +237,82 @@ type member struct {
 
 	// The pool's routing counters (a portfolio leaves them zero): inflight
 	// counts requests solving or queued on the member, served the requests
-	// it answered, and cacheHits the subset its solution cache answered.
+	// it solved.
 	//
 	// goarxivlint:lockfree
-	inflight  atomic.Int64
-	served    atomic.Uint64
-	cacheHits atomic.Uint64
+	inflight atomic.Int64
+	served   atomic.Uint64
 }
 
-// addMember encodes one more member session over the set's universe, which
+// addMember adds one more member session over the set's universe, which
 // the set then serves at.
 func (s *memberSet) addMember(name, label string, opts SessionOptions) {
 	s.members = append(s.members, &member{name: name, label: label, opts: opts, se: concretize.NewSession(s.u, opts)})
 	s.epochA.Store(uint64(s.u.Epoch()))
 }
+
+// resolve is the request path every backend shares: the heal entry, the
+// shared side of the barrier, and the answer store in front of the
+// backend's policy — route (pool) or race (portfolio). A store hit touches
+// no member; a miss runs the policy, which files its answer through
+// settle.
+//
+// goarxivlint:blocking
+func (s *memberSet) resolve(ctx context.Context, req Request, policy func(ctx context.Context, req Request, key string) (*Result, error)) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if s.healNeeded.Load() {
+		s.heal(healPanicked)
+	}
+	// Shared-mode barrier against Apply: requests proceed concurrently with
+	// each other, never interleaved with a half-broadcast delta.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	key := req.Key()
+	if res, err, by, ok := s.answers.Get(key, req.Roots); ok {
+		s.hits.Add(1)
+		return s.attribute(by, res, err)
+	}
+	return policy(ctx, req, key)
+}
+
+// settle files a member's answer in the answer store — definitive answers
+// only; the store ignores the rest — and shapes it for the caller.
+// Callers hold mu shared.
+func (s *memberSet) settle(key, by string, res *concretize.Resolution, err error) (*Result, error) {
+	s.answers.Put(key, by, res, err)
+	return s.attribute(by, res, err)
+}
+
+// attribute shapes a member's answer, solved or stored, for the caller:
+// Result.Config names the member, and a definitive unsat proof is wrapped
+// in a *MemberError naming it. Other errors pass through.
+func (s *memberSet) attribute(by string, res *concretize.Resolution, err error) (*Result, error) {
+	switch {
+	case errors.Is(err, ErrUnsatisfiable):
+		return nil, &MemberError{Member: by, Epoch: s.Epoch(), Err: err}
+	case err != nil:
+		return nil, err
+	}
+	return &Result{Picks: res.Picks, Stats: res.Stats, Config: by}, nil
+}
+
+// LastGood returns the last optimal answer the answer store holds for a
+// request-shape key (Request.Key), fresh or stale, with Result.Config
+// naming the member that solved it and Stats.Epoch the epoch it was solved
+// at. It never returns an unsat answer. The serving tier's degraded mode
+// reads it when the backend cannot answer.
+func (s *memberSet) LastGood(key string) (*Result, bool) {
+	res, by, ok := s.answers.LastGood(key)
+	if !ok {
+		return nil, false
+	}
+	return &Result{Picks: res.Picks, Stats: res.Stats, Config: by}, true
+}
+
+// CacheLen returns the number of fresh entries in the answer store.
+func (s *memberSet) CacheLen() int { return s.answers.Len() }
 
 // SetCrashLoopPolicy tunes the crashloop detector: a member healed more
 // than maxRebuilds times inside window is sticky-benched instead of
@@ -241,6 +352,7 @@ func (s *memberSet) Apply(d *Delta) (Epoch, error) {
 		return s.u.Epoch(), err
 	}
 	s.epochA.Store(uint64(epoch))
+	s.answers.Invalidate(d)
 	var errs []error
 	for _, m := range s.members {
 		if m.bench.Load() != nil {
@@ -325,13 +437,13 @@ func (s *memberSet) Heal() []string { return s.heal(healBenched) }
 // returns the names of the members it healed (nil when none was benched).
 // A benched member's encoding is behind the shared universe (or corrupted
 // by a contained panic) and cannot be extended in place; re-encoding is
-// the only way back, and it restarts the member cold: learnt clauses,
-// banked bounds, and cached answers are gone, correctness is not. Rebuild
-// is the operator override: it resets a crashlooping member's sticky
-// bench and window (no automatic path does), and each attempt is still
-// bounded by the crashloop policy, so even an operator loop converges to
-// sticky. A member whose rebuild fails stays benched but heal-eligible:
-// the next Resolve entry tries it again.
+// the only way back, and it restarts the member cold: learnt clauses and
+// banked bounds are gone. The set's answer store is not a member's, so
+// its answers survive. Rebuild is the operator override: it resets a
+// crashlooping member's sticky bench and window (no automatic path does),
+// and each attempt is still bounded by the crashloop policy, so even an
+// operator loop converges to sticky. A member whose rebuild fails stays
+// benched but heal-eligible: the next Resolve entry tries it again.
 //
 // goarxivlint:blocking cancel=none
 func (s *memberSet) Rebuild() []string { return s.heal(healAll) }
@@ -428,14 +540,21 @@ func (s *memberSet) healMemberLocked(m *member, b *benchState) bool {
 }
 
 // Health reports each member's serving state, in member order: its name,
-// the epoch its encoding reflects, and — for benched members — the
-// failure that benched it, with CrashLoop marking a sticky bench.
+// the epoch its encoding reflects, its routing counters and encoder
+// coverage, and — for benched members — the failure that benched it, with
+// CrashLoop marking a sticky bench.
 func (s *memberSet) Health() []MemberHealth {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]MemberHealth, len(s.members))
 	for i, m := range s.members {
-		out[i] = MemberHealth{Name: m.name, Epoch: m.se.Epoch()}
+		out[i] = MemberHealth{
+			Name:     m.name,
+			Epoch:    m.se.Epoch(),
+			Served:   m.served.Load(),
+			Inflight: m.inflight.Load(),
+			Encoding: m.se.EncodingStats(),
+		}
 		if b := m.bench.Load(); b != nil {
 			out[i].Quarantined = true
 			out[i].CrashLoop = b.sticky
@@ -443,6 +562,26 @@ func (s *memberSet) Health() []MemberHealth {
 		}
 	}
 	return out
+}
+
+// Snapshot reports the backend's state; see Snapshot.
+func (s *memberSet) Snapshot() Snapshot {
+	snap := Snapshot{
+		Backend:  s.backend,
+		Members:  s.Health(),
+		Answers:  s.answers.Len(),
+		Hits:     s.hits.Load(),
+		Steals:   s.steals.Load(),
+		Waits:    s.waits.Load(),
+		Rebuilds: s.rebuilt.Load(),
+		Panics:   s.panics.Load(),
+	}
+	for _, m := range snap.Members {
+		if m.Quarantined {
+			snap.Broken++
+		}
+	}
+	return snap
 }
 
 // Epoch returns the epoch of the shared universe, which every serving

@@ -1,8 +1,8 @@
 package resolve
 
 // Differential test of the Result.Picks ownership contract: every path
-// that can hand back an answer — a fresh session solve, a session
-// solution-cache hit, and a portfolio race — must return a Picks map the
+// that can hand back an answer — a fresh session solve, an answer-store
+// hit, and a portfolio race — must return a Picks map the
 // caller owns outright. Mutating it must never bleed into a later answer
 // for the same request. (The serving tier's coalesced-follower leg lives
 // in serve's TestCoalescedPicksOwnership.)
@@ -25,12 +25,12 @@ func TestResultPicksOwnership(t *testing.T) {
 	}{
 		{"session-solve", func(t *testing.T) (Resolver, Request) {
 			u, root := repo.SynthDiamond(3, 4)
-			return NewSessionResolver(u, SessionOptions{}), newReq(root)
+			return NewPoolResolver(u, 1, SessionOptions{}), newReq(root)
 		}},
 		{"session-cache-hit", func(t *testing.T) (Resolver, Request) {
 			u, root := repo.SynthDiamond(3, 4)
-			r := NewSessionResolver(u, SessionOptions{})
-			// Prime the solution cache so every request below is a hit.
+			r := NewPoolResolver(u, 1, SessionOptions{})
+			// Prime the answer store so every request below is a hit.
 			if _, err := r.Resolve(context.Background(), newReq(root)); err != nil {
 				t.Fatal(err)
 			}

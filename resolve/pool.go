@@ -6,8 +6,8 @@ import (
 	"hash/fnv"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 
+	"github.com/paper-repo-growth/go-arxiv/internal/concretize"
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
 )
 
@@ -16,20 +16,19 @@ import (
 // solvers on every request to win a latency race, a pool spends one solver
 // per request and wins throughput: distinct request shapes solve in
 // parallel on distinct shards, and each shard accumulates warm state —
-// learnt clauses, saved phases, banked bounds, cached answers, and a
-// materialized subgraph — for the slice of the request space that hashes
-// to it.
+// learnt clauses, saved phases, banked bounds, and a materialized
+// subgraph — for the slice of the request space that hashes to it. A pool
+// of one shard is the single-session backend.
 //
-// Routing is shape-affine with cache-aware stealing. A request's home
-// shard is hash(Request.Key()) mod N, so repeats of a shape land on the
-// session that already solved it. Before solving, the router probes every
-// shard's solution cache (a lock-free peek): any shard that already holds
-// the answer serves it regardless of affinity. A cold request whose home
-// shard is mid-solve steals an idle shard instead of queuing — trading
-// shard warmth for latency — and queues on its home only when every shard
-// is busy. The in-flight counters driving those choices are advisory:
-// a racing arrival can turn a "steal" into a short queue, which costs
-// latency, never correctness.
+// A request the pool's answer store already answers is served from it,
+// whichever shard solved it, without routing. Otherwise routing is
+// shape-affine with work stealing. A request's home shard is
+// hash(Request.Key()) mod N, so repeats of a shape land on the session
+// already warm for it. A request whose home shard is mid-solve steals an
+// idle shard instead of queuing — trading shard warmth for latency — and
+// queues on its home only when every shard is busy. The in-flight counters
+// driving those choices are advisory: a racing arrival can turn a "steal"
+// into a short queue, which costs latency, never correctness.
 //
 // A pool never gives up capacity it can rebuild: a shard whose Apply
 // extension fails is rebuilt within the broadcast as a fresh session over
@@ -41,13 +40,6 @@ import (
 // Rebuild.
 type PoolResolver struct {
 	memberSet
-
-	// Routing counters; see PoolStats.
-	//
-	// goarxivlint:lockfree
-	hits   atomic.Uint64
-	steals atomic.Uint64
-	waits  atomic.Uint64
 }
 
 var _ Resolver = (*PoolResolver)(nil)
@@ -63,7 +55,10 @@ func NewPoolResolver(u *repo.Universe, n int, opts SessionOptions) *PoolResolver
 			n = 8
 		}
 	}
-	p := &PoolResolver{memberSet: memberSet{u: u, backend: "pool", fpSolve: fpPoolSolve, fpRebuild: fpPoolRebuild, healOnApply: true}}
+	p := &PoolResolver{memberSet: memberSet{
+		u: u, backend: "pool", fpSolve: fpPoolSolve, fpRebuild: fpPoolRebuild, healOnApply: true,
+		answers: concretize.NewAnswers(n * concretize.AnswersPerSession),
+	}}
 	for i := 0; i < n; i++ {
 		p.addMember(fmt.Sprintf("pool/%d", i), strconv.Itoa(i), opts)
 	}
@@ -80,75 +75,58 @@ func shapeShard(key string, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// route picks the shard to serve a request with the given shape key:
-// any healthy shard already holding the answer (home first), else the
+// route picks the shard to solve a request with the given home shard: the
 // idle home, else an idle shard to steal, else the busy home — falling
 // back to any healthy shard when the home is broken, and reporting
 // ok=false when every shard is broken. Returns whether the choice left
-// the home shard (a steal) and whether the target's cache held the answer
-// at probe time. Callers hold p.mu shared.
-func (p *PoolResolver) route(home int, key string) (shard int, stolen, cached, ok bool) {
+// the home shard (a steal). Callers hold p.mu shared.
+func (p *PoolResolver) route(home int) (shard int, stolen, ok bool) {
 	healthy := func(i int) bool { return p.members[i].bench.Load() == nil }
-	if healthy(home) && p.members[home].se.HasCached(key) {
-		return home, false, true, true
-	}
-	for i, m := range p.members {
-		if i != home && healthy(i) && m.se.HasCached(key) {
-			return i, true, true, true
-		}
-	}
 	if healthy(home) && p.members[home].inflight.Load() == 0 {
-		return home, false, false, true
+		return home, false, true
 	}
 	for i, m := range p.members {
 		if i != home && healthy(i) && m.inflight.Load() == 0 {
-			return i, true, false, true
+			return i, true, true
 		}
 	}
 	if healthy(home) {
-		return home, false, false, true
+		return home, false, true
 	}
 	for i := range p.members {
 		if healthy(i) {
-			return i, true, false, true
+			return i, true, true
 		}
 	}
-	return 0, false, false, false
+	return 0, false, false
 }
 
-// Resolve implements Resolver: it routes the request to one shard —
-// shape-affine, cache-aware, stealing idle capacity — and solves there.
-// Result.Config names the serving shard ("pool/3"). A shard that panics
-// mid-solve is contained: the request fails with the *PanicError, and the
-// shard leaves routing until the next Resolve entry rebuilds it. With
-// every shard benched — only reachable through sticky crashloop benches —
-// Resolve fail-stops with ErrNoActiveMembers.
+// Resolve implements Resolver: a request the answer store holds is served
+// from it; any other is routed to one shard — shape-affine, stealing idle
+// capacity — and solved there. Result.Config names the shard that solved
+// the answer ("pool/3"), stored or not, and a proven unsatisfiability
+// comes back as a *MemberError naming it. A shard that panics mid-solve
+// is contained: the request fails with the *PanicError, and the shard
+// leaves routing until the next Resolve entry rebuilds it. With every
+// shard benched — only reachable through sticky crashloop benches — a
+// request the store cannot answer fail-stops with ErrNoActiveMembers.
 //
 // goarxivlint:blocking
 func (p *PoolResolver) Resolve(ctx context.Context, req Request) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(p.members) == 0 {
-		return nil, fmt.Errorf("resolve: pool has no shards")
-	}
-	if p.healNeeded.Load() {
-		p.heal(healPanicked)
-	}
-	key := req.Key()
-	// Shared-mode barrier against Apply: requests proceed concurrently
-	// with each other, never interleaved with a half-broadcast delta.
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	home := shapeShard(key, len(p.members))
-	idx, stolen, cached, ok := p.route(home, key)
+	return p.resolve(ctx, req, p.routeAndSolve)
+}
+
+// routeAndSolve is the pool's policy behind the answer store. Callers
+// hold p.mu shared.
+//
+// goarxivlint:blocking
+func (p *PoolResolver) routeAndSolve(ctx context.Context, req Request, key string) (*Result, error) {
+	idx, stolen, ok := p.route(shapeShard(key, len(p.members)))
 	if !ok {
 		return nil, ErrNoActiveMembers
 	}
 	m := p.members[idx]
-	if cached {
-		p.hits.Add(1)
-	} else if m.inflight.Load() > 0 {
+	if m.inflight.Load() > 0 {
 		p.waits.Add(1)
 	}
 	if stolen {
@@ -157,96 +135,8 @@ func (p *PoolResolver) Resolve(ctx context.Context, req Request) (*Result, error
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	res, err := p.solve(ctx, m, req)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		m.served.Add(1)
 	}
-	m.served.Add(1)
-	if res.Stats.SolutionCacheHit {
-		m.cacheHits.Add(1)
-	}
-	return &Result{Picks: res.Picks, Stats: res.Stats, Config: m.name}, nil
-}
-
-// ShardStats reports one shard's serving state: how much it has answered,
-// how much of that came from its solution cache, and how much of the
-// universe its solver formula actually carries (the encoder-coverage
-// counters).
-type ShardStats struct {
-	// Served counts successfully answered requests; CacheHits the subset
-	// served from this shard's solution cache.
-	Served    uint64
-	CacheHits uint64
-	// Inflight is the number of requests solving or queued on this shard
-	// at snapshot time.
-	Inflight int64
-	// Broken marks a shard excluded from routing (contained panic or
-	// failed rebuild); CrashLoop marks the sticky subset that exhausted
-	// the rebuild budget.
-	Broken    bool
-	CrashLoop bool
-	// Encoding is the shard session's encoder-coverage snapshot.
-	Encoding EncodingStats
-}
-
-// PoolStats is a point-in-time snapshot of the pool's routing behavior.
-type PoolStats struct {
-	// Shards is the pool width.
-	Shards int
-	// Hits counts requests routed to a shard that already held the answer
-	// (home or stolen); Steals requests served off their home shard;
-	// Waits requests that queued behind an in-flight solve; Rebuilds
-	// shards replaced after a failed Apply extension or a contained
-	// panic; Panics panics contained at the solve boundary; Broken shards
-	// currently out of routing.
-	Hits     uint64
-	Steals   uint64
-	Waits    uint64
-	Rebuilds uint64
-	Panics   uint64
-	Broken   int
-	// Shard holds per-shard counters, in shard order.
-	Shard []ShardStats
-}
-
-// Stats snapshots the pool's routing and per-shard counters. It holds the
-// barrier shared only long enough to read atomics — never a session lock —
-// so stats endpoints can poll it on every scrape.
-func (p *PoolResolver) Stats() PoolStats {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	st := PoolStats{
-		Shards:   len(p.members),
-		Hits:     p.hits.Load(),
-		Steals:   p.steals.Load(),
-		Waits:    p.waits.Load(),
-		Rebuilds: p.rebuilt.Load(),
-		Panics:   p.panics.Load(),
-	}
-	for _, m := range p.members {
-		ss := ShardStats{
-			Served:    m.served.Load(),
-			CacheHits: m.cacheHits.Load(),
-			Inflight:  m.inflight.Load(),
-			Encoding:  m.se.EncodingStats(),
-		}
-		if b := m.bench.Load(); b != nil {
-			ss.Broken = true
-			ss.CrashLoop = b.sticky
-			st.Broken++
-		}
-		st.Shard = append(st.Shard, ss)
-	}
-	return st
-}
-
-// CacheLen returns the total number of memoized resolutions across the
-// pool's shards (observability for serving tiers).
-func (p *PoolResolver) CacheLen() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	n := 0
-	for _, m := range p.members {
-		n += m.se.CacheLen()
-	}
-	return n
+	return p.settle(key, m.name, res, err)
 }

@@ -21,9 +21,10 @@ func poolRequest(spec string) Request {
 	return Request{Roots: []Root{r}}
 }
 
-// TestPoolShapeAffinity: repeats of one request shape land on one shard —
-// the second arrival is served from that shard's solution cache, and no
-// other shard ever solves.
+// TestPoolShapeAffinity: the first arrival of a shape solves on its home
+// shard, and repeats are answered from the pool's answer store — naming
+// that shard — without routing: no other shard ever solves, and the
+// serving shard solves once.
 func TestPoolShapeAffinity(t *testing.T) {
 	u, root := repo.SynthRegistry(300, 5)
 	p := NewPoolResolver(u, 4, SessionOptions{})
@@ -50,17 +51,20 @@ func TestPoolShapeAffinity(t *testing.T) {
 			t.Fatalf("request %d: cache hit %v, want %v", i, res.Stats.SolutionCacheHit, wantHit)
 		}
 	}
+	if config != fmt.Sprintf("pool/%d", shapeShard(req.Key(), 4)) {
+		t.Fatalf("first solve on %s, want the home shard %d", config, shapeShard(req.Key(), 4))
+	}
 
-	st := p.Stats()
-	if st.Hits != 2 || st.Steals != 0 || st.Waits != 0 {
-		t.Fatalf("stats hits/steals/waits = %d/%d/%d, want 2/0/0", st.Hits, st.Steals, st.Waits)
+	st := p.Snapshot()
+	if st.Hits != 2 || st.Steals != 0 || st.Waits != 0 || st.Answers != 1 {
+		t.Fatalf("stats hits/steals/waits/answers = %d/%d/%d/%d, want 2/0/0/1", st.Hits, st.Steals, st.Waits, st.Answers)
 	}
 	solving := 0
-	for i, sh := range st.Shard {
+	for i, sh := range st.Members {
 		if sh.Served > 0 {
 			solving++
-			if sh.Served != 3 || sh.CacheHits != 2 {
-				t.Fatalf("shard %d served/hits = %d/%d, want 3/2", i, sh.Served, sh.CacheHits)
+			if sh.Served != 1 {
+				t.Fatalf("shard %d served %d, want 1 solve", i, sh.Served)
 			}
 			if sh.Encoding.MaterializedPackages == 0 {
 				t.Fatalf("serving shard %d materialized nothing", i)
@@ -74,25 +78,24 @@ func TestPoolShapeAffinity(t *testing.T) {
 	}
 }
 
-// TestPoolRouting: the routing ladder, white-box — cached shard (home
-// first) beats idle home beats idle steal beats busy home.
+// TestPoolRouting: the routing ladder, white-box — idle home beats idle
+// steal beats busy home, and broken shards never route.
 func TestPoolRouting(t *testing.T) {
 	u, root := repo.SynthRegistry(120, 3)
 	p := NewPoolResolver(u, 3, SessionOptions{})
 	req := poolRequest(root)
-	key := req.Key()
-	home := shapeShard(key, 3)
+	home := shapeShard(req.Key(), 3)
 
-	// All idle, nothing cached: home solves.
-	if got, stolen, cached, ok := p.route(home, key); got != home || stolen || cached || !ok {
-		t.Fatalf("idle route = (%d,%v,%v,%v), want home %d", got, stolen, cached, ok, home)
+	// All idle: home solves.
+	if got, stolen, ok := p.route(home); got != home || stolen || !ok {
+		t.Fatalf("idle route = (%d,%v,%v), want home %d", got, stolen, ok, home)
 	}
 
 	// Home busy, others idle: steal an idle shard.
 	p.members[home].inflight.Add(1)
-	got, stolen, cached, ok := p.route(home, key)
-	if got == home || !stolen || cached || !ok {
-		t.Fatalf("busy-home route = (%d,%v,%v,%v), want a steal", got, stolen, cached, ok)
+	got, stolen, ok := p.route(home)
+	if got == home || !stolen || !ok {
+		t.Fatalf("busy-home route = (%d,%v,%v), want a steal", got, stolen, ok)
 	}
 
 	// Everything busy: queue on home.
@@ -101,45 +104,65 @@ func TestPoolRouting(t *testing.T) {
 			p.members[i].inflight.Add(1)
 		}
 	}
-	if got, stolen, _, ok := p.route(home, key); got != home || stolen || !ok {
+	if got, stolen, ok := p.route(home); got != home || stolen || !ok {
 		t.Fatalf("all-busy route = (%d,%v,%v), want the home queue", got, stolen, ok)
 	}
 	for i := range p.members {
 		p.members[i].inflight.Add(-1)
 	}
 
-	// A non-home shard holds the answer: routed there even when busy.
-	other := (home + 1) % 3
-	if _, err := p.members[other].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
-		t.Fatalf("prime other shard: %v", err)
-	}
-	p.members[other].inflight.Add(1)
-	if got, stolen, cached, ok := p.route(home, key); got != other || !stolen || !cached || !ok {
-		t.Fatalf("cached-elsewhere route = (%d,%v,%v,%v), want shard %d cached", got, stolen, cached, ok, other)
-	}
-	p.members[other].inflight.Add(-1)
-
-	// Home holds it too: home wins regardless.
-	if _, err := p.members[home].se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
-		t.Fatalf("prime home shard: %v", err)
-	}
-	if got, stolen, cached, ok := p.route(home, key); got != home || stolen || !cached || !ok {
-		t.Fatalf("cached-home route = (%d,%v,%v,%v), want home cached", got, stolen, cached, ok)
-	}
-
 	// A broken home falls back to a healthy shard at every tier.
 	p.members[home].bench.Store(&benchState{err: fmt.Errorf("injected")})
-	if got, _, _, ok := p.route(home, key); got == home || !ok {
+	if got, _, ok := p.route(home); got == home || !ok {
 		t.Fatalf("broken-home route = (%d,%v), want a healthy fallback", got, ok)
 	}
 	for i := range p.members {
 		p.members[i].bench.Store(&benchState{err: fmt.Errorf("injected")})
 	}
-	if _, _, _, ok := p.route(home, key); ok {
+	if _, _, ok := p.route(home); ok {
 		t.Fatal("all-broken route reported ok")
 	}
 	for i := range p.members {
 		p.members[i].bench.Store(nil)
+	}
+}
+
+// TestPoolCrossShardHit: a shape solved on one shard is a hit for a
+// request that routes from another shard — the store sits in front of
+// routing, so no shard is probed and none solves again — and the hit
+// counts in the pool's hits and names the shard that solved it.
+func TestPoolCrossShardHit(t *testing.T) {
+	u, root := repo.SynthRegistry(120, 3)
+	p := NewPoolResolver(u, 3, SessionOptions{})
+	req := poolRequest(root)
+	home := shapeShard(req.Key(), 3)
+
+	// Home busy: the first arrival steals another shard and solves there.
+	p.members[home].inflight.Add(1)
+	first, err := p.Resolve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.members[home].inflight.Add(-1)
+	if first.Config == fmt.Sprintf("pool/%d", home) || first.Stats.SolutionCacheHit {
+		t.Fatalf("first arrival on %s (hit %v), want a steal off home %d", first.Config, first.Stats.SolutionCacheHit, home)
+	}
+
+	// The repeat routes from the now idle home, yet is a hit naming the
+	// shard that solved it; the home shard never solves.
+	again, err := p.Resolve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Stats.SolutionCacheHit || again.Config != first.Config {
+		t.Fatalf("repeat: hit %v on %s, want a hit naming %s", again.Stats.SolutionCacheHit, again.Config, first.Config)
+	}
+	st := p.Snapshot()
+	if st.Hits != 1 || st.Steals != 1 {
+		t.Fatalf("hits/steals = %d/%d, want 1/1", st.Hits, st.Steals)
+	}
+	if served := st.Members[home].Served; served != 0 {
+		t.Fatalf("home shard served %d requests, want 0", served)
 	}
 }
 
@@ -179,7 +202,7 @@ func TestPoolApplyBroadcast(t *testing.T) {
 			t.Fatalf("shard %d answered at epoch %d, want 1", i, res.Stats.Epoch)
 		}
 	}
-	if st := p.Stats(); st.Rebuilds != 0 {
+	if st := p.Snapshot(); st.Rebuilds != 0 {
 		t.Fatalf("clean broadcast counted %d rebuilds", st.Rebuilds)
 	}
 }
@@ -205,12 +228,12 @@ func TestPoolApplyRebuildsFailedShard(t *testing.T) {
 	if err != nil || epoch != 1 {
 		t.Fatalf("Apply = (%d, %v), want (1, nil) — rebuilds self-heal", epoch, err)
 	}
-	st := p.Stats()
+	st := p.Snapshot()
 	if st.Rebuilds != 1 {
 		t.Fatalf("rebuilds = %d, want 1", st.Rebuilds)
 	}
 	// The rebuilt shard is fresh: nothing materialized, new epoch.
-	enc := st.Shard[1].Encoding
+	enc := st.Members[1].Encoding
 	if enc.MaterializedPackages != 0 {
 		t.Fatalf("rebuilt shard not fresh: %+v", enc)
 	}
@@ -284,7 +307,7 @@ func TestPoolHammer(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	st := p.Stats()
+	st := p.Snapshot()
 	if st.Rebuilds == 0 {
 		t.Error("fault-injected hammer saw no rebuilds")
 	}

@@ -44,12 +44,14 @@ func DefaultPortfolio() []BackendConfig {
 }
 
 // PortfolioResolver races differently-configured Sessions over the same
-// universe on every request and returns the first definitive answer —
-// an optimal resolution or a proof of unsatisfiability — canceling the
-// remaining members through the solver interrupt. Each member
-// materializes what requests reach once and its solver state (learnt
-// clauses, caches) warms across requests, so the race's marginal cost is
-// solver time, not re-encoding.
+// universe on every request the answer store cannot answer, and returns
+// the first definitive answer — an optimal resolution or a proof of
+// unsatisfiability — canceling the remaining members through the solver
+// interrupt. Each member materializes what requests reach once and its
+// solver state (learnt clauses, banked bounds) warms across requests, so
+// the race's marginal cost is solver time, not re-encoding. The winner's
+// answer is filed in the store; a repeat request is answered from it,
+// naming the winner, without a race.
 //
 // Budget-limited outcomes are not definitive: if a member returns a
 // non-optimal incumbent (or concretize.ErrBudget) while another later
@@ -75,7 +77,10 @@ func NewPortfolioResolver(u *repo.Universe, configs ...BackendConfig) (*Portfoli
 		configs = DefaultPortfolio()
 	}
 	seen := make(map[string]bool, len(configs))
-	p := &PortfolioResolver{memberSet: memberSet{u: u, backend: "portfolio", fpSolve: fpPortfolioSolve, fpRebuild: fpPortfolioRebuild}}
+	p := &PortfolioResolver{memberSet: memberSet{
+		u: u, backend: "portfolio", fpSolve: fpPortfolioSolve, fpRebuild: fpPortfolioRebuild,
+		answers: concretize.NewAnswers(len(configs) * concretize.AnswersPerSession),
+	}}
 	for _, c := range configs {
 		if c.Name == "" {
 			return nil, fmt.Errorf("resolve: portfolio config with empty name")
@@ -120,13 +125,14 @@ func (o outcome) definitive() bool {
 	return o.res.Stats.Optimal
 }
 
-// Resolve implements Resolver: it fires the request into every healthy
-// member concurrently, returns the first definitive answer, and cancels
-// the rest. All members are drained before returning, so a
-// PortfolioResolver is quiescent between calls and safe for concurrent use
-// (each member Session serializes its own solver). Every error produced by
-// a member — a definitive unsatisfiability proof included — is wrapped in
-// a *MemberError carrying the member's name and epoch, mirroring the
+// Resolve implements Resolver: a request the answer store holds is served
+// from it; for any other it fires the request into every healthy member
+// concurrently, returns the first definitive answer, and cancels the
+// rest. All members are drained before returning, so a PortfolioResolver
+// is quiescent between calls and safe for concurrent use (each member
+// Session serializes its own solver). Every error produced by a member —
+// a definitive unsatisfiability proof included — is wrapped in a
+// *MemberError carrying the member's name and epoch, mirroring the
 // attribution (Result.Config, Result.Stats) the success path carries.
 //
 // A member that panics mid-solve is contained: benched with its stack
@@ -137,16 +143,14 @@ func (o outcome) definitive() bool {
 //
 // goarxivlint:blocking
 func (p *PortfolioResolver) Resolve(ctx context.Context, req Request) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.healNeeded.Load() {
-		p.heal(healPanicked)
-	}
-	// Shared-mode barrier against Apply: requests proceed concurrently with
-	// each other, never interleaved with a half-broadcast delta.
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	return p.resolve(ctx, req, p.race)
+}
+
+// race is the portfolio's policy behind the answer store. Callers hold
+// p.mu shared.
+//
+// goarxivlint:blocking
+func (p *PortfolioResolver) race(ctx context.Context, req Request, key string) (*Result, error) {
 	active := make([]*member, 0, len(p.members))
 	for _, m := range p.members {
 		if m.bench.Load() == nil {
@@ -154,9 +158,6 @@ func (p *PortfolioResolver) Resolve(ctx context.Context, req Request) (*Result, 
 		}
 	}
 	if len(active) == 0 {
-		if len(p.members) == 0 {
-			return nil, fmt.Errorf("resolve: portfolio has no members")
-		}
 		return nil, ErrNoActiveMembers
 	}
 	race, cancel := context.WithCancel(ctx)
@@ -204,20 +205,15 @@ func (p *PortfolioResolver) Resolve(ctx context.Context, req Request) (*Result, 
 	}
 
 	if winner != nil {
-		if winner.err != nil {
-			// A definitive unsat proof carries the same attribution as a
-			// definitive resolution: which member proved it, at what epoch.
-			// Unwrap preserves errors.Is(ErrUnsatisfiable) and
-			// errors.As(*UnsatError) for callers matching the taxonomy.
-			return nil, &MemberError{Member: winner.name, Epoch: winner.epoch, Err: winner.err}
-		}
-		return &Result{Picks: winner.res.Picks, Stats: winner.res.Stats, Config: winner.name}, nil
+		// A definitive unsat proof carries the same attribution as a
+		// definitive resolution: which member proved it (see attribute).
+		return p.settle(key, winner.name, winner.res, winner.err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("resolve: request canceled: %w", err)
 	}
 	if fallback != nil {
-		return &Result{Picks: fallback.res.Picks, Stats: fallback.res.Stats, Config: fallback.name}, nil
+		return p.attribute(fallback.name, fallback.res, nil)
 	}
 	if firstErr != nil {
 		return nil, firstErr

@@ -173,7 +173,7 @@ func TestPoolSolvePanicHeal(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("panicking shard returned %T, want *PanicError: %v", err, err)
 	}
-	if st := p.Stats(); st.Panics != 1 || st.Broken != 1 {
+	if st := p.Snapshot(); st.Panics != 1 || st.Broken != 1 {
 		t.Fatalf("stats panics/broken = %d/%d, want 1/1", st.Panics, st.Broken)
 	}
 
@@ -182,15 +182,15 @@ func TestPoolSolvePanicHeal(t *testing.T) {
 	if err != nil || !res.Stats.Optimal {
 		t.Fatalf("resolve after heal: %v", err)
 	}
-	st := p.Stats()
+	st := p.Snapshot()
 	if st.Broken != 0 {
 		t.Fatalf("broken shards after heal = %d, want 0", st.Broken)
 	}
 	if st.Rebuilds != 1 {
 		t.Fatalf("rebuilds = %d, want 1", st.Rebuilds)
 	}
-	for i, sh := range st.Shard {
-		if sh.Broken || sh.CrashLoop {
+	for i, sh := range st.Members {
+		if sh.Quarantined || sh.CrashLoop {
 			t.Fatalf("shard %d still broken: %+v", i, sh)
 		}
 	}
@@ -225,7 +225,7 @@ func TestPoolCrashLoopSticky(t *testing.T) {
 		if _, err := p.Resolve(context.Background(), req); err != nil {
 			t.Fatalf("resolve %d on surviving shards: %v", i, err)
 		}
-		for _, sh := range p.Stats().Shard {
+		for _, sh := range p.Snapshot().Members {
 			if sh.CrashLoop {
 				sticky = true
 			}
@@ -240,7 +240,7 @@ func TestPoolCrashLoopSticky(t *testing.T) {
 	if len(healed) != 1 {
 		t.Fatalf("Rebuild healed %v, want one shard", healed)
 	}
-	if st := p.Stats(); st.Broken != 0 {
+	if st := p.Snapshot(); st.Broken != 0 {
 		t.Fatalf("broken after operator rebuild = %d", st.Broken)
 	}
 	if _, err := p.Resolve(context.Background(), req); err != nil {
@@ -305,7 +305,7 @@ func TestPoolExtendPanicContained(t *testing.T) {
 	if epoch, err := p.Apply(d); err != nil || epoch != 1 {
 		t.Fatalf("Apply = (%d, %v), want (1, nil)", epoch, err)
 	}
-	if st := p.Stats(); st.Rebuilds != 1 || st.Broken != 0 {
+	if st := p.Snapshot(); st.Rebuilds != 1 || st.Broken != 0 {
 		t.Fatalf("stats rebuilds/broken = %d/%d, want 1/0", st.Rebuilds, st.Broken)
 	}
 	res, err := p.Resolve(context.Background(), req)
@@ -368,7 +368,7 @@ func TestPoolFailedRebuildAutoHeals(t *testing.T) {
 		if _, err := p.Resolve(context.Background(), req); err != nil {
 			t.Fatalf("resolve %d on surviving shards: %v", i, err)
 		}
-		sticky = slices.ContainsFunc(p.Stats().Shard, func(sh ShardStats) bool { return sh.CrashLoop })
+		sticky = slices.ContainsFunc(p.Snapshot().Members, func(sh MemberHealth) bool { return sh.CrashLoop })
 	}
 	if !sticky {
 		t.Fatal("crashlooping shard never went sticky")
@@ -384,7 +384,7 @@ func TestPoolFailedRebuildAutoHeals(t *testing.T) {
 			t.Fatalf("resolve %d: %v", i, err)
 		}
 	}
-	if st := p.Stats(); st.Broken != 0 || st.Rebuilds != 1 {
+	if st := p.Snapshot(); st.Broken != 0 || st.Rebuilds != 1 {
 		t.Fatalf("after a failed Rebuild and 3 resolves: broken/rebuilds = %d/%d, want 0/1", st.Broken, st.Rebuilds)
 	}
 }

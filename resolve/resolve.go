@@ -8,9 +8,6 @@
 // the range, with the chosen provider weighed at root rank by the
 // objective. The backends:
 //
-//   - SessionResolver fronts a single long-lived concretize.Session: one
-//     warm solver whose learnt clauses, activity, phases, and solution
-//     cache persist across requests.
 //   - PortfolioResolver races several differently-configured Sessions per
 //     request and returns the first definitive answer, canceling the
 //     losers through the solver's interrupt. Configurations differ only
@@ -21,26 +18,31 @@
 //     answers; racing changes latency, never results.
 //   - PoolResolver shards requests across N identically-configured
 //     Sessions for throughput: shape-affine routing (hash of Request.Key)
-//     with cache-aware work stealing, so distinct request shapes solve in
-//     parallel and repeats land on the shard already warm for them. Each
-//     shard materializes solver clauses only for the subgraphs its
-//     requests reach, so a pool over a catalog of thousands of packages
-//     carries formulas proportional to the working set, not the catalog.
+//     with work stealing, so distinct request shapes solve in parallel and
+//     repeats land on the shard already warm for them. Each shard
+//     materializes solver clauses only for the subgraphs its requests
+//     reach, so a pool over a catalog of thousands of packages carries
+//     formulas proportional to the working set, not the catalog. A pool of
+//     one shard, NewPoolResolver(u, 1, opts), is the single-session
+//     backend.
 //
 // The portfolio and the pool are two policies over one supervised member
-// set. Both contain a panic at any member boundary (solve, extension,
-// rebuild) as a *PanicError and bench the member instead of crashing;
-// both heal benched members with fresh sessions — automatically at a
-// later Resolve entry after a panic, on demand through Heal, and through
-// Rebuild, the operator override — bounded by a crashloop breaker
-// (SetCrashLoopPolicy); and both report each member through Health. They
-// differ in one policy: a portfolio member whose Apply extension fails is
-// quarantined until Heal or Rebuild, while a pool shard is rebuilt inside
-// the broadcast.
+// set. Both keep one answer store (concretize.Answers) in front of their
+// members: a request it answers touches no member, and every definitive
+// answer a member produces is filed there with the member's name. Both
+// contain a panic at any member boundary (solve, extension, rebuild) as a
+// *PanicError and bench the member instead of crashing; both heal benched
+// members with fresh sessions — automatically at a later Resolve entry
+// after a panic, on demand through Heal, and through Rebuild, the
+// operator override — bounded by a crashloop breaker
+// (SetCrashLoopPolicy); and both report their state through Health and
+// Snapshot. They differ in one policy: a portfolio member whose Apply
+// extension fails is quarantined until Heal or Rebuild, while a pool
+// shard is rebuilt inside the broadcast.
 //
-// Warm requests are cheap twice over: beyond the solution cache, each
+// Warm requests are cheap twice over: beyond the answer store, each
 // Session banks per-request-shape facts — the lowered objective and the
-// proven lower bound on its optimal cost — so a repeat request usually
+// proven lower bound on its optimal cost — so a repeat solve usually
 // proves optimality without a single refutation round, and descent
 // tightens one in-place pseudo-Boolean bound instead of allocating
 // constraints per round.
@@ -56,8 +58,10 @@
 // rebuild, and no in-flight request ever observes a half-applied delta. A
 // delta that makes a dead version buildable again resets the encoding of
 // each member that had materialized it (EncodingStats.Resets counts them).
-// Cached answers whose requests a delta cannot touch survive it;
-// Result.Stats.Epoch reports the epoch each answer was computed at.
+// Stored answers whose requests a delta cannot touch stay fresh; the
+// others go stale, and are only ever served again as a degraded answer
+// (LastGood). Result.Stats.Epoch reports the epoch each answer was
+// computed at.
 //
 // Objectives are pluggable per request (NewestVersion by default,
 // MinimalChange against an installed profile, or custom weights via
@@ -83,8 +87,8 @@ type (
 	Objective = concretize.Objective
 	// Stats reports search effort for one request.
 	Stats = concretize.Stats
-	// SessionOptions tunes one backend Session (cache sizes and the
-	// sat.Config solver knobs a portfolio varies).
+	// SessionOptions tunes one backend Session (the activation-memo bound
+	// and the sat.Config solver knobs a portfolio varies).
 	SessionOptions = concretize.SessionOptions
 	// ObjectiveFunc adapts a custom weight function into an Objective.
 	ObjectiveFunc = concretize.ObjectiveFunc
@@ -117,10 +121,11 @@ type (
 // NewDelta returns an empty delta ready for Add calls.
 func NewDelta() *Delta { return repo.NewDelta() }
 
-// MemberError attributes a portfolio member's failure: which configuration
-// produced the error and at what universe epoch. The definitive-unsat
-// winner path, the broadcast-quarantine path, and the first-error fallback
-// all wrap through it, so callers get uniform attribution; Unwrap keeps
+// MemberError attributes a member's failure: which portfolio member or
+// pool shard produced the error and at what universe epoch. Every
+// definitive unsat proof, stored or solved, the portfolio's
+// broadcast-quarantine path, and its first-error fallback all wrap
+// through it, so callers get uniform attribution; Unwrap keeps
 // errors.Is(ErrUnsatisfiable) and errors.As(*UnsatError) matching the
 // underlying taxonomy.
 type MemberError struct {
@@ -176,8 +181,9 @@ type Request struct {
 // Key returns the request's canonical shape key: the objective's identity
 // plus the canonicalized (sorted, deduplicated) roots. Two requests with
 // equal keys are answer-identical against the same universe epoch — the
-// property the Session solution cache relies on internally, exported here
-// so serving tiers can coalesce identical in-flight requests to one solve.
+// property the answer store relies on internally, exported here so
+// serving tiers can coalesce identical in-flight requests to one solve and
+// read a shape's last good answer (LastGood).
 // MaxConflicts is deliberately excluded: budget is an effort cap, not part
 // of the request's meaning (serving tiers that let clients pick budgets
 // should qualify their coalescing key with it).
@@ -195,9 +201,9 @@ type Result struct {
 	// Stats reports the winning backend's search effort.
 	Stats Stats
 
-	// Config names the backend configuration that produced the answer
-	// ("session" for a SessionResolver; the winning member's name for a
-	// PortfolioResolver).
+	// Config names the member that produced the answer: the winning
+	// portfolio member ("steady") or the pool shard that solved it
+	// ("pool/3"), also when the answer store served it.
 	Config string
 }
 
@@ -210,64 +216,3 @@ type Resolver interface {
 	// goarxivlint:blocking
 	Resolve(ctx context.Context, req Request) (*Result, error)
 }
-
-// SessionResolver serves every request from one warm concretize.Session.
-type SessionResolver struct {
-	name string
-	se   *concretize.Session
-}
-
-var _ Resolver = (*SessionResolver)(nil)
-
-// NewSessionResolver builds a resolver over one Session bound to the
-// universe (which encodes nothing until requests reach it). The universe
-// must not be mutated behind the resolver's back: growth arrives through
-// Apply, which keeps the universe, the encoding, and the caches in
-// lockstep.
-func NewSessionResolver(u *repo.Universe, opts SessionOptions) *SessionResolver {
-	return &SessionResolver{name: "session", se: concretize.NewSession(u, opts)}
-}
-
-// Apply grows the resolver's universe by one append-only delta and extends
-// the warm session's encoding in place (concretize.Session.Extend): new
-// clauses for the delta's candidates, widened constraints for touched
-// names, and invalidation scoped to the cache entries whose reachable set
-// the delta intersects — answers for untouched request shapes keep being
-// served from cache. It returns the new epoch; on a validation error
-// nothing is mutated. Apply serializes against in-flight Resolves on the
-// session lock, so a racing request observes the universe either wholly
-// before or wholly after the delta, never in between.
-//
-// goarxivlint:blocking cancel=none
-func (r *SessionResolver) Apply(d *Delta) (Epoch, error) {
-	return r.se.Extend(d)
-}
-
-// Resolve implements Resolver.
-//
-// goarxivlint:blocking
-func (r *SessionResolver) Resolve(ctx context.Context, req Request) (*Result, error) {
-	res, err := r.se.Resolve(ctx, req.Roots, concretize.Options{
-		MaxConflicts: req.MaxConflicts,
-		Objective:    req.Objective,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Picks: res.Picks, Stats: res.Stats, Config: r.name}, nil
-}
-
-// CacheLen exposes the underlying Session's solution-cache size
-// (observability for serving tiers).
-func (r *SessionResolver) CacheLen() int { return r.se.CacheLen() }
-
-// Epoch returns the universe epoch the resolver's session currently
-// serves at (advanced by Apply). Serving tiers qualify coalescing keys
-// with it so requests straddling a delta never share an answer.
-func (r *SessionResolver) Epoch() Epoch { return r.se.Epoch() }
-
-// EncodingStats returns the session's encoder-coverage counters (lock-free;
-// see concretize.Session.EncodingStats). Stats endpoints surface it so
-// operators can watch the session's materialized subgraph grow against
-// the universe it serves.
-func (r *SessionResolver) EncodingStats() EncodingStats { return r.se.EncodingStats() }

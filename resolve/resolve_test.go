@@ -22,14 +22,14 @@ func mustPortfolio(t testing.TB, u *repo.Universe, configs ...BackendConfig) *Po
 	return p
 }
 
-func TestSessionResolverBasics(t *testing.T) {
+func TestOneShardPoolBasics(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	r := NewSessionResolver(u, SessionOptions{})
+	r := NewPoolResolver(u, 1, SessionOptions{})
 	res, err := r.Resolve(context.Background(), Request{Roots: []Root{{Pkg: root}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Config != "session" || !res.Stats.Optimal {
+	if res.Config != "pool/0" || !res.Stats.Optimal {
 		t.Fatalf("result: %+v", res)
 	}
 	// Everything at the newest version is the diamond's unique optimum.
@@ -38,7 +38,7 @@ func TestSessionResolverBasics(t *testing.T) {
 			t.Fatalf("pick %s = %s, want 4.0", pkg, v)
 		}
 	}
-	// Second call hits the session's solution cache.
+	// Second call hits the answer store.
 	res2, err := r.Resolve(context.Background(), Request{Roots: []Root{{Pkg: root}}})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestPortfolioDifferential(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 15; seed++ {
 		u, root := repo.SynthDense(22, 6, 3, seed)
-		oracle := NewSessionResolver(u, SessionOptions{})
+		oracle := NewPoolResolver(u, 1, SessionOptions{})
 		p := mustPortfolio(t, u)
 		req := Request{Roots: []Root{{Pkg: root}}}
 		want, err := oracle.Resolve(ctx, req)
@@ -93,7 +93,7 @@ func TestPortfolioDifferential(t *testing.T) {
 	}
 	for seed := int64(0); seed < 15; seed++ {
 		u, root := repo.SynthDenseConflicts(22, 6, 3, 2, seed)
-		oracle := NewSessionResolver(u, SessionOptions{})
+		oracle := NewPoolResolver(u, 1, SessionOptions{})
 		p := mustPortfolio(t, u)
 		req := Request{Roots: []Root{{Pkg: root}}}
 		want, wantErr := oracle.Resolve(ctx, req)
@@ -120,7 +120,7 @@ func TestPortfolioObjectiveDifferential(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 8; seed++ {
 		u, root := repo.SynthDense(18, 5, 3, seed)
-		oracle := NewSessionResolver(u, SessionOptions{})
+		oracle := NewPoolResolver(u, 1, SessionOptions{})
 		base, err := oracle.Resolve(ctx, Request{Roots: []Root{{Pkg: root}}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -227,7 +227,7 @@ func TestPortfolioConcurrentRequests(t *testing.T) {
 	// solver; caches are concurrent).
 	u, root := repo.SynthDenseConflicts(20, 5, 3, 2, 7)
 	p := mustPortfolio(t, u)
-	oracle := NewSessionResolver(u, SessionOptions{})
+	oracle := NewPoolResolver(u, 1, SessionOptions{})
 	roots := [][]Root{
 		{{Pkg: root}},
 		{{Pkg: "dense3"}},
@@ -292,7 +292,7 @@ func TestPortfolioBudgetFallback(t *testing.T) {
 func TestTypedErrorsSurface(t *testing.T) {
 	u, root := repo.SynthUnsatWeb(3, 2)
 	for _, r := range []Resolver{
-		NewSessionResolver(u, SessionOptions{}),
+		NewPoolResolver(u, 1, SessionOptions{}),
 		mustPortfolio(t, u),
 	} {
 		_, err := r.Resolve(context.Background(), Request{Roots: []Root{{Pkg: root}}})

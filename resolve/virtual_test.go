@@ -20,7 +20,7 @@ func TestVirtualRootTable(t *testing.T) {
 	u.Add("ompi", "4.0", repo.Prov("mpi", "3.0"), repo.Dep("hwloc", ":"))
 	u.Add("mpich", "1.5", repo.Prov("mpi", "1.0"))
 	u.Add("hwloc", "2.9")
-	r := NewSessionResolver(u, SessionOptions{})
+	r := NewPoolResolver(u, 1, SessionOptions{})
 
 	cases := []struct {
 		spec        string
@@ -105,7 +105,7 @@ func TestPortfolioVirtualDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("portfolio: %v", err)
 		}
-		single := NewSessionResolver(u, SessionOptions{})
+		single := NewPoolResolver(u, 1, SessionOptions{})
 		t.Run(fmt.Sprintf("u%02d", i), func(t *testing.T) {
 			for reqN := 0; reqN < 8; reqN++ {
 				n := 1 + rng.Intn(2)

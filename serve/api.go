@@ -48,9 +48,9 @@ type StatsResponse struct {
 
 // ResolveResponse is the wire form of a successful resolution. Degraded
 // marks a stale-answer response: the backend could not answer, so the
-// last-known-good resolution for this request shape was served — Epoch is
-// then the (older) epoch that answer was computed at, bounded by the
-// server's staleness policy, not the current universe epoch.
+// last good resolution for this request shape was served from its answer
+// store — Epoch is then the epoch that answer was computed at, bounded by
+// the server's staleness policy, not the current universe epoch.
 type ResolveResponse struct {
 	Picks     map[string]string `json:"picks"`
 	Cost      int64             `json:"cost"`
@@ -115,8 +115,8 @@ type RebuildResponse struct {
 	Healed []string `json:"healed"`
 }
 
-// EncodingResponse is one backend session's encoder-coverage snapshot in
-// GET /v1/stats: how much of the bound universe the solver formula
+// EncodingResponse is one pool shard's encoder-coverage snapshot in GET
+// /v1/stats: how much of the bound universe the solver formula
 // actually carries. The materialized counts track the union of subgraphs
 // requests have reached — the number that makes registry-scale universes
 // servable — and resets counts the deltas that made the session drop its
@@ -128,11 +128,10 @@ type EncodingResponse struct {
 	Resets               int `json:"resets"`
 }
 
-// ShardStatsResponse is one pool shard's state in GET /v1/stats.
+// ShardStatsResponse is one pool shard's state in GET /v1/stats: Served
+// counts the requests it solved (answer-store hits reach no shard).
 type ShardStatsResponse struct {
 	Served    uint64           `json:"served"`
-	CacheHits uint64           `json:"cache_hits"`
-	HitRate   float64          `json:"hit_rate"`
 	Inflight  int64            `json:"inflight"`
 	Broken    bool             `json:"broken,omitempty"`
 	CrashLoop bool             `json:"crashloop,omitempty"`
@@ -140,7 +139,8 @@ type ShardStatsResponse struct {
 }
 
 // PoolStatsResponse is the pool backend's routing snapshot in GET
-// /v1/stats: global routing counters plus per-shard hit rates.
+// /v1/stats: Hits counts requests its answer store answered, plus the
+// routing counters and per-shard state.
 type PoolStatsResponse struct {
 	Shards   int                  `json:"shards"`
 	Hits     uint64               `json:"hits"`
@@ -178,12 +178,11 @@ type ServerStats struct {
 	Queued      int     `json:"queued"`
 	MaxInflight int     `json:"max_inflight"`
 
-	Epoch         uint64                 `json:"epoch"`
-	StaleCacheLen int                    `json:"stale_cache_len"`
-	Faultpoints   []string               `json:"faultpoints,omitempty"`
-	Members       []MemberHealthResponse `json:"members,omitempty"`
-	Encoding      *EncodingResponse      `json:"encoding,omitempty"`
-	Pool          *PoolStatsResponse     `json:"pool,omitempty"`
+	Epoch       uint64                 `json:"epoch"`
+	Answers     int                    `json:"answers"` // fresh entries in the backend's answer store
+	Faultpoints []string               `json:"faultpoints,omitempty"`
+	Members     []MemberHealthResponse `json:"members,omitempty"`
+	Pool        *PoolStatsResponse     `json:"pool,omitempty"`
 }
 
 // ErrorResponse is the wire form of every non-2xx answer. Kind is a stable

@@ -12,11 +12,11 @@ import (
 
 // BenchmarkDaemonResolveWarm measures the serving pipeline's overhead on
 // the dominant traffic shape: a repeated identical request answered from
-// the session solution cache. This is coalescing-key computation + flight
-// bookkeeping + result copy on top of the backend's cached answer.
+// the backend's answer store. This is coalescing-key computation + flight
+// bookkeeping + result copy on top of the backend's stored answer.
 func BenchmarkDaemonResolveWarm(b *testing.B) {
 	u, root := repo.SynthDense(64, 8, 3, 42)
-	s := New(resolve.NewSessionResolver(u, resolve.SessionOptions{}), Options{})
+	s := New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{})
 	req := resolve.Request{Roots: []resolve.Root{{Pkg: root}}, Objective: resolve.NewestVersion()}
 	if _, _, err := s.resolve(context.Background(), req, 10*time.Second); err != nil {
 		b.Fatal(err)
@@ -34,7 +34,7 @@ func BenchmarkDaemonResolveWarm(b *testing.B) {
 // in-flight leader, so the solver is touched at most once per wave.
 func BenchmarkDaemonResolveStorm(b *testing.B) {
 	u, root := repo.SynthDense(64, 8, 3, 42)
-	s := New(resolve.NewSessionResolver(u, resolve.SessionOptions{}), Options{})
+	s := New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{})
 	req := resolve.Request{Roots: []resolve.Root{{Pkg: root}}, Objective: resolve.NewestVersion()}
 	if _, _, err := s.resolve(context.Background(), req, 10*time.Second); err != nil {
 		b.Fatal(err)

@@ -14,10 +14,11 @@ package serve
 //   5. Capacity always recovers: after the storm, one operator rebuild
 //      restores every member/shard and every shape resolves fresh.
 //
-// The oracle is an identically-seeded universe behind a plain session
-// resolver, fed the same deltas with no faults armed; oracle answers are
-// recorded per epoch so answers served from warm caches (which may state
-// an older epoch) verify against the epoch they were computed at.
+// The oracle is an identically-seeded universe behind a single-session
+// pool, fed the same deltas with no faults armed; oracle answers are
+// recorded per epoch so answers served from the answer store or degraded
+// mode (which may state an older epoch) verify against the epoch they
+// were computed at.
 
 import (
 	"bytes"
@@ -50,12 +51,6 @@ func TestChaosPool(t *testing.T) {
 	}
 }
 
-// crashLooper is the subset of both resilient backends the harness tunes.
-type crashLooper interface {
-	SetCrashLoopPolicy(int, time.Duration)
-	Rebuild() []string
-}
-
 // oracleAns is the fault-free answer for one shape at one epoch.
 type oracleAns struct {
 	cost  int64
@@ -73,6 +68,8 @@ func runChaos(t *testing.T, kind string, seed int64) {
 	uSrv, root := repo.SynthDense(pkgs, versions, depsPer, 7)
 	uOracle, _ := repo.SynthDense(pkgs, versions, depsPer, 7)
 
+	// Generous crashloop budget: the storm deliberately crashes solvers
+	// over and over; sticky benches are the recovery phase's concern.
 	var backend Backend
 	var solveSite string
 	switch kind {
@@ -81,19 +78,19 @@ func runChaos(t *testing.T, kind string, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.SetCrashLoopPolicy(1000, time.Minute)
 		backend = p
 		solveSite = "resolve/portfolio/solve"
 	case "pool":
-		backend = resolve.NewPoolResolver(uSrv, 4, resolve.SessionOptions{})
+		p := resolve.NewPoolResolver(uSrv, 4, resolve.SessionOptions{})
+		p.SetCrashLoopPolicy(1000, time.Minute)
+		backend = p
 		solveSite = "resolve/pool/solve"
 	default:
 		t.Fatalf("unknown backend kind %q", kind)
 	}
-	// Generous crashloop budget: the storm deliberately crashes solvers
-	// over and over; sticky benches are the recovery phase's concern.
-	backend.(crashLooper).SetCrashLoopPolicy(1000, time.Minute)
 
-	oracle := resolve.NewSessionResolver(uOracle, resolve.SessionOptions{})
+	oracle := resolve.NewPoolResolver(uOracle, 1, resolve.SessionOptions{})
 	s := New(backend, Options{MaxInflight: 4, MaxRetries: 2, RetryBackoff: time.Millisecond})
 	ts := httptest.NewServer(s)
 	defer ts.Close()

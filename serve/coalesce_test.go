@@ -20,7 +20,7 @@ import (
 // blocks each solve until released (so tests hold a flight open while a
 // storm piles onto it), and returns the same Picks map on every call —
 // which is exactly what makes it a probe for the per-caller copy
-// contract.
+// contract. It has no members and no answer store.
 type stubBackend struct {
 	solves atomic.Int64
 	block  chan struct{} // non-nil: solves wait for close (or ctx)
@@ -53,6 +53,11 @@ func (b *stubBackend) Apply(d *resolve.Delta) (resolve.Epoch, error) {
 }
 
 func (b *stubBackend) Epoch() resolve.Epoch { return resolve.Epoch(b.epoch.Load()) }
+
+func (b *stubBackend) Heal() []string                          { return nil }
+func (b *stubBackend) Rebuild() []string                       { return nil }
+func (b *stubBackend) Snapshot() resolve.Snapshot              { return resolve.Snapshot{Backend: "stub"} }
+func (b *stubBackend) LastGood(string) (*resolve.Result, bool) { return nil, false }
 
 func stubPicks() map[string]version.Version {
 	return map[string]version.Version{"pkg": version.MustParse("1.0")}

@@ -23,14 +23,14 @@ type metrics struct {
 	requests  atomic.Int64 // /v1/resolve requests accepted for processing
 	coalesced atomic.Int64 // followers that shared a leader's in-flight solve
 	solves    atomic.Int64 // backend Resolve calls actually issued
-	cacheHits atomic.Int64 // solves answered from the session solution cache
+	cacheHits atomic.Int64 // solves answered from the backend's answer store
 	memoHits  atomic.Int64 // solves that reused a banked shape bound
 	unsat     atomic.Int64 // definitive unsatisfiable answers
 	shed      atomic.Int64 // requests rejected by admission control
 	timeouts  atomic.Int64 // requests that exhausted their deadline
 	failures  atomic.Int64 // other errors (budget, internal, bad request)
 	applies   atomic.Int64 // /v1/apply deltas absorbed
-	degraded  atomic.Int64 // stale last-known-good answers served
+	degraded  atomic.Int64 // last good answers served in degraded mode
 	retries   atomic.Int64 // backend solves retried after a transient failure
 	panics    atomic.Int64 // panics contained at the serving boundary
 	rebuilds  atomic.Int64 // backend rebuilds (retry-path self-heal + /v1/rebuild)

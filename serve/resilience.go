@@ -2,8 +2,8 @@ package serve
 
 // The daemon's resilience layer: panic containment at the backend
 // boundary, bounded retry with jittered backoff for transient failures,
-// and the stale-answer degraded mode (see lkg.go). The failure taxonomy
-// the layer keys on:
+// and the stale-answer degraded mode (Server.staleAnswer over
+// Backend.LastGood). The failure taxonomy the layer keys on:
 //
 //   - Definitive answers (unsat, unknown package, budget exhaustion) are
 //     never retried and never degraded: the backend answered; the answer
@@ -13,7 +13,7 @@ package serve
 //   - Transient failures (a contained panic, a fully-benched backend, an
 //     unexplained member failure, an injected fault) are retried within
 //     the request's deadline budget, then degraded if a fresh-enough
-//     last-known-good answer exists, then surfaced.
+//     last good answer exists, then surfaced.
 
 import (
 	"context"
@@ -31,17 +31,6 @@ var (
 	fpBackendResolve = faultpoint.New("serve/backend/resolve")
 	fpBackendApply   = faultpoint.New("serve/backend/apply")
 )
-
-// rebuilder is implemented by backends whose benched capacity can be
-// healed (resolve.PortfolioResolver, resolve.PoolResolver). The retry
-// loop calls Heal when the backend reports no active members — bounded by
-// the crashloop breaker, so crashlooping members stay out — and POST
-// /v1/rebuild exposes Rebuild, the override that resets the breaker, to
-// operators.
-type rebuilder interface {
-	Heal() []string
-	Rebuild() []string
-}
 
 // transient reports whether a resolve failure is worth retrying: the
 // backend failed for an internal, plausibly self-healing reason rather
@@ -75,8 +64,8 @@ func transient(err error) bool {
 	return errors.As(err, &me)
 }
 
-// degradable reports whether a failure may be answered from the
-// last-known-good cache: shed requests (the backend is healthy but has no
+// degradable reports whether a failure may be answered with a last good
+// answer: shed requests (the backend is healthy but has no
 // capacity for this caller) and transient failures (the backend is
 // unhealthy). Definitive answers must never degrade — a stale "yes" would
 // contradict a fresh "no".

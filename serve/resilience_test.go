@@ -87,40 +87,68 @@ func TestServeBackendPanicContained(t *testing.T) {
 	}
 }
 
-// TestServeDegradedStaleAnswer: when the backend cannot answer, the
-// last-known-good resolution for the shape is served — degraded-stamped,
-// carrying the epoch it was computed at — until the universe moves past
-// the staleness bound, at which point the failure surfaces.
+// TestServeDegradedStaleAnswer: when the backend cannot answer, degraded
+// mode serves the shape's last good answer from the backend's answer
+// store — fresh or stale, stamped degraded and carrying the epoch it was
+// computed at — until the universe moves past the staleness bound, never
+// from an unsat entry, and a re-solve replaces the stale entry. The
+// backend is a real single-session pool; the serve/backend/resolve fault
+// fails every attempt before it reaches the backend.
 func TestServeDegradedStaleAnswer(t *testing.T) {
-	b := &stubBackend{picks: stubPicks()}
-	s := New(b, Options{MaxRetries: -1, MaxStaleEpochs: 2})
+	u := repo.New()
+	u.Add("app", "1.0", repo.Dep("lib", ":"))
+	u.Add("lib", "1.0")
+	u.Add("bad", "1.0", repo.Dep("lib", "9:"))
+	s := New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{MaxRetries: -1, MaxStaleEpochs: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	app := ResolveRequest{Roots: []string{"app"}}
+	bad := ResolveRequest{Roots: []string{"bad"}}
+	apply := func(pkg, ver string) {
+		t.Helper()
+		d := resolve.NewDelta()
+		d.Add(pkg, ver)
+		if _, err := s.backend.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// expect resolves under the armed fault: a degraded answer picking lib
+	// at the given epoch, or (lib == "") the failure surfacing as a 500.
+	expect := func(req ResolveRequest, lib string, epoch uint64) {
+		t.Helper()
+		status, ok, er, err := postResolve(ts.URL, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lib == "" {
+			if status != http.StatusInternalServerError || er.Kind != "internal" {
+				t.Fatalf("%v: %d kind %q (degraded=%v), want the failure to surface as 500 internal", req.Roots, status, er.Kind, ok.Degraded)
+			}
+			return
+		}
+		if status != http.StatusOK || !ok.Degraded || ok.Epoch != epoch || ok.Picks["lib"] != lib {
+			t.Fatalf("%v: %d degraded=%v epoch %d lib %s, want degraded lib %s at epoch %d",
+				req.Roots, status, ok.Degraded, ok.Epoch, ok.Picks["lib"], lib, epoch)
+		}
+	}
 
-	// Warm the shape: an optimal answer at epoch 0 lands in the LKG cache.
-	status, warm, _, err := postResolve(ts.URL, ResolveRequest{Roots: []string{"pkg"}})
-	if err != nil || status != http.StatusOK || warm.Degraded {
+	// Warm both shapes: an optimal answer and an unsat proof at epoch 0.
+	if status, warm, _, err := postResolve(ts.URL, app); err != nil || status != http.StatusOK || warm.Degraded {
 		t.Fatalf("warm resolve = %d, %v", status, err)
 	}
-	if st := s.Stats(); st.StaleCacheLen != 1 {
-		t.Fatalf("stale cache len = %d, want 1", st.StaleCacheLen)
+	if status, _, _, err := postResolve(ts.URL, bad); err != nil || status != http.StatusUnprocessableEntity {
+		t.Fatalf("warm unsat resolve = %d, %v", status, err)
+	}
+	if st := s.Stats(); st.Answers != 2 {
+		t.Fatalf("answer store holds %d fresh entries, want 2", st.Answers)
 	}
 
-	// Backend down (every attempt faults): the stale answer serves.
+	// Backend down: the fresh optimal entry serves degraded; the unsat
+	// entry never does, and a shape never answered has nothing to serve.
 	armServeFault(t, "serve/backend/resolve", faultpoint.Error(0, nil))
-	status, ok, _, err := postResolve(ts.URL, ResolveRequest{Roots: []string{"pkg"}})
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("degraded resolve = %d, %v", status, err)
-	}
-	if !ok.Degraded {
-		t.Fatal("stale answer not stamped degraded")
-	}
-	if ok.Epoch != 0 {
-		t.Fatalf("degraded answer epoch = %d, want the computed-at epoch 0", ok.Epoch)
-	}
-	if ok.Picks["pkg"] != "1.0" {
-		t.Fatalf("degraded picks = %v", ok.Picks)
-	}
+	expect(app, "1.0", 0)
+	expect(bad, "", 0)
+	expect(ResolveRequest{Roots: []string{"never-seen"}}, "", 0)
 	if got := s.metrics.degraded.Load(); got != 1 {
 		t.Fatalf("degraded counter = %d, want 1", got)
 	}
@@ -129,38 +157,30 @@ func TestServeDegradedStaleAnswer(t *testing.T) {
 		t.Fatalf("armed faultpoint missing from stats: %v", st.Faultpoints)
 	}
 
-	// An unknown shape has no LKG entry: the failure surfaces.
-	status, _, bad, err := postResolve(ts.URL, ResolveRequest{Roots: []string{"never-seen"}})
-	if err != nil {
-		t.Fatal(err)
+	// A delta both shapes reach makes their entries stale: the optimal one
+	// still serves within the staleness bound, the unsat one still never.
+	apply("lib", "2.0")
+	if st := s.Stats(); st.Answers != 0 {
+		t.Fatalf("answer store holds %d fresh entries after the delta, want 0", st.Answers)
 	}
-	if status != http.StatusInternalServerError || bad.Kind != "internal" {
-		t.Fatalf("uncached shape under faults = %d kind %q, want 500 internal", status, bad.Kind)
-	}
+	expect(app, "1.0", 0)
+	expect(bad, "", 0)
 
 	// The universe moves past the staleness bound: degraded mode refuses.
-	for i := 0; i < 3; i++ {
-		if _, err := s.backend.Apply(resolve.NewDelta()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	status, _, _, err = postResolve(ts.URL, ResolveRequest{Roots: []string{"pkg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != http.StatusInternalServerError {
-		t.Fatalf("over-stale degraded resolve = %d, want the failure to surface", status)
-	}
+	apply("other", "1.0")
+	apply("other", "2.0")
+	expect(app, "", 0)
 
-	// Faults gone: fresh answers, fresh epoch, degraded flag clear.
+	// Faults gone: a fresh answer at the current epoch replaces the stale
+	// entry, and is what degraded mode serves from then on.
 	faultpoint.DisarmAll()
-	status, ok, _, err = postResolve(ts.URL, ResolveRequest{Roots: []string{"pkg"}})
-	if err != nil || status != http.StatusOK || ok.Degraded {
-		t.Fatalf("post-recovery resolve = %d degraded=%v, %v", status, ok.Degraded, err)
+	status, ok, _, err := postResolve(ts.URL, app)
+	if err != nil || status != http.StatusOK || ok.Degraded || ok.Epoch != 3 || ok.Picks["lib"] != "2.0" {
+		t.Fatalf("post-recovery resolve = %d degraded=%v epoch %d lib %s, %v; want a fresh lib 2.0 at epoch 3",
+			status, ok.Degraded, ok.Epoch, ok.Picks["lib"], err)
 	}
-	if ok.Epoch != 3 {
-		t.Fatalf("post-recovery epoch = %d, want 3", ok.Epoch)
-	}
+	armServeFault(t, "serve/backend/resolve", faultpoint.Error(0, nil))
+	expect(app, "2.0", 3)
 }
 
 // TestServeShedRetryAfter: shed responses carry a Retry-After header
@@ -197,8 +217,8 @@ func TestServeShedRetryAfter(t *testing.T) {
 }
 
 // TestServeRebuildEndpoint: POST /v1/rebuild force-heals a backend whose
-// members were benched by a faulted broadcast, and reports 501 for
-// backends with no benched-capacity concept.
+// members were benched by a faulted broadcast; on a backend with nothing
+// benched it heals nothing.
 func TestServeRebuildEndpoint(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
 	p, err := resolve.NewPortfolioResolver(u)
@@ -223,7 +243,8 @@ func TestServeRebuildEndpoint(t *testing.T) {
 	}
 	faultpoint.DisarmAll()
 
-	// Every member benched: resolving fail-stops (no LKG for this shape).
+	// Every member benched: resolving fail-stops (no stored answer for this
+	// shape).
 	status, _, bad, err := postResolve(ts.URL, ResolveRequest{Roots: []string{root}})
 	if err != nil {
 		t.Fatal(err)
@@ -255,17 +276,21 @@ func TestServeRebuildEndpoint(t *testing.T) {
 		t.Fatalf("post-rebuild answer = %+v, want fresh epoch-1 resolution", ok)
 	}
 
-	// A bare-session backend has nothing to rebuild: 501.
-	s2 := New(resolve.NewSessionResolver(u, resolve.SessionOptions{}), Options{})
+	// A single-session pool with nothing benched heals nothing.
+	s2 := New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{})
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 	resp, err = http.Post(ts2.URL+"/v1/rebuild", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb = RebuildResponse{}
+	if err := json.NewDecoder(resp.Body).Decode(&rb); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("session-backend rebuild = %d, want 501", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || len(rb.Healed) != 0 {
+		t.Fatalf("single-session rebuild = %d healed %v, want 200 with nothing healed", resp.StatusCode, rb.Healed)
 	}
 }
 

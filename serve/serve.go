@@ -1,7 +1,8 @@
 // Package serve is the daemon tier over the resolve API: an HTTP JSON
-// surface (POST /v1/resolve, POST /v1/apply, GET /v1/stats, GET /healthz)
-// fronting a per-universe resolve.Resolver, built for the traffic shape
-// that dominates at scale — duplicate requests for the same resolution.
+// surface (POST /v1/resolve, POST /v1/apply, POST /v1/rebuild, GET
+// /v1/stats, GET /healthz) fronting one per-universe resolve backend — a
+// pool or a portfolio — built for the traffic shape that dominates at
+// scale: duplicate requests for the same resolution.
 //
 // Three mechanisms carry the load:
 //
@@ -28,10 +29,13 @@
 //     promptly and the backend stays warm and reusable.
 //
 // Errors map typed: unknown roots 400, proven-unsat 422 (with roots and
-// the proving portfolio member), budget exhaustion and shed 503/429,
-// deadline 504. GET /v1/stats exposes the process-wide registry: request
-// and coalesce counters, backend cache/memo hits, shed and timeout
-// counts, p50/p90/p99 latency, and portfolio member health.
+// the proving member), budget exhaustion and shed 503/429, deadline 504.
+// When the backend cannot answer, degraded mode serves the shape's last
+// good answer from the backend's answer store (Backend.LastGood). GET
+// /v1/stats exposes the process-wide registry — request and coalesce
+// counters, answer-store and bound-memo hits, shed and timeout counts,
+// p50/p90/p99 latency — and the backend's Snapshot: member health, and
+// for a pool its routing counters and per-shard encoder coverage.
 package serve
 
 import (
@@ -51,9 +55,9 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/resolve"
 )
 
-// Backend is what the daemon serves: the resolve API plus the two
-// observability hooks the serving tier keys on. Both resolve backends
-// (SessionResolver, PortfolioResolver) implement it.
+// Backend is what the daemon serves: the resolve API plus growth,
+// supervision and observability. Both resolve backends
+// (*resolve.PoolResolver, *resolve.PortfolioResolver) implement it.
 type Backend interface {
 	resolve.Resolver
 	// Apply grows the backend's universe by one delta; it may block on the
@@ -64,28 +68,23 @@ type Backend interface {
 	// Epoch is the universe epoch the backend currently serves at; it
 	// qualifies the coalescing key.
 	Epoch() resolve.Epoch
-}
-
-// healthReporter is implemented by backends with per-member state
-// (resolve.PortfolioResolver, resolve.PoolResolver); /v1/stats surfaces it
-// when present.
-type healthReporter interface {
-	Health() []resolve.MemberHealth
-}
-
-// encodingReporter is implemented by backends fronting one session
-// (resolve.SessionResolver); /v1/stats surfaces the encoder-coverage
-// counters when present — the live view of a session's materialized
-// subgraph against the universe it serves.
-type encodingReporter interface {
-	EncodingStats() resolve.EncodingStats
-}
-
-// poolReporter is implemented by sharded backends (resolve.PoolResolver);
-// /v1/stats surfaces routing counters and per-shard hit rates when
-// present.
-type poolReporter interface {
-	Stats() resolve.PoolStats
+	// Heal returns benched members to service, respecting the crashloop
+	// breaker; the retry loop calls it when the backend reports no active
+	// members.
+	//
+	// goarxivlint:blocking cancel=none
+	Heal() []string
+	// Rebuild is the operator override behind POST /v1/rebuild: it heals
+	// every benched member, crashlooping ones included.
+	//
+	// goarxivlint:blocking cancel=none
+	Rebuild() []string
+	// Snapshot reports member health and the backend's counters for
+	// /v1/stats.
+	Snapshot() resolve.Snapshot
+	// LastGood returns the shape's last optimal answer, fresh or stale, for
+	// degraded mode.
+	LastGood(key string) (*resolve.Result, bool)
 }
 
 // Options tunes a Server. The zero value selects sane defaults.
@@ -118,16 +117,11 @@ type Options struct {
 	// instead.
 	RetryBackoff time.Duration
 
-	// MaxStaleEpochs bounds degraded mode: a last-known-good answer is
-	// served only when the epoch it was computed at is within this many
-	// epochs of the current universe. Zero selects 64; negative disables
-	// degraded mode entirely.
+	// MaxStaleEpochs bounds degraded mode: a last good answer
+	// (Backend.LastGood) is served only when the epoch it was computed at
+	// is within this many epochs of the current universe. Zero selects 64;
+	// negative disables degraded mode entirely.
 	MaxStaleEpochs int
-
-	// StaleCacheSize bounds the last-known-good cache (request shapes,
-	// LRU). Zero selects 1024; negative disables the cache (and with it
-	// degraded mode).
-	StaleCacheSize int
 }
 
 // Server is the HTTP daemon over one backend. Create with New, expose via
@@ -143,10 +137,6 @@ type Server struct {
 	queued   atomic.Int64
 	inflight atomic.Int64
 	metrics  metrics
-
-	// lkg is the last-known-good answer cache behind degraded mode; nil
-	// when disabled (Options.StaleCacheSize < 0).
-	lkg *lkgCache
 }
 
 // New builds a Server over the backend.
@@ -178,16 +168,10 @@ func New(b Backend, opts Options) *Server {
 	if opts.MaxStaleEpochs == 0 {
 		opts.MaxStaleEpochs = 64
 	}
-	if opts.StaleCacheSize == 0 {
-		opts.StaleCacheSize = 1024
-	}
 	s := &Server{
 		backend: b,
 		opts:    opts,
 		sem:     make(chan struct{}, opts.MaxInflight),
-	}
-	if opts.StaleCacheSize > 0 {
-		s.lkg = newLKGCache(opts.StaleCacheSize)
 	}
 	// Count followers the moment they attach: an in-flight storm is then
 	// visible in /v1/stats while the leader is still solving.
@@ -281,8 +265,8 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 // admission, run the backend under the request deadline with retries —
 // and hand every caller its own copy of the shared result. When the
 // pipeline fails for a degradable reason (shed, or transient after the
-// retry budget), a fresh-enough last-known-good answer for the shape is
-// served instead, reported through the degraded flag.
+// retry budget), a fresh-enough last good answer for the shape is served
+// instead, reported through the degraded flag.
 func (s *Server) resolve(ctx context.Context, req resolve.Request, timeout time.Duration) (_ *resolve.Result, degraded bool, _ error) {
 	// The follower's wait (and the fast-path shed check) run under the
 	// caller's context; the leader's solve runs detached below so a
@@ -340,21 +324,14 @@ func (s *Server) solveBackend(ctx context.Context, req resolve.Request) (*resolv
 			if r.Stats.BoundMemoHit {
 				s.metrics.memoHits.Add(1)
 			}
-			// Every optimal answer refreshes the shape's last-known-good
-			// entry; its Stats.Epoch states the epoch it was right at.
-			if s.lkg != nil && r.Stats.Optimal {
-				s.lkg.put(req.Key(), r)
-			}
 			return r, nil
 		}
 		if attempt >= s.opts.MaxRetries || !transient(err) || ctx.Err() != nil {
 			return nil, err
 		}
 		if errors.Is(err, resolve.ErrNoActiveMembers) {
-			if rb, ok := s.backend.(rebuilder); ok {
-				rb.Heal()
-				s.metrics.rebuilds.Add(1)
-			}
+			s.backend.Heal()
+			s.metrics.rebuilds.Add(1)
 		}
 		delay := retryDelay(s.opts.RetryBackoff, attempt)
 		if dl, ok := ctx.Deadline(); ok {
@@ -393,24 +370,29 @@ func (s *Server) callBackend(ctx context.Context, req resolve.Request) (r *resol
 }
 
 // staleAnswer is degraded mode: when a request failed for a degradable
-// reason, serve the shape's last-known-good answer — provided the epoch
-// it was computed at is within the staleness bound of the current
-// universe. The caller receives its own copy, stamped with the served
-// (stale) epoch; the degraded flag rides the response.
+// reason, serve the shape's last good answer from the backend's answer
+// store — an optimal answer, fresh or stale, never an unsat one —
+// provided the epoch it was computed at is within the staleness bound of
+// the current universe. The caller receives its own copy, stamped with
+// the epoch it was computed at; the degraded flag rides the response.
+//
+// Deltas are append-only, so a stale answer is still a consistent
+// resolution of the universe as of its epoch: it may miss newer versions,
+// it cannot name things that never existed.
 func (s *Server) staleAnswer(req resolve.Request, cause error) *resolve.Result {
-	if s.lkg == nil || s.opts.MaxStaleEpochs < 0 || !degradable(cause) {
+	if s.opts.MaxStaleEpochs < 0 || !degradable(cause) {
 		return nil
 	}
-	entry := s.lkg.get(req.Key())
-	if entry == nil {
+	res, ok := s.backend.LastGood(req.Key())
+	if !ok {
 		return nil
 	}
 	cur := uint64(s.backend.Epoch())
-	if cur-uint64(entry.Stats.Epoch) > uint64(s.opts.MaxStaleEpochs) {
+	if cur-uint64(res.Stats.Epoch) > uint64(s.opts.MaxStaleEpochs) {
 		return nil
 	}
 	s.metrics.degraded.Add(1)
-	return copyResult(entry)
+	return res
 }
 
 // retryAfterSeconds renders a wait estimate as a Retry-After value,
@@ -528,15 +510,9 @@ func (s *Server) applyBackend(d *resolve.Delta) (epoch resolve.Epoch, err error)
 
 // handleRebuild (POST /v1/rebuild) is the operator override for benched
 // capacity: it force-heals every quarantined member or broken shard —
-// crashlooping (sticky) ones included — and reports what it healed. 501
-// when the backend has no benched-capacity concept (a bare session).
+// crashlooping (sticky) ones included — and reports what it healed.
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	rb, ok := s.backend.(rebuilder)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, ErrorResponse{Error: "serve: backend does not support rebuild", Kind: "unsupported"})
-		return
-	}
-	healed := rb.Rebuild()
+	healed := s.backend.Rebuild()
 	s.metrics.rebuilds.Add(1)
 	writeJSON(w, http.StatusOK, RebuildResponse{Healed: healed})
 }
@@ -569,46 +545,33 @@ func (s *Server) Stats() ServerStats {
 		MaxInflight: s.opts.MaxInflight,
 		Epoch:       uint64(s.backend.Epoch()),
 	}
-	if s.lkg != nil {
-		st.StaleCacheLen = s.lkg.len()
-	}
-	if hr, ok := s.backend.(healthReporter); ok {
-		for _, h := range hr.Health() {
-			mh := MemberHealthResponse{Name: h.Name, Quarantined: h.Quarantined, CrashLoop: h.CrashLoop, Epoch: uint64(h.Epoch)}
-			if h.Err != nil {
-				mh.Error = h.Err.Error()
-			}
-			st.Members = append(st.Members, mh)
+	snap := s.backend.Snapshot()
+	st.Answers = snap.Answers
+	for _, h := range snap.Members {
+		mh := MemberHealthResponse{Name: h.Name, Quarantined: h.Quarantined, CrashLoop: h.CrashLoop, Epoch: uint64(h.Epoch)}
+		if h.Err != nil {
+			mh.Error = h.Err.Error()
 		}
+		st.Members = append(st.Members, mh)
 	}
-	if er, ok := s.backend.(encodingReporter); ok {
-		enc := encodingResponse(er.EncodingStats())
-		st.Encoding = &enc
-	}
-	if pr, ok := s.backend.(poolReporter); ok {
-		ps := pr.Stats()
+	if snap.Backend == "pool" {
 		pool := PoolStatsResponse{
-			Shards:   ps.Shards,
-			Hits:     ps.Hits,
-			Steals:   ps.Steals,
-			Waits:    ps.Waits,
-			Rebuilds: ps.Rebuilds,
-			Panics:   ps.Panics,
-			Broken:   ps.Broken,
+			Shards:   len(snap.Members),
+			Hits:     snap.Hits,
+			Steals:   snap.Steals,
+			Waits:    snap.Waits,
+			Rebuilds: snap.Rebuilds,
+			Panics:   snap.Panics,
+			Broken:   snap.Broken,
 		}
-		for _, sh := range ps.Shard {
-			sr := ShardStatsResponse{
-				Served:    sh.Served,
-				CacheHits: sh.CacheHits,
-				Inflight:  sh.Inflight,
-				Broken:    sh.Broken,
-				CrashLoop: sh.CrashLoop,
-				Encoding:  encodingResponse(sh.Encoding),
-			}
-			if sh.Served > 0 {
-				sr.HitRate = float64(sh.CacheHits) / float64(sh.Served)
-			}
-			pool.Shard = append(pool.Shard, sr)
+		for _, h := range snap.Members {
+			pool.Shard = append(pool.Shard, ShardStatsResponse{
+				Served:    h.Served,
+				Inflight:  h.Inflight,
+				Broken:    h.Quarantined,
+				CrashLoop: h.CrashLoop,
+				Encoding:  encodingResponse(h.Encoding),
+			})
 		}
 		st.Pool = &pool
 	}

@@ -17,7 +17,7 @@ import (
 func newDiamondServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	u, _ := repo.SynthDiamond(4, 6)
-	s := New(resolve.NewSessionResolver(u, resolve.SessionOptions{}), Options{})
+	s := New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -51,7 +51,7 @@ func postJSON(t *testing.T, url string, body any, out any) (int, ErrorResponse) 
 // calling the resolver directly — the wire adds transport, not semantics.
 func TestServerResolveMatchesDirect(t *testing.T) {
 	u, root := repo.SynthDiamond(4, 6)
-	direct, err := resolve.NewSessionResolver(u, resolve.SessionOptions{}).
+	direct, err := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}).
 		Resolve(context.Background(), resolve.Request{
 			Roots: []resolve.Root{{Pkg: root}}, Objective: resolve.NewestVersion(),
 		})
@@ -237,9 +237,9 @@ func TestServerStatsAndHealthz(t *testing.T) {
 }
 
 // TestServerStatsLazyPoolSections: the registry-scale observability is
-// wired through /v1/stats — a lazy session backend exposes its encoder
-// coverage, and a pool backend its per-shard routing counters and its
-// shards' health under members.
+// wired through /v1/stats — a single-session pool exposes its shard's
+// encoder coverage, and a wider pool its per-shard routing counters and
+// its shards' health under members.
 func TestServerStatsLazyPoolSections(t *testing.T) {
 	fetchStats := func(t *testing.T, url string) ServerStats {
 		t.Helper()
@@ -256,21 +256,22 @@ func TestServerStatsLazyPoolSections(t *testing.T) {
 	}
 
 	u, root := repo.SynthRegistry(600, 6)
-	sess := httptest.NewServer(New(resolve.NewSessionResolver(u, resolve.SessionOptions{}), Options{}))
+	sess := httptest.NewServer(New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{}))
 	defer sess.Close()
 	var rr ResolveResponse
 	if status, er := postJSON(t, sess.URL+"/v1/resolve", ResolveRequest{Roots: []string{root}}, &rr); status != http.StatusOK {
 		t.Fatalf("session resolve: %d %s", status, er.Error)
 	}
 	st := fetchStats(t, sess.URL)
-	if st.Encoding == nil {
-		t.Fatal("lazy session backend exposed no encoding section")
+	if st.Pool == nil || len(st.Pool.Shard) != 1 {
+		t.Fatal("single-session pool exposed no single-shard pool section")
 	}
-	if st.Encoding.UniversePackages != 600 {
-		t.Fatalf("encoding section %+v, want 600 packages", st.Encoding)
+	enc := st.Pool.Shard[0].Encoding
+	if enc.UniversePackages != 600 {
+		t.Fatalf("encoding section %+v, want 600 packages", enc)
 	}
-	if st.Encoding.MaterializedPackages == 0 || st.Encoding.MaterializedPackages >= 600 {
-		t.Fatalf("materialized %d of 600 — lazy coverage should be partial", st.Encoding.MaterializedPackages)
+	if enc.MaterializedPackages == 0 || enc.MaterializedPackages >= 600 {
+		t.Fatalf("materialized %d of 600 — lazy coverage should be partial", enc.MaterializedPackages)
 	}
 
 	u2, root2 := repo.SynthRegistry(600, 6)
@@ -288,17 +289,15 @@ func TestServerStatsLazyPoolSections(t *testing.T) {
 	if st.Pool.Shards != 3 || len(st.Pool.Shard) != 3 {
 		t.Fatalf("pool section reports %d/%d shards, want 3", st.Pool.Shards, len(st.Pool.Shard))
 	}
-	if st.Pool.Hits < 1 {
-		t.Fatalf("repeat request recorded %d routing hits, want >= 1", st.Pool.Hits)
+	if st.Pool.Hits != 1 || st.Answers != 1 {
+		t.Fatalf("repeat request recorded %d answer-store hits (%d entries), want 1 (1)", st.Pool.Hits, st.Answers)
 	}
 	var served uint64
-	var rate float64
 	for _, sh := range st.Pool.Shard {
 		served += sh.Served
-		rate += sh.HitRate
 	}
-	if served != 2 || rate <= 0 {
-		t.Fatalf("shards served %d (hit rate sum %.2f), want 2 served with a warm hit", served, rate)
+	if served != 1 {
+		t.Fatalf("shards solved %d requests, want 1 (the repeat is a hit)", served)
 	}
 	if len(st.Members) != 3 || st.Members[0].Name != "pool/0" || st.Members[2].Name != "pool/2" {
 		t.Fatalf("pool members section %+v, want shards pool/0..pool/2", st.Members)
@@ -328,7 +327,7 @@ func TestServerRejectsBadJSON(t *testing.T) {
 // deadline comes back 504 promptly — the deadline reaches the solver.
 func TestServerDeadlineOnHardInstance(t *testing.T) {
 	u, root := repo.SynthPigeonhole(11)
-	s := New(resolve.NewSessionResolver(u, resolve.SessionOptions{}), Options{})
+	s := New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -400,7 +399,7 @@ func TestServerApplyRevivesDeadVersion(t *testing.T) {
 	if status := post("/v1/resolve", ResolveRequest{Roots: []string{"selfdep"}}, &rr); status != http.StatusOK {
 		t.Fatalf("resolve selfdep after a buildable version: %d", status)
 	}
-	fresh, err := resolve.NewSessionResolver(u, resolve.SessionOptions{}).Resolve(context.Background(),
+	fresh, err := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}).Resolve(context.Background(),
 		resolve.Request{Roots: []resolve.Root{{Pkg: "selfdep"}}})
 	if err != nil {
 		t.Fatalf("fresh resolver: %v", err)
