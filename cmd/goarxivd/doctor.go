@@ -242,11 +242,11 @@ func checkCrashLoop() error {
 	}
 	p.SetCrashLoopPolicy(2, time.Hour)
 	if err := faultpoint.Arm("resolve/portfolio/solve",
-		faultpoint.On("dive", faultpoint.Panic(0, "doctor crashloop solve"))); err != nil {
+		faultpoint.On("positive", faultpoint.Panic(0, "doctor crashloop solve"))); err != nil {
 		return err
 	}
 	if err := faultpoint.Arm("resolve/portfolio/rebuild",
-		faultpoint.On("dive", faultpoint.Panic(0, "doctor crashloop rebuild"))); err != nil {
+		faultpoint.On("positive", faultpoint.Panic(0, "doctor crashloop rebuild"))); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -258,18 +258,18 @@ func checkCrashLoop() error {
 			return fmt.Errorf("resolve %d should have survived on healthy members: %w", i, err)
 		}
 		for _, h := range p.Health() {
-			if h.Name == "dive" && h.CrashLoop {
+			if h.Name == "positive" && h.CrashLoop {
 				sticky = true
 			}
 		}
 	}
 	if !sticky {
-		return fmt.Errorf("dive never went sticky after repeated contained panics")
+		return fmt.Errorf("positive never went sticky after repeated contained panics")
 	}
 	faultpoint.DisarmAll()
 	healed := p.Rebuild()
-	if len(healed) != 1 || healed[0] != "dive" {
-		return fmt.Errorf("rebuild healed %v, want [dive]", healed)
+	if len(healed) != 1 || healed[0] != "positive" {
+		return fmt.Errorf("rebuild healed %v, want [positive]", healed)
 	}
 	for _, h := range p.Health() {
 		if h.Quarantined {

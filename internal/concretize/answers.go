@@ -72,17 +72,19 @@ func (a *Answers) Get(key string, roots []Root) (res *Resolution, err error, by 
 	return ent.resolution(), nil, ent.by, true
 }
 
-// LastGood returns the shape's optimal answer, fresh or stale, and the
-// member that solved it; Stats.Epoch is the epoch it was solved at. An
-// unsat entry is never returned: a stale "no" says nothing about today.
-func (a *Answers) LastGood(key string) (res *Resolution, by string, ok bool) {
+// LastGood returns the shape's optimal answer, fresh or stale, the member
+// that solved it, and whether the entry is fresh (still the answer at the
+// current epoch); Stats.Epoch is the epoch it was solved at. An unsat
+// entry is never returned: a stale "no" says nothing about today.
+func (a *Answers) LastGood(key string) (res *Resolution, by string, fresh, ok bool) {
 	a.mu.Lock()
 	ent, ok := a.lru.peek(key)
+	fresh = ok && !ent.stale
 	a.mu.Unlock()
 	if !ok || ent.unsat {
-		return nil, "", false
+		return nil, "", false, false
 	}
-	return ent.resolution(), ent.by, true
+	return ent.resolution(), ent.by, fresh, true
 }
 
 // resolution copies the entry out for a caller. The picks map is never

@@ -151,9 +151,10 @@ func TestAnswersLRUEviction(t *testing.T) {
 // TestAnswersStaleEntries pins the store's invalidation contract: a delta
 // marks the entries it touches stale instead of deleting them. A stale
 // entry is never a hit and no longer counts in Len, but its optimal answer
-// stays readable through LastGood at the epoch it was solved at, until a
-// re-solve replaces it. An unsat entry is never a last-good answer, fresh
-// or stale. Untouched entries stay fresh hits.
+// stays readable through LastGood at the epoch it was solved at, marked
+// not fresh, until a re-solve replaces it. An unsat entry is never a
+// last-good answer, fresh or stale. Untouched entries stay fresh hits,
+// and LastGood reports them fresh.
 func TestAnswersStaleEntries(t *testing.T) {
 	u := repo.New()
 	u.Add("app", "1.0", repo.Dep("lib", ":"))
@@ -171,7 +172,7 @@ func TestAnswersStaleEntries(t *testing.T) {
 	if _, err := storeResolve(store, sess, bad, Options{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("bad: %v, want unsat", err)
 	}
-	if _, _, ok := store.LastGood(ShapeKey(nil, bad)); ok {
+	if _, _, _, ok := store.LastGood(ShapeKey(nil, bad)); ok {
 		t.Fatal("LastGood served a fresh unsat entry")
 	}
 
@@ -191,11 +192,14 @@ func TestAnswersStaleEntries(t *testing.T) {
 	if _, _, _, ok := store.Get(ShapeKey(nil, other), other); !ok {
 		t.Fatal("untouched entry lost its hit")
 	}
-	lg, by, ok := store.LastGood(ShapeKey(nil, app))
-	if !ok || by != "session" || lg.Stats.Epoch != 0 || lg.Picks["lib"].String() != "1.0" {
-		t.Fatalf("LastGood(app) = %v %q %v, want lib 1.0 at epoch 0", lg, by, ok)
+	lg, by, fresh, ok := store.LastGood(ShapeKey(nil, app))
+	if !ok || fresh || by != "session" || lg.Stats.Epoch != 0 || lg.Picks["lib"].String() != "1.0" {
+		t.Fatalf("LastGood(app) = %v %q fresh %v %v, want a stale lib 1.0 at epoch 0", lg, by, fresh, ok)
 	}
-	if _, _, ok := store.LastGood(ShapeKey(nil, bad)); ok {
+	if _, _, fresh, ok := store.LastGood(ShapeKey(nil, other)); !ok || !fresh {
+		t.Fatalf("LastGood(other) fresh %v %v, want the untouched entry fresh", fresh, ok)
+	}
+	if _, _, _, ok := store.LastGood(ShapeKey(nil, bad)); ok {
 		t.Fatal("LastGood served a stale unsat entry")
 	}
 
@@ -204,9 +208,9 @@ func TestAnswersStaleEntries(t *testing.T) {
 	if err != nil || res.Stats.SolutionCacheHit || res.Picks["lib"].String() != "2.0" {
 		t.Fatalf("re-solve after the delta = %v, %v", res, err)
 	}
-	lg, _, _ = store.LastGood(ShapeKey(nil, app))
-	if lg.Stats.Epoch != 1 || lg.Picks["lib"].String() != "2.0" || store.Len() != 2 {
-		t.Fatalf("after the re-solve: LastGood epoch %d lib %s, Len %d; want epoch 1, lib 2.0, Len 2",
-			lg.Stats.Epoch, lg.Picks["lib"], store.Len())
+	lg, _, fresh, _ = store.LastGood(ShapeKey(nil, app))
+	if !fresh || lg.Stats.Epoch != 1 || lg.Picks["lib"].String() != "2.0" || store.Len() != 2 {
+		t.Fatalf("after the re-solve: LastGood fresh %v epoch %d lib %s, Len %d; want fresh, epoch 1, lib 2.0, Len 2",
+			fresh, lg.Stats.Epoch, lg.Picks["lib"], store.Len())
 	}
 }

@@ -79,15 +79,14 @@
 // total + target, vacuous while the guard is unassumed — installed once
 // and strengthened in place with sat.TightenPB as the target drops, so a
 // tightening round allocates no solver variable and no constraint slot.
-// The target schedule is sat.Config.Descent: linear stepping below the
-// incumbent (DescentLinear, classic and optimal when the first model is
-// already best), binary-search midpoints (DescentBinary, O(log range)
-// rounds from arbitrarily bad incumbents), or adaptive (the default: one
-// linear probe on a shape's first visit, then binary once that probe
-// improves or a bound is banked — a warm solver's saved phases can hand
-// it a first model far above the optimum and, probed linearly, only the
-// next model down each round). Guards
-// are retired at request end (fixed false and their PB constraints
+// The target schedule is sat.Config.Descent: binary-search midpoints
+// (DescentBinary, O(log range) rounds from arbitrarily bad incumbents), or
+// adaptive (the default: one probe just below the incumbent on a shape's
+// first visit — the closing refutation when the first model is already
+// best — then binary once that probe improves or a bound is banked; a warm
+// solver's saved phases can hand it a first model far above the optimum
+// and, probed linearly, only the next model down each round). Guards are
+// retired at request end (fixed false and their PB constraints
 // garbage-collected), so bounds from past requests never constrain, slow
 // down, or leak memory into future ones.
 //

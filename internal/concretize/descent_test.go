@@ -18,13 +18,11 @@ import (
 // tightening round must never allocate a fresh solver variable or PB
 // constraint slot.
 
-// descentConfigs enumerates the strategy axis (with step/polarity/restart
+// descentConfigs enumerates the strategy axis (with polarity/restart
 // variation folded in, so strategies are exercised against different
 // search trajectories).
 func descentConfigs() []SessionOptions {
 	return []SessionOptions{
-		{Solver: sat.Config{Descent: sat.DescentLinear}},
-		{Solver: sat.Config{Descent: sat.DescentLinear, DescentStep: 16}},
 		{Solver: sat.Config{Descent: sat.DescentBinary}},
 		{Solver: sat.Config{Descent: sat.DescentBinary, PositiveFirst: true, RestartBase: 40}},
 		{Solver: sat.Config{Descent: sat.DescentAdaptive}},

@@ -46,8 +46,8 @@ func (se *Session) Extend(d *repo.Delta) (repo.Epoch, error) {
 	// Fault-injection site, before any mutation: an injected error aborts
 	// cleanly here (universe untouched) — unless a sibling session already
 	// applied the delta, in which case this session's encoding is left one
-	// epoch behind the shared universe, the state the caller's quarantine
-	// or rebuild path must handle.
+	// epoch behind the shared universe, the state the caller's rebuild
+	// path must handle.
 	if err := fpExtend.Inject(""); err != nil {
 		return se.epoch, fmt.Errorf("concretize: extend: %w", err)
 	}

@@ -12,7 +12,7 @@ var (
 	// the encoding mutate. For a session whose universe a sibling already
 	// advanced (the portfolio/pool broadcast case) an injected error
 	// leaves the encoding one epoch behind the universe — exactly the
-	// stale-member state quarantine and shard-rebuild exist for.
+	// stale-member state the member rebuild exists for.
 	fpExtend = faultpoint.New("concretize/extend")
 	// fpMaterialize fires when a session is about to materialize a
 	// request's reachable subgraph; an injected error fails the request

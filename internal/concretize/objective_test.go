@@ -249,16 +249,15 @@ func TestObjectiveValidation(t *testing.T) {
 	}
 }
 
-func TestDescentStepDifferential(t *testing.T) {
-	// Solver configurations — descent step, polarity, restart schedule —
-	// must never change the answer, only the search path: every config
-	// agrees with the default-config oracle on cost (and on picks for the
-	// monotone family, whose optimum is unique).
+func TestDescentConfigDifferential(t *testing.T) {
+	// Solver configurations — polarity, restart schedule — must never
+	// change the answer, only the search path: every config agrees with
+	// the default-config oracle on cost (and on picks for the monotone
+	// family, whose optimum is unique).
 	configs := []SessionOptions{
-		{Solver: satConfig(1, false, 0)},
-		{Solver: satConfig(4, false, 0)},
-		{Solver: satConfig(64, true, 40)},
-		{Solver: satConfig(1000000, true, 400)},
+		{},
+		{Solver: sat.Config{PositiveFirst: true, RestartBase: 40}},
+		{Solver: sat.Config{PositiveFirst: true, RestartBase: 400}},
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		u, root := repo.SynthDense(20, 6, 3, seed)
@@ -302,8 +301,4 @@ func TestDescentStepDifferential(t *testing.T) {
 			}
 		}
 	}
-}
-
-func satConfig(step int64, positive bool, restart int64) sat.Config {
-	return sat.Config{DescentStep: step, PositiveFirst: positive, RestartBase: restart}
 }

@@ -14,21 +14,16 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
-// DefaultSessionMaxActivations is the activation-literal capacity used
-// when SessionOptions.MaxActivations is zero.
-const DefaultSessionMaxActivations = 4096
+// maxActivations bounds a session's memoized root-activation literals
+// and, alongside them, its bound memo (LRU eviction; an evicted activation
+// is fixed false in the solver and re-allocated on demand, so diverse
+// request streams cannot grow solver variables without bound).
+const maxActivations = 4096
 
 // SessionOptions tunes a Session.
 type SessionOptions struct {
-	// MaxActivations bounds the number of memoized root-activation
-	// literals (LRU eviction; evicted activations are fixed false in the
-	// solver and re-allocated on demand, so diverse request streams cannot
-	// grow solver variables without bound). Zero selects
-	// DefaultSessionMaxActivations; a negative value means unbounded.
-	MaxActivations int
-
 	// Solver tunes the underlying SAT search (branching polarity, restart
-	// schedule, objective-descent step). The zero value selects the
+	// schedule, objective-descent strategy). The zero value selects the
 	// defaults; differently-tuned Sessions return cost-identical answers,
 	// which is what lets a portfolio race them. See sat.Config.
 	Solver sat.Config
@@ -109,7 +104,7 @@ type Session struct {
 	virts   map[string]*virtVars // encoded virtuals (provider in scope)
 	acts    map[string]*list.Element
 	actsLRU *list.List // of *actEntry, most-recently-used first
-	actsMax int
+	actsMax int        // maxActivations; tests lower it to force eviction
 
 	// Requirement lowering state, all keyed by "name@range" with a
 	// name-index alongside so a delta touching a name finds every affected
@@ -206,14 +201,11 @@ func NewSession(u *repo.Universe, opts SessionOptions) *Session {
 	se := &Session{
 		u:         u,
 		epoch:     u.Epoch(),
-		actsMax:   opts.MaxActivations,
+		actsMax:   maxActivations,
 		pinnedBuf: make(map[sat.Lit]bool),
 		byPartBuf: make(map[string]Root),
 	}
 	se.epochA.Store(uint64(se.epoch))
-	if se.actsMax == 0 {
-		se.actsMax = DefaultSessionMaxActivations
-	}
 	se.newEncoding(sat.NewWithConfig(opts.Solver))
 	se.syncEncodingStats()
 	return se
@@ -519,9 +511,6 @@ func (se *Session) activation(r Root) sat.Lit {
 // for the same root spec simply allocates a fresh literal, so eviction
 // trades a little re-encoding for a hard bound on per-spec solver growth.
 func (se *Session) evictActivations(pinned map[sat.Lit]bool) {
-	if se.actsMax < 0 {
-		return
-	}
 	for el := se.actsLRU.Back(); el != nil && len(se.acts) > se.actsMax; {
 		prev := el.Prev()
 		ent := el.Value.(*actEntry)
@@ -842,21 +831,16 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		// probes the midpoint — far from the incumbent, so a warm solver
 		// whose saved phases sit on a bad model is propagated straight out
 		// of that neighborhood instead of refuting it clause by clause.
-		// Linear descent probes just below the incumbent — fewest rounds
-		// when the first model is already optimal, which is the norm for a
-		// fresh (cold) solver. Adaptive probes linearly once, and bisects
-		// from then on if that probe improved (the first model came from
-		// stale saved phases, and each further linear probe would hand back
-		// only the next model down) or if the shape has a proven bound
-		// banked.
-		var target int64
-		if cfg.Descent == sat.DescentBinary || (cfg.Descent == sat.DescentAdaptive && (warmBound || stats.Improvements > 1)) {
+		// Adaptive descent first probes just below the incumbent — fewest
+		// rounds when the first model is already optimal, which is the
+		// norm for a fresh (cold) solver — and bisects from then on if
+		// that probe improved (the first model came from stale saved
+		// phases, and each further linear probe would hand back only the
+		// next model down) or if the shape has a proven bound banked.
+		// bestCost > lo here, so the linear probe never undercuts lo.
+		target := bestCost - 1
+		if cfg.Descent == sat.DescentBinary || warmBound || stats.Improvements > 1 {
 			target = lo + (bestCost-1-lo)/2
-		} else {
-			target = bestCost - cfg.DescentStep
-			if target < lo {
-				target = lo
-			}
 		}
 		// Install or strengthen the bound: guard -> objective <= target,
 		// encoded as objective + total*guard <= total + target, which is
@@ -1104,7 +1088,7 @@ type boundEntry struct {
 
 // lru is a plain least-recently-used map. Callers synchronize.
 type lru[V any] struct {
-	max int // <0: unbounded
+	max int
 	ll  *list.List
 	m   map[string]*list.Element
 }
@@ -1152,12 +1136,10 @@ func (c *lru[V]) put(key string, val V) {
 		return
 	}
 	c.m[key] = c.ll.PushFront(&lruItem[V]{key: key, val: val})
-	if c.max >= 0 {
-		for len(c.m) > c.max {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.m, oldest.Value.(*lruItem[V]).key)
-		}
+	for len(c.m) > c.max {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.m, oldest.Value.(*lruItem[V]).key)
 	}
 }
 

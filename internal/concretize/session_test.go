@@ -194,7 +194,8 @@ func TestSessionConcurrent(t *testing.T) {
 // allocated on demand).
 func TestSessionActivationEviction(t *testing.T) {
 	u, _ := repo.SynthDense(10, 5, 2, 13)
-	sess := NewSession(u, SessionOptions{MaxActivations: 3})
+	sess := NewSession(u, SessionOptions{})
+	sess.actsMax = 3
 	cold := map[string]*Resolution{}
 	var specs []string
 	for pkg := 0; pkg < 5; pkg++ {

@@ -32,7 +32,7 @@
 // instance within the site: the portfolio member name, the pool shard
 // index (strconv.Itoa), or "" where the site has one instance. Rules match
 // a specific label (On) or any label (Any), so one site covers "member
-// 'dive' fails" and "any member fails" without multiplying site names.
+// 'steady' fails" and "any member fails" without multiplying site names.
 //
 // # Environment schedule grammar
 //

@@ -109,11 +109,11 @@ func TestBudgetStillReportsUnknown(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := New().Config()
-	if cfg.RestartBase != DefaultRestartBase || cfg.DescentStep != 1 || cfg.PositiveFirst {
+	if cfg.RestartBase != DefaultRestartBase || cfg.Descent != DescentAdaptive || cfg.PositiveFirst {
 		t.Fatalf("default config = %+v", cfg)
 	}
-	got := NewWithConfig(Config{RestartBase: 40, DescentStep: 4, PositiveFirst: true}).Config()
-	if got.RestartBase != 40 || got.DescentStep != 4 || !got.PositiveFirst {
+	got := NewWithConfig(Config{RestartBase: 40, Descent: DescentBinary, PositiveFirst: true}).Config()
+	if got.RestartBase != 40 || got.Descent != DescentBinary || !got.PositiveFirst {
 		t.Fatalf("config = %+v", got)
 	}
 }

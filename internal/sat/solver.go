@@ -204,7 +204,7 @@ func NewWithConfig(cfg Config) *Solver {
 
 // Config returns the configuration the solver was created with, with
 // defaults resolved. Layers above the solver (branch-and-bound in
-// internal/concretize) read portfolio knobs like DescentStep from here.
+// internal/concretize) read the Descent strategy from here.
 func (s *Solver) Config() Config { return s.cfg }
 
 // Interrupt asynchronously stops an in-flight Solve, which returns

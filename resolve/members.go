@@ -17,7 +17,7 @@ import (
 // Fault-injection sites (see internal/faultpoint for the naming
 // convention). The sites label injections with the member's instance —
 // the portfolio member name, the pool shard index — so schedules can
-// target "member 'dive' panics" without a site per member.
+// target "member 'steady' panics" without a site per member.
 var (
 	fpPortfolioSolve   = faultpoint.New("resolve/portfolio/solve")
 	fpPortfolioRebuild = faultpoint.New("resolve/portfolio/rebuild")
@@ -26,10 +26,10 @@ var (
 )
 
 // ErrNoActiveMembers is returned by Resolve on a backend whose members are
-// all benched — quarantined by a failed Apply broadcast, contained after a
-// panic, or crashlooping — for a request its answer store cannot answer:
-// the backend has fail-stopped until Heal or Rebuild returns a member to
-// service.
+// all benched — their rebuilds failing, or crashlooping — for a request
+// its answer store cannot answer. The next Resolve entry retries every
+// rebuild the crashloop breaker allows; once every member is sticky, only
+// Rebuild returns one to service.
 var ErrNoActiveMembers = errors.New("resolve: backend has no active members")
 
 // PanicError reports a panic contained at a resolver boundary: instead of
@@ -41,8 +41,8 @@ var ErrNoActiveMembers = errors.New("resolve: backend has no active members")
 type PanicError struct {
 	// Op names the boundary that contained the panic:
 	// "<backend>/<instance>" for a solve or extension panic
-	// ("portfolio/dive", "pool/3"), "<backend>/rebuild/<instance>" for a
-	// rebuild ("portfolio/rebuild/dive", "pool/rebuild/3"), and
+	// ("portfolio/steady", "pool/3"), "<backend>/rebuild/<instance>" for a
+	// rebuild ("portfolio/rebuild/steady", "pool/rebuild/3"), and
 	// "serve/backend" at the serving tier.
 	Op string
 	// Value is the panic value, stringified at capture.
@@ -56,9 +56,9 @@ func (e *PanicError) Error() string {
 }
 
 // MemberHealth reports one member's serving state: a portfolio member
-// ("dive") or a pool shard ("pool/3"). A quarantined member is out of
-// service: its encoding fell behind the shared universe during an Apply
-// broadcast, or a contained panic or failed rebuild benched it. CrashLoop
+// ("steady") or a pool shard ("pool/3"). A quarantined member is out of
+// service: its extension failed during an Apply broadcast, or a contained
+// panic benched it, and its rebuild has not yet succeeded. CrashLoop
 // marks a sticky bench — the member exhausted its rebuild budget inside
 // the crashloop window and stays out until an explicit Rebuild.
 type MemberHealth struct {
@@ -109,7 +109,6 @@ type Snapshot struct {
 // Apply barrier — can bench without the write lock.
 type benchState struct {
 	err    error // the benching failure
-	panics bool  // benched by a contained panic or failed rebuild: eligible for auto-heal
 	sticky bool  // crashlooping: only an explicit Rebuild tries it again
 }
 
@@ -125,9 +124,8 @@ const (
 type healScope int
 
 const (
-	healPanicked healScope = iota // Resolve entry: panic-benched, not sticky
-	healBenched                   // Heal and the pool's post-broadcast heal: every bench but sticky
-	healAll                       // Rebuild: every bench, sticky windows reset
+	healAuto healScope = iota // Resolve entry and the broadcast: every bench but sticky
+	healAll                   // Rebuild: every bench, sticky windows reset
 )
 
 // memberSet is the supervision behind every backend: warm sessions over
@@ -146,17 +144,19 @@ const (
 //     reads a lock-free mirror, so per-request coalescing keys never queue
 //     behind a broadcast.
 //   - Benching. A member whose extension fails is benched rather than left
-//     serving at a stale epoch. With healOnApply (the pool) the broadcast
-//     rebuilds it at once; otherwise (the portfolio) it waits for Heal or
-//     Rebuild, since re-admitting an unexplained failure is an operator
-//     decision.
+//     serving at a stale epoch, and the broadcast rebuilds it at once: a
+//     fresh session over the grown universe encodes nothing, so the
+//     rebuild costs the member its warmth, not the backend its capacity.
 //   - Containment. A panic at any boundary — solve, extension, rebuild — is
-//     contained as a *PanicError: the member is benched with its stack and
-//     auto-heals with a fresh session at a later Resolve entry.
+//     contained as a *PanicError: the member is benched with its stack, and
+//     a solve panic's member is rebuilt at the next Resolve entry.
+//   - Healing. Every bench that is not sticky flags the set, so the next
+//     Resolve entry retries the rebuild of any member still benched —
+//     after a solve panic, or a rebuild that failed.
 //   - Crashloop. Every heal attempt counts against the member's sliding
 //     window. Over budget, the member goes sticky: no automatic path —
-//     Resolve entry, Heal, the post-broadcast heal — tries it again; only
-//     Rebuild, the operator override, resets the window.
+//     Resolve entry or broadcast — tries it again; only Rebuild, the
+//     operator override, resets the window.
 type memberSet struct {
 	u       *repo.Universe
 	backend string // "portfolio" or "pool": the PanicError.Op prefix
@@ -164,13 +164,9 @@ type memberSet struct {
 	// fpSolve and fpRebuild are the backend's faultpoint sites.
 	fpSolve, fpRebuild *faultpoint.Point
 
-	// healOnApply rebuilds members whose extension failed within Apply
-	// instead of leaving them benched.
-	healOnApply bool
-
 	// mu quiesces the set around Apply and heals: Resolve holds it shared
-	// (each member's session lock serializes actual solving); Apply,
-	// Heal and Rebuild hold it exclusively. The lock order is mu, then the
+	// (each member's session lock serializes actual solving); Apply and
+	// the heals hold it exclusively. The lock order is mu, then the
 	// answer store's own lock, which is never held across a session call.
 	//
 	// goarxivlint:lock
@@ -191,9 +187,9 @@ type memberSet struct {
 	// goarxivlint:lockfree
 	epochA atomic.Uint64
 
-	// healNeeded flags that some member is benched, heal-eligible and not
-	// sticky; Resolve checks it lock-free on entry and takes the write
-	// barrier only when there is healing to do.
+	// healNeeded flags that some member is benched and not sticky; Resolve
+	// checks it lock-free on entry and takes the write barrier only when
+	// there is healing to do.
 	//
 	// goarxivlint:lockfree
 	healNeeded atomic.Bool
@@ -217,8 +213,8 @@ type memberSet struct {
 
 // member is one supervised session.
 type member struct {
-	name  string              // Health, Rebuild and attribution name: "dive", "pool/3"
-	label string              // faultpoint label and PanicError.Op instance: "dive", "3"
+	name  string              // Health, Rebuild and attribution name: "steady", "pool/3"
+	label string              // faultpoint label and PanicError.Op instance: "steady", "3"
 	opts  SessionOptions      // construction options, kept for rebuilds
 	se    *concretize.Session // replaced by a rebuild, under mu held exclusively
 
@@ -263,7 +259,7 @@ func (s *memberSet) resolve(ctx context.Context, req Request, policy func(ctx co
 		ctx = context.Background()
 	}
 	if s.healNeeded.Load() {
-		s.heal(healPanicked)
+		s.heal(healAuto)
 	}
 	// Shared-mode barrier against Apply: requests proceed concurrently with
 	// each other, never interleaved with a half-broadcast delta.
@@ -301,14 +297,15 @@ func (s *memberSet) attribute(by string, res *concretize.Resolution, err error) 
 // LastGood returns the last optimal answer the answer store holds for a
 // request-shape key (Request.Key), fresh or stale, with Result.Config
 // naming the member that solved it and Stats.Epoch the epoch it was solved
-// at. It never returns an unsat answer. The serving tier's degraded mode
-// reads it when the backend cannot answer.
-func (s *memberSet) LastGood(key string) (*Result, bool) {
-	res, by, ok := s.answers.LastGood(key)
+// at; fresh reports whether it is still the answer at the current epoch.
+// It never returns an unsat answer. The serving tier's degraded mode reads
+// it when the backend cannot answer.
+func (s *memberSet) LastGood(key string) (res *Result, fresh, ok bool) {
+	r, by, fresh, ok := s.answers.LastGood(key)
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
-	return &Result{Picks: res.Picks, Stats: res.Stats, Config: by}, true
+	return &Result{Picks: r.Picks, Stats: r.Stats, Config: by}, fresh, true
 }
 
 // CacheLen returns the number of fresh entries in the answer store.
@@ -332,16 +329,15 @@ func (s *memberSet) SetCrashLoopPolicy(maxRebuilds int, window time.Duration) {
 // it to every serving member under the write barrier, so no request ever
 // observes a half-applied backend. The delta is applied to the universe
 // exactly once: a validation failure mutates nothing, touches no member,
-// and is returned with the unchanged epoch. Otherwise the returned epoch
-// is the universe's new one, which every serving member reaches.
+// and is returned with the unchanged epoch. Otherwise Apply returns nil
+// and the universe's new epoch.
 //
 // A member whose extension fails — or panics, which the broadcast
-// contains — is benched. A PortfolioResolver quarantines it, excluded
-// from every later race until Heal or Rebuild (a panic-benched member
-// also auto-heals like a solve panic), and returns a *MemberError naming
-// it (errors.Join of several). A PoolResolver rebuilds it at once from
-// the grown universe, losing the shard's warmth but not its capacity,
-// and returns nil; only a crashlooping shard stays benched.
+// contains — is benched and, with every other benched member the
+// crashloop breaker allows, rebuilt before Apply returns: a fresh session
+// over the grown universe, which loses the member's warmth but not the
+// backend's capacity. A member whose rebuild fails stays benched until a
+// later Resolve entry rebuilds it.
 //
 // goarxivlint:blocking cancel=none
 func (s *memberSet) Apply(d *Delta) (Epoch, error) {
@@ -353,7 +349,6 @@ func (s *memberSet) Apply(d *Delta) (Epoch, error) {
 	}
 	s.epochA.Store(uint64(epoch))
 	s.answers.Invalidate(d)
-	var errs []error
 	for _, m := range s.members {
 		if m.bench.Load() != nil {
 			// Benched already: a heal re-encodes from the grown universe,
@@ -366,20 +361,16 @@ func (s *memberSet) Apply(d *Delta) (Epoch, error) {
 		})
 		if err != nil {
 			s.benchMember(m, err)
-			errs = append(errs, &MemberError{Member: m.name, Epoch: m.se.Epoch(), Err: err})
 		}
 	}
-	if s.healOnApply {
-		s.healLocked(healBenched)
-		return epoch, nil
-	}
-	return epoch, errors.Join(errs...)
+	s.healLocked(healAuto)
+	return epoch, nil
 }
 
 // solve runs one request on one member with panic containment: a
 // panicking member is benched (atomically: callers hold the barrier
 // shared) and the request gets the contained *PanicError instead of
-// crashing the process. The rebuild happens at a later Resolve entry,
+// crashing the process. The rebuild happens at the next Resolve entry,
 // which can take the write barrier.
 func (s *memberSet) solve(ctx context.Context, m *member, req Request) (*concretize.Resolution, error) {
 	var res *concretize.Resolution
@@ -413,24 +404,12 @@ func (s *memberSet) contain(m *member, rebuild bool, f func() error) (err error)
 	return f()
 }
 
-// benchMember takes a member out of service for err, flagging an
-// auto-heal when err is a panic contain caught.
+// benchMember takes a member out of service for err and flags the set
+// for healing at the next Resolve entry.
 func (s *memberSet) benchMember(m *member, err error) {
-	_, panicked := err.(*PanicError)
-	m.bench.Store(&benchState{err: err, panics: panicked})
-	if panicked {
-		s.healNeeded.Store(true)
-	}
+	m.bench.Store(&benchState{err: err})
+	s.healNeeded.Store(true)
 }
-
-// Heal returns every benched member that is not crashlooping to service
-// with a fresh session, and returns the names of those it healed (nil when
-// none). Unlike Rebuild it respects the crashloop breaker: a sticky member
-// stays out, and each attempt counts against the member's window. The
-// serving tier calls it when a request finds no active member.
-//
-// goarxivlint:blocking cancel=none
-func (s *memberSet) Heal() []string { return s.heal(healBenched) }
 
 // Rebuild re-admits every benched member by replacing its session with a
 // fresh one — same configuration, encoded from the current universe — and
@@ -461,7 +440,7 @@ func (s *memberSet) heal(scope healScope) []string {
 // healLocked is the heal loop: one crashloop-bounded rebuild attempt for
 // every benched member in scope, in member order, returning the names of
 // those it returned to service. It recomputes healNeeded from the members
-// it leaves benched, so a member any path leaves heal-eligible is retried
+// it leaves benched, so any member left benched but not sticky is retried
 // at the next Resolve entry. Callers hold mu exclusively, which excludes
 // the shared-side panic benches, so the recomputation cannot lose one.
 func (s *memberSet) healLocked(scope healScope) []string {
@@ -472,18 +451,16 @@ func (s *memberSet) healLocked(scope healScope) []string {
 		if b == nil {
 			continue
 		}
-		if scope == healAll || !b.sticky && (b.panics || scope == healBenched) {
-			if b.sticky {
-				// Only Rebuild gets here: the operator override resets
-				// the window and tries once more.
-				m.rebuilds = m.rebuilds[:0]
-			}
-			if s.healMemberLocked(m, b) {
-				healed = append(healed, m.name)
+		if b.sticky {
+			if scope != healAll {
 				continue
 			}
+			// The operator override resets the window and tries once more.
+			m.rebuilds = m.rebuilds[:0]
 		}
-		if nb := m.bench.Load(); nb.panics && !nb.sticky {
+		if s.healMemberLocked(m, b) {
+			healed = append(healed, m.name)
+		} else if !m.bench.Load().sticky {
 			pending = true
 		}
 	}
@@ -496,7 +473,7 @@ func (s *memberSet) healLocked(scope healScope) []string {
 // budget of attempts already inside the window, the member goes sticky
 // instead — it keeps its last failure in Health() (CrashLoop set) and
 // stops consuming rebuilds until an explicit Rebuild. A rebuild that
-// fails or panics leaves it benched and heal-eligible. Returns whether the
+// fails or panics leaves it benched, not sticky. Returns whether the
 // member returned to service. Callers hold mu exclusively.
 func (s *memberSet) healMemberLocked(m *member, b *benchState) bool {
 	maxRebuilds, window := s.crashMaxRebuilds, s.crashWindow
@@ -517,7 +494,6 @@ func (s *memberSet) healMemberLocked(m *member, b *benchState) bool {
 	if len(recent) >= maxRebuilds {
 		m.bench.Store(&benchState{
 			err:    fmt.Errorf("resolve: member %s crashlooping (%d rebuilds in %v): %w", m.name, len(recent), window, b.err),
-			panics: b.panics,
 			sticky: true,
 		})
 		return false
@@ -531,7 +507,7 @@ func (s *memberSet) healMemberLocked(m *member, b *benchState) bool {
 		return nil
 	})
 	if err != nil {
-		m.bench.Store(&benchState{err: err, panics: true})
+		m.bench.Store(&benchState{err: err})
 		return false
 	}
 	m.bench.Store(nil)

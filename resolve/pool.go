@@ -33,11 +33,11 @@ import (
 // A pool never gives up capacity it can rebuild: a shard whose Apply
 // extension fails is rebuilt within the broadcast as a fresh session over
 // the grown universe (cheap: the rebuild encodes nothing until requests
-// re-reach their subgraphs), and a shard that panics mid-solve
-// fails that request, leaves routing, and is rebuilt at the next Resolve
-// entry. Only a crashlooping shard (SetCrashLoopPolicy) stays out until
-// Rebuild. Shards are named "pool/<index>" in Result.Config, Health and
-// Rebuild.
+// re-reach their subgraphs), and a shard that panics mid-solve fails that
+// request, leaves routing, and is rebuilt at the next Resolve entry, as
+// is a shard whose rebuild failed. Only a crashlooping shard
+// (SetCrashLoopPolicy) stays out until Rebuild. Shards are named
+// "pool/<index>" in Result.Config, Health and Rebuild.
 type PoolResolver struct {
 	memberSet
 }
@@ -56,7 +56,7 @@ func NewPoolResolver(u *repo.Universe, n int, opts SessionOptions) *PoolResolver
 		}
 	}
 	p := &PoolResolver{memberSet: memberSet{
-		u: u, backend: "pool", fpSolve: fpPoolSolve, fpRebuild: fpPoolRebuild, healOnApply: true,
+		u: u, backend: "pool", fpSolve: fpPoolSolve, fpRebuild: fpPoolRebuild,
 		answers: concretize.NewAnswers(n * concretize.AnswersPerSession),
 	}}
 	for i := 0; i < n; i++ {
@@ -64,9 +64,6 @@ func NewPoolResolver(u *repo.Universe, n int, opts SessionOptions) *PoolResolver
 	}
 	return p
 }
-
-// NumShards returns the pool width.
-func (p *PoolResolver) NumShards() int { return len(p.members) }
 
 // shapeShard maps a request-shape key onto a home shard (FNV-1a).
 func shapeShard(key string, n int) int {
@@ -108,8 +105,8 @@ func (p *PoolResolver) route(home int) (shard int, stolen, ok bool) {
 // comes back as a *MemberError naming it. A shard that panics mid-solve
 // is contained: the request fails with the *PanicError, and the shard
 // leaves routing until the next Resolve entry rebuilds it. With every
-// shard benched — only reachable through sticky crashloop benches — a
-// request the store cannot answer fail-stops with ErrNoActiveMembers.
+// shard benched — by failed rebuilds, or crashlooping — a request the
+// store cannot answer fails with ErrNoActiveMembers.
 //
 // goarxivlint:blocking
 func (p *PoolResolver) Resolve(ctx context.Context, req Request) (*Result, error) {

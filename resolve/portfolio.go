@@ -12,7 +12,7 @@ import (
 
 // BackendConfig names one portfolio member: a Session configuration whose
 // solver knobs (branching polarity, restart schedule, objective-descent
-// step) give it a distinct search trajectory. Members never disagree on
+// strategy) give it a distinct search trajectory. Members never disagree on
 // answers — only on how fast they reach them on a given request shape.
 type BackendConfig struct {
 	Name    string
@@ -32,10 +32,6 @@ func DefaultPortfolio() []BackendConfig {
 		// Positive-first branching commits to installs early — strong when
 		// the optimum installs most of the reachable set.
 		{Name: "positive", Options: SessionOptions{Solver: sat.Config{PositiveFirst: true}}},
-		// Aggressive restarts plus wide linear descent steps: rushes the
-		// incumbent down on objective-heavy requests where the first model
-		// is already near-optimal.
-		{Name: "dive", Options: SessionOptions{Solver: sat.Config{RestartBase: 40, Descent: sat.DescentLinear, DescentStep: 8}}},
 		// Patient restarts for deep refutations (unsat proofs, tight
 		// conflict webs) with binary-search descent, which bounds the
 		// round count even when the incumbent starts far from the optimum.
@@ -58,11 +54,13 @@ func DefaultPortfolio() []BackendConfig {
 // proves an optimum, the optimum wins; the incumbent is returned only
 // when no member can do better.
 //
-// Benched members sit out of every race. A member whose Apply extension
-// fails is quarantined until Heal or Rebuild: it missed a delta, and
-// re-admitting an unexplained failure is an operator decision. A member
-// that panics mid-solve is raced around and auto-heals at a later Resolve
-// entry, bounded by the crashloop policy (SetCrashLoopPolicy).
+// A portfolio differs from a PoolResolver only in how it uses its
+// members: it races them where the pool routes each request to one. The
+// supervision is the pool's. Benched members sit out of every race: a
+// member whose Apply extension fails is rebuilt inside the broadcast, and
+// a member that panics mid-solve is raced around and rebuilt at the next
+// Resolve entry, both bounded by the crashloop policy
+// (SetCrashLoopPolicy).
 type PortfolioResolver struct {
 	memberSet
 }
@@ -92,19 +90,6 @@ func NewPortfolioResolver(u *repo.Universe, configs ...BackendConfig) (*Portfoli
 		p.addMember(c.Name, c.Name, c.Options)
 	}
 	return p, nil
-}
-
-// Members returns the member configuration names, in racing order;
-// benched members are included (they remain configured, just not racing —
-// see Health).
-func (p *PortfolioResolver) Members() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	names := make([]string, len(p.members))
-	for i, m := range p.members {
-		names[i] = m.name
-	}
-	return names
 }
 
 // outcome is one member's answer to one request.
@@ -137,7 +122,7 @@ func (o outcome) definitive() bool {
 //
 // A member that panics mid-solve is contained: benched with its stack
 // (the race falls through to the survivors), then rebuilt with a fresh
-// session at a later Resolve entry, crashloop-bounded. The panic
+// session at the next Resolve entry, crashloop-bounded. The panic
 // surfaces only if every other member also fails, as a *MemberError
 // wrapping the *PanicError.
 //

@@ -1,20 +1,25 @@
 package resolve
 
-// White-box fault-injection tests for the Apply broadcast path: the
-// production failure mode (a member Extend failing mid-broadcast) is only
-// reachable through universe corruption, so the concretize/extend
-// faultpoint simulates it (members extend in racing order — baseline,
-// positive, dive, steady — so a Skip/Error schedule targets one member).
-// These pin the quarantine contract introduced by the partial-broadcast
-// bugfix: a failed member is benched, not left racing at a stale epoch.
+// White-box fault-injection tests for the Apply broadcast path, over both
+// policies: the production failure mode (a member Extend failing
+// mid-broadcast) is only reachable through universe corruption, so the
+// concretize/extend faultpoint simulates it (members extend in member
+// order, so a Skip/Error schedule targets one member). A failed member is
+// benched, never left serving at a stale epoch, and rebuilt inside the
+// broadcast.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"testing"
+	"time"
 
+	"github.com/paper-repo-growth/go-arxiv/internal/concretize"
 	"github.com/paper-repo-growth/go-arxiv/internal/faultpoint"
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
+	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
 // armFault arms one faultpoint site with a single anonymous rule and
@@ -33,135 +38,139 @@ func diamondDelta() *Delta {
 	return d
 }
 
-// TestPortfolioApplyQuarantinesFailedMember: a member whose Extend fails
-// during the broadcast is quarantined — attributed in the returned error,
-// visible in Health, and excluded from every subsequent race — while the
-// surviving members complete the broadcast and keep serving.
-func TestPortfolioApplyQuarantinesFailedMember(t *testing.T) {
-	u, root := repo.SynthDiamond(3, 4)
-	p := mustPortfolio(t, u)
-	armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Error(1, nil))
+// memberSetOf returns the member set behind either policy, for white-box
+// checks on its member sessions.
+func memberSetOf(b storeBackend) *memberSet {
+	switch b := b.(type) {
+	case *PortfolioResolver:
+		return &b.memberSet
+	case *PoolResolver:
+		return &b.memberSet
+	}
+	panic(fmt.Sprintf("unknown backend %T", b))
+}
 
-	epoch, err := p.Apply(diamondDelta())
-	if epoch != 1 {
-		t.Fatalf("epoch after apply = %d, want 1 (universe must advance)", epoch)
-	}
-	if err == nil {
-		t.Fatal("broadcast with a failing member returned nil error")
-	}
-	var me *MemberError
-	if !errors.As(err, &me) {
-		t.Fatalf("broadcast error %T lost member attribution: %v", err, err)
-	}
-	if me.Member != "positive" {
-		t.Fatalf("attributed member = %q, want positive", me.Member)
-	}
-
-	// Health: the failed member is quarantined at its stale epoch; every
-	// survivor reached the new epoch.
-	quarantined := 0
-	for _, h := range p.Health() {
-		if h.Name == "positive" {
-			if !h.Quarantined || h.Err == nil {
-				t.Fatalf("failed member not quarantined: %+v", h)
+// TestApplyRebuildsFailedMember pins the Apply failure contract on both
+// policies: a member whose extension fails is rebuilt inside the
+// broadcast, so Apply returns nil at the new epoch, the member serves at
+// that epoch, and its answers match the survivors'.
+func TestApplyRebuildsFailedMember(t *testing.T) {
+	for name, b := range storeBackends(t, twoApps) {
+		t.Run(name, func(t *testing.T) {
+			set := memberSetOf(b)
+			reqs := []Request{{Roots: []Root{{Pkg: "appA"}}}, {Roots: []Root{{Pkg: "appB"}}}}
+			for _, m := range set.members {
+				for _, req := range reqs {
+					if _, err := m.se.Resolve(context.Background(), req.Roots, concretizeOptions(req)); err != nil {
+						t.Fatalf("warm %s: %v", m.name, err)
+					}
+				}
 			}
-			if h.Epoch != 0 {
-				t.Fatalf("quarantined member epoch = %d, want stale 0", h.Epoch)
-			}
-			quarantined++
-			continue
-		}
-		if h.Quarantined {
-			t.Fatalf("healthy member %s quarantined: %v", h.Name, h.Err)
-		}
-		if h.Epoch != 1 {
-			t.Fatalf("healthy member %s at epoch %d, want 1", h.Name, h.Epoch)
-		}
-	}
-	if quarantined != 1 {
-		t.Fatalf("quarantined members = %d, want 1", quarantined)
-	}
-	// Members() still lists the full configuration, quarantined included.
-	if got := len(p.Members()); got != len(DefaultPortfolio()) {
-		t.Fatalf("Members() = %d names, want %d", got, len(DefaultPortfolio()))
-	}
+			before := b.Snapshot().Rebuilds
 
-	// The quarantined member must never win a race: it would answer from a
-	// pre-delta skeleton. Repeat to give it every chance to race.
-	req := Request{Roots: []Root{{Pkg: root}}, Objective: NewestVersion()}
-	for i := 0; i < 8; i++ {
-		res, err := p.Resolve(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Config == "positive" {
-			t.Fatal("quarantined member won a race")
-		}
-		if res.Picks["app"].String() != "99.0" {
-			t.Fatalf("post-apply resolve picked app@%s, want 99.0", res.Picks["app"])
-		}
-		if res.Stats.Epoch != 1 {
-			t.Fatalf("answer epoch = %d, want 1", res.Stats.Epoch)
-		}
+			// Members extend in member order: the second one fails.
+			armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Error(1, nil))
+			d := NewDelta()
+			d.Add("libA", "2.0")
+			if epoch, err := b.Apply(d); err != nil || epoch != 1 {
+				t.Fatalf("Apply = (%d, %v), want (1, nil)", epoch, err)
+			}
+			if got := b.Snapshot().Rebuilds; got != before+1 {
+				t.Fatalf("rebuilds %d -> %d, want one more", before, got)
+			}
+			for _, h := range b.Health() {
+				if h.Quarantined || h.Err != nil || h.Epoch != 1 {
+					t.Fatalf("member %s after the faulted broadcast: %+v, want serving at epoch 1", h.Name, h)
+				}
+			}
+			for _, req := range reqs {
+				var first *concretize.Resolution
+				for _, m := range set.members {
+					res, err := m.se.Resolve(context.Background(), req.Roots, concretizeOptions(req))
+					if err != nil || !res.Stats.Optimal || res.Stats.Epoch != 1 {
+						t.Fatalf("%s on %s: %+v, %v; want an optimal epoch-1 answer", req.Roots[0].Pkg, m.name, res, err)
+					}
+					if first == nil {
+						first = res
+					} else if !maps.EqualFunc(res.Picks, first.Picks, version.Version.Equal) {
+						t.Fatalf("%s: %s picked %v, %s picked %v", req.Roots[0].Pkg, m.name, res.Picks, set.members[0].name, first.Picks)
+					}
+				}
+			}
+			if res := mustResolve(t, b, "appA"); res.Picks["libA"].String() != "2.0" || res.Stats.Epoch != 1 {
+				t.Fatalf("appA after the delta: libA %s at epoch %d, want 2.0 at epoch 1", res.Picks["libA"], res.Stats.Epoch)
+			}
+		})
 	}
 }
 
-// TestPortfolioAllQuarantinedFailStops: when the broadcast benches every
-// member, the portfolio fail-stops — Resolve refuses with
-// ErrNoActiveMembers rather than inventing an answer.
-func TestPortfolioAllQuarantinedFailStops(t *testing.T) {
-	u, root := repo.SynthDiamond(3, 4)
-	p := mustPortfolio(t, u)
-	armFault(t, "concretize/extend", faultpoint.Error(0, nil))
-
-	epoch, err := p.Apply(diamondDelta())
-	if epoch != 1 {
-		t.Fatalf("epoch = %d, want 1", epoch)
-	}
-	if err == nil {
-		t.Fatal("total broadcast failure returned nil error")
-	}
-
-	_, err = p.Resolve(context.Background(), Request{Roots: []Root{{Pkg: root}}, Objective: NewestVersion()})
-	if !errors.Is(err, ErrNoActiveMembers) {
-		t.Fatalf("resolve after total quarantine = %v, want ErrNoActiveMembers", err)
+// TestExtendPanicContained: a member whose extension panics during Apply
+// is contained and rebuilt like a failed extension, on both policies —
+// Apply succeeds at the new epoch and the backend keeps full capacity.
+func TestExtendPanicContained(t *testing.T) {
+	for name, b := range storeBackends(t, twoApps) {
+		t.Run(name, func(t *testing.T) {
+			mustResolve(t, b, "appA")
+			armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Panic(1, "injected extend panic"))
+			d := NewDelta()
+			d.Add("libA", "2.0")
+			if epoch, err := b.Apply(d); err != nil || epoch != 1 {
+				t.Fatalf("Apply = (%d, %v), want (1, nil)", epoch, err)
+			}
+			if st := b.Snapshot(); st.Rebuilds != 1 || st.Broken != 0 {
+				t.Fatalf("rebuilds/broken = %d/%d, want 1/0", st.Rebuilds, st.Broken)
+			}
+			res := mustResolve(t, b, "appA")
+			if !res.Stats.Optimal || res.Stats.Epoch != 1 || res.Picks["libA"].String() != "2.0" {
+				t.Fatalf("appA after the extension panic: %+v, want libA 2.0 at epoch 1", res)
+			}
+		})
 	}
 }
 
-// TestPortfolioQuarantineSticks: a second Apply must not resurrect a
-// quarantined member — it skipped a delta, so it stays behind forever.
-func TestPortfolioQuarantineSticks(t *testing.T) {
-	u, _ := repo.SynthDiamond(3, 4)
-	p := mustPortfolio(t, u)
-	// Fault only "steady" (fourth in racing order); the schedule exhausts
-	// and auto-disarms, so the second Apply runs fault-free.
-	armFault(t, "concretize/extend", faultpoint.Skip(3), faultpoint.Error(1, nil))
-
-	if _, err := p.Apply(diamondDelta()); err == nil {
-		t.Fatal("want broadcast error")
-	}
-	// The fault is gone — but the member already missed a delta.
-
-	d2 := NewDelta()
-	d2.Add("app", "100.0", repo.Dep("mid0", ":"))
-	epoch, err := p.Apply(d2)
-	if epoch != 2 {
-		t.Fatalf("epoch = %d, want 2", epoch)
-	}
-	if err != nil {
-		t.Fatalf("second broadcast over healthy members failed: %v", err)
-	}
-	for _, h := range p.Health() {
-		if h.Name == "steady" {
-			if !h.Quarantined {
-				t.Fatal("quarantined member resurrected by a later Apply")
+// TestFailedRebuildAutoHeals: a crashlooping member whose operator
+// Rebuild fails is left benched but not sticky, so a later Resolve entry
+// rebuilds it instead of leaving it out until the next Rebuild.
+func TestFailedRebuildAutoHeals(t *testing.T) {
+	for name, b := range storeBackends(t, twoApps) {
+		t.Run(name, func(t *testing.T) {
+			b.SetCrashLoopPolicy(2, time.Hour)
+			benched := func() MemberHealth { return b.Health()[1] }
+			// The second member's extension fails, and so does every
+			// rebuild: the broadcast's, then the Resolve entries', until
+			// the member goes sticky.
+			armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Error(1, nil))
+			armFault(t, "resolve/"+name+"/rebuild", faultpoint.Error(0, nil))
+			d := NewDelta()
+			d.Add("libA", "2.0")
+			if _, err := b.Apply(d); err != nil {
+				t.Fatal(err)
 			}
-			if h.Epoch != 0 {
-				t.Fatalf("quarantined member epoch = %d, want 0 (never extended)", h.Epoch)
+			for i := 0; i < 6 && !benched().CrashLoop; i++ {
+				mustResolve(t, b, "appA")
 			}
-		} else if h.Epoch != 2 {
-			t.Fatalf("member %s at epoch %d, want 2", h.Name, h.Epoch)
-		}
+			if h := benched(); !h.CrashLoop {
+				t.Fatalf("member %s never went sticky: %+v", h.Name, h)
+			}
+			// The operator override resets the window; its one attempt fails.
+			if healed := b.Rebuild(); healed != nil {
+				t.Fatalf("faulted Rebuild healed %v, want nil", healed)
+			}
+			if h := benched(); !h.Quarantined || h.CrashLoop {
+				t.Fatalf("member %s after a failed Rebuild: %+v, want benched, not sticky", h.Name, h)
+			}
+
+			faultpoint.DisarmAll()
+			for i := 0; i < 3; i++ {
+				mustResolve(t, b, "appA")
+			}
+			if st := b.Snapshot(); st.Broken != 0 || st.Rebuilds != 1 {
+				t.Fatalf("after a failed Rebuild and 3 resolves: broken/rebuilds = %d/%d, want 0/1", st.Broken, st.Rebuilds)
+			}
+			if h := benched(); h.Epoch != 1 {
+				t.Fatalf("healed member %s at epoch %d, want 1", h.Name, h.Epoch)
+			}
+		})
 	}
 }
 

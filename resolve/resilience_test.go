@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,14 +86,14 @@ func TestPortfolioCrashLoopSticky(t *testing.T) {
 	req := Request{Roots: []Root{{Pkg: root}}, Objective: NewestVersion()}
 
 	t.Cleanup(faultpoint.DisarmAll)
-	// "dive" panics once mid-solve (benching it), then panics on every
+	// "positive" panics once mid-solve (benching it), then panics on every
 	// rebuild attempt.
 	if err := faultpoint.Arm("resolve/portfolio/solve",
-		faultpoint.On("dive", faultpoint.Panic(1, "injected solve panic"))); err != nil {
+		faultpoint.On("positive", faultpoint.Panic(1, "injected solve panic"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := faultpoint.Arm("resolve/portfolio/rebuild",
-		faultpoint.On("dive", faultpoint.Panic(0, "injected rebuild panic"))); err != nil {
+		faultpoint.On("positive", faultpoint.Panic(0, "injected rebuild panic"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,7 +105,7 @@ func TestPortfolioCrashLoopSticky(t *testing.T) {
 			t.Fatalf("resolve %d: %v", i, err)
 		}
 		for _, h := range p.Health() {
-			if h.Name == "dive" && h.CrashLoop {
+			if h.Name == "positive" && h.CrashLoop {
 				sticky = true
 			}
 		}
@@ -115,7 +114,7 @@ func TestPortfolioCrashLoopSticky(t *testing.T) {
 		t.Fatal("crashlooping member never went sticky")
 	}
 	for _, h := range p.Health() {
-		if h.Name != "dive" {
+		if h.Name != "positive" {
 			if h.Quarantined {
 				t.Fatalf("healthy member %s benched: %v", h.Name, h.Err)
 			}
@@ -144,8 +143,8 @@ func TestPortfolioCrashLoopSticky(t *testing.T) {
 	// Explicit Rebuild is the operator override: with the fault gone it
 	// resets the window and heals the member.
 	faultpoint.DisarmAll()
-	if healed := p.Rebuild(); len(healed) != 1 || healed[0] != "dive" {
-		t.Fatalf("Rebuild healed %v, want [dive]", healed)
+	if healed := p.Rebuild(); len(healed) != 1 || healed[0] != "positive" {
+		t.Fatalf("Rebuild healed %v, want [positive]", healed)
 	}
 	for _, h := range p.Health() {
 		if h.Quarantined {
@@ -245,147 +244,6 @@ func TestPoolCrashLoopSticky(t *testing.T) {
 	}
 	if _, err := p.Resolve(context.Background(), req); err != nil {
 		t.Fatalf("resolve after operator rebuild: %v", err)
-	}
-}
-
-// TestPortfolioExtendPanicContained: a member whose extension panics
-// during Apply is quarantined like a failed extension — the broadcast
-// still reaches the new epoch and attributes the member — but, benched by
-// a panic, it auto-heals at the next Resolve entry.
-func TestPortfolioExtendPanicContained(t *testing.T) {
-	u, root := repo.SynthDiamond(3, 4)
-	p := mustPortfolio(t, u)
-	// Members extend in racing order: the second ("positive") panics.
-	armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Panic(1, "injected extend panic"))
-
-	epoch, err := p.Apply(diamondDelta())
-	if epoch != 1 {
-		t.Fatalf("epoch after apply = %d, want 1", epoch)
-	}
-	var me *MemberError
-	var pe *PanicError
-	if !errors.As(err, &me) || me.Member != "positive" || !errors.As(err, &pe) {
-		t.Fatalf("Apply error = %v, want a *MemberError for positive wrapping a *PanicError", err)
-	}
-	if pe.Op != "portfolio/positive" {
-		t.Fatalf("contained extension panic Op = %q, want portfolio/positive", pe.Op)
-	}
-	for _, h := range p.Health() {
-		if h.Quarantined != (h.Name == "positive") {
-			t.Fatalf("health after extension panic: %+v", h)
-		}
-	}
-
-	req := Request{Roots: []Root{{Pkg: root}}, Objective: NewestVersion()}
-	if _, err := p.Resolve(context.Background(), req); err != nil {
-		t.Fatalf("resolve after extension panic: %v", err)
-	}
-	for _, h := range p.Health() {
-		if h.Quarantined || h.Epoch != 1 {
-			t.Fatalf("member %s after auto-heal: %+v, want serving at epoch 1", h.Name, h)
-		}
-	}
-}
-
-// TestPoolExtendPanicContained: a shard whose extension panics during
-// Apply is rebuilt inline like a failed extension — Apply succeeds and the
-// pool keeps full capacity.
-func TestPoolExtendPanicContained(t *testing.T) {
-	u, root := repo.SynthRegistry(200, 4)
-	p := NewPoolResolver(u, 3, SessionOptions{})
-	req := poolRequest(root)
-	if _, err := p.Resolve(context.Background(), req); err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-
-	// Shards extend in index order: shard 1 panics.
-	armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Panic(1, "injected extend panic"))
-	d := NewDelta()
-	d.Add("reg150", "9.0")
-	if epoch, err := p.Apply(d); err != nil || epoch != 1 {
-		t.Fatalf("Apply = (%d, %v), want (1, nil)", epoch, err)
-	}
-	if st := p.Snapshot(); st.Rebuilds != 1 || st.Broken != 0 {
-		t.Fatalf("stats rebuilds/broken = %d/%d, want 1/0", st.Rebuilds, st.Broken)
-	}
-	res, err := p.Resolve(context.Background(), req)
-	if err != nil || !res.Stats.Optimal {
-		t.Fatalf("resolve after extension panic: %v", err)
-	}
-}
-
-// TestPortfolioFailedRebuildAutoHeals: a member whose operator Rebuild
-// fails is left auto-heal-eligible, so a later Resolve entry retries it
-// instead of leaving it benched until the next Rebuild.
-func TestPortfolioFailedRebuildAutoHeals(t *testing.T) {
-	u, root := repo.SynthDiamond(3, 4)
-	p := mustPortfolio(t, u)
-	// Quarantine "positive" through a failed broadcast, then fail the one
-	// rebuild the operator override attempts.
-	armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Error(1, nil))
-	if _, err := p.Apply(diamondDelta()); err == nil {
-		t.Fatal("faulted broadcast returned nil error")
-	}
-	armFault(t, "resolve/portfolio/rebuild", faultpoint.Error(1, nil))
-	if healed := p.Rebuild(); healed != nil {
-		t.Fatalf("faulted Rebuild healed %v, want nil", healed)
-	}
-
-	req := Request{Roots: []Root{{Pkg: root}}, Objective: NewestVersion()}
-	for i := 0; i < 3; i++ {
-		if _, err := p.Resolve(context.Background(), req); err != nil {
-			t.Fatalf("resolve %d: %v", i, err)
-		}
-	}
-	for _, h := range p.Health() {
-		if h.Quarantined || h.Epoch != 1 {
-			t.Fatalf("member %s after a failed Rebuild and 3 resolves: %+v, want healed at epoch 1", h.Name, h)
-		}
-	}
-}
-
-// TestPoolFailedRebuildAutoHeals: a sticky shard whose operator Rebuild
-// fails is left auto-heal-eligible, so the next Resolve entry rebuilds it
-// instead of leaving it out of routing until the next Apply.
-func TestPoolFailedRebuildAutoHeals(t *testing.T) {
-	u, root := repo.SynthRegistry(120, 3)
-	p := NewPoolResolver(u, 3, SessionOptions{})
-	p.SetCrashLoopPolicy(2, time.Hour)
-	req := poolRequest(root)
-
-	t.Cleanup(faultpoint.DisarmAll)
-	if err := faultpoint.Arm("resolve/pool/solve", faultpoint.Any(faultpoint.Panic(1, "injected shard panic"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultpoint.Arm("resolve/pool/rebuild", faultpoint.Any(faultpoint.Panic(0, "injected rebuild panic"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Resolve(context.Background(), req); err == nil {
-		t.Fatal("panicking shard answered")
-	}
-	sticky := false
-	for i := 0; i < 6 && !sticky; i++ {
-		if _, err := p.Resolve(context.Background(), req); err != nil {
-			t.Fatalf("resolve %d on surviving shards: %v", i, err)
-		}
-		sticky = slices.ContainsFunc(p.Snapshot().Members, func(sh MemberHealth) bool { return sh.CrashLoop })
-	}
-	if !sticky {
-		t.Fatal("crashlooping shard never went sticky")
-	}
-	// The operator override resets the window; its one attempt panics.
-	if healed := p.Rebuild(); healed != nil {
-		t.Fatalf("faulted Rebuild healed %v, want nil", healed)
-	}
-
-	faultpoint.DisarmAll()
-	for i := 0; i < 3; i++ {
-		if _, err := p.Resolve(context.Background(), req); err != nil {
-			t.Fatalf("resolve %d: %v", i, err)
-		}
-	}
-	if st := p.Snapshot(); st.Broken != 0 || st.Rebuilds != 1 {
-		t.Fatalf("after a failed Rebuild and 3 resolves: broken/rebuilds = %d/%d, want 0/1", st.Broken, st.Rebuilds)
 	}
 }
 

@@ -12,10 +12,10 @@
 //     request and returns the first definitive answer, canceling the
 //     losers through the solver's interrupt. Configurations differ only
 //     in search heuristics — branching polarity, restart schedule, and
-//     the objective-descent strategy (sat.Config.Descent: adaptive,
-//     linear stepping, or binary search between the incumbent and the
-//     proven lower bound) — so every member returns cost-identical
-//     answers; racing changes latency, never results.
+//     the objective-descent strategy (sat.Config.Descent: adaptive, or
+//     binary search between the incumbent and the proven lower bound) —
+//     so every member returns cost-identical answers; racing changes
+//     latency, never results.
 //   - PoolResolver shards requests across N identically-configured
 //     Sessions for throughput: shape-affine routing (hash of Request.Key)
 //     with work stealing, so distinct request shapes solve in parallel and
@@ -27,18 +27,18 @@
 //     backend.
 //
 // The portfolio and the pool are two policies over one supervised member
-// set. Both keep one answer store (concretize.Answers) in front of their
-// members: a request it answers touches no member, and every definitive
-// answer a member produces is filed there with the member's name. Both
-// contain a panic at any member boundary (solve, extension, rebuild) as a
-// *PanicError and bench the member instead of crashing; both heal benched
-// members with fresh sessions — automatically at a later Resolve entry
-// after a panic, on demand through Heal, and through Rebuild, the
-// operator override — bounded by a crashloop breaker
-// (SetCrashLoopPolicy); and both report their state through Health and
-// Snapshot. They differ in one policy: a portfolio member whose Apply
-// extension fails is quarantined until Heal or Rebuild, while a pool
-// shard is rebuilt inside the broadcast.
+// set, and differ only in how they use its members: the portfolio races
+// them, the pool routes each request to one. Both keep one answer store
+// (concretize.Answers) in front of their members: a request it answers
+// touches no member, and every definitive answer a member produces is
+// filed there with the member's name. Both contain a panic at any member
+// boundary (solve, extension, rebuild) as a *PanicError and bench the
+// member instead of crashing, and both heal benched members with fresh
+// sessions — inside the Apply broadcast for a failed extension, at the
+// next Resolve entry after a solve panic or a failed rebuild, and through
+// Rebuild, the operator override — bounded by a crashloop breaker
+// (SetCrashLoopPolicy). Both report their state through Health and
+// Snapshot.
 //
 // Warm requests are cheap twice over: beyond the answer store, each
 // Session banks per-request-shape facts — the lowered objective and the
@@ -87,8 +87,8 @@ type (
 	Objective = concretize.Objective
 	// Stats reports search effort for one request.
 	Stats = concretize.Stats
-	// SessionOptions tunes one backend Session (the activation-memo bound
-	// and the sat.Config solver knobs a portfolio varies).
+	// SessionOptions tunes one backend Session: the sat.Config solver
+	// knobs a portfolio varies.
 	SessionOptions = concretize.SessionOptions
 	// ObjectiveFunc adapts a custom weight function into an Objective.
 	ObjectiveFunc = concretize.ObjectiveFunc
@@ -123,11 +123,10 @@ func NewDelta() *Delta { return repo.NewDelta() }
 
 // MemberError attributes a member's failure: which portfolio member or
 // pool shard produced the error and at what universe epoch. Every
-// definitive unsat proof, stored or solved, the portfolio's
-// broadcast-quarantine path, and its first-error fallback all wrap
-// through it, so callers get uniform attribution; Unwrap keeps
-// errors.Is(ErrUnsatisfiable) and errors.As(*UnsatError) matching the
-// underlying taxonomy.
+// definitive unsat proof, stored or solved, and the portfolio's
+// first-error fallback wrap through it, so callers get uniform
+// attribution; Unwrap keeps errors.Is(ErrUnsatisfiable) and
+// errors.As(*UnsatError) matching the underlying taxonomy.
 type MemberError struct {
 	Member string
 	Epoch  Epoch

@@ -57,10 +57,12 @@ func TestPortfolioConfigValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate name: err = %v", err)
 	}
-	p := mustPortfolio(t, u)
-	want := []string{"baseline", "positive", "dive", "steady"}
-	if !reflect.DeepEqual(p.Members(), want) {
-		t.Fatalf("Members = %v, want %v", p.Members(), want)
+	var names []string
+	for _, h := range mustPortfolio(t, u).Snapshot().Members {
+		names = append(names, h.Name)
+	}
+	if want := []string{"baseline", "positive", "steady"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("members = %v, want %v", names, want)
 	}
 }
 

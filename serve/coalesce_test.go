@@ -54,10 +54,11 @@ func (b *stubBackend) Apply(d *resolve.Delta) (resolve.Epoch, error) {
 
 func (b *stubBackend) Epoch() resolve.Epoch { return resolve.Epoch(b.epoch.Load()) }
 
-func (b *stubBackend) Heal() []string                          { return nil }
-func (b *stubBackend) Rebuild() []string                       { return nil }
-func (b *stubBackend) Snapshot() resolve.Snapshot              { return resolve.Snapshot{Backend: "stub"} }
-func (b *stubBackend) LastGood(string) (*resolve.Result, bool) { return nil, false }
+func (b *stubBackend) Rebuild() []string          { return nil }
+func (b *stubBackend) Snapshot() resolve.Snapshot { return resolve.Snapshot{Backend: "stub"} }
+func (b *stubBackend) LastGood(string) (*resolve.Result, bool, bool) {
+	return nil, false, false
+}
 
 func stubPicks() map[string]version.Version {
 	return map[string]version.Version{"pkg": version.MustParse("1.0")}

@@ -33,7 +33,7 @@ type metrics struct {
 	degraded  atomic.Int64 // last good answers served in degraded mode
 	retries   atomic.Int64 // backend solves retried after a transient failure
 	panics    atomic.Int64 // panics contained at the serving boundary
-	rebuilds  atomic.Int64 // backend rebuilds (retry-path self-heal + /v1/rebuild)
+	rebuilds  atomic.Int64 // operator rebuilds (POST /v1/rebuild)
 
 	ewmaNs atomic.Int64 // EWMA of backend solve latency, nanoseconds
 

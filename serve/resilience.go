@@ -35,10 +35,10 @@ var (
 // transient reports whether a resolve failure is worth retrying: the
 // backend failed for an internal, plausibly self-healing reason rather
 // than answering. Contained panics and a fully-benched backend are
-// transient (the retry path heals); so is any remaining member failure
-// that does not wrap a definitive answer, and a raw injected fault (which
-// simulates exactly this class). Definitive answers and caller outcomes
-// are not.
+// transient (the retry's Resolve entry rebuilds benched members); so is
+// any remaining member failure that does not wrap a definitive answer,
+// and a raw injected fault (which simulates exactly this class).
+// Definitive answers and caller outcomes are not.
 func transient(err error) bool {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

@@ -183,6 +183,44 @@ func TestServeDegradedStaleAnswer(t *testing.T) {
 	expect(app, "2.0", 3)
 }
 
+// TestServeDegradedFreshAnswer: the staleness bound applies to stale
+// entries only. An answer the store still holds fresh is the current
+// epoch's answer, so degraded mode serves it however many unrelated
+// deltas ago it was solved.
+func TestServeDegradedFreshAnswer(t *testing.T) {
+	u := repo.New()
+	u.Add("app", "1.0", repo.Dep("lib", ":"))
+	u.Add("lib", "1.0")
+	p := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{})
+	s := New(p, Options{MaxRetries: -1, MaxStaleEpochs: 2})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	app := ResolveRequest{Roots: []string{"app"}}
+	if status, warm, _, err := postResolve(ts.URL, app); err != nil || status != http.StatusOK || warm.Epoch != 0 {
+		t.Fatalf("warm resolve = %d epoch %d, %v", status, warm.Epoch, err)
+	}
+	for _, ver := range []string{"1.0", "2.0", "3.0"} {
+		d := resolve.NewDelta()
+		d.Add("other", ver)
+		if _, err := p.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Answers != 1 || st.Epoch != 3 {
+		t.Fatalf("after three unrelated deltas: %d fresh answers at epoch %d, want 1 at epoch 3", st.Answers, st.Epoch)
+	}
+
+	armServeFault(t, "serve/backend/resolve", faultpoint.Error(0, nil))
+	status, ok, er, err := postResolve(ts.URL, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK || !ok.Degraded || ok.Epoch != 0 || ok.Picks["lib"] != "1.0" {
+		t.Fatalf("faulted resolve = %d kind %q degraded=%v epoch %d, want the fresh answer degraded at epoch 0",
+			status, er.Kind, ok.Degraded, ok.Epoch)
+	}
+}
+
 // TestServeShedRetryAfter: shed responses carry a Retry-After header
 // derived from the admission controller's wait estimate.
 func TestServeShedRetryAfter(t *testing.T) {
@@ -217,8 +255,8 @@ func TestServeShedRetryAfter(t *testing.T) {
 }
 
 // TestServeRebuildEndpoint: POST /v1/rebuild force-heals a backend whose
-// members were benched by a faulted broadcast; on a backend with nothing
-// benched it heals nothing.
+// members were benched by a faulted broadcast and kept benched by failing
+// rebuilds; on a backend with nothing benched it heals nothing.
 func TestServeRebuildEndpoint(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
 	p, err := resolve.NewPortfolioResolver(u)
@@ -229,8 +267,10 @@ func TestServeRebuildEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Bench every member: the broadcast faults on each extension.
+	// Bench every member: the broadcast faults on each extension, and
+	// every rebuild fails until the faults are disarmed.
 	armServeFault(t, "concretize/extend", faultpoint.Error(0, nil))
+	armServeFault(t, "resolve/portfolio/rebuild", faultpoint.Error(0, nil))
 	d := ApplyRequest{Adds: []VersionAddRequest{{Pkg: "app", Version: "99.0", Deps: []DeclRequest{{Pkg: "mid0"}}}}}
 	buf, _ := json.Marshal(d)
 	resp, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(buf))
@@ -238,10 +278,9 @@ func TestServeRebuildEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("faulted apply = %d, want 422", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("faulted apply = %d, want 200", resp.StatusCode)
 	}
-	faultpoint.DisarmAll()
 
 	// Every member benched: resolving fail-stops (no stored answer for this
 	// shape).
@@ -253,7 +292,8 @@ func TestServeRebuildEndpoint(t *testing.T) {
 		t.Fatalf("all-benched resolve = %d kind %q, want 503 no_members", status, bad.Kind)
 	}
 
-	// The operator override heals all four members.
+	// The operator override heals all three members.
+	faultpoint.DisarmAll()
 	resp, err = http.Post(ts.URL+"/v1/rebuild", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +303,8 @@ func TestServeRebuildEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(rb.Healed) != 4 {
-		t.Fatalf("rebuild = %d healed %v, want 200 with 4 members", resp.StatusCode, rb.Healed)
+	if resp.StatusCode != http.StatusOK || len(rb.Healed) != 3 {
+		t.Fatalf("rebuild = %d healed %v, want 200 with 3 members", resp.StatusCode, rb.Healed)
 	}
 
 	// Capacity is back: the delta's answer serves at epoch 1.
@@ -294,9 +334,11 @@ func TestServeRebuildEndpoint(t *testing.T) {
 	}
 }
 
-// TestServeRetryRebuildsBenchedBackend: the retry path self-heals — when
-// every member is benched, the first failing request triggers a rebuild
-// and its own retry then succeeds, no operator involved.
+// TestServeRetryRebuildsBenchedBackend: a fully-benched backend heals
+// itself, no operator involved — the backend's Resolve entry rebuilds
+// its members, and serve's retry only gives it another entry. The
+// broadcast's rebuilds fail, and so does the first request's; its retry
+// then succeeds.
 func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
 	p, err := resolve.NewPortfolioResolver(u)
@@ -307,12 +349,17 @@ func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Bench every member via a fully-faulted broadcast.
+	// Bench every member via a fully-faulted broadcast; the rebuild fault
+	// covers the broadcast's three rebuilds and the first entry's three.
 	armServeFault(t, "concretize/extend", faultpoint.Error(0, nil))
-	if _, err := p.Apply(diamondDeltaServe()); err == nil {
-		t.Fatal("faulted broadcast returned nil error")
+	armServeFault(t, "resolve/portfolio/rebuild", faultpoint.Error(6, nil))
+	if _, err := p.Apply(diamondDeltaServe()); err != nil {
+		t.Fatal(err)
 	}
-	faultpoint.DisarmAll()
+	faultpoint.Disarm("concretize/extend")
+	if st := p.Snapshot(); st.Broken != 3 {
+		t.Fatalf("broken members after the faulted broadcast = %d, want 3", st.Broken)
+	}
 
 	status, ok, _, err := postResolve(ts.URL, ResolveRequest{Roots: []string{root}})
 	if err != nil || status != http.StatusOK {
@@ -324,8 +371,14 @@ func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 	if ok.Epoch != 1 || ok.Picks["app"] != "99.0" {
 		t.Fatalf("recovered answer = %+v, want post-delta epoch-1 resolution", ok)
 	}
-	if s.metrics.rebuilds.Load() == 0 {
-		t.Fatal("retry path recorded no rebuild")
+	if st := p.Snapshot(); st.Broken != 0 || st.Rebuilds != 3 {
+		t.Fatalf("backend broken/rebuilds = %d/%d, want 0/3", st.Broken, st.Rebuilds)
+	}
+	if got := s.metrics.retries.Load(); got != 1 {
+		t.Fatalf("serve retries = %d, want 1", got)
+	}
+	if got := s.metrics.rebuilds.Load(); got != 0 {
+		t.Fatalf("serve rebuilds = %d, want 0 (only POST /v1/rebuild counts)", got)
 	}
 }
 

@@ -31,7 +31,8 @@
 // Errors map typed: unknown roots 400, proven-unsat 422 (with roots and
 // the proving member), budget exhaustion and shed 503/429, deadline 504.
 // When the backend cannot answer, degraded mode serves the shape's last
-// good answer from the backend's answer store (Backend.LastGood). GET
+// good answer from the backend's answer store (Backend.LastGood): a fresh
+// one whatever its epoch, a stale one within Options.MaxStaleEpochs. GET
 // /v1/stats exposes the process-wide registry — request and coalesce
 // counters, answer-store and bound-memo hits, shed and timeout counts,
 // p50/p90/p99 latency — and the backend's Snapshot: member health, and
@@ -41,7 +42,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -68,12 +68,6 @@ type Backend interface {
 	// Epoch is the universe epoch the backend currently serves at; it
 	// qualifies the coalescing key.
 	Epoch() resolve.Epoch
-	// Heal returns benched members to service, respecting the crashloop
-	// breaker; the retry loop calls it when the backend reports no active
-	// members.
-	//
-	// goarxivlint:blocking cancel=none
-	Heal() []string
 	// Rebuild is the operator override behind POST /v1/rebuild: it heals
 	// every benched member, crashlooping ones included.
 	//
@@ -82,9 +76,9 @@ type Backend interface {
 	// Snapshot reports member health and the backend's counters for
 	// /v1/stats.
 	Snapshot() resolve.Snapshot
-	// LastGood returns the shape's last optimal answer, fresh or stale, for
-	// degraded mode.
-	LastGood(key string) (*resolve.Result, bool)
+	// LastGood returns the shape's last optimal answer for degraded mode,
+	// and whether it is fresh (still the answer at the current epoch).
+	LastGood(key string) (res *resolve.Result, fresh, ok bool)
 }
 
 // Options tunes a Server. The zero value selects sane defaults.
@@ -117,10 +111,11 @@ type Options struct {
 	// instead.
 	RetryBackoff time.Duration
 
-	// MaxStaleEpochs bounds degraded mode: a last good answer
+	// MaxStaleEpochs bounds degraded mode: a stale last good answer
 	// (Backend.LastGood) is served only when the epoch it was computed at
-	// is within this many epochs of the current universe. Zero selects 64;
-	// negative disables degraded mode entirely.
+	// is within this many epochs of the current universe; a fresh one is
+	// served whatever its epoch. Zero selects 64; negative disables
+	// degraded mode entirely.
 	MaxStaleEpochs int
 }
 
@@ -309,11 +304,11 @@ func (s *Server) resolve(ctx context.Context, req resolve.Request, timeout time.
 // solveBackend is one leader's backend conversation: the contained call,
 // retried on transient failures with jittered backoff, every sleep
 // budgeted against the deadline (a retry that cannot finish in time
-// surfaces the failure instead of burning the caller's budget). A
-// fully-benched backend is healed before the retry — the self-heal that
-// turns "every member crashed" back into capacity. The heal respects the
-// crashloop breaker: once every member is sticky, requests fail fast
-// until an operator POST /v1/rebuild.
+// surfaces the failure instead of burning the caller's budget). A retry
+// against a fully-benched backend gives the backend's Resolve entry
+// another chance to rebuild its members, within the crashloop breaker:
+// once every member is sticky, requests fail fast until an operator POST
+// /v1/rebuild.
 func (s *Server) solveBackend(ctx context.Context, req resolve.Request) (*resolve.Result, error) {
 	for attempt := 0; ; attempt++ {
 		r, err := s.callBackend(ctx, req)
@@ -328,10 +323,6 @@ func (s *Server) solveBackend(ctx context.Context, req resolve.Request) (*resolv
 		}
 		if attempt >= s.opts.MaxRetries || !transient(err) || ctx.Err() != nil {
 			return nil, err
-		}
-		if errors.Is(err, resolve.ErrNoActiveMembers) {
-			s.backend.Heal()
-			s.metrics.rebuilds.Add(1)
 		}
 		delay := retryDelay(s.opts.RetryBackoff, attempt)
 		if dl, ok := ctx.Deadline(); ok {
@@ -371,10 +362,10 @@ func (s *Server) callBackend(ctx context.Context, req resolve.Request) (r *resol
 
 // staleAnswer is degraded mode: when a request failed for a degradable
 // reason, serve the shape's last good answer from the backend's answer
-// store — an optimal answer, fresh or stale, never an unsat one —
-// provided the epoch it was computed at is within the staleness bound of
-// the current universe. The caller receives its own copy, stamped with
-// the epoch it was computed at; the degraded flag rides the response.
+// store — an optimal answer, never an unsat one — provided it is fresh,
+// or stale but computed within the staleness bound of the current
+// universe. The caller receives its own copy, stamped with the epoch it
+// was computed at; the degraded flag rides the response.
 //
 // Deltas are append-only, so a stale answer is still a consistent
 // resolution of the universe as of its epoch: it may miss newer versions,
@@ -383,12 +374,12 @@ func (s *Server) staleAnswer(req resolve.Request, cause error) *resolve.Result {
 	if s.opts.MaxStaleEpochs < 0 || !degradable(cause) {
 		return nil
 	}
-	res, ok := s.backend.LastGood(req.Key())
+	res, fresh, ok := s.backend.LastGood(req.Key())
 	if !ok {
 		return nil
 	}
-	cur := uint64(s.backend.Epoch())
-	if cur-uint64(res.Stats.Epoch) > uint64(s.opts.MaxStaleEpochs) {
+	// A fresh entry is the current epoch's answer; only a stale one ages.
+	if !fresh && uint64(s.backend.Epoch())-uint64(res.Stats.Epoch) > uint64(s.opts.MaxStaleEpochs) {
 		return nil
 	}
 	s.metrics.degraded.Add(1)
@@ -473,20 +464,12 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch, err := s.applyBackend(d)
 	if err != nil {
-		var pe *resolve.PanicError
-		if errors.As(err, &pe) {
+		if isPanicError(err) {
 			status, resp := errorStatus(err)
 			writeError(w, status, resp)
 			return
 		}
-		// A quarantining broadcast still advanced the universe; report
-		// both the epoch and the attribution.
-		resp := ErrorResponse{Error: err.Error(), Kind: "apply_failed"}
-		var me *resolve.MemberError
-		if errors.As(err, &me) {
-			resp.Member = me.Member
-		}
-		writeError(w, http.StatusUnprocessableEntity, resp)
+		writeError(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error(), Kind: "apply_failed"})
 		return
 	}
 	s.metrics.applies.Add(1)
@@ -509,8 +492,8 @@ func (s *Server) applyBackend(d *resolve.Delta) (epoch resolve.Epoch, err error)
 }
 
 // handleRebuild (POST /v1/rebuild) is the operator override for benched
-// capacity: it force-heals every quarantined member or broken shard —
-// crashlooping (sticky) ones included — and reports what it healed.
+// capacity: it force-heals every benched member — crashlooping (sticky)
+// ones included — and reports what it healed.
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	healed := s.backend.Rebuild()
 	s.metrics.rebuilds.Add(1)
