@@ -131,3 +131,62 @@ func TestMatchingLitsConcreteTargetInPlace(t *testing.T) {
 		t.Errorf("matchingLits on a 200-version package made %.0f allocations per call; want 1 (no candidate-list copy)", allocs)
 	}
 }
+
+// TestSessionScopeFirstVisitGreedy: on a warm registry session, the scope
+// order (deepest packages first, each package's versions oldest first)
+// makes a first visit's first model the greedy one, which is optimal on
+// this family: every miss takes one model and one closing refutation, and
+// answers as a fresh solve does.
+func TestSessionScopeFirstVisitGreedy(t *testing.T) {
+	u, _ := repo.SynthRegistry(firstVisitPkgs, firstVisitVers)
+	sess := newFirstVisitSession(t, u)
+	for _, roots := range firstVisitRoots(48) {
+		res, err := sess.Resolve(context.Background(), roots, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", rootsString(roots), err)
+		}
+		if res.Stats.SolveCalls != 2 {
+			t.Errorf("%s: first visit took %d solve calls (%d models, %d conflicts), want 2",
+				rootsString(roots), res.Stats.SolveCalls, res.Stats.Improvements, res.Stats.Conflicts)
+		}
+		cold, err := Concretize(u, roots, Options{})
+		if err != nil {
+			t.Fatalf("%s: cold: %v", rootsString(roots), err)
+		}
+		if !reflect.DeepEqual(res.Picks, cold.Picks) {
+			t.Fatalf("%s: warm picks diverge from cold:\n%v\n%v", rootsString(roots), res.Picks, cold.Picks)
+		}
+	}
+}
+
+// TestSessionScopeNewRootVersion: a delta publishes a new newest root
+// version with a much smaller closure. Re-solving the root on the warm
+// session takes no more solve calls than a fresh session on the grown
+// universe, and picks the same: the warm solver's leftover activity and
+// phases do not slow the descent.
+func TestSessionScopeNewRootVersion(t *testing.T) {
+	u, _ := repo.SynthDiamond(40, 8)
+	se := NewSession(u, SessionOptions{})
+	app := []Root{MustParseRoot("app")}
+	if _, err := resolveWithin(t, se, app); err != nil {
+		t.Fatalf("pre-delta app: %v", err)
+	}
+	d := repo.NewDelta()
+	d.Add("app", "99.0", repo.Dep("mid0", ":"))
+	extendWithin(t, se, d)
+	warm, err := resolveWithin(t, se, app)
+	if err != nil {
+		t.Fatalf("post-delta app: %v", err)
+	}
+	fresh, err := resolveWithin(t, NewSession(u, SessionOptions{}), app)
+	if err != nil {
+		t.Fatalf("fresh app: %v", err)
+	}
+	if warm.Stats.SolveCalls > fresh.Stats.SolveCalls {
+		t.Errorf("warm re-solve took %d solve calls (%d decisions); a fresh session takes %d (%d decisions)",
+			warm.Stats.SolveCalls, warm.Stats.Decisions, fresh.Stats.SolveCalls, fresh.Stats.Decisions)
+	}
+	if !reflect.DeepEqual(warm.Picks, fresh.Picks) {
+		t.Errorf("warm picks %v, fresh picks %v", pickStrings(warm), pickStrings(fresh))
+	}
+}

@@ -887,6 +887,19 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 
 // decisionScope lists the solver variables a request's search branches
 // on: the installed and version variables of every reachable package.
+// The list is also the search's branching priority among variables of
+// equal activity (see sat.Solver.SolveAssuming), and its order makes the
+// first model the greedy one. Packages come deepest first in reachable's
+// breadth-first order, so a package's dependencies are usually decided
+// before it and propagation has struck the versions they rule out. Each
+// package lists its versions oldest to newest, so under seedPhases' seed
+// (newest true, the rest false) the search rejects older versions first
+// and selects the newest one left standing. Its installed variable comes
+// last, by when the selected version has set it; decided first, its
+// false phase would drop a package before its dependents are known, a
+// conflict whenever one of them needs it. Where no version cap binds, as
+// on a registry first visit, that first model is optimal and the descent
+// ends after one refutation; a binding cap still costs descent rounds.
 // Everything else the session has materialized (other requests' closures,
 // activations, support literals, virtuals' needed variables) stays
 // unassigned in a scoped model and reads false, which the encoding keeps
@@ -899,10 +912,12 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 // The slice is session-owned scratch, valid until the next request.
 func (se *Session) decisionScope(order []string) []int {
 	scope := se.scopeBuf[:0]
-	for _, name := range order {
-		pv := se.vars[name]
+	for i := len(order) - 1; i >= 0; i-- {
+		pv := se.vars[order[i]]
+		for j := len(pv.vers) - 1; j >= 0; j-- {
+			scope = append(scope, pv.vers[j])
+		}
 		scope = append(scope, pv.installed)
-		scope = append(scope, pv.vers...)
 	}
 	se.scopeBuf = scope
 	return scope
@@ -911,15 +926,18 @@ func (se *Session) decisionScope(order []string) []int {
 // seedPhases seeds the solver's saved phases with the greedy
 // newest-version assignment over the request's reachable packages:
 // nothing installed until propagation demands it, and the newest version
-// tried first for whatever is. Objectives price versions newest-first
-// (index 0 cheapest under NewestVersion, and MinimalChange's tiebreak),
-// so the first model the search finds lands at or near the optimum
-// instead of wherever default polarities happen to settle — on
-// version-deep universes (SynthRegistry carries 100 versions per package)
-// the difference between a handful of descent rounds and hundreds. Phase
-// saving overwrites the seed as soon as the search assigns a variable,
-// and phases steer only which model is found first, never what is
-// satisfiable, so seeding cannot change any answer.
+// tried first for whatever is. decisionScope orders each package's
+// versions oldest first, so the search meets the seed's false phases
+// first and rejects versions from the oldest up, and puts the installed
+// variable last, once a version has settled it. Objectives price
+// versions newest-first (index 0 cheapest under NewestVersion, and
+// MinimalChange's tiebreak), so the first model the search finds lands
+// at or near the optimum instead of wherever default polarities happen
+// to settle — on version-deep universes (SynthRegistry carries 100
+// versions per package) the difference between a handful of descent
+// rounds and hundreds. Phase saving overwrites the seed as soon as the
+// search assigns a variable, and phases steer only which model is found
+// first, never what is satisfiable, so seeding cannot change any answer.
 // Root packages get a sharper seed: the newest version *their root range
 // allows*. The universal newest-first seed would walk a capped root (say
 // "pkg@:50" over 100 versions) down through ~lag conflicts before finding

@@ -196,9 +196,6 @@ func (s *Solver) ForgetLearnts() {
 		}
 		s.assigns[v] = lUndef
 		s.reasons[v] = reason{}
-		if s.decision[v] && !s.order.inHeap(v) {
-			s.order.insert(v)
-		}
 	}
 	s.trail = s.trail[:0]
 	s.qhead = 0

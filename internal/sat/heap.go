@@ -1,22 +1,37 @@
 package sat
 
 // varHeap is a max-heap of variables ordered by activity, with an index map
-// for decrease-key, as in MiniSat's order heap.
+// for decrease-key, as in MiniSat's order heap. Equal activities order by
+// rank, lowest first, so the order is total: which variable is popped
+// never depends on the sequence of inserts and removals that shaped the
+// heap.
 type varHeap struct {
 	heap     []int
 	indices  []int // var -> heap position+1, 0 if absent
 	activity *[]float64
+	rank     *[]int32
 }
 
-func newVarHeap(act *[]float64) *varHeap {
-	return &varHeap{activity: act, indices: make([]int, 1)}
+func newVarHeap(act *[]float64, rank *[]int32) *varHeap {
+	return &varHeap{activity: act, rank: rank, indices: make([]int, 1)}
 }
 
 func (h *varHeap) less(a, b int) bool {
-	return (*h.activity)[a] > (*h.activity)[b]
+	if x, y := (*h.activity)[a], (*h.activity)[b]; x != y {
+		return x > y
+	}
+	return (*h.rank)[a] < (*h.rank)[b]
 }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
+
+// clear empties the heap.
+func (h *varHeap) clear() {
+	for _, v := range h.heap {
+		h.indices[v] = 0
+	}
+	h.heap = h.heap[:0]
+}
 
 func (h *varHeap) inHeap(v int) bool {
 	return v < len(h.indices) && h.indices[v] != 0

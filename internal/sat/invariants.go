@@ -11,8 +11,10 @@ import (
 // solver's propagation state, compiled in only under the satcheck build
 // tag. The mutating entry points (SolveAssuming, TightenPB, DetachClause,
 // RemovePB, RetireGuard, ForgetLearnts) call checkInvariants at their
-// boundaries, and every scoped Sat verdict is checked against the scope
-// contract (checkScopedModel);
+// boundaries (SolveAssuming right after markScope builds the call's branch
+// heap, and at exit, where checkCallHeap audits the heap before the
+// closing backtrack), and every scoped Sat verdict is checked against the
+// scope contract (checkScopedModel);
 // without the tag those calls are empty functions (invariants_off.go) and
 // cost nothing. CI runs the full test suite — including the differential
 // and churn harnesses — with -tags satcheck, so every constraint edit those
@@ -50,9 +52,10 @@ func (s *Solver) checkInvariants(site string) {
 
 // CheckInvariants audits the solver's internal state: watcher coverage for
 // every live clause, PB counter/occurrence/slot consistency against the
-// trail, branch-heap discipline (auxiliary variables never branchable,
-// unassigned decision variables always available), and closure of the
-// level-0 trail under unit and PB propagation. It returns nil on a solver
+// trail, branch-heap discipline (auxiliary variables never branchable;
+// during a call, every unassigned in-scope decision variable available and
+// nothing out of scope), and closure of the level-0 trail under unit and
+// PB propagation. It returns nil on a solver
 // that is inconsistent at the top level (ok == false): such a solver is
 // frozen and its partial state makes no promises. It must be called at
 // decision level 0, i.e. between solves — anywhere the solver's public
@@ -95,6 +98,15 @@ func (s *Solver) CheckInvariants() error {
 		return fmt.Errorf("detached counter is %d but the clause list holds %d deleted clauses", s.detached, deleted)
 	}
 	return s.checkPBState()
+}
+
+// checkCallHeap panics unless the branch heap still matches the open
+// call's scope when its search ends, at whatever decision level (see
+// checkHeap). It compiles to a no-op without the satcheck build tag.
+func (s *Solver) checkCallHeap() {
+	if err := s.checkHeap(); s.ok && err != nil {
+		panic(fmt.Sprintf("sat: invariant violation after solve exit: %v", err))
+	}
 }
 
 // checkScopedModel panics unless the model of a scoped SolveAssuming call
@@ -145,8 +157,8 @@ func (s *Solver) scopedModelError() error {
 // AddClauseRef normalization mark outlived its call.
 func (s *Solver) checkGeometry() error {
 	if n := s.nVars + 1; len(s.assigns) != n || len(s.level) != n || len(s.trailPos) != n ||
-		len(s.reasons) != n || len(s.polarity) != n || len(s.decision) != n || len(s.scopeMark) != n || len(s.seen) != n ||
-		len(s.clauseMark) != n {
+		len(s.reasons) != n || len(s.polarity) != n || len(s.decision) != n || len(s.scopeMark) != n ||
+		len(s.scopeRank) != n || len(s.seen) != n || len(s.clauseMark) != n {
 		return fmt.Errorf("per-variable arrays out of step with nVars=%d", s.nVars)
 	}
 	for v, m := range s.clauseMark {
@@ -198,15 +210,22 @@ func (s *Solver) checkTrail() error {
 }
 
 // checkHeap verifies branch-heap discipline: auxiliary (defined) variables
-// never become branchable, and every unassigned decision variable is
-// available to pickBranchVar — a decision variable missing from the heap
-// while unassigned would silently shrink the search space.
+// never become branchable, and during a SolveAssuming call the heap holds
+// every unassigned decision variable of the call's scope and nothing
+// outside it — a variable missing from the heap would silently shrink the
+// call's search, an extra one would branch outside the scope. Between
+// calls the heap is the last call's leftover, so only the first rule
+// applies.
 func (s *Solver) checkHeap() error {
 	for v := 1; v <= s.nVars; v++ {
+		inScope := s.scopeMark[v] == s.scopeEpoch
 		switch {
 		case !s.decision[v] && s.order.inHeap(v):
 			return fmt.Errorf("auxiliary variable %d is in the branch heap", v)
-		case s.decision[v] && s.assigns[v] == lUndef && !s.order.inHeap(v):
+		case !s.inCall:
+		case !inScope && s.order.inHeap(v):
+			return fmt.Errorf("out-of-scope variable %d is in the branch heap", v)
+		case inScope && s.assigns[v] == lUndef && !s.order.inHeap(v):
 			return fmt.Errorf("unassigned decision variable %d is missing from the branch heap", v)
 		}
 	}

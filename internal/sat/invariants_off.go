@@ -10,6 +10,10 @@ const satCheckEnabled = false
 // build tag it is an empty function and the call sites compile away.
 func (s *Solver) checkInvariants(string) {}
 
+// checkCallHeap is the checked-build audit of a call's branch heap when
+// its search ends; without the satcheck build tag it is an empty function.
+func (s *Solver) checkCallHeap() {}
+
 // checkScopedModel is the checked-build scope-contract audit; without the
 // satcheck build tag it is an empty function.
 func (s *Solver) checkScopedModel() {}

@@ -84,11 +84,22 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{
 			name: "unassigned decision variable lost from the heap",
 			corrupt: func(t *testing.T, s *Solver, vars [4]int, _ int) {
+				// Open an unscoped call, as SolveAssuming does, then lose
+				// its heap: every decision variable is unassigned.
+				s.markScope(nil)
 				for !s.order.empty() {
 					s.order.removeMin()
 				}
 			},
 			want: "missing from the branch heap",
+		},
+		{
+			name: "out-of-scope variable in the heap",
+			corrupt: func(t *testing.T, s *Solver, vars [4]int, _ int) {
+				s.markScope([]int{vars[0]})
+				s.order.insert(vars[1])
+			},
+			want: "out-of-scope variable",
 		},
 		{
 			name: "retired PB slot missing from the free list",

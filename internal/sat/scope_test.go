@@ -3,6 +3,7 @@ package sat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -163,10 +164,11 @@ func TestSolveAssumingScopeAgreesWithUnscoped(t *testing.T) {
 }
 
 // TestSolveAssumingScopeBranchesOnlyInScope: a scoped call decides only
-// in-scope variables, leaves free out-of-scope ones unassigned, and lets
-// propagation set out-of-scope ones only false; scopes of earlier calls,
-// including across an epoch wrap, never leak into later ones; and an
-// unscoped call still branches on everything.
+// in-scope variables, leaves free out-of-scope ones unassigned, lets
+// propagation set out-of-scope ones only false, and never puts one into
+// its branch heap; scopes of earlier calls, including across an epoch
+// wrap, never leak into later ones; and an unscoped call still branches
+// on everything.
 func TestSolveAssumingScopeBranchesOnlyInScope(t *testing.T) {
 	s := New()
 	vars := make([]int, 40)
@@ -197,9 +199,10 @@ func TestSolveAssumingScopeBranchesOnlyInScope(t *testing.T) {
 		}
 		for i, v := range vars {
 			switch {
-			case !s.order.inHeap(v):
-				t.Fatalf("variable %d is missing from the branch heap after the call", v)
-			case in[v] || unassigned(v):
+			case in[v]:
+			case s.order.inHeap(v):
+				t.Fatalf("out-of-scope variable %d is in the call's branch heap", v)
+			case unassigned(v):
 			case i >= 10:
 				t.Fatalf("free out-of-scope variable %d was assigned", v)
 			case s.ValueOf(v):
@@ -210,9 +213,10 @@ func TestSolveAssumingScopeBranchesOnlyInScope(t *testing.T) {
 	check(vars[:10])
 	check(vars[20:30])
 	// The next scoped call wraps the epoch. Forge a mark from long before
-	// the wrap that, kept, would read as "already set aside" afterwards.
-	s.scopeEpoch = math.MaxUint32 - 1
-	s.scopeMark[vars[39]] = 1
+	// the wrap that, kept, would read as already stamped in the new epoch,
+	// so the call would never put vars[14] into its branch heap.
+	s.scopeEpoch = math.MaxUint32
+	s.scopeMark[vars[14]] = 1
 	check(vars[5:15])
 	check(vars[30:])
 	check([]int{})
@@ -224,51 +228,175 @@ func TestSolveAssumingScopeBranchesOnlyInScope(t *testing.T) {
 			t.Fatalf("unscoped solve left decision variable %d unassigned", v)
 		}
 	}
+
+	// Backjumping returns only in-scope variables to the heap. Deciding a
+	// false propagates o false and meets a conflict whose learnt unit a
+	// backjumps to level 0, unassigning o again; the call must still make
+	// just its two decisions and leave o unassigned.
+	s = New()
+	a, b, o := s.NewVar(), s.NewVar(), s.NewVar()
+	s.AddClause(Lit(a), Lit(o).Neg())
+	s.AddClause(Lit(a), Lit(b))
+	s.AddClause(Lit(a), Lit(b).Neg())
+	if st := s.SolveAssuming(nil, []int{a, b}); st != Sat {
+		t.Fatalf("scoped solve = %v, want SAT", st)
+	}
+	if s.Conflicts != 1 || s.Decisions != 2 || s.model[o] != lUndef {
+		t.Fatalf("scoped solve made %d conflicts and %d decisions and left o %v; want 1, 2 and unassigned",
+			s.Conflicts, s.Decisions, s.model[o])
+	}
 }
 
-// TestSolveAssumingScopeRestoresHeapWhenStopped: a scoped call stopped by
-// Interrupt or by its MaxConflicts budget still puts every variable it set
-// aside back into the branch heap, so no unassigned decision variable is
-// lost to later calls.
-func TestSolveAssumingScopeRestoresHeapWhenStopped(t *testing.T) {
+// TestSolveAssumingScopeAfterStop: after a scoped call stopped by
+// Interrupt or by its MaxConflicts budget, the next call branches on its
+// own scope, however the stopped call left the branch heap: a call over a
+// different scope assigns every variable of its scope and decides nothing
+// else, and an unscoped call assigns every variable.
+func TestSolveAssumingScopeAfterStop(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want Status
 	}{{"interrupt", Canceled}, {"budget", Unknown}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()
-			// Out-of-scope variables come first and carry the highest
-			// activity, so the first decision sets every one of them aside.
+			// The next call's scope: outside the stopped call's, first
+			// and most active.
 			out := make([]int, 8)
 			for i := range out {
 				out[i] = s.NewVar()
 				s.bumpVar(out[i])
 			}
-			encodePHP(s, 11)
+			// Pigeonhole 11 into 10 under the assumption g: every pigeon's
+			// hole clause carries !g, so the formula is hard under g and
+			// satisfied by g false.
+			g := s.NewVar()
+			const pigeons, holes = 11, 10
 			var scope []int
-			for v := len(out) + 1; v <= s.NumVars(); v++ {
-				scope = append(scope, v)
+			php := make([][]int, pigeons)
+			for i := range php {
+				for h := 0; h < holes; h++ {
+					php[i] = append(php[i], s.NewVar())
+				}
+				scope = append(scope, php[i]...)
+				lits := []Lit{Lit(g).Neg()}
+				for _, v := range php[i] {
+					lits = append(lits, Lit(v))
+				}
+				s.AddClause(lits...)
+			}
+			for h := 0; h < holes; h++ {
+				for i := 0; i < pigeons; i++ {
+					for j := i + 1; j < pigeons; j++ {
+						s.AddClause(Lit(php[i][h]).Neg(), Lit(php[j][h]).Neg())
+					}
+				}
 			}
 			var st Status
 			if tc.want == Canceled {
 				done := make(chan Status, 1)
-				go func() { done <- s.SolveAssuming(nil, scope) }()
+				go func() { done <- s.SolveAssuming([]Lit{Lit(g)}, scope) }()
 				time.Sleep(20 * time.Millisecond)
 				s.Interrupt()
 				st = <-done
 				s.ClearInterrupt()
 			} else {
 				s.MaxConflicts = 200
-				st = s.SolveAssuming(nil, scope)
+				st = s.SolveAssuming([]Lit{Lit(g)}, scope)
+				s.MaxConflicts = 0
 			}
 			if st != tc.want {
 				t.Fatalf("scoped solve = %v, want %v", st, tc.want)
 			}
+			// As a session does after a stop: the abandoned search's
+			// phases would pin the next call under g.
+			s.ResetPhases()
+			d0 := s.Decisions
+			if st := s.SolveAssuming(nil, out); st != Sat {
+				t.Fatalf("solve over another scope = %v, want SAT", st)
+			}
+			if d := s.Decisions - d0; d > int64(len(out)) {
+				t.Fatalf("solve over another scope made %d decisions over a %d-variable scope", d, len(out))
+			}
+			for _, v := range out {
+				if s.model[v] == lUndef {
+					t.Fatalf("solve over another scope left its variable %d unassigned", v)
+				}
+			}
+			if st := s.Solve(); st != Sat {
+				t.Fatalf("unscoped solve = %v, want SAT", st)
+			}
 			for v := 1; v <= s.NumVars(); v++ {
-				if s.decision[v] && s.assigns[v] == lUndef && !s.order.inHeap(v) {
-					t.Fatalf("unassigned decision variable %d is missing from the branch heap", v)
+				if s.model[v] == lUndef {
+					t.Fatalf("unscoped solve left decision variable %d unassigned", v)
 				}
 			}
 		})
+	}
+}
+
+// TestSolveAssumingScopeOrdersTies: among variables of equal activity the
+// scope is the call's branching priority (unscoped: variable order),
+// whatever layout earlier calls left the heap in, and activity still
+// comes first. Under an at-most-k row with every phase true, the first k
+// decisions are the model's true variables; k = 2 also pins the order
+// after the heap's first pop.
+func TestSolveAssumingScopeOrdersTies(t *testing.T) {
+	const n = 12
+	for k := 1; k <= 2; k++ {
+		s := New()
+		vars := make([]int, n)
+		terms := make([]PBTerm, n)
+		for i := range vars {
+			vars[i] = s.NewVar()
+			terms[i] = PBTerm{Lit: Lit(vars[i]), Weight: 1}
+		}
+		if !s.AddPB(terms, int64(k)) {
+			t.Fatal("AddPB failed")
+		}
+		// trueVars solves with every phase true and returns the model's
+		// true variables in the scope's order (unscoped: variable order).
+		trueVars := func(scope []int) []int {
+			t.Helper()
+			for _, v := range vars {
+				s.SetPhase(v, true)
+			}
+			if st := s.SolveAssuming(nil, scope); st != Sat {
+				t.Fatalf("k=%d: solve = %v, want SAT", k, st)
+			}
+			if scope == nil {
+				scope = vars
+			}
+			var got []int
+			for _, v := range scope {
+				if s.ValueOf(v) {
+					got = append(got, v)
+				}
+			}
+			return got
+		}
+		rng := rand.New(rand.NewSource(int64(k)))
+		perm := func() []int {
+			scope := make([]int, n)
+			for i, j := range rng.Perm(n) {
+				scope[i] = vars[j]
+			}
+			return scope
+		}
+		for round := 0; round < 8; round++ {
+			scope := perm()
+			if got := trueVars(scope); !slices.Equal(got, scope[:k]) {
+				t.Fatalf("k=%d round %d: true variables %v; want the scope's first %v of %v", k, round, got, scope[:k], scope)
+			}
+		}
+		if got := trueVars(nil); !slices.Equal(got, vars[:k]) {
+			t.Fatalf("k=%d unscoped: true variables %v; want the lowest-numbered %v", k, got, vars[:k])
+		}
+		hot := vars[n/2]
+		s.bumpVar(hot)
+		for round := 0; round < 4; round++ {
+			if got := trueVars(perm()); !slices.Contains(got, hot) || len(got) != k {
+				t.Fatalf("k=%d round %d: true variables %v; want %d of them, the most active %d among them", k, round, got, k, hot)
+			}
+		}
 	}
 }

@@ -121,17 +121,21 @@ type Solver struct {
 	// VSIDS
 	activity []float64
 	varInc   float64
-	order    *varHeap
+	order    *varHeap // the current call's branch heap (see markScope)
 
-	// Per-call decision scope (see SolveAssuming). During a scoped call,
-	// scopeMark[v] == scopeEpoch puts v in scope and scopeEpoch+1 records
-	// that pickBranchVar set v aside; setAside lists those variables until
-	// the call puts them back into the heap. Epochs advance by two per
-	// scoped call, so marking costs O(|scope|) and stale marks never match.
-	scoped     bool
+	// Per-call decision scope (see SolveAssuming). markScope stamps each
+	// decision variable of a call's scope with a fresh epoch
+	// (scopeMark[v] == scopeEpoch puts v in scope) and its position in
+	// the scope (scopeRank; unscoped: its number). Epochs advance by one
+	// per call, so marking costs O(|scope|) and stale marks never match.
+	// The branch heap orders by activity and then rank, a total order:
+	// ties follow the scope, and no decision depends on heap layout.
+	// inCall is set from markScope until the call's search ends:
+	// backtracking refills the heap only while it is set.
 	scopeMark  []uint32
+	scopeRank  []int32
 	scopeEpoch uint32
-	setAside   []int
+	inCall     bool
 
 	// PB constraints
 	pbs      []*pbConstraint
@@ -185,7 +189,7 @@ func New() *Solver { return NewWithConfig(Config{}) }
 // defaults; see Config).
 func NewWithConfig(cfg Config) *Solver {
 	s := &Solver{varInc: 1.0, ok: true, learntBase: 2000, cfg: cfg.withDefaults()}
-	s.order = newVarHeap(&s.activity)
+	s.order = newVarHeap(&s.activity, &s.scopeRank)
 	// index 0 unused
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
@@ -194,6 +198,7 @@ func NewWithConfig(cfg Config) *Solver {
 	s.polarity = append(s.polarity, false)
 	s.decision = append(s.decision, false)
 	s.scopeMark = append(s.scopeMark, 0)
+	s.scopeRank = append(s.scopeRank, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.clauseMark = append(s.clauseMark, 0)
@@ -256,7 +261,6 @@ func (s *Solver) SetPhase(v int, val bool) {
 func (s *Solver) NewVar() int {
 	v := s.allocVar()
 	s.decision[v] = true
-	s.order.insert(v)
 	return v
 }
 
@@ -291,6 +295,7 @@ func (s *Solver) allocVar() int {
 	s.polarity = append(s.polarity, !s.cfg.PositiveFirst)
 	s.decision = append(s.decision, false)
 	s.scopeMark = append(s.scopeMark, 0)
+	s.scopeRank = append(s.scopeRank, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.clauseMark = append(s.clauseMark, 0)
@@ -436,7 +441,7 @@ func (s *Solver) cancelUntil(level int) {
 		}
 		s.assigns[v] = lUndef
 		s.reasons[v] = reason{}
-		if s.decision[v] && !s.order.inHeap(v) {
+		if s.inCall && s.scopeMark[v] == s.scopeEpoch && !s.order.inHeap(v) {
 			s.order.insert(v)
 		}
 	}
@@ -586,36 +591,35 @@ func luby(i int64) int64 {
 // budget is exhausted and Canceled when Interrupt stopped the search; both
 // leave the solver consistent and reusable.
 //
-// scope limits the call's decisions to the listed variables; nil means
-// every decision variable. The search sets aside unassigned variables
-// outside the scope instead of branching on them and reports Sat once
-// every in-scope variable is assigned, so out-of-scope variables may stay
-// unassigned in the model, where ValueOf reports them false. Every
-// set-aside variable is back in the branch heap when the call returns,
-// whatever its status. This is the per-call form of NewAuxVar's contract,
-// and soundness is again the caller's: every constraint must hold once
-// each variable the search left unassigned reads false. A sufficient shape
-// is that every clause mentioning an out-of-scope variable holds a
-// negative out-of-scope literal, and that PB constraints weigh
-// out-of-scope variables only positively; then nothing in scope can force
-// an out-of-scope variable true, a scoped model extends to a full model
-// with the unassigned variables false, and scoped and unscoped calls
-// agree on satisfiability. The satcheck build audits every scoped Sat
-// verdict against the contract.
+// scope is the call's decision priority list: the search branches only
+// on the listed variables, highest VSIDS activity first and, among equal
+// activities, in scope order; nil means every decision variable, in
+// variable order. It reports Sat once every in-scope variable is
+// assigned, so out-of-scope variables may stay unassigned in the model,
+// where ValueOf reports them false. This is the per-call form of
+// NewAuxVar's contract, and soundness is again the caller's: every
+// constraint must hold once each variable the search left unassigned
+// reads false. A sufficient shape is that every clause mentioning an
+// out-of-scope variable holds a negative out-of-scope literal, and that
+// PB constraints weigh out-of-scope variables only positively; then
+// nothing in scope can force an out-of-scope variable true, a scoped
+// model extends to a full model with the unassigned variables false, and
+// scoped and unscoped calls agree on satisfiability. The satcheck build
+// audits every scoped Sat verdict against the contract.
 //
 // goarxivlint:blocking cancel=interrupt
 func (s *Solver) SolveAssuming(assumptions []Lit, scope []int) Status {
-	s.checkInvariants("solve entry")
 	s.markScope(scope)
+	s.checkInvariants("solve entry")
 	st := s.solve(assumptions)
-	for _, v := range s.setAside {
-		s.order.insert(v)
-	}
-	s.setAside = s.setAside[:0]
-	if st == Sat && s.scoped {
+	s.checkCallHeap()
+	// The next call rebuilds the heap, so the closing backtrack need not
+	// refill it.
+	s.inCall = false
+	s.cancelUntil(0)
+	if st == Sat && scope != nil {
 		s.checkScopedModel()
 	}
-	s.scoped = false
 	s.checkInvariants("solve exit")
 	return st
 }
@@ -628,29 +632,47 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	return s.SolveAssuming(assumptions, nil)
 }
 
-// markScope opens a scoped call over the listed variables (nil: unscoped).
+// markScope opens a call: it stamps the scope's decision variables (nil:
+// every decision variable) with a fresh epoch and their ranks, and builds
+// the call's branch heap from the unassigned ones. A variable listed
+// twice keeps its first position; auxiliary variables are never stamped.
 func (s *Solver) markScope(scope []int) {
-	s.scoped = scope != nil
-	if !s.scoped {
-		return
-	}
-	if s.scopeEpoch >= math.MaxUint32-2 {
+	if s.scopeEpoch == math.MaxUint32 {
 		clear(s.scopeMark)
 		s.scopeEpoch = 0
 	}
-	s.scopeEpoch += 2
-	for _, v := range scope {
+	s.scopeEpoch++
+	s.inCall = true
+	s.order.clear()
+	if scope == nil {
+		for v := 1; v <= s.nVars; v++ {
+			s.stamp(v, v)
+		}
+		return
+	}
+	for i, v := range scope {
 		if v < 1 || v > s.nVars {
 			panic("sat: scope names an out-of-range variable")
 		}
-		s.scopeMark[v] = s.scopeEpoch
+		s.stamp(v, i)
 	}
 }
 
-// solve is the search loop behind SolveAssuming. Every return path
-// backtracks to decision level 0 (or freezes the solver with ok=false),
-// which is what lets the satcheck boundary audits in SolveAssuming assume
-// a quiesced state.
+// stamp puts decision variable v in the open call's scope at rank.
+func (s *Solver) stamp(v, rank int) {
+	if !s.decision[v] || s.scopeMark[v] == s.scopeEpoch {
+		return
+	}
+	s.scopeMark[v] = s.scopeEpoch
+	s.scopeRank[v] = int32(rank)
+	if s.assigns[v] == lUndef {
+		s.order.insert(v)
+	}
+}
+
+// solve is the search loop behind SolveAssuming. It returns at whatever
+// decision level the search ended on; SolveAssuming backtracks to level 0
+// once the call's heap is done with.
 func (s *Solver) solve(assumptions []Lit) Status {
 	if !s.ok {
 		return Unsat
@@ -672,7 +694,6 @@ func (s *Solver) solve(assumptions []Lit) Status {
 		// propagation fixpoint / decision / conflict), so an Interrupt
 		// from another goroutine is honored within microseconds.
 		if s.interrupted.Load() {
-			s.cancelUntil(0)
 			return Canceled
 		}
 		confl := s.propagate()
@@ -681,12 +702,10 @@ func (s *Solver) solve(assumptions []Lit) Status {
 			conflictsSinceRestart++
 			if s.decisionLevel() == 0 {
 				s.ok = false
-				s.cancelUntil(0)
 				return Unsat
 			}
 			if s.decisionLevel() <= len(assumptions) {
 				// Conflict within assumption levels: UNSAT under assumptions.
-				s.cancelUntil(0)
 				return Unsat
 			}
 			learnt, btLevel := s.analyze(confl)
@@ -719,7 +738,6 @@ func (s *Solver) solve(assumptions []Lit) Status {
 			}
 			s.decayVarActivity()
 			if s.conflictBudget > 0 && s.Conflicts >= s.conflictBudget {
-				s.cancelUntil(0)
 				return Unknown
 			}
 			continue
@@ -748,7 +766,6 @@ func (s *Solver) solve(assumptions []Lit) Status {
 				s.trailLim = append(s.trailLim, len(s.trail))
 				continue
 			case lFalse:
-				s.cancelUntil(0)
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
@@ -767,7 +784,6 @@ func (s *Solver) solve(assumptions []Lit) Status {
 				s.model = s.model[:s.nVars+1]
 			}
 			copy(s.model, s.assigns)
-			s.cancelUntil(0)
 			return Sat
 		}
 		s.Decisions++
@@ -784,16 +800,8 @@ func (s *Solver) solve(assumptions []Lit) Status {
 
 func (s *Solver) pickBranchVar() int {
 	for !s.order.empty() {
-		v := s.order.removeMin()
-		switch {
-		case s.assigns[v] != lUndef:
-		case !s.scoped || s.scopeMark[v] == s.scopeEpoch:
+		if v := s.order.removeMin(); s.assigns[v] == lUndef {
 			return v
-		case s.scopeMark[v] != s.scopeEpoch+1:
-			// Out of scope: keep it out of this call's search. A variable
-			// that backtracking re-inserted is listed already.
-			s.scopeMark[v] = s.scopeEpoch + 1
-			s.setAside = append(s.setAside, v)
 		}
 	}
 	return 0
