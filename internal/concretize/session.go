@@ -137,13 +137,15 @@ type Session struct {
 
 	// Per-request scratch reused across Resolve calls (guarded by mu):
 	// assumption literals, the decision scope, the guarded PB term copy
-	// handed to the solver, and the pinned-activation / root-by-part
-	// lookups.
+	// handed to the solver, the pinned-activation / root-by-part lookups,
+	// and seedPhases' chosen versions and walk queue.
 	assumpsBuf []sat.Lit
 	scopeBuf   []int
 	termsBuf   []sat.PBTerm
 	pinnedBuf  map[sat.Lit]bool
 	byPartBuf  map[string]Root
+	seedBuf    map[string]int
+	seedQueue  []string
 }
 
 // actEntry is one memoized root-activation literal. target is the root's
@@ -204,6 +206,7 @@ func NewSession(u *repo.Universe, opts SessionOptions) *Session {
 		actsMax:   maxActivations,
 		pinnedBuf: make(map[sat.Lit]bool),
 		byPartBuf: make(map[string]Root),
+		seedBuf:   make(map[string]int),
 	}
 	se.epochA.Store(uint64(se.epoch))
 	se.newEncoding(sat.NewWithConfig(opts.Solver))
@@ -693,21 +696,21 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	se.evictActivations(pinned)
 
 	if memo == nil {
+		var costs map[string]PkgCost
 		var err error
-		objTerms, total, err = se.objectiveTerms(obj, order, roots)
+		objTerms, total, costs, err = se.objectiveTerms(obj, order, roots)
 		if err != nil {
 			return nil, err
 		}
 		memo = &boundEntry{order: order, reach: reach, terms: objTerms, total: total}
 		se.bounds.put(shapeKey, memo)
-		// First visit of this shape: seed saved phases toward the greedy
-		// assignment so the descent's first incumbent starts near the
-		// optimum. On version-deep universes (SynthRegistry carries up to
-		// 100 versions per package) this replaces a linear walk down
-		// hundreds of cost units — each a full solver round — with a
-		// handful of rounds; phases are pure heuristics, so seeding can
-		// never change the answer.
-		se.seedPhases(order, roots)
+		// First visit of this shape: seed saved phases with a greedy model
+		// priced by the request's objective, so the descent's first
+		// incumbent is usually already optimal and one refutation closes
+		// it. A repeat visit keeps the phases the last solve saved, which
+		// sit on this shape's last answer or its neighbors. Phases are pure
+		// heuristics, so seeding can never change the optimal cost.
+		se.seedPhases(order, roots, costs)
 	}
 
 	s := se.solver
@@ -892,21 +895,21 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 // first model the greedy one. Packages come deepest first in reachable's
 // breadth-first order, so a package's dependencies are usually decided
 // before it and propagation has struck the versions they rule out. Each
-// package lists its versions oldest to newest, so under seedPhases' seed
-// (newest true, the rest false) the search rejects older versions first
-// and selects the newest one left standing. Its installed variable comes
-// last, by when the selected version has set it; decided first, its
-// false phase would drop a package before its dependents are known, a
-// conflict whenever one of them needs it. Where no version cap binds, as
-// on a registry first visit, that first model is optimal and the descent
-// ends after one refutation; a binding cap still costs descent rounds.
-// Everything else the session has materialized (other requests' closures,
-// activations, support literals, virtuals' needed variables) stays
-// unassigned in a scoped model and reads false, which the encoding keeps
-// sound: every clause carries the negated literal of the version,
-// activation or support variable that declared it, reachable is closed
-// under dependency targets and providers, and PB rows weigh out-of-reach
-// variables only positively (see sat.Solver.SolveAssuming). A root
+// package lists its versions oldest to newest, so the search rejects
+// older versions first and selects the newest one left standing. Its
+// installed variable comes last, by when the selected version has set
+// it; decided first, its false phase would drop a package before its
+// dependents are known, a conflict whenever one of them needs it. On a
+// first visit, where seedPhases' greedy model is consistent (as on a
+// registry first visit, capped or not), that first model is optimal and
+// the descent ends after one refutation. Everything else the session has
+// materialized (other requests' closures, activations, support literals,
+// virtuals' needed variables) stays unassigned in a scoped model and
+// reads false, which the encoding keeps sound: every clause carries the
+// negated literal of the version, activation or support variable that
+// declared it, reachable is closed under dependency targets and
+// providers, and PB rows weigh out-of-reach variables only positively
+// (see sat.Solver.SolveAssuming). A root
 // virtual's needed variable is forced true by its assumed activation, the
 // one clause where it occurs positively, so it never needs a decision.
 // The slice is session-owned scratch, valid until the next request.
@@ -923,63 +926,124 @@ func (se *Session) decisionScope(order []string) []int {
 	return scope
 }
 
-// seedPhases seeds the solver's saved phases with the greedy
-// newest-version assignment over the request's reachable packages:
-// nothing installed until propagation demands it, and the newest version
-// tried first for whatever is. decisionScope orders each package's
-// versions oldest first, so the search meets the seed's false phases
-// first and rejects versions from the oldest up, and puts the installed
-// variable last, once a version has settled it. Objectives price
-// versions newest-first (index 0 cheapest under NewestVersion, and
-// MinimalChange's tiebreak), so the first model the search finds lands
-// at or near the optimum instead of wherever default polarities happen
-// to settle — on version-deep universes (SynthRegistry carries 100
-// versions per package) the difference between a handful of descent
-// rounds and hundreds. Phase saving overwrites the seed as soon as the
-// search assigns a variable, and phases steer only which model is found
-// first, never what is satisfiable, so seeding cannot change any answer.
-// Root packages get a sharper seed: the newest version *their root range
-// allows*. The universal newest-first seed would walk a capped root (say
-// "pkg@:50" over 100 versions) down through ~lag conflicts before finding
-// its first admissible version — and the activity those conflicts bump
-// scrambles the branching order for everything below the root, which is
-// how a first incumbent ends up far from greedy.
-func (se *Session) seedPhases(order []string, roots []Root) {
+// seedPhases seeds the solver's saved phases with a greedy model of the
+// request, priced by the objective's own costs: each candidate (package,
+// version i) costs Install − Omit + Version[i], what installing the
+// package at that version adds over leaving it out. The walk picks each
+// root's cheapest in-range candidate (ties to the newest), then follows
+// every chosen version's unconditional dependencies: a target that a
+// chosen version already satisfies is left alone, and otherwise its
+// cheapest in-range candidate is chosen, skipping packages chosen at
+// another version. Chosen packages are seeded installed at their chosen
+// version; every other reached package uninstalled, with every version
+// false. Under NewestVersion this is the newest admissible version of
+// everything the roots need; under MinimalChange it keeps installed
+// packages at their installed versions.
+//
+// The installed phases matter as much as the versions: VSIDS activity
+// outranks decisionScope's order, so once conflicts bump an installed
+// variable the search can decide it before its versions, and a false
+// phase there drops a package the greedy model needs. A version-only
+// seed, with every installed phase false, made every search
+// configuration slower on minimal-change provider swaps than the plain
+// newest-version seed (binary descent 2.28 → 4.31 CPU ms per request on
+// a 2-vCPU host); on TestSeedReuseSwapFirstModels' stream it finds an
+// optimal first model for 6 of 200 requests, where this seed finds 193.
+//
+// The walk ignores conditional dependencies and conflicts, so the seed
+// can miss a model; phases steer only which model the search finds
+// first, never what is satisfiable, so seeding cannot change the optimal
+// cost. It allocates nothing per dependency: candidates are walked in
+// place, and the chosen map and queue are session-owned scratch.
+func (se *Session) seedPhases(order []string, roots []Root, costs map[string]PkgCost) {
+	chosen := se.seedBuf
+	clear(chosen)
+	se.seedQueue = se.seedQueue[:0]
+	for _, r := range roots {
+		se.seedChoose(r.Pkg, r.Range, costs)
+	}
+	for q := 0; q < len(se.seedQueue); q++ {
+		name := se.seedQueue[q]
+		p, _ := se.u.Package(name)
+		def := &p.Versions()[chosen[name]]
+		for j := range def.Deps {
+			if d := &def.Deps[j]; d.When.IsZero() {
+				se.seedChoose(d.Pkg, d.Range, costs)
+			}
+		}
+	}
 	s := se.solver
 	for _, name := range order {
 		pv := se.vars[name]
-		s.SetPhase(pv.installed, false)
+		ci, ok := chosen[name]
+		s.SetPhase(pv.installed, ok)
 		for i, x := range pv.vers {
-			s.SetPhase(x, i == 0)
-		}
-	}
-	for _, r := range roots {
-		cands, ok := rootCandidates(se.u, r)
-		if !ok {
-			continue
-		}
-		for ci := 0; ci < len(cands); {
-			cj := ci
-			for cj < len(cands) && cands[cj].Pkg == cands[ci].Pkg {
-				cj++
-			}
-			// Candidates are newest-first within a package: cands[ci] is
-			// the best in-range pick for this package.
-			if pv, ok := se.vars[cands[ci].Pkg]; ok {
-				for i, x := range pv.vers {
-					s.SetPhase(x, i == cands[ci].Index)
-				}
-			}
-			ci = cj
+			s.SetPhase(x, ok && i == ci)
 		}
 	}
 }
 
+// seedChoose is one step of seedPhases' walk: unless a chosen version
+// already satisfies name@rng, it chooses the cheapest in-range candidate
+// whose package is not chosen yet and queues it. A concrete target's
+// versions are walked in place (as matchingLits does) and a virtual's
+// providers through Universe.Virtual, so no candidate list is built.
+func (se *Session) seedChoose(name string, rng version.Range, costs map[string]PkgCost) {
+	chosen := se.seedBuf
+	if _, ok := chosen[name]; ok {
+		return // a concrete target, satisfied or chosen outside rng
+	}
+	bestPkg, bestIdx, bestPrice := "", -1, int64(0)
+	var pcPkg string // candidates come grouped by package: price each once
+	var pc PkgCost
+	consider := func(pkg string, i int) {
+		if pkg != pcPkg {
+			pcPkg, pc = pkg, costs[pkg]
+		}
+		price := pc.Install - pc.Omit
+		if pc.Version != nil {
+			price += pc.Version[i]
+		}
+		if bestIdx < 0 || price < bestPrice {
+			bestPkg, bestIdx, bestPrice = pkg, i, price
+		}
+	}
+	if p, ok := se.u.Package(name); ok {
+		defs := p.Versions()
+		for i := range defs { // newest first: a tie keeps the newer version
+			if rng.Satisfies(defs[i].Version) {
+				consider(name, i)
+			}
+		}
+	} else {
+		provs, _ := se.u.Virtual(name)
+		for _, pr := range provs {
+			if !rng.Satisfies(pr.Provided) {
+				continue
+			}
+			p, _ := se.u.Package(pr.Pkg)
+			i := p.IndexOf(pr.Version)
+			if ci, ok := chosen[pr.Pkg]; ok {
+				if ci == i {
+					return // a chosen provider satisfies the requirement
+				}
+				continue
+			}
+			consider(pr.Pkg, i)
+		}
+	}
+	if bestIdx >= 0 {
+		chosen[bestPkg] = bestIdx
+		se.seedQueue = append(se.seedQueue, bestPkg)
+	}
+}
+
 // objectiveTerms lowers an Objective's package costs into weighted PB
-// terms over the session's solver variables, returning the terms and
-// their total weight (the k of the guarded bound constraint). Install
-// costs weight y_p, Omit costs weight !y_p, and version costs weight
-// x_{p,v}; zero costs produce no term.
+// terms over the session's solver variables, returning the terms, their
+// total weight (the k of the guarded bound constraint), and the validated
+// costs themselves, which seedPhases prices its greedy model with.
+// Install costs weight y_p, Omit costs weight !y_p, and version costs
+// weight x_{p,v}; zero costs produce no term.
 //
 // Materialized variables outside the reachable set carry no weight and are
 // ignored by decode, so their assignments never affect the request's cost
@@ -987,10 +1051,10 @@ func (se *Session) seedPhases(order []string, roots []Root) {
 // model by leaving everything else uninstalled. That is why the search
 // branches only on the reach set (decisionScope, and the scope contract
 // of sat.Solver.SolveAssuming), leaving everything else unassigned.
-func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) ([]sat.PBTerm, int64, error) {
+func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) ([]sat.PBTerm, int64, map[string]PkgCost, error) {
 	costs, err := obj.Costs(ObjectiveRequest{Universe: se.u, Order: order, Roots: roots})
 	if err != nil {
-		return nil, 0, fmt.Errorf("concretize: objective %q: %w", obj.Key(), err)
+		return nil, 0, nil, fmt.Errorf("concretize: objective %q: %w", obj.Key(), err)
 	}
 	inOrder := make(map[string]bool, len(order))
 	for _, name := range order {
@@ -998,7 +1062,7 @@ func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) (
 	}
 	for name := range costs {
 		if !inOrder[name] {
-			return nil, 0, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
+			return nil, 0, nil, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
 		}
 	}
 	var terms []sat.PBTerm
@@ -1010,10 +1074,10 @@ func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) (
 		}
 		pv := se.vars[name]
 		if pc.Install < 0 || pc.Omit < 0 {
-			return nil, 0, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
+			return nil, 0, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
 		}
 		if pc.Version != nil && len(pc.Version) != len(pv.vers) {
-			return nil, 0, fmt.Errorf("concretize: objective %q: %d version costs for %q (%d versions)",
+			return nil, 0, nil, fmt.Errorf("concretize: objective %q: %d version costs for %q (%d versions)",
 				obj.Key(), len(pc.Version), name, len(pv.vers))
 		}
 		if pc.Install > 0 {
@@ -1026,7 +1090,7 @@ func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) (
 		}
 		for i, w := range pc.Version {
 			if w < 0 {
-				return nil, 0, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
+				return nil, 0, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
 			}
 			if w > 0 {
 				terms = append(terms, sat.PBTerm{Lit: sat.Lit(pv.vers[i]), Weight: w})
@@ -1034,7 +1098,7 @@ func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) (
 			}
 		}
 	}
-	return terms, total, nil
+	return terms, total, costs, nil
 }
 
 // cost evaluates the objective under the solver's current model. Negative
