@@ -228,25 +228,27 @@ func checkDegradedMode() error {
 	return nil
 }
 
-// checkCrashLoop drives one portfolio member into a panic loop (solve and
-// rebuild both panicking via faultpoints) under a tight crashloop policy
-// and demands (a) every request still succeeds off the survivors, (b) the
-// member lands in the sticky CrashLoop state instead of rebuild-thrashing,
-// and (c) an explicit operator Rebuild restores it once the fault clears.
+// checkCrashLoop builds a two-member portfolio, the stock baseline plus a
+// default-option spare, drives the spare into a panic loop (solve and
+// rebuild both panicking via faultpoints) under a tight crashloop policy,
+// and demands (a) every request still succeeds off the survivor, (b) the
+// spare lands in the sticky CrashLoop state instead of rebuild-thrashing,
+// and (c) an explicit operator Rebuild restores exactly the spare once the
+// fault clears.
 func checkCrashLoop() error {
 	defer faultpoint.DisarmAll()
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	p, err := resolve.NewPortfolioResolver(u)
+	p, err := resolve.NewPortfolioResolver(u, append(resolve.DefaultPortfolio(), resolve.BackendConfig{Name: "spare"})...)
 	if err != nil {
 		return err
 	}
 	p.SetCrashLoopPolicy(2, time.Hour)
 	if err := faultpoint.Arm("resolve/portfolio/solve",
-		faultpoint.On("positive", faultpoint.Panic(0, "doctor crashloop solve"))); err != nil {
+		faultpoint.On("spare", faultpoint.Panic(0, "doctor crashloop solve"))); err != nil {
 		return err
 	}
 	if err := faultpoint.Arm("resolve/portfolio/rebuild",
-		faultpoint.On("positive", faultpoint.Panic(0, "doctor crashloop rebuild"))); err != nil {
+		faultpoint.On("spare", faultpoint.Panic(0, "doctor crashloop rebuild"))); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -258,18 +260,18 @@ func checkCrashLoop() error {
 			return fmt.Errorf("resolve %d should have survived on healthy members: %w", i, err)
 		}
 		for _, h := range p.Health() {
-			if h.Name == "positive" && h.CrashLoop {
+			if h.Name == "spare" && h.CrashLoop {
 				sticky = true
 			}
 		}
 	}
 	if !sticky {
-		return fmt.Errorf("positive never went sticky after repeated contained panics")
+		return fmt.Errorf("spare never went sticky after repeated contained panics")
 	}
 	faultpoint.DisarmAll()
 	healed := p.Rebuild()
-	if len(healed) != 1 || healed[0] != "positive" {
-		return fmt.Errorf("rebuild healed %v, want [positive]", healed)
+	if len(healed) != 1 || healed[0] != "spare" {
+		return fmt.Errorf("rebuild healed %v, want [spare]", healed)
 	}
 	for _, h := range p.Health() {
 		if h.Quarantined {

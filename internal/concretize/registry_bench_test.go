@@ -168,9 +168,9 @@ func newFirstVisitSession(tb testing.TB, u *repo.Universe) *Session {
 
 // firstVisitRoots returns n fixed first-visit requests from the full
 // blocks: distinct packages, each bare or capped at a drawn version. Tight
-// packages (every fourth, whose own dependencies are capped) stay bare:
-// capping them is the documented descent limitation. A longer list extends
-// a shorter one.
+// packages (every fourth, whose own dependencies are capped) stay bare;
+// TestSeedTightCapFirstVisits draws their capped first visits. A longer
+// list extends a shorter one.
 func firstVisitRoots(n int) [][]Root {
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([][]Root, n)

@@ -102,10 +102,12 @@ func reuseSwapDraw(rng *rand.Rand, n int) []reuseSwapRequest {
 // returns, and the first model is nearly always the optimum. A seed of
 // newest versions with nothing installed found an optimal first model for
 // none of these 200 requests and took 12.76 solve calls per request. The
-// solver is deterministic, so the counts repeat exactly (193 optimal first
-// models, 2.35 calls per request); the bounds leave room for a change to
-// the solver's tie order or learnt-clause policy to move a few requests
-// without failing a seed that still does its job.
+// solver is deterministic, so the counts repeat exactly (all 200 first
+// models optimal, 2.00 calls and 1.00 conflict per request; 193 and 2.35
+// calls while the seed left out installed packages nothing requires); the
+// bounds leave room for a change to the solver's tie order or
+// learnt-clause policy to move a few requests without failing a seed that
+// still does its job.
 func TestSeedReuseSwapFirstModels(t *testing.T) {
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
 	reqs := reuseSwapDraw(rand.New(rand.NewSource(1)), 200)
@@ -142,6 +144,87 @@ func TestSeedReuseSwapFirstModels(t *testing.T) {
 	}
 }
 
+// keptProviderRequest is a provider-swap request of the reuse-swap
+// stream whose installed app, 8.0, is the newest: the swapped-in root
+// prov2_1's newest version meets app's requirement on the second
+// virtual, so nothing requires the installed provider prov2_0, which the
+// optimum keeps at 3.0.
+func keptProviderRequest() ([]Root, Objective) {
+	inst := repo.Profile{}
+	for pkg, v := range map[string]string{
+		"app": "8.0", "prov0_0": "7.0", "prov1_1": "6.0", "prov2_0": "3.0", "prov3_0": "6.0",
+		"prov4_1": "4.0", "prov5_0": "5.0", "prov6_0": "6.0", "prov7_2": "4.0", "vbase": "2.0",
+	} {
+		inst[pkg] = version.MustParse(v)
+	}
+	return []Root{MustParseRoot("app"), MustParseRoot("prov2_1")}, MinimalChange(inst)
+}
+
+// TestSeedKeepsUnrequiredInstalled: the seed keeps an installed package
+// nothing requires, because MinimalChange prices leaving it out at a
+// change step. Choosing only what the roots' walk requires seeded
+// prov2_0 uninstalled, so the first model cost a change step above the
+// optimum and the request took 12 solve calls, 2 models and 11 conflicts.
+func TestSeedKeepsUnrequiredInstalled(t *testing.T) {
+	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
+	roots, obj := keptProviderRequest()
+	res, err := NewSession(u, SessionOptions{}).Resolve(context.Background(), roots, Options{Objective: obj})
+	if err != nil {
+		t.Fatalf("%s: %v", rootsString(roots), err)
+	}
+	if res.Stats.SolveCalls != 2 || res.Stats.Improvements != 1 || res.Stats.Cost != 795 {
+		t.Errorf("%s took %d solve calls (%d models, %d conflicts) at cost %d; want 2 calls, 1 model, cost 795",
+			rootsString(roots), res.Stats.SolveCalls, res.Stats.Improvements, res.Stats.Conflicts, res.Stats.Cost)
+	}
+	if got, ok := res.Picks["prov2_0"]; !ok || got.String() != "3.0" {
+		t.Errorf("prov2_0 picked %v (present %v), want it kept at 3.0", got, ok)
+	}
+}
+
+// seedInputs resolves roots on sess, so their closure is materialized, and
+// returns the reach order and costs seedPhases takes for them.
+func seedInputs(t *testing.T, sess *Session, roots []Root, obj Objective) ([]string, map[string]PkgCost) {
+	t.Helper()
+	if _, err := sess.Resolve(context.Background(), roots, Options{Objective: obj}); err != nil {
+		t.Fatalf("%s: %v", rootsString(roots), err)
+	}
+	order, _, err := reachable(sess.u, roots)
+	if err != nil {
+		t.Fatalf("%s: reachable: %v", rootsString(roots), err)
+	}
+	costs, err := obj.Costs(ObjectiveRequest{Universe: sess.u, Order: order, Roots: roots})
+	if err != nil {
+		t.Fatalf("%s: Costs: %v", rootsString(roots), err)
+	}
+	return order, costs
+}
+
+// TestSeedKeptPackageWalksItsDependencies: a package the seed keeps
+// because leaving it out costs a change step has its dependencies walked
+// like any other choice. The root prov2 meets app's requirement on mpi,
+// so nothing requires the installed prov1, whose dependency on lib@:1 no
+// other choice reaches; the seed must choose lib at 1.0.
+func TestSeedKeptPackageWalksItsDependencies(t *testing.T) {
+	u := repo.New()
+	u.Add("app", "1.0", repo.Dep("mpi", ":"))
+	u.Add("prov1", "1.0", repo.Prov("mpi", "1.0"), repo.Dep("lib", ":1"))
+	u.Add("prov2", "1.0", repo.Prov("mpi", "1.0"))
+	u.Add("lib", "2.0")
+	u.Add("lib", "1.0")
+	roots := []Root{MustParseRoot("app"), MustParseRoot("prov2")}
+	obj := MinimalChange(repo.Profile{"app": version.MustParse("1.0"), "prov1": version.MustParse("1.0")})
+	sess := NewSession(u, SessionOptions{})
+	order, costs := seedInputs(t, sess, roots, obj)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.seedPhases(order, roots, costs)
+	for pkg, want := range map[string]int{"app": 0, "prov1": 0, "prov2": 0, "lib": 1} {
+		if got, ok := sess.seedBuf[pkg]; !ok || got != want {
+			t.Errorf("seed chose %s at version index %d (chosen %v), want %d", pkg, got, ok, want)
+		}
+	}
+}
+
 // TestSeedTightCapFirstVisits: first visits of tight registry packages
 // (every fourth, whose own dependencies are capped) capped at 1-7 on the
 // prewarmed registry session. A cap that binds forces lags on the root's
@@ -173,31 +256,34 @@ func TestSeedTightCapFirstVisits(t *testing.T) {
 	t.Logf("worst first visit: %d conflicts", worst)
 }
 
-// TestSeedPhasesAllocs: seeding a registry first visit allocates nothing
-// per dependency. The walk reads candidates in place (roots included) and
-// keeps its chosen map and queue as session scratch, so it makes no
-// allocation at all; the bound is the two the newest-version seed spent
-// copying a root's candidate list. Building a candidate list per
-// dependency instead makes 159 on this request.
+// TestSeedPhasesAllocs: seeding a first visit allocates nothing per
+// dependency, on a registry first visit and on the minimal-change provider
+// swap whose seed keeps an installed package nothing requires. The walk
+// reads candidates in place (roots included) and keeps its chosen map and
+// queue as session scratch, so it makes no allocation at all; the bound
+// is the two the newest-version seed spent copying a root's candidate
+// list. Building a candidate list per dependency instead makes 159 on the
+// registry request.
 func TestSeedPhasesAllocs(t *testing.T) {
-	u, _ := repo.SynthRegistry(firstVisitPkgs, firstVisitVers)
-	sess := newFirstVisitSession(t, u)
-	roots := []Root{MustParseRoot("reg49")}
-	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
-		t.Fatalf("reg49: %v", err)
-	}
-	order, _, err := reachable(u, roots)
-	if err != nil {
-		t.Fatalf("reachable: %v", err)
-	}
-	costs, err := DefaultObjective.Costs(ObjectiveRequest{Universe: u, Order: order, Roots: roots})
-	if err != nil {
-		t.Fatalf("Costs: %v", err)
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	allocs := testing.AllocsPerRun(100, func() { sess.seedPhases(order, roots, costs) })
-	if allocs > 2 {
-		t.Errorf("seedPhases over %d reached packages made %.0f allocations, want at most 2", len(order), allocs)
+	reg, _ := repo.SynthRegistry(firstVisitPkgs, firstVisitVers)
+	swap, _ := repo.SynthVirtualDiamond(8, 3, 8)
+	swapRoots, swapObj := keptProviderRequest()
+	for _, tc := range []struct {
+		name  string
+		sess  *Session
+		roots []Root
+		obj   Objective
+	}{
+		{"registry", newFirstVisitSession(t, reg), []Root{MustParseRoot("reg49")}, DefaultObjective},
+		{"kept-provider", NewSession(swap, SessionOptions{}), swapRoots, swapObj},
+	} {
+		sess, roots := tc.sess, tc.roots
+		order, costs := seedInputs(t, sess, roots, tc.obj)
+		sess.mu.Lock()
+		allocs := testing.AllocsPerRun(100, func() { sess.seedPhases(order, roots, costs) })
+		sess.mu.Unlock()
+		if allocs > 2 {
+			t.Errorf("%s: seedPhases over %d reached packages made %.0f allocations, want at most 2", tc.name, len(order), allocs)
+		}
 	}
 }

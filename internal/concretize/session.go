@@ -934,11 +934,16 @@ func (se *Session) decisionScope(order []string) []int {
 // every chosen version's unconditional dependencies: a target that a
 // chosen version already satisfies is left alone, and otherwise its
 // cheapest in-range candidate is chosen, skipping packages chosen at
-// another version. Chosen packages are seeded installed at their chosen
-// version; every other reached package uninstalled, with every version
-// false. Under NewestVersion this is the newest admissible version of
-// everything the roots need; under MinimalChange it keeps installed
-// packages at their installed versions.
+// another version. One pass over order then chooses every package still
+// unchosen whose cheapest candidate has a negative price, one that costs
+// more to leave out than to install, and the walk follows the new
+// choices' dependencies in turn. Chosen packages are seeded installed at
+// their chosen version; every other reached package uninstalled, with
+// every version false. Under NewestVersion this is the newest admissible
+// version of everything the roots need, and the pass chooses nothing;
+// under MinimalChange it keeps installed packages at their installed
+// versions, including one nothing requires, such as the installed
+// provider of a virtual whose requirement a swapped-in provider meets.
 //
 // The installed phases matter as much as the versions: VSIDS activity
 // outranks decisionScope's order, so once conflicts bump an installed
@@ -948,7 +953,8 @@ func (se *Session) decisionScope(order []string) []int {
 // configuration slower on minimal-change provider swaps than the plain
 // newest-version seed (binary descent 2.28 → 4.31 CPU ms per request on
 // a 2-vCPU host); on TestSeedReuseSwapFirstModels' stream it finds an
-// optimal first model for 6 of 200 requests, where this seed finds 193.
+// optimal first model for 6 of 200 requests, where this seed finds all
+// 200 (193 without the pass over order).
 //
 // The walk ignores conditional dependencies and conflicts, so the seed
 // can miss a model; phases steer only which model the search finds
@@ -962,16 +968,30 @@ func (se *Session) seedPhases(order []string, roots []Root, costs map[string]Pkg
 	for _, r := range roots {
 		se.seedChoose(r.Pkg, r.Range, costs)
 	}
-	for q := 0; q < len(se.seedQueue); q++ {
-		name := se.seedQueue[q]
-		p, _ := se.u.Package(name)
-		def := &p.Versions()[chosen[name]]
-		for j := range def.Deps {
-			if d := &def.Deps[j]; d.When.IsZero() {
-				se.seedChoose(d.Pkg, d.Range, costs)
+	se.seedWalk(0, costs)
+	walked := len(se.seedQueue)
+	for _, name := range order {
+		// Install and version costs are non-negative, so only an Omit
+		// cost can price a package below zero.
+		pc := costs[name]
+		if pc.Omit == 0 {
+			continue
+		}
+		if _, ok := chosen[name]; ok {
+			continue
+		}
+		best, price := 0, pc.Install-pc.Omit
+		for i, w := range pc.Version { // newest first: a tie keeps the newer version
+			if p := pc.Install - pc.Omit + w; i == 0 || p < price {
+				best, price = i, p
 			}
 		}
+		if price < 0 {
+			chosen[name] = best
+			se.seedQueue = append(se.seedQueue, name)
+		}
 	}
+	se.seedWalk(walked, costs)
 	s := se.solver
 	for _, name := range order {
 		pv := se.vars[name]
@@ -979,6 +999,22 @@ func (se *Session) seedPhases(order []string, roots []Root, costs map[string]Pkg
 		s.SetPhase(pv.installed, ok)
 		for i, x := range pv.vers {
 			s.SetPhase(x, ok && i == ci)
+		}
+	}
+}
+
+// seedWalk follows seedPhases' queue from index q to its end, choosing a
+// candidate for each unconditional dependency of every chosen version
+// (seedChoose), which queues the packages it chooses in turn.
+func (se *Session) seedWalk(q int, costs map[string]PkgCost) {
+	for ; q < len(se.seedQueue); q++ {
+		name := se.seedQueue[q]
+		p, _ := se.u.Package(name)
+		def := &p.Versions()[se.seedBuf[name]]
+		for j := range def.Deps {
+			if d := &def.Deps[j]; d.When.IsZero() {
+				se.seedChoose(d.Pkg, d.Range, costs)
+			}
 		}
 	}
 }

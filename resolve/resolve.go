@@ -15,7 +15,11 @@
 //     the objective-descent strategy (sat.Config.Descent: adaptive, or
 //     binary search between the incumbent and the proven lower bound) —
 //     so every member returns cost-identical answers; racing changes
-//     latency, never results.
+//     latency, never results. The stock member set (DefaultPortfolio) is
+//     the default configuration alone: with the objective-priced
+//     first-visit seed its first model is nearly always optimal, so racing
+//     mostly spent CPU on losers. By default each request is solved on one
+//     session; a race runs only over an explicit member list.
 //   - PoolResolver shards requests across N identically-configured
 //     Sessions for throughput: shape-affine routing (hash of Request.Key)
 //     with work stealing, so distinct request shapes solve in parallel and

@@ -74,7 +74,7 @@ func runChaos(t *testing.T, kind string, seed int64) {
 	var solveSite string
 	switch kind {
 	case "portfolio":
-		p, err := resolve.NewPortfolioResolver(uSrv)
+		p, err := resolve.NewPortfolioResolver(uSrv, raceConfigs()...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,23 @@ import (
 
 	"github.com/paper-repo-growth/go-arxiv/internal/faultpoint"
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
+	"github.com/paper-repo-growth/go-arxiv/internal/sat"
 	"github.com/paper-repo-growth/go-arxiv/resolve"
 )
+
+// raceConfigs is a three-member portfolio whose members search
+// differently: the default configuration, positive-first branching, and
+// patient restarts with binary descent. resolve.DefaultPortfolio has one
+// member, which never races, so the tests of a racing backend's
+// supervision (benched members, rebuilds, the crashloop breaker) and the
+// chaos harness's portfolio seeds race these.
+func raceConfigs() []resolve.BackendConfig {
+	return []resolve.BackendConfig{
+		{Name: "baseline", Options: resolve.SessionOptions{}},
+		{Name: "positive", Options: resolve.SessionOptions{Solver: sat.Config{PositiveFirst: true}}},
+		{Name: "steady", Options: resolve.SessionOptions{Solver: sat.Config{RestartBase: 400, Descent: sat.DescentBinary}}},
+	}
+}
 
 // armServeFault arms one faultpoint site with one anonymous rule and
 // registers a full disarm at test end (schedules are process-global).
@@ -259,7 +274,7 @@ func TestServeShedRetryAfter(t *testing.T) {
 // rebuilds; on a backend with nothing benched it heals nothing.
 func TestServeRebuildEndpoint(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p, err := resolve.NewPortfolioResolver(u)
+	p, err := resolve.NewPortfolioResolver(u, raceConfigs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +356,7 @@ func TestServeRebuildEndpoint(t *testing.T) {
 // then succeeds.
 func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p, err := resolve.NewPortfolioResolver(u)
+	p, err := resolve.NewPortfolioResolver(u, raceConfigs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +403,7 @@ func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 // resets the window).
 func TestServeRetryRespectsCrashLoop(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p, err := resolve.NewPortfolioResolver(u)
+	p, err := resolve.NewPortfolioResolver(u, raceConfigs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
