@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr27
-PREV_PR ?= pr26
+PR ?= pr28
+PREV_PR ?= pr27
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
 # portfolio, the HTTP daemon pipeline, and the registry-scale suite

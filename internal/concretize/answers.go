@@ -41,7 +41,7 @@ type answer struct {
 	picks map[string]version.Version // nil for an unsat entry
 	stats Stats
 	unsat bool
-	reach map[string]bool // shared with the solving session's bound memo
+	reach map[string]bool // shared with the solving session's closure memo
 	stale bool
 }
 

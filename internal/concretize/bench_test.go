@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
@@ -157,6 +158,38 @@ func BenchmarkSessionWarmDescent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sess.Resolve(context.Background(), roots, Options{Objective: objs[i%2]})
+		if err != nil {
+			b.Fatalf("Resolve: %v", err)
+		}
+		if len(res.Picks) == 0 {
+			b.Fatal("empty resolution")
+		}
+	}
+}
+
+// BenchmarkSessionWarmProviderSwap measures a warm provider-swap miss, the
+// end-to-end benchmark's reuse-swap path: one session on
+// SynthVirtualDiamond(8, 3, 8), prewarmed with 100 requests of the
+// reuseSwapDraw stream, resolves the stream's next distinct request each
+// iteration. Every request is a new shape over one of 25 root sets, so a
+// miss lowers its objective and descends (2 solve calls, 1 conflict) over
+// a closure the session already holds. The requests are drawn before the
+// timer starts.
+func BenchmarkSessionWarmProviderSwap(b *testing.B) {
+	const prefix = 100
+	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
+	reqs := reuseSwapDraw(rand.New(rand.NewSource(1)), prefix+b.N)
+	sess := NewSession(u, SessionOptions{})
+	for _, rq := range reqs[:prefix] {
+		if _, err := sess.Resolve(context.Background(), rq.roots, Options{Objective: rq.obj}); err != nil {
+			b.Fatalf("prime Resolve: %v", err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rq := reqs[prefix+i]
+		res, err := sess.Resolve(context.Background(), rq.roots, Options{Objective: rq.obj})
 		if err != nil {
 			b.Fatalf("Resolve: %v", err)
 		}

@@ -90,14 +90,17 @@
 // garbage-collected), so bounds from past requests never constrain, slow
 // down, or leak memory into future ones.
 //
-// Warm bound banking. A Session additionally memoizes, per request shape
-// (objective key + canonical roots), the reachability order, the lowered
-// objective terms, and the proven lower bound on the optimal cost. The
-// bound is a fact about the formula under that shape's assumptions —
-// later requests only add learnt clauses, never new constraints on the
-// shape — so a repeat request that finds a model matching the banked
-// bound is done after one SAT round, with no refutation and no bound
-// constraint at all. This is what keeps a warm session strictly faster
+// Warm bound banking. A Session additionally memoizes, per canonical root
+// set, the roots' reachability closure — the reached packages in order and
+// the reach set — which depends on no objective, so a new request shape
+// over known roots lowers only its objective; and per request shape
+// (objective key + canonical roots), a pointer to that shared closure,
+// the lowered objective terms, and the proven lower bound on the optimal
+// cost. The bound is a fact about the formula under that shape's
+// assumptions — later requests only add learnt clauses, never new
+// constraints on the shape — so a repeat request that finds a model
+// matching the banked bound is done after one SAT round, with no
+// refutation and no bound constraint at all. This is what keeps a warm session strictly faster
 // than a cold solve even on request streams that rotate roots and
 // objectives (whose saved-phase cross-pollution otherwise hands descent a
 // terrible first incumbent).
@@ -114,11 +117,11 @@
 // does. A version the solver already fixed false at the top level cannot
 // be revived in place: a delta that makes one buildable again resets the
 // session's encoding, and requests re-materialize what they reach.
-// Invalidation of the bound memo and the answer store is delta-scoped, by
-// one rule: each entry records the names its request could reach, and
-// only entries intersecting the delta's touched set fall (the bound memo
-// drops them, the store marks them stale), so a request untouched by a
-// delta keeps its stored answer with zero new solver work.
+// Invalidation of the closure and bound memos and the answer store is
+// delta-scoped, by one rule: each entry records the names its request could
+// reach, and only entries intersecting the delta's touched set fall (the
+// memos drop them, the store marks them stale), so a request untouched by
+// a delta keeps its stored answer with zero new solver work.
 // Stats.Epoch reports the universe epoch an answer was computed at.
 package concretize
 
@@ -258,7 +261,7 @@ type Resolution struct {
 	Picks map[string]version.Version
 	Stats Stats
 
-	// reach is the solved shape's reach set (see boundEntry), which
+	// reach is the solved shape's reach set (see closure), which
 	// Answers.Put files with the answer for delta-scoped invalidation.
 	reach map[string]bool
 }

@@ -93,11 +93,12 @@ func (se *Session) extendLocked(d *repo.Delta) {
 		se.resetEncodingLocked()
 	}
 
-	// Delta-scoped invalidation: bound-memo entries fall only when their
-	// recorded reach set intersects the dirty names; everything else —
-	// including the learnt clauses and phases backing those shapes, unless
-	// the encoding reset — survives the delta untouched.
-	se.bounds.sweep(func(_ string, b *boundEntry) bool { return touches(b.reach, dirty) })
+	// Delta-scoped invalidation: closure- and bound-memo entries fall only
+	// when their recorded reach set intersects the dirty names; everything
+	// else — including the learnt clauses and phases backing those shapes,
+	// unless the encoding reset — survives the delta untouched.
+	se.closures.sweep(func(_ string, cl *closure) bool { return touches(cl.reach, dirty) })
+	se.bounds.sweep(func(_ string, b *boundEntry) bool { return touches(b.cl.reach, dirty) })
 	se.syncEncodingStats()
 }
 

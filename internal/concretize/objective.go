@@ -133,18 +133,20 @@ func (NewestVersion) Costs(req ObjectiveRequest) (map[string]PkgCost, error) {
 // change. The profile is captured by reference and must not be mutated
 // while the objective is in use.
 func MinimalChange(installed repo.Profile) Objective {
-	return minimalChange{installed: installed}
+	return minimalChange{installed: installed, key: "minchange:" + installed.Fingerprint()}
 }
 
 type minimalChange struct {
 	installed repo.Profile
+	key       string // Key, computed once: the profile is not mutated
 }
 
 // Key implements Objective; the profile's content hash keeps cached
-// answers from leaking between different installed states.
-func (m minimalChange) Key() string {
-	return "minchange:" + m.installed.Fingerprint()
-}
+// answers from leaking between different installed states. A request
+// reads it several times (the serving tier's coalescing key, the answer
+// store's key, the session's shape key), so it is hashed once, when the
+// objective is built.
+func (m minimalChange) Key() string { return m.key }
 
 // Costs implements Objective.
 func (m minimalChange) Costs(req ObjectiveRequest) (map[string]PkgCost, error) {

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,9 +16,10 @@ import (
 )
 
 // maxActivations bounds a session's memoized root-activation literals
-// and, alongside them, its bound memo (LRU eviction; an evicted activation
-// is fixed false in the solver and re-allocated on demand, so diverse
-// request streams cannot grow solver variables without bound).
+// and, alongside them, its closure and bound memos (LRU eviction; an
+// evicted activation is fixed false in the solver and re-allocated on
+// demand, so diverse request streams cannot grow solver variables without
+// bound).
 const maxActivations = 4096
 
 // SessionOptions tunes a Session.
@@ -41,10 +43,15 @@ type SessionOptions struct {
 // rebuilt and discarded per call. A Session memoizes no answers: its
 // backend's answer store (Answers) does, keyed by the canonical request
 // shape (objective key + canonicalized roots), so a repeat request never
-// reaches the session at all. What a session does bank is a bound memo
-// per request shape — the lowered objective and the proven lower bound —
-// so a repeat solve skips the objective lowering and usually skips the
-// closing optimality refutation.
+// reaches the session at all. What a session does bank is two memos. The
+// closure memo holds, per canonical root set, the roots' reachability
+// closure (closure), which depends on no objective, so a new shape over
+// known roots — the same roots under another objective or installed
+// profile — skips the reachability walk and the materialization scan and
+// lowers only its objective. The bound memo holds, per request shape, a
+// pointer to that closure, the lowered objective and the proven lower
+// bound, so a repeat solve skips the objective lowering too and usually
+// skips the closing optimality refutation.
 //
 // Against registry-shaped universes (thousands of packages, sparse
 // per-root closures) materializing on first reach shrinks the solver
@@ -56,13 +63,13 @@ type SessionOptions struct {
 // discipline Extend uses.
 //
 // A live universe grows through Session.Extend (see extend.go): the
-// materialized encoding is widened in place and only the bound-memo
-// entries whose recorded reach set intersects the delta are invalidated,
-// which is what keeps shape keys (rather than fingerprint-qualified keys)
-// sound across epochs. When a delta would revive a variable the solver
-// already fixed false at the top level, the session resets its encoding
-// instead (resetEncodingLocked) and requests re-materialize what they
-// reach.
+// materialized encoding is widened in place and only the closure- and
+// bound-memo entries whose recorded reach set intersects the delta are
+// invalidated, which is what keeps root-set and shape keys (rather than
+// fingerprint-qualified keys) sound across epochs. When a delta would
+// revive a variable the solver already fixed false at the top level, the
+// session resets its encoding instead (resetEncodingLocked) and requests
+// re-materialize what they reach.
 //
 // A Session is safe for concurrent use: solver access is serialized. The
 // universe must not be mutated behind the session's back — growth arrives
@@ -129,11 +136,15 @@ type Session struct {
 	supsByName    map[string][]string
 	pendingByName map[string][]declSite
 
-	// bounds memoizes per-request-shape solve facts that stay valid until
-	// a delta touches the shape or the encoding resets: the reachability
-	// order, the lowered objective terms, and — the warm-path keystone —
-	// the proven lower bound on the optimal cost. Guarded by mu.
-	bounds *lru[*boundEntry]
+	// closures memoizes, per canonical root set, the roots' reachability
+	// closure, which every objective over those roots shares; bounds
+	// memoizes per-request-shape solve facts: the shape's closure, the
+	// lowered objective terms, and — the warm-path keystone — the proven
+	// lower bound on the optimal cost. Entries of both stay valid until a
+	// delta touches their reach set or the encoding resets, and an entry of
+	// either implies its closure is materialized. Guarded by mu.
+	closures *lru[*closure]
+	bounds   *lru[*boundEntry]
 
 	// Per-request scratch reused across Resolve calls (guarded by mu):
 	// assumption literals, the decision scope, the guarded PB term copy
@@ -216,8 +227,8 @@ func NewSession(u *repo.Universe, opts SessionOptions) *Session {
 
 // newEncoding installs an empty encoding over the given solver: no
 // materialized package or virtual, no requirement bookkeeping, no
-// activation, and an empty bound memo (whose entries name solver
-// variables).
+// activation, and empty closure and bound memos (whose entries promise a
+// materialized closure, and name solver variables).
 func (se *Session) newEncoding(s *sat.Solver) {
 	se.solver = s
 	se.vars = make(map[string]*pkgVars)
@@ -229,19 +240,21 @@ func (se *Session) newEncoding(s *sat.Solver) {
 	se.pendingByName = make(map[string][]declSite)
 	se.acts = make(map[string]*list.Element)
 	se.actsLRU = list.New()
-	// The bound memo shares the activation memo's capacity policy: both
-	// grow with the number of distinct request shapes a session serves.
+	// The closure and bound memos share the activation memo's capacity
+	// policy: all three grow with the number of distinct root sets or
+	// request shapes a session serves.
+	se.closures = newLRU[*closure](se.actsMax)
 	se.bounds = newLRU[*boundEntry](se.actsMax)
 }
 
 // resetEncodingLocked drops the whole encoding — the solver with its learnt
 // clauses and phases, the materialized packages, the requirement
-// bookkeeping, the activations, and the bound memo — and starts over with
-// an empty one under the same solver configuration. It is the revival
-// path: a variable the solver fixed false at the top level can never be
-// assigned again, so when a delta makes such a version (or package, or
-// virtual) buildable again, re-encoding from scratch replaces reviving it
-// in place. Nothing is encoded up front, so the reset itself costs O(1);
+// bookkeeping, the activations, and the closure and bound memos — and
+// starts over with an empty one under the same solver configuration. It is
+// the revival path: a variable the solver fixed false at the top level can
+// never be assigned again, so when a delta makes such a version (or
+// package, or virtual) buildable again, re-encoding from scratch replaces
+// reviving it in place. Nothing is encoded up front, so the reset itself costs O(1);
 // requests re-materialize what they reach. Callers hold se.mu.
 func (se *Session) resetEncodingLocked() {
 	se.newEncoding(sat.NewWithConfig(se.solver.Config()))
@@ -557,13 +570,19 @@ func ShapeKey(obj Objective, roots []Root) string {
 	if obj == nil {
 		obj = DefaultObjective
 	}
-	return shapeKey(obj, canonicalRootParts(roots))
+	return shapeKey(obj, rootsKey(canonicalRootParts(roots)))
 }
 
-// shapeKey joins an objective identity with already-canonicalized root
-// parts; Session.Resolve uses it directly to avoid re-canonicalizing.
-func shapeKey(obj Objective, parts []string) string {
-	return obj.Key() + "\x00" + strings.Join(parts, "\x1f")
+// rootsKey joins canonical root parts into the root set's key: the key of
+// the closure memo, and the tail of every shape key over the set.
+func rootsKey(parts []string) string {
+	return strings.Join(parts, "\x1f")
+}
+
+// shapeKey joins an objective identity with a root set's key; Session.Resolve
+// uses it directly to avoid re-canonicalizing.
+func shapeKey(obj Objective, rootsKey string) string {
+	return obj.Key() + "\x00" + rootsKey
 }
 
 // Resolve answers one concretization request on the warm path. The result
@@ -599,11 +618,13 @@ func (se *Session) Resolve(ctx context.Context, roots []Root, opts Options) (*Re
 	if obj == nil {
 		obj = DefaultObjective
 	}
-	// The request-shape key: objective semantics plus canonical roots. It
-	// keys the bound memo; epochs never enter the key — Extend's
-	// delta-scoped invalidation drops exactly the entries a delta could
-	// change, so surviving entries stay valid across universe growth.
-	shapeKey := shapeKey(obj, parts)
+	// The request-shape key: objective semantics plus the canonical root
+	// set's key, which alone keys the closure memo. The shape key keys the
+	// bound memo; epochs never enter either key — Extend's delta-scoped
+	// invalidation drops exactly the entries a delta could change, so
+	// surviving entries stay valid across universe growth.
+	rootsKey := rootsKey(parts)
+	shapeKey := shapeKey(obj, rootsKey)
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	// Re-check under the solver lock: the wait for it may have outlived
@@ -611,67 +632,78 @@ func (se *Session) Resolve(ctx context.Context, roots []Root, opts Options) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, canceledError(err)
 	}
-	return se.solveLocked(ctx, roots, parts, shapeKey, obj, opts)
+	return se.solveLocked(ctx, roots, parts, rootsKey, shapeKey, obj, opts)
+}
+
+// closureLocked returns the roots' materialized closure: the memoized one
+// for their root set, or else reachable's, encoding whatever it reaches
+// that isn't materialized yet. Callers hold se.mu.
+func (se *Session) closureLocked(rootsKey string, roots []Root) (*closure, error) {
+	// A closure-memo hit implies the whole closure is materialized: entries
+	// fall whenever a delta touches their reach set, and all of them at a
+	// reset, so the hit skips even the membership scan.
+	if cl, ok := se.closures.get(rootsKey); ok {
+		return cl, nil
+	}
+	order, reach, err := reachable(se.u, roots)
+	if err != nil {
+		return nil, err
+	}
+	// Materializing can reset the encoding, which empties the memo, so the
+	// closure is filed after it.
+	if err := se.materializeLocked(order, roots); err != nil {
+		return nil, err
+	}
+	cl := &closure{order: order, reach: reach}
+	se.closures.put(rootsKey, cl)
+	return cl, nil
 }
 
 // solveLocked runs branch-and-bound for one request. Callers hold se.mu.
 //
 // goarxivlint:blocking
-func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string, shapeKey string, obj Objective, opts Options) (*Resolution, error) {
+func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string, rootsKey, shapeKey string, obj Objective, opts Options) (*Resolution, error) {
 	// The bound memo remembers, per request shape, everything a repeat
-	// solve can reuse: the reachability order, the lowered objective
-	// terms, and the proven lower bound on the optimal cost. All three
-	// stay valid until a delta touches the shape or the encoding resets —
-	// the objective is a pure function of (universe, order, roots), and a
+	// solve can reuse: the roots' closure, the lowered objective terms, and
+	// the proven lower bound on the optimal cost. All three stay valid
+	// until a delta touches the shape or the encoding resets — the
+	// objective is a pure function of (universe, order, roots), and a
 	// bound proven under the request's activation assumptions is a fact
 	// about the formula, which later requests only extend with learnt
-	// clauses (consequences, never new constraints on this shape).
+	// clauses (consequences, never new constraints on this shape). A miss
+	// on a root set the closure memo holds, such as the same roots under a
+	// new objective, lowers only the objective.
 	memo, _ := se.bounds.get(shapeKey)
 	memoHit := memo != nil
-	var order []string
-	var reach map[string]bool
-	var objTerms []sat.PBTerm
-	var total int64
+	var cl *closure
 	if memo != nil {
-		order, objTerms, total = memo.order, memo.terms, memo.total
+		cl = memo.cl
 	} else {
 		var err error
-		order, reach, err = reachable(se.u, roots)
-		if err != nil {
-			return nil, err
-		}
-		// First visit of this shape since construction, the last touching
-		// delta, or the last reset: encode whatever the closure reaches
-		// that isn't materialized yet. A bound-memo hit implies the
-		// shape's whole closure already materialized (entries fall
-		// whenever a delta touches their reach set, and all of them at a
-		// reset), so the warm path skips even the membership scan.
-		if err := se.materializeLocked(order, roots); err != nil {
+		if cl, err = se.closureLocked(rootsKey, roots); err != nil {
 			return nil, err
 		}
 	}
+	order := cl.order
 
 	// Map context cancellation onto the solver's asynchronous interrupt so
-	// a solve stops mid-search, not just between rounds. The watcher is
-	// torn down — and the sticky interrupt flag cleared — before the solver
-	// lock is released, so a canceled request can never leak a stop signal
-	// into the next one.
+	// a solve stops mid-search, not just between rounds. The callback is
+	// stopped — or, when it already started, waited for — and the sticky
+	// interrupt flag cleared before the solver lock is released, so a
+	// canceled request can never leak a stop signal into the next one.
 	if ctx.Done() != nil {
-		watcherStop := make(chan struct{})
-		var watcher sync.WaitGroup
-		watcher.Add(1)
-		go func() {
-			defer watcher.Done()
-			select {
-			case <-ctx.Done():
-				se.solver.Interrupt()
-			case <-watcherStop:
-			}
-		}()
+		s := se.solver
+		var fired sync.WaitGroup
+		fired.Add(1)
+		stop := context.AfterFunc(ctx, func() {
+			defer fired.Done()
+			s.Interrupt()
+		})
 		defer func() {
-			close(watcherStop)
-			watcher.Wait()
-			se.solver.ClearInterrupt()
+			if !stop() {
+				fired.Wait()
+			}
+			s.ClearInterrupt()
 		}()
 	}
 
@@ -696,13 +728,11 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	se.evictActivations(pinned)
 
 	if memo == nil {
-		var costs map[string]PkgCost
-		var err error
-		objTerms, total, costs, err = se.objectiveTerms(obj, order, roots)
+		objTerms, total, costs, err := se.objectiveTerms(obj, order, roots)
 		if err != nil {
 			return nil, err
 		}
-		memo = &boundEntry{order: order, reach: reach, terms: objTerms, total: total}
+		memo = &boundEntry{cl: cl, terms: objTerms, total: total}
 		se.bounds.put(shapeKey, memo)
 		// First visit of this shape: seed saved phases with a greedy model
 		// priced by the request's objective, so the descent's first
@@ -714,6 +744,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	}
 
 	s := se.solver
+	objTerms, total := memo.terms, memo.total
 	scope := se.decisionScope(order)
 	stats := Stats{Packages: len(order), Epoch: se.epoch, BoundMemoHit: memoHit}
 	conflicts0, decisions0, props0 := s.Conflicts, s.Decisions, s.Propagations
@@ -777,7 +808,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		stats.Conflicts = s.Conflicts - conflicts0
 		stats.Decisions = s.Decisions - decisions0
 		stats.Propagations = s.Propagations - props0
-		return &Resolution{Picks: best, Stats: stats, reach: memo.reach}, nil
+		return &Resolution{Picks: best, Stats: stats, reach: cl.reach}, nil
 	}
 
 	for {
@@ -812,7 +843,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 			return finish(false)
 		case sat.Unsat:
 			if best == nil {
-				return nil, &UnsatError{Roots: append([]Root(nil), roots...), reach: memo.reach}
+				return nil, &UnsatError{Roots: append([]Root(nil), roots...), reach: cl.reach}
 			}
 			// UNSAT under the guard proves optimum > target.
 			lo, proved = boundAt+1, true
@@ -1079,7 +1110,10 @@ func (se *Session) seedChoose(name string, rng version.Range, costs map[string]P
 // total weight (the k of the guarded bound constraint), and the validated
 // costs themselves, which seedPhases prices its greedy model with.
 // Install costs weight y_p, Omit costs weight !y_p, and version costs
-// weight x_{p,v}; zero costs produce no term.
+// weight x_{p,v}; zero costs produce no term. Pricing a package outside
+// order is an error: the walk over order counts the priced names it
+// meets, and only when the count falls short of the map is the culprit
+// looked for.
 //
 // Materialized variables outside the reachable set carry no weight and are
 // ignored by decode, so their assignments never affect the request's cost
@@ -1092,22 +1126,15 @@ func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) (
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("concretize: objective %q: %w", obj.Key(), err)
 	}
-	inOrder := make(map[string]bool, len(order))
-	for _, name := range order {
-		inOrder[name] = true
-	}
-	for name := range costs {
-		if !inOrder[name] {
-			return nil, 0, nil, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
-		}
-	}
 	var terms []sat.PBTerm
 	var total int64
+	priced := 0 // order holds each name once
 	for _, name := range order {
 		pc, ok := costs[name]
 		if !ok {
 			continue
 		}
+		priced++
 		pv := se.vars[name]
 		if pc.Install < 0 || pc.Omit < 0 {
 			return nil, 0, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
@@ -1131,6 +1158,13 @@ func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) (
 			if w > 0 {
 				terms = append(terms, sat.PBTerm{Lit: sat.Lit(pv.vers[i]), Weight: w})
 				total += w
+			}
+		}
+	}
+	if priced != len(costs) {
+		for name := range costs {
+			if !slices.Contains(order, name) {
+				return nil, 0, nil, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
 			}
 		}
 	}
@@ -1179,28 +1213,39 @@ func (se *Session) decode(order []string) (map[string]version.Version, error) {
 	return picks, nil
 }
 
+// closure is reachable's result for one canonical root set: the packages
+// the roots reach, in breadth-first order, and the reach set — the names
+// whose growth could change an answer over these roots (reachable
+// packages, dependency-target names, root names). It depends on the roots
+// and the universe alone, so every objective over the same roots shares
+// one: the closure memo files it under the root set's key, each bound
+// entry over the set points at it, and Extend drops the memo's entry and
+// every such bound entry when a delta touches the reach set, which the
+// shapes' answers also carry into the answer store. Shared, so never
+// mutated.
+type closure struct {
+	order []string
+	reach map[string]bool
+}
+
 // boundEntry memoizes the solve facts one request shape (objective key +
-// canonical roots) carries for the session's lifetime: the reachability
-// order, the lowered objective terms with their total weight, and the
-// proven lower bound on the optimal cost. The terms and order slices are
-// shared across requests and must never be mutated; the descent loop
-// copies terms into scratch before appending its guard.
+// canonical roots) carries until a delta touches it: the roots' shared
+// closure, the lowered objective terms with their total weight, and the
+// proven lower bound on the optimal cost. The terms slice is shared across
+// requests and must never be mutated; the descent loop copies terms into
+// scratch before appending its guard.
 type boundEntry struct {
 	lo     int64 // optimal cost is proven >= lo for this shape
 	proven bool  // a completed proof backs lo (distinguishes a banked
 	// optimum of zero from "never proved anything")
-	order []string
-	reach map[string]bool // names whose growth could change this shape's
-	// answer (reachable packages, dependency-target names, root names);
-	// Extend drops the entry when a delta touches any of them, and the
-	// shape's answers carry it into the answer store
+	cl    *closure
 	terms []sat.PBTerm
 	total int64
 }
 
 // The memo layers — the answer store (lru[*answer], callers hold
-// Answers.mu) and the bound memo (lru[*boundEntry], callers hold se.mu) —
-// share one LRU core. The activation memo keeps its own list: its eviction
+// Answers.mu), the closure memo (lru[*closure]) and the bound memo
+// (lru[*boundEntry]), both under se.mu — share one LRU core. The activation memo keeps its own list: its eviction
 // must skip the in-flight request's pinned literals and fix evictees false
 // in the solver.
 
@@ -1262,7 +1307,7 @@ func (c *lru[V]) put(key string, val V) {
 }
 
 // sweep removes every entry drop reports true for. Extend uses it for
-// delta-scoped invalidation of the bound memo.
+// delta-scoped invalidation of the closure and bound memos.
 func (c *lru[V]) sweep(drop func(key string, val V) bool) {
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()

@@ -191,8 +191,8 @@ func (s *Solver) ForgetLearnts() {
 	for i := len(s.trail) - 1; i >= 0; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		for _, pi := range s.pbOcc[l.index()] {
-			s.pbs[pi].sumTrue -= s.pbs[pi].weightOf(l)
+		for _, o := range s.pbOcc[l.index()] {
+			s.pbs[o.pi].sumTrue -= o.w
 		}
 		s.assigns[v] = lUndef
 		s.reasons[v] = reason{}

@@ -154,7 +154,7 @@ func (s *Solver) scopedModelError() error {
 
 // checkGeometry verifies the per-variable and per-literal arrays all agree
 // on the variable count (index 0 is the unused sentinel slot), and that no
-// AddClauseRef normalization mark outlived its call.
+// AddClauseRef normalization mark or AddPBRef merge mark outlived its call.
 func (s *Solver) checkGeometry() error {
 	if n := s.nVars + 1; len(s.assigns) != n || len(s.level) != n || len(s.trailPos) != n ||
 		len(s.reasons) != n || len(s.polarity) != n || len(s.decision) != n || len(s.scopeMark) != n ||
@@ -166,9 +166,14 @@ func (s *Solver) checkGeometry() error {
 			return fmt.Errorf("clause normalization mark %d left on variable %d", m, v)
 		}
 	}
-	if n := 2 * (s.nVars + 1); len(s.watches) != n || len(s.pbOcc) != n {
-		return fmt.Errorf("per-literal arrays out of step with nVars=%d: %d watch lists, %d occurrence lists, want %d",
-			s.nVars, len(s.watches), len(s.pbOcc), n)
+	if n := 2 * (s.nVars + 1); len(s.watches) != n || len(s.pbOcc) != n || len(s.pbMark) != n {
+		return fmt.Errorf("per-literal arrays out of step with nVars=%d: %d watch lists, %d occurrence lists, %d merge marks, want %d",
+			s.nVars, len(s.watches), len(s.pbOcc), len(s.pbMark), n)
+	}
+	for idx, m := range s.pbMark {
+		if m != 0 {
+			return fmt.Errorf("PB merge mark %d left on literal %d", m, litFromIndex(idx))
+		}
 	}
 	return nil
 }
@@ -300,8 +305,10 @@ func (s *Solver) onWatchList(c *clause, w Lit) bool {
 // checkPBState audits the pseudo-Boolean subsystem: slot/free-list
 // discipline (pbs[i] == nil exactly when i is on the free list, pbActive
 // counts the live slots), per-constraint counter state against the trail,
-// exactly-once occurrence coverage in both directions, and closure of the
-// level-0 trail under PB propagation.
+// exactly-once occurrence coverage in both directions (each literal of a
+// live constraint has one entry, with its weight, on its list — checkPB —
+// and the lists hold no entry beyond those), and closure of the level-0
+// trail under PB propagation.
 func (s *Solver) checkPBState() error {
 	if len(s.pbGens) < len(s.pbs) {
 		return fmt.Errorf("%d generation counters for %d PB slots", len(s.pbGens), len(s.pbs))
@@ -319,7 +326,7 @@ func (s *Solver) checkPBState() error {
 		}
 		free[pi] = true
 	}
-	live := 0
+	live, terms := 0, 0
 	for pi, p := range s.pbs {
 		if p == nil {
 			if !free[int32(pi)] {
@@ -328,6 +335,7 @@ func (s *Solver) checkPBState() error {
 			continue
 		}
 		live++
+		terms += len(p.lits)
 		if err := s.checkPB(int32(pi), p); err != nil {
 			return err
 		}
@@ -335,27 +343,34 @@ func (s *Solver) checkPBState() error {
 	if live != s.pbActive {
 		return fmt.Errorf("pbActive is %d but %d slots hold live constraints", s.pbActive, live)
 	}
+	entries := 0
 	for idx, occ := range s.pbOcc {
-		for _, pi := range occ {
-			if int(pi) >= len(s.pbs) || s.pbs[pi] == nil {
-				return fmt.Errorf("occurrence list %d names retired PB slot %d", idx, pi)
-			}
-			if _, ok := s.pbs[pi].wmap[litFromIndex(idx)]; !ok {
-				return fmt.Errorf("occurrence list of literal %d names PB slot %d, which does not contain it", litFromIndex(idx), pi)
+		for _, o := range occ {
+			if int(o.pi) >= len(s.pbs) || s.pbs[o.pi] == nil {
+				return fmt.Errorf("occurrence list %d names retired PB slot %d", idx, o.pi)
 			}
 		}
+		entries += len(occ)
+	}
+	// Every literal of every live constraint owns exactly one entry
+	// (checkPB), so any surplus is an entry for a literal its constraint
+	// does not contain.
+	if entries != terms {
+		return fmt.Errorf("occurrence lists hold %d entries but live PB constraints have %d literals", entries, terms)
 	}
 	return nil
 }
 
 // checkPB audits one live PB constraint: representation coherence
-// (lits/weights/wmap/maxW agree, weights positive), the incremental
-// sumTrue counter against the actual trail, exactly-once membership on its
-// literals' occurrence lists, and the absence of pending PB propagation.
+// (lits/weights/maxW agree, weights positive), the incremental sumTrue
+// counter against the actual trail, exactly-once membership on its
+// literals' occurrence lists with the literal's weight, and the absence of
+// pending PB propagation. A literal listed twice shares one entry, or
+// owns two: checkPBState's entry count or the exactly-once rule catches
+// it.
 func (s *Solver) checkPB(pi int32, p *pbConstraint) error {
-	if len(p.lits) != len(p.weights) || len(p.lits) != len(p.wmap) {
-		return fmt.Errorf("PB slot %d representation out of step: %d lits, %d weights, %d map entries",
-			pi, len(p.lits), len(p.weights), len(p.wmap))
+	if len(p.lits) != len(p.weights) {
+		return fmt.Errorf("PB slot %d representation out of step: %d lits, %d weights", pi, len(p.lits), len(p.weights))
 	}
 	sum, maxW := int64(0), int64(0)
 	for i, l := range p.lits {
@@ -365,9 +380,6 @@ func (s *Solver) checkPB(pi int32, p *pbConstraint) error {
 		w := p.weights[i]
 		if w <= 0 {
 			return fmt.Errorf("PB slot %d holds non-positive weight %d", pi, w)
-		}
-		if p.wmap[l] != w {
-			return fmt.Errorf("PB slot %d weight map disagrees on literal %d: %d vs %d", pi, l, p.wmap[l], w)
 		}
 		if w > maxW {
 			maxW = w
@@ -385,11 +397,15 @@ func (s *Solver) checkPB(pi int32, p *pbConstraint) error {
 	if p.sumTrue > p.k {
 		return fmt.Errorf("PB slot %d is violated at level 0 (sumTrue=%d > k=%d) with ok still true", pi, p.sumTrue, p.k)
 	}
-	for _, l := range p.lits {
+	for i, l := range p.lits {
 		n := 0
-		for _, q := range s.pbOcc[l.index()] {
-			if q == pi {
-				n++
+		for _, o := range s.pbOcc[l.index()] {
+			if o.pi != pi {
+				continue
+			}
+			n++
+			if o.w != p.weights[i] {
+				return fmt.Errorf("occurrence entry of literal %d in PB slot %d carries weight %d, the constraint's is %d", l, pi, o.w, p.weights[i])
 			}
 		}
 		if n != 1 {

@@ -75,6 +75,13 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			want: "counter out of sync",
 		},
 		{
+			name: "occurrence entry weight disagrees with its constraint",
+			corrupt: func(t *testing.T, s *Solver, vars [4]int, _ int) {
+				s.pbOcc[Lit(vars[1]).index()][0].w++
+			},
+			want: "carries weight",
+		},
+		{
 			name: "auxiliary variable in the branch heap",
 			corrupt: func(t *testing.T, s *Solver, _ [4]int, aux int) {
 				s.order.insert(aux)

@@ -8,17 +8,25 @@ type PBTerm struct {
 
 // pbConstraint represents sum(w_i * l_i) <= k with counter-based
 // propagation: sumTrue tracks the weight of currently-true literals and is
-// maintained incrementally by enqueue/cancelUntil.
+// maintained incrementally by enqueue/cancelUntil. Each literal appears
+// once (AddPBRef merges duplicates), and each has one entry on its
+// occurrence list carrying its weight, so the counter updates read the
+// weight there instead of looking it up in the constraint.
 type pbConstraint struct {
 	lits    []Lit
 	weights []int64
-	wmap    map[Lit]int64
 	k       int64
 	sumTrue int64
 	maxW    int64
 }
 
-func (p *pbConstraint) weightOf(l Lit) int64 { return p.wmap[l] }
+// pbOccEntry is one occurrence of a literal in a live PB constraint: the
+// constraint's slot and the literal's weight in it (weights[i] where
+// lits[i] is the literal).
+type pbOccEntry struct {
+	pi int32
+	w  int64
+}
 
 // PBRef is a stable handle for a live PB constraint, returned by AddPBRef
 // and consumed by TightenPB. The zero value refers to no constraint.
@@ -54,8 +62,6 @@ func (s *Solver) AddPBRef(terms []PBTerm, k int64) (PBRef, bool) {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddPB above decision level 0")
 	}
-	wmap := make(map[Lit]int64, len(terms))
-	order := make([]Lit, 0, len(terms))
 	for _, t := range terms {
 		if t.Weight <= 0 {
 			panic("sat: non-positive PB weight")
@@ -63,16 +69,23 @@ func (s *Solver) AddPBRef(terms []PBTerm, k int64) (PBRef, bool) {
 		if t.Lit == 0 || t.Lit.Var() > s.nVars {
 			panic("sat: bad PB literal")
 		}
-		if _, seen := wmap[t.Lit]; !seen {
-			order = append(order, t.Lit)
-		}
-		wmap[t.Lit] += t.Weight
 	}
-	p := &pbConstraint{wmap: wmap, k: k}
-	for _, l := range order {
-		w := wmap[l]
-		p.lits = append(p.lits, l)
-		p.weights = append(p.weights, w)
+	// Merge duplicates in first-appearance order: pbMark holds a kept
+	// literal's position + 1 until the marks are cleared below, before any
+	// return. Every term was validated first, so no panic leaves a mark.
+	p := &pbConstraint{lits: make([]Lit, 0, len(terms)), weights: make([]int64, 0, len(terms)), k: k}
+	for _, t := range terms {
+		if j := s.pbMark[t.Lit.index()]; j != 0 {
+			p.weights[j-1] += t.Weight
+			continue
+		}
+		p.lits = append(p.lits, t.Lit)
+		p.weights = append(p.weights, t.Weight)
+		s.pbMark[t.Lit.index()] = int32(len(p.lits))
+	}
+	for i, l := range p.lits {
+		s.pbMark[l.index()] = 0
+		w := p.weights[i]
 		if w > p.maxW {
 			p.maxW = w
 		}
@@ -98,8 +111,8 @@ func (s *Solver) AddPBRef(terms []PBTerm, k int64) (PBRef, bool) {
 		s.pbGens = append(s.pbGens, 0)
 	}
 	s.pbActive++
-	for _, l := range p.lits {
-		s.pbOcc[l.index()] = append(s.pbOcc[l.index()], pi)
+	for i, l := range p.lits {
+		s.pbOcc[l.index()] = append(s.pbOcc[l.index()], pbOccEntry{pi: pi, w: p.weights[i]})
 	}
 	ref := PBRef{slot: pi + 1, gen: s.pbGens[pi]}
 	// initial propagation: literals too heavy to ever be true
@@ -198,19 +211,23 @@ func (s *Solver) RetireGuard(guard Lit) bool {
 	if guard == 0 || guard.Var() > s.nVars {
 		panic("sat: bad guard literal")
 	}
-	// removePB edits pbOcc lists, so snapshot this one first.
-	occ := append([]int32(nil), s.pbOcc[guard.index()]...)
-	for _, pi := range occ {
+	// removePB compacts the guard's occurrence list in place, shifting the
+	// entries after the removed one down by one, so the walk advances only
+	// past a constraint it keeps.
+	for i := 0; i < len(s.pbOcc[guard.index()]); {
+		pi := s.pbOcc[guard.index()][i].pi
 		p := s.pbs[pi]
 		sumOther := int64(0)
-		for i := range p.lits {
-			if p.lits[i] != guard {
-				sumOther += p.weights[i]
+		for j := range p.lits {
+			if p.lits[j] != guard {
+				sumOther += p.weights[j]
 			}
 		}
 		if sumOther <= p.k {
 			s.removePB(pi)
+			continue
 		}
+		i++
 	}
 	if !s.ok {
 		return false
@@ -231,20 +248,19 @@ func (s *Solver) removePB(pi int32) {
 	for _, l := range p.lits {
 		occ := s.pbOcc[l.index()]
 		j := 0
-		for _, q := range occ {
-			if q != pi {
-				occ[j] = q
+		for _, o := range occ {
+			if o.pi != pi {
+				occ[j] = o
 				j++
 			}
 		}
 		s.pbOcc[l.index()] = occ[:j]
-	}
-	// Level-0 assignments may still name this constraint as their reason;
-	// conflict analysis never dereferences level-0 reasons, but clearing
-	// them keeps slot recycling airtight.
-	for _, l := range s.trail {
-		v := l.Var()
-		if s.reasons[v].pb == pi+1 {
+		// Level-0 assignments may still name this constraint as their
+		// reason; conflict analysis never dereferences level-0 reasons, but
+		// clearing them keeps slot recycling airtight. A constraint only
+		// ever forces its own literals, so only their variables can name it
+		// (and an unassigned variable's reason is already clear).
+		if v := l.Var(); s.reasons[v].pb == pi+1 {
 			s.reasons[v] = reason{}
 		}
 	}
@@ -278,8 +294,8 @@ func (s *Solver) PBOccupancy() int {
 // update itself happened in enqueue; here we detect conflicts and force
 // literals whose weight no longer fits.
 func (s *Solver) propagatePB(l Lit) *clause {
-	for _, pi := range s.pbOcc[l.index()] {
-		p := s.pbs[pi]
+	for _, o := range s.pbOcc[l.index()] {
+		pi, p := o.pi, s.pbs[o.pi]
 		if p.sumTrue > p.k {
 			return s.pbConflictClause(p)
 		}

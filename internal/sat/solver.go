@@ -139,10 +139,14 @@ type Solver struct {
 
 	// PB constraints
 	pbs      []*pbConstraint
-	pbGens   []uint32  // slot -> generation, bumped on retirement (validates PBRefs)
-	pbOcc    [][]int32 // literal index -> PB constraints watching that literal
-	pbFree   []int32   // retired constraint slots available for reuse
-	pbActive int       // constraints added and not retired
+	pbGens   []uint32       // slot -> generation, bumped on retirement (validates PBRefs)
+	pbOcc    [][]pbOccEntry // literal index -> PB constraints watching that literal, with its weight
+	pbFree   []int32        // retired constraint slots available for reuse
+	pbActive int            // constraints added and not retired
+	// pbMark is AddPBRef's duplicate-merging scratch: literal index -> the
+	// literal's position + 1 in the constraint being built (0: not in it).
+	// Every AddPBRef clears its marks before returning.
+	pbMark []int32
 
 	// AddClauseRef normalization scratch: clauseMark[v] is the literal of v
 	// already kept in the clause being normalized (0: none), and addBuf
@@ -204,6 +208,7 @@ func NewWithConfig(cfg Config) *Solver {
 	s.clauseMark = append(s.clauseMark, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.pbOcc = append(s.pbOcc, nil, nil)
+	s.pbMark = append(s.pbMark, 0, 0)
 	return s
 }
 
@@ -301,6 +306,7 @@ func (s *Solver) allocVar() int {
 	s.clauseMark = append(s.clauseMark, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.pbOcc = append(s.pbOcc, nil, nil)
+	s.pbMark = append(s.pbMark, 0, 0)
 	return v
 }
 
@@ -346,8 +352,8 @@ func (s *Solver) enqueue(l Lit, r reason) bool {
 	s.polarity[v] = l < 0
 	s.trail = append(s.trail, l)
 	// update PB sums
-	for _, pi := range s.pbOcc[l.index()] {
-		s.pbs[pi].sumTrue += s.pbs[pi].weightOf(l)
+	for _, o := range s.pbOcc[l.index()] {
+		s.pbs[o.pi].sumTrue += o.w
 	}
 	return true
 }
@@ -436,8 +442,8 @@ func (s *Solver) cancelUntil(level int) {
 	for i := len(s.trail) - 1; i >= lim; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		for _, pi := range s.pbOcc[l.index()] {
-			s.pbs[pi].sumTrue -= s.pbs[pi].weightOf(l)
+		for _, o := range s.pbOcc[l.index()] {
+			s.pbs[o.pi].sumTrue -= o.w
 		}
 		s.assigns[v] = lUndef
 		s.reasons[v] = reason{}
