@@ -1,13 +1,13 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr28
-PREV_PR ?= pr27
+PR ?= pr29
+PREV_PR ?= pr28
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
-# portfolio, the HTTP daemon pipeline, and the registry-scale suite
+# single-session pool, the HTTP daemon pipeline, and the registry-scale suite
 # (which also reports solver_vars and heap_bytes). `make bench` runs it and
 # records the numbers in $(BENCH_JSON) so performance is tracked across PRs.
-BENCH_PATTERN ?= BenchmarkConcretize|BenchmarkSessionWarm|BenchmarkPortfolio|BenchmarkSessionChurn|BenchmarkSessionExtend|BenchmarkDaemon|BenchmarkRegistry
+BENCH_PATTERN ?= BenchmarkConcretize|BenchmarkSessionWarm|BenchmarkPool|BenchmarkSessionChurn|BenchmarkSessionExtend|BenchmarkDaemon|BenchmarkRegistry
 
 .PHONY: all build vet fmt lint satcheck test race bench benchdiff fuzz-smoke serve-smoke chaos checkbin
 

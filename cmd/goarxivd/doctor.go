@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -17,7 +18,7 @@ import (
 )
 
 // runDoctor self-checks the stack: each synthetic family resolves through
-// each backend with a verified optimal answer, the daemon's HTTP surface
+// a pool with a verified optimal answer, the daemon's HTTP surface
 // round-trips a resolve/apply/stats cycle, and duplicate in-flight
 // requests coalesce. Exit status is the diagnosis.
 func runDoctor(args []string) error {
@@ -37,16 +38,14 @@ func runDoctor(args []string) error {
 	}
 
 	for _, family := range []string{"dense", "diamond", "chain", "virtual", "conditional", "registry"} {
-		for _, backend := range []string{"portfolio", "pool"} {
-			check(family+"/"+backend, checkResolve(family, backend))
-		}
+		check(family+"/pool", checkResolve(family))
 	}
 	check("daemon/http-roundtrip", checkDaemon())
 	check("daemon/coalescing", checkCoalescing())
 	check("lazy/coverage", checkLazyCoverage())
 	check("pool/routing", checkPoolRouting())
 	check("daemon/degraded-mode", checkDegradedMode())
-	check("portfolio/crashloop", checkCrashLoop())
+	check("pool/crashloop", checkCrashLoop())
 
 	if failures > 0 {
 		return fmt.Errorf("%d check(s) failed", failures)
@@ -57,15 +56,12 @@ func runDoctor(args []string) error {
 
 // checkResolve resolves a family's root twice (cold, then warm) and
 // demands optimal answers and a warm answer-store hit.
-func checkResolve(family, backend string) error {
+func checkResolve(family string) error {
 	u, root, err := buildUniverse(family, 8, 4)
 	if err != nil {
 		return err
 	}
-	b, err := buildBackend(backend, u, 0)
-	if err != nil {
-		return err
-	}
+	b := resolve.NewPoolResolver(u, 0, resolve.SessionOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	req := resolve.Request{Roots: []resolve.Root{{Pkg: root}}}
@@ -96,7 +92,7 @@ func checkResolve(family, backend string) error {
 // strictly below the universe size.
 func checkLazyCoverage() error {
 	u, root, _ := buildUniverse("registry", 2000, 12)
-	b, _ := buildBackend("pool", u, 1)
+	b := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{})
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
@@ -132,7 +128,7 @@ func checkLazyCoverage() error {
 // a shard, and that /v1/stats exposes the pool and per-shard counters.
 func checkPoolRouting() error {
 	u, root, _ := buildUniverse("registry", 1000, 8)
-	b, _ := buildBackend("pool", u, 4)
+	b := resolve.NewPoolResolver(u, 4, resolve.SessionOptions{})
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
@@ -178,7 +174,7 @@ func checkPoolRouting() error {
 func checkDegradedMode() error {
 	defer faultpoint.DisarmAll()
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	b, _ := buildBackend("pool", u, 1)
+	b := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{})
 	ts := httptest.NewServer(serve.New(b, serve.Options{MaxRetries: -1}))
 	defer ts.Close()
 
@@ -228,54 +224,55 @@ func checkDegradedMode() error {
 	return nil
 }
 
-// checkCrashLoop builds a two-member portfolio, the stock baseline plus a
-// default-option spare, drives the spare into a panic loop (solve and
-// rebuild both panicking via faultpoints) under a tight crashloop policy,
-// and demands (a) every request still succeeds off the survivor, (b) the
-// spare lands in the sticky CrashLoop state instead of rebuild-thrashing,
-// and (c) an explicit operator Rebuild restores exactly the spare once the
-// fault clears.
+// checkCrashLoop builds a two-shard pool, drives one shard into a panic
+// loop (its first solve panics, and so does every rebuild, via
+// faultpoints) under a tight crashloop policy, and demands (a) the first
+// request gets the contained *PanicError, (b) later requests succeed off
+// the surviving shard, (c) the panicking shard lands in the sticky
+// CrashLoop state instead of rebuild-thrashing, and (d) an explicit
+// operator Rebuild heals exactly that shard once the fault clears.
 func checkCrashLoop() error {
 	defer faultpoint.DisarmAll()
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	p, err := resolve.NewPortfolioResolver(u, append(resolve.DefaultPortfolio(), resolve.BackendConfig{Name: "spare"})...)
-	if err != nil {
-		return err
-	}
+	p := resolve.NewPoolResolver(u, 2, resolve.SessionOptions{})
 	p.SetCrashLoopPolicy(2, time.Hour)
-	if err := faultpoint.Arm("resolve/portfolio/solve",
-		faultpoint.On("spare", faultpoint.Panic(0, "doctor crashloop solve"))); err != nil {
+	if err := faultpoint.Arm("resolve/pool/solve",
+		faultpoint.Any(faultpoint.Panic(1, "doctor crashloop solve"))); err != nil {
 		return err
 	}
-	if err := faultpoint.Arm("resolve/portfolio/rebuild",
-		faultpoint.On("spare", faultpoint.Panic(0, "doctor crashloop rebuild"))); err != nil {
+	if err := faultpoint.Arm("resolve/pool/rebuild",
+		faultpoint.Any(faultpoint.Panic(0, "doctor crashloop rebuild"))); err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	req := resolve.Request{Roots: []resolve.Root{{Pkg: root}}}
-	sticky := false
-	for i := 0; i < 8 && !sticky; i++ {
+	var pe *resolve.PanicError
+	if _, err := p.Resolve(ctx, req); !errors.As(err, &pe) {
+		return fmt.Errorf("first resolve: %v, want the contained *PanicError", err)
+	}
+	sticky := ""
+	for i := 0; i < 8 && sticky == ""; i++ {
 		if _, err := p.Resolve(ctx, req); err != nil {
-			return fmt.Errorf("resolve %d should have survived on healthy members: %w", i, err)
+			return fmt.Errorf("resolve %d should have survived on the healthy shard: %w", i, err)
 		}
 		for _, h := range p.Health() {
-			if h.Name == "spare" && h.CrashLoop {
-				sticky = true
+			if h.CrashLoop {
+				sticky = h.Name
 			}
 		}
 	}
-	if !sticky {
-		return fmt.Errorf("spare never went sticky after repeated contained panics")
+	if sticky == "" {
+		return fmt.Errorf("panicking shard never went sticky after repeated contained panics")
 	}
 	faultpoint.DisarmAll()
 	healed := p.Rebuild()
-	if len(healed) != 1 || healed[0] != "spare" {
-		return fmt.Errorf("rebuild healed %v, want [spare]", healed)
+	if len(healed) != 1 || healed[0] != sticky {
+		return fmt.Errorf("rebuild healed %v, want [%s]", healed, sticky)
 	}
 	for _, h := range p.Health() {
 		if h.Quarantined {
-			return fmt.Errorf("member %s still benched after rebuild: %v", h.Name, h.Err)
+			return fmt.Errorf("shard %s still benched after rebuild: %v", h.Name, h.Err)
 		}
 	}
 	return nil
@@ -285,7 +282,7 @@ func checkCrashLoop() error {
 // real HTTP surface of a single-session pool.
 func checkDaemon() error {
 	u, root, _ := buildUniverse("diamond", 4, 3)
-	b, _ := buildBackend("pool", u, 1)
+	b := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{})
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 
@@ -331,7 +328,7 @@ func checkDaemon() error {
 // exact-count contract is pinned deterministically in serve's -race tests.
 func checkCoalescing() error {
 	u, root, _ := buildUniverse("dense", 64, 8)
-	b, _ := buildBackend("pool", u, 1)
+	b := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{})
 	ts := httptest.NewServer(serve.New(b, serve.Options{}))
 	defer ts.Close()
 

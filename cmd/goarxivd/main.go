@@ -13,8 +13,6 @@ import (
 	"os"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
-	"github.com/paper-repo-growth/go-arxiv/resolve"
-	"github.com/paper-repo-growth/go-arxiv/serve"
 )
 
 func main() {
@@ -45,7 +43,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `goarxivd — go-arxiv serving daemon
 
 usage:
-  goarxivd serve  [-addr :8080] [-family dense] [-pkgs 40] [-vers 8] [-backend portfolio] [-shards 0] ...
+  goarxivd serve  [-addr :8080] [-family dense] [-pkgs 40] [-vers 8] [-shards 0] ...
   goarxivd doctor
 
 `)
@@ -75,18 +73,5 @@ func buildUniverse(family string, pkgs, vers int) (*repo.Universe, string, error
 		return u, root, nil
 	default:
 		return nil, "", fmt.Errorf("unknown family %q (dense|diamond|chain|virtual|conditional|registry)", family)
-	}
-}
-
-// buildBackend wires a resolve backend over the universe; shards sizes the
-// pool backend (0: GOMAXPROCS capped at 8; 1: a single session).
-func buildBackend(kind string, u *repo.Universe, shards int) (serve.Backend, error) {
-	switch kind {
-	case "portfolio":
-		return resolve.NewPortfolioResolver(u, resolve.DefaultPortfolio()...)
-	case "pool":
-		return resolve.NewPoolResolver(u, shards, resolve.SessionOptions{}), nil
-	default:
-		return nil, fmt.Errorf("unknown backend %q (portfolio|pool)", kind)
 	}
 }

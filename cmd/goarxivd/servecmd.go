@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/paper-repo-growth/go-arxiv/resolve"
 	"github.com/paper-repo-growth/go-arxiv/serve"
 )
 
@@ -22,8 +23,7 @@ func runServe(args []string) error {
 	family := fs.String("family", "dense", "synthetic universe family (dense|diamond|chain|virtual|conditional|registry)")
 	pkgs := fs.Int("pkgs", 40, "family size (packages / width / length / virtuals)")
 	vers := fs.Int("vers", 8, "versions per package")
-	backend := fs.String("backend", "portfolio", "resolver backend (portfolio|pool)")
-	shards := fs.Int("shards", 0, "pool backend width (0: GOMAXPROCS capped at 8; 1: a single session)")
+	shards := fs.Int("shards", 0, "pool width (0: GOMAXPROCS capped at 8; 1: a single session)")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrent backend solves (0: GOMAXPROCS)")
 	maxQueue := fs.Int("max-queue", 0, "max queued leaders before 429 (0: 4x max-inflight)")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-request timeout")
@@ -36,10 +36,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	b, err := buildBackend(*backend, u, *shards)
-	if err != nil {
-		return err
-	}
+	b := resolve.NewPoolResolver(u, *shards, resolve.SessionOptions{})
 	s := serve.New(b, serve.Options{
 		MaxInflight:    *maxInflight,
 		MaxQueue:       *maxQueue,
@@ -54,7 +51,7 @@ func runServe(args []string) error {
 	if len(hint) > 0 && hint[0] == ':' {
 		hint = "localhost" + hint
 	}
-	fmt.Printf("goarxivd: serving %s/%s (%d pkgs, %d versions) on %s — try:\n", *family, *backend, *pkgs, *vers, *addr)
+	fmt.Printf("goarxivd: serving %s (%d pkgs, %d versions, %d shards) on %s — try:\n", *family, *pkgs, *vers, len(b.Health()), *addr)
 	fmt.Printf("  curl -s -X POST %s/v1/resolve -d '{\"roots\":[%q]}'\n", hint, root)
 	fmt.Printf("  curl -s %s/v1/stats\n", hint)
 

@@ -1,6 +1,6 @@
 // Package errtaxonomy pins the error-inspection contract of the public
 // API: wrapped errors (resolve.MemberError carrying a member's failure,
-// concretize.UnsatError under the portfolio) must stay inspectable, so
+// concretize.UnsatError under the pool) must stay inspectable, so
 // callers outside a sentinel's defining package must use errors.Is, and
 // extraction of concrete error types must use errors.As.
 //

@@ -1,6 +1,6 @@
 // Package client consumes the senterr taxonomy from outside its defining
 // package — where identity comparison and type assertion break wrapped
-// errors (a portfolio MemberError wrapping an UnsatError would never
+// errors (a pool MemberError wrapping an UnsatError would never
 // compare equal to the sentinel).
 package client
 
@@ -10,7 +10,7 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/internal/analysis/errtaxonomy/testdata/src/senterr"
 )
 
-// BadCompare is the historical bug shape: portfolio callers comparing a
+// BadCompare is the historical bug shape: resolver callers comparing a
 // possibly-wrapped error against the sentinel by identity.
 func BadCompare(err error) bool {
 	return err == senterr.ErrUnsat // want `comparison == against sentinel error senterr.ErrUnsat; use errors.Is`

@@ -9,8 +9,8 @@ import (
 )
 
 // AnswersPerSession is the answer-store capacity a backend reserves per
-// session it fronts: resolve's member sets size their one store at
-// AnswersPerSession times their member count.
+// session it fronts: resolve's pool sizes its one store at
+// AnswersPerSession times its shard count.
 const AnswersPerSession = 1024
 
 // Answers is the answer memo of one backend: the definitive answers —

@@ -38,7 +38,7 @@ func storeExtend(t testing.TB, store *Answers, se *Session, d *repo.Delta) {
 // named, and zero additional solver work.
 func TestAnswersHit(t *testing.T) {
 	u, root := repo.SynthDense(20, 5, 3, 11)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 	roots := []Root{{Pkg: root}}
 
@@ -87,7 +87,7 @@ func TestAnswersHit(t *testing.T) {
 // roots.
 func TestAnswersUnsat(t *testing.T) {
 	u, root := repo.SynthUnsatWeb(4, 3)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 	roots := []Root{{Pkg: root}}
 	if _, err := storeResolve(store, sess, roots, Options{}); !errors.Is(err, ErrUnsatisfiable) {
@@ -108,7 +108,7 @@ func TestAnswersUnsat(t *testing.T) {
 // memoizing answers is the store's job alone.
 func TestSessionNeverMemoizes(t *testing.T) {
 	u, root := repo.SynthDense(12, 4, 2, 3)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	roots := []Root{{Pkg: root}}
 	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
 		t.Fatalf("Resolve: %v", err)
@@ -127,7 +127,7 @@ func TestSessionNeverMemoizes(t *testing.T) {
 // least-recently-used.
 func TestAnswersLRUEviction(t *testing.T) {
 	u, _ := repo.SynthDense(8, 3, 1, 21)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(2)
 	for _, pkg := range []string{"dense0", "dense1", "dense2", "dense3"} {
 		if _, err := storeResolve(store, sess, []Root{{Pkg: pkg}}, Options{}); err != nil {
@@ -161,7 +161,7 @@ func TestAnswersStaleEntries(t *testing.T) {
 	u.Add("lib", "1.0")
 	u.Add("other", "1.0")
 	u.Add("bad", "1.0", repo.Dep("lib", "9:"))
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(8)
 	app, other, bad := []Root{{Pkg: "app"}}, []Root{{Pkg: "other"}}, []Root{{Pkg: "bad"}}
 	for _, roots := range [][]Root{app, other} {

@@ -61,7 +61,7 @@ func BenchmarkConcretizeDense(b *testing.B) {
 func benchSessionWarm(b *testing.B, rootFor func(i int) []Root) {
 	b.Helper()
 	u, root := repo.SynthDense(40, 8, 3, 1)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	// Prime: run one request so the warm state exists.
 	if _, err := sess.Resolve(context.Background(), []Root{{Pkg: root}}, Options{}); err != nil {
 		b.Fatalf("prime Resolve: %v", err)
@@ -81,7 +81,7 @@ func benchSessionWarm(b *testing.B, rootFor func(i int) []Root) {
 
 func BenchmarkSessionWarmHit(b *testing.B) {
 	u, root := repo.SynthDense(40, 8, 3, 1)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 	roots := []Root{{Pkg: root}}
 	key := ShapeKey(nil, roots)
@@ -120,7 +120,7 @@ func BenchmarkSessionWarmMissRotate(b *testing.B) {
 // directly on this number.
 func BenchmarkSessionWarmDescent(b *testing.B) {
 	u, root := repo.SynthDense(40, 8, 3, 1)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	roots := []Root{{Pkg: root}}
 	objs := [2]Objective{
 		ObjectiveFunc{ID: "newest-heavy", Fn: func(req ObjectiveRequest) (map[string]PkgCost, error) {
@@ -179,7 +179,7 @@ func BenchmarkSessionWarmProviderSwap(b *testing.B) {
 	const prefix = 100
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
 	reqs := reuseSwapDraw(rand.New(rand.NewSource(1)), prefix+b.N)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	for _, rq := range reqs[:prefix] {
 		if _, err := sess.Resolve(context.Background(), rq.roots, Options{Objective: rq.obj}); err != nil {
 			b.Fatalf("prime Resolve: %v", err)
@@ -206,7 +206,7 @@ func BenchmarkSessionColdStart(b *testing.B) {
 	u, _ := repo.SynthDense(40, 8, 3, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sess := NewSession(u, SessionOptions{})
+		sess := NewSession(u)
 		if sess.EncodingStats().UniversePackages == 0 {
 			b.Fatal("empty universe")
 		}
@@ -228,7 +228,7 @@ func BenchmarkConcretizeVirtualDiamond(b *testing.B) {
 // iteration re-runs provider selection on the shared solver.
 func BenchmarkConcretizeVirtualDiamondWarm(b *testing.B) {
 	u, root := repo.SynthVirtualDiamond(6, 3, 6)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	pool := [][]Root{
 		{{Pkg: root}},
 		{MustParseRoot("virtual:virt0")},
@@ -323,7 +323,7 @@ func BenchmarkSessionChurn(b *testing.B) {
 	)
 	next := 0
 	rebuild := func() {
-		sess = NewSession(benchChurnUniverse(), SessionOptions{})
+		sess = NewSession(benchChurnUniverse())
 		store = NewAnswers(AnswersPerSession)
 		for _, roots := range shapes {
 			if _, err := storeResolve(store, sess, roots, Options{}); err != nil {
@@ -375,7 +375,7 @@ func BenchmarkSessionChurnColdRebuild(b *testing.B) {
 		if _, err := u.Apply(d); err != nil {
 			b.Fatalf("Apply: %v", err)
 		}
-		sess := NewSession(u, SessionOptions{})
+		sess := NewSession(u)
 		for _, roots := range shapes {
 			res, err := sess.Resolve(context.Background(), roots, Options{})
 			if err != nil {
@@ -392,7 +392,7 @@ func BenchmarkSessionExtend(b *testing.B) {
 	var sess *Session
 	next := 0
 	rebuild := func() {
-		sess = NewSession(benchChurnUniverse(), SessionOptions{})
+		sess = NewSession(benchChurnUniverse())
 	}
 	rebuild()
 	b.ReportAllocs()

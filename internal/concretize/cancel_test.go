@@ -17,7 +17,7 @@ import (
 
 func TestResolveCanceledBeforeStart(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 3)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := sess.Resolve(ctx, []Root{{Pkg: root}}, Options{})
@@ -39,7 +39,7 @@ func TestResolveCanceledBeforeStart(t *testing.T) {
 
 func TestResolveCancelMidSolve(t *testing.T) {
 	u, root := repo.SynthPigeonhole(11)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	ctx, cancel := context.WithCancel(context.Background())
 
 	type outcome struct {
@@ -97,7 +97,7 @@ func TestResolveCancelMidSolve(t *testing.T) {
 
 func TestResolveDeadline(t *testing.T) {
 	u, root := repo.SynthPigeonhole(11)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -132,7 +132,7 @@ func TestCancelDoesNotPoisonBudgets(t *testing.T) {
 	// budget-limited request: the latter reports ErrBudget, not a
 	// cancellation.
 	u, root := repo.SynthPigeonhole(11)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
 	if _, err := sess.Resolve(ctx, []Root{{Pkg: root}}, Options{}); !errors.Is(err, context.Canceled) {
@@ -150,7 +150,7 @@ func TestBudgetExpiryDoesNotPoisonPhases(t *testing.T) {
 	// to refute the abandoned all-pigeons-installed subspace before it
 	// could look anywhere else.
 	u, root := repo.SynthPigeonhole(11)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	if _, err := sess.Resolve(context.Background(), []Root{{Pkg: root}}, Options{MaxConflicts: 5000}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("budgeted err = %v, want ErrBudget", err)
 	}

@@ -173,9 +173,9 @@ func (c *churner) request() []Root {
 // (mixing fresh shapes with replays of earlier ones) through the warm
 // extended session and through cold Concretize calls on the grown
 // universe, requiring agreement.
-func runChurnStream(t *testing.T, c *churner, steps, reqsPerStep int, exactPicks bool, opts SessionOptions) {
+func runChurnStream(t *testing.T, c *churner, steps, reqsPerStep int, exactPicks bool) {
 	t.Helper()
-	sess := NewSession(c.u, opts)
+	sess := NewSession(c.u)
 	var replay [][]Root
 
 	checkOne := func(round int, roots []Root) {
@@ -257,7 +257,7 @@ func TestChurnMonotone(t *testing.T) {
 		u, _ := repo.SynthDense(pkgs, versions, depsPer, seed)
 		t.Run(fmt.Sprintf("u%03d_p%d_v%d_d%d", i, pkgs, versions, depsPer), func(t *testing.T) {
 			c := newChurner(rng, u, denseNames(pkgs), denseNames(pkgs))
-			runChurnStream(t, c, 3, 4, true, SessionOptions{})
+			runChurnStream(t, c, 3, 4, true)
 		})
 	}
 }
@@ -280,7 +280,7 @@ func TestChurnConflicts(t *testing.T) {
 		u, _ := repo.SynthDenseConflicts(pkgs, versions, depsPer, conflictsPer, seed)
 		t.Run(fmt.Sprintf("u%03d_p%d_v%d_d%d_c%d", i, pkgs, versions, depsPer, conflictsPer), func(t *testing.T) {
 			c := newChurner(rng, u, denseNames(pkgs), denseNames(pkgs))
-			runChurnStream(t, c, 3, 4, false, SessionOptions{})
+			runChurnStream(t, c, 3, 4, false)
 		})
 	}
 }
@@ -303,7 +303,7 @@ func TestChurnVirtual(t *testing.T) {
 			targets := []string{root, "vbase"}
 			rootable := append([]string{root}, u.VirtualNames()...)
 			c := newChurner(rng, u, targets, rootable)
-			runChurnStream(t, c, 3, 4, false, SessionOptions{})
+			runChurnStream(t, c, 3, 4, false)
 		})
 	}
 }
@@ -329,7 +329,7 @@ func TestChurnConditional(t *testing.T) {
 			rootable := append([]string{}, targets...)
 			rootable = append(rootable, "ccx")
 			c := newChurner(rng, u, targets, rootable)
-			runChurnStream(t, c, 3, 4, false, SessionOptions{})
+			runChurnStream(t, c, 3, 4, false)
 		})
 	}
 }

@@ -20,7 +20,7 @@ func TestProviderSwapMissAllocs(t *testing.T) {
 	const prefix, runs = 100, 200
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
 	reqs := reuseSwapDraw(rand.New(rand.NewSource(1)), prefix+runs)
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 	next := 0
 	resolve := func() {
 		rq := reqs[next]

@@ -7,9 +7,8 @@
 //
 // Most callers should not import this package directly: the public serving
 // surface is the resolve package (version -> repo -> sat -> concretize ->
-// resolve), whose backends shard requests over identical Sessions
-// (resolve.PoolResolver; one shard is the single-session backend) or race
-// several differently-configured ones (resolve.PortfolioResolver), with
+// resolve), whose backend shards requests over identical Sessions
+// (resolve.PoolResolver; one shard is the single-session backend), with
 // one answer store (Answers) in front. Within this package, Session is the
 // long-lived warm path and the direct Concretize function is the one-shot
 // convenience wrapper for scripts and tests that resolve a single request
@@ -79,13 +78,13 @@
 // total + target, vacuous while the guard is unassumed — installed once
 // and strengthened in place with sat.TightenPB as the target drops, so a
 // tightening round allocates no solver variable and no constraint slot.
-// The target schedule is sat.Config.Descent: binary-search midpoints
-// (DescentBinary, O(log range) rounds from arbitrarily bad incumbents), or
-// adaptive (the default: one probe just below the incumbent on a shape's
-// first visit — the closing refutation when the first model is already
-// best — then binary once that probe improves or a bound is banked; a warm
-// solver's saved phases can hand it a first model far above the optimum
-// and, probed linearly, only the next model down each round). Guards are
+// The target schedule is adaptive: one probe just below the incumbent on
+// a shape's first visit — the closing refutation when the first model is
+// already best — then binary-search midpoints (O(log range) rounds from
+// arbitrarily bad incumbents) once that probe improves or a bound is
+// banked; a warm solver's saved phases can hand it a first model far
+// above the optimum and, probed linearly, only the next model down each
+// round. Guards are
 // retired at request end (fixed false and their PB constraints
 // garbage-collected), so bounds from past requests never constrain, slow
 // down, or leak memory into future ones.
@@ -549,7 +548,7 @@ func verify(u *repo.Universe, roots []Root, picks map[string]version.Version) er
 //
 // goarxivlint:blocking cancel=none
 func Concretize(u *repo.Universe, roots []Root, opts Options) (*Resolution, error) {
-	return NewSession(u, SessionOptions{}).Resolve(context.Background(), roots, opts)
+	return NewSession(u).Resolve(context.Background(), roots, opts)
 }
 
 func rootsString(roots []Root) string {

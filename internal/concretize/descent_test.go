@@ -9,39 +9,25 @@ import (
 	"testing"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
-	"github.com/paper-repo-growth/go-arxiv/internal/sat"
 )
 
 // descent_test.go pins the in-place bound-tightening rewrite of the
-// branch-and-bound loop: every descent strategy must return the same
-// answer, binary search must take O(log range) solve rounds, and a
-// tightening round must never allocate a fresh solver variable or PB
-// constraint slot.
+// branch-and-bound loop: a warm session's descent must return the cold
+// path's answer, adaptive descent must take O(log range) solve rounds on a
+// cold session and bisect once a warm first visit's linear probe
+// improves, and a tightening round must never allocate a fresh solver
+// variable or PB constraint slot.
 
-// descentConfigs enumerates the strategy axis (with polarity/restart
-// variation folded in, so strategies are exercised against different
-// search trajectories).
-func descentConfigs() []SessionOptions {
-	return []SessionOptions{
-		{Solver: sat.Config{Descent: sat.DescentBinary}},
-		{Solver: sat.Config{Descent: sat.DescentBinary, PositiveFirst: true, RestartBase: 40}},
-		{Solver: sat.Config{Descent: sat.DescentAdaptive}},
-	}
-}
-
-// runDescentDifferential feeds the same warm request stream through one
-// session per strategy and through the cold one-shot path, requiring every
-// arm to agree on satisfiability and optimal cost (and on picks when the
-// family's optima are unique). Repeats within the stream drive the warm
-// bound-memo path — the second visit to a shape descends from a proven
-// bound, which is exactly the code path the cold oracle must still match.
+// runDescentDifferential feeds one warm request stream through a session
+// and through the cold one-shot path, requiring both to agree on
+// satisfiability and optimal cost (and on picks when the family's optima
+// are unique). Repeats within the stream drive the warm bound-memo path —
+// the second visit to a shape descends from a proven bound, which is
+// exactly the code path the cold oracle must still match.
 func runDescentDifferential(t *testing.T, u *repo.Universe, gen func(rng *rand.Rand) []Root, nReqs int, exactPicks bool, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sessions := make([]*Session, len(descentConfigs()))
-	for i, so := range descentConfigs() {
-		sessions[i] = NewSession(u, so)
-	}
+	sess := NewSession(u)
 	var replay [][]Root
 	for i := 0; i < nReqs; i++ {
 		var roots []Root
@@ -52,39 +38,37 @@ func runDescentDifferential(t *testing.T, u *repo.Universe, gen func(rng *rand.R
 			replay = append(replay, roots)
 		}
 		oracle, oracleErr := Concretize(u, roots, Options{})
-		for ci, sess := range sessions {
-			res, err := sess.Resolve(context.Background(), roots, Options{})
-			if oracleErr != nil {
-				if !errors.Is(oracleErr, ErrUnsatisfiable) {
-					t.Fatalf("roots %s: oracle error not unsat: %v", rootsString(roots), oracleErr)
-				}
-				if !errors.Is(err, ErrUnsatisfiable) {
-					t.Fatalf("roots %s config %d: err %v, oracle unsat", rootsString(roots), ci, err)
-				}
-				continue
+		res, err := sess.Resolve(context.Background(), roots, Options{})
+		if oracleErr != nil {
+			if !errors.Is(oracleErr, ErrUnsatisfiable) {
+				t.Fatalf("roots %s: oracle error not unsat: %v", rootsString(roots), oracleErr)
 			}
-			if err != nil {
-				t.Fatalf("roots %s config %d: %v", rootsString(roots), ci, err)
+			if !errors.Is(err, ErrUnsatisfiable) {
+				t.Fatalf("roots %s: err %v, oracle unsat", rootsString(roots), err)
 			}
-			if !res.Stats.Optimal {
-				t.Fatalf("roots %s config %d: non-optimal without a budget", rootsString(roots), ci)
-			}
-			if res.Stats.Cost != oracle.Stats.Cost {
-				t.Fatalf("roots %s config %d: cost %d, oracle %d", rootsString(roots), ci, res.Stats.Cost, oracle.Stats.Cost)
-			}
-			if err := verify(u, roots, res.Picks); err != nil {
-				t.Fatalf("roots %s config %d: invalid answer: %v", rootsString(roots), ci, err)
-			}
-			if exactPicks && !reflect.DeepEqual(res.Picks, oracle.Picks) {
-				t.Fatalf("roots %s config %d: picks diverge:\n%v\n%v", rootsString(roots), ci, res.Picks, oracle.Picks)
-			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("roots %s: %v", rootsString(roots), err)
+		}
+		if !res.Stats.Optimal {
+			t.Fatalf("roots %s: non-optimal without a budget", rootsString(roots))
+		}
+		if res.Stats.Cost != oracle.Stats.Cost {
+			t.Fatalf("roots %s: cost %d, oracle %d", rootsString(roots), res.Stats.Cost, oracle.Stats.Cost)
+		}
+		if err := verify(u, roots, res.Picks); err != nil {
+			t.Fatalf("roots %s: invalid answer: %v", rootsString(roots), err)
+		}
+		if exactPicks && !reflect.DeepEqual(res.Picks, oracle.Picks) {
+			t.Fatalf("roots %s: picks diverge:\n%v\n%v", rootsString(roots), res.Picks, oracle.Picks)
 		}
 	}
 }
 
-// TestDescentStrategyDifferentialDense: monotone family, unique optima —
-// all strategies must agree pick-for-pick with the cold oracle.
-func TestDescentStrategyDifferentialDense(t *testing.T) {
+// TestDescentDifferentialDense: monotone family, unique optima — the
+// warm session must agree pick-for-pick with the cold oracle.
+func TestDescentDifferentialDense(t *testing.T) {
 	seeds := int64(6)
 	if testing.Short() {
 		seeds = 2
@@ -96,44 +80,50 @@ func TestDescentStrategyDifferentialDense(t *testing.T) {
 	}
 }
 
-// TestDescentStrategyDifferentialVirtualDiamond: provider competition
-// admits co-optimal resolutions, so the oracle is cost + verify.
-func TestDescentStrategyDifferentialVirtualDiamond(t *testing.T) {
+// TestDescentDifferentialVirtualDiamond: provider competition admits
+// co-optimal resolutions, so the oracle is cost + verify.
+func TestDescentDifferentialVirtualDiamond(t *testing.T) {
 	u, _ := repo.SynthVirtualDiamond(4, 3, 5)
 	gen := func(rng *rand.Rand) []Root { return virtualDiamondRequest(rng, 4, 3, 5) }
 	runDescentDifferential(t, u, gen, 16, false, 7)
 }
 
-// TestDescentStrategyDifferentialConditionalChain: trigger-gated deps flip
-// cost and satisfiability with the root picks; cost + verify oracle.
-func TestDescentStrategyDifferentialConditionalChain(t *testing.T) {
+// TestDescentDifferentialConditionalChain: trigger-gated deps flip cost
+// and satisfiability with the root picks; cost + verify oracle.
+func TestDescentDifferentialConditionalChain(t *testing.T) {
 	u, _ := repo.SynthConditionalChain(10, 4)
 	gen := func(rng *rand.Rand) []Root { return conditionalChainRequest(rng, 10, 4, false) }
 	runDescentDifferential(t, u, gen, 16, false, 11)
 }
 
-// TestBinaryDescentSolveCallsLogarithmic: binary search must settle in
-// O(log range) solve rounds, where the range is bounded by the objective's
-// total weight. (Linear descent from a bad incumbent is O(range).)
-func TestBinaryDescentSolveCallsLogarithmic(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		u, root := repo.SynthDense(20, 6, 3, seed)
+// TestAdaptiveDescentColdLogarithmic: on a cold session, adaptive descent
+// must settle in O(log range) solve rounds, where the range is bounded by
+// the objective's total weight — at most one linear probe more than
+// bisection's log2(total) UNSAT and log2(total) SAT rounds, plus the first
+// model and the closing proof. (Linear descent from a bad incumbent is
+// O(range).) On the conflict-bearing family the seeded first model is not
+// always optimal, so some of these requests do descend.
+func TestAdaptiveDescentColdLogarithmic(t *testing.T) {
+	descended := 0
+	for seed := int64(0); seed < 10; seed++ {
+		u, root := repo.SynthDenseConflicts(20, 6, 3, 2, seed)
 		roots := []Root{{Pkg: root}}
 		total := objectiveTotal(t, u, roots)
 
-		sess := NewSession(u, SessionOptions{Solver: sat.Config{Descent: sat.DescentBinary}})
-		res, err := sess.Resolve(context.Background(), roots, Options{})
+		res, err := NewSession(u).Resolve(context.Background(), roots, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		// Each bounded round halves [lo, bestCost-1]: at most log2(total)
-		// UNSAT rounds and log2(total) SAT rounds, plus the first model and
-		// the closing proof.
-		limit := 2*bits.Len64(uint64(total)) + 4
-		if res.Stats.SolveCalls > limit {
-			t.Errorf("seed %d: binary descent took %d solve calls, want <= %d (total weight %d)",
-				seed, res.Stats.SolveCalls, limit, total)
+		if res.Stats.Improvements > 1 {
+			descended++
 		}
+		if limit := 2*bits.Len64(uint64(total)) + 5; res.Stats.SolveCalls > limit {
+			t.Errorf("seed %d: adaptive descent took %d solve calls (%d models), want <= %d (total weight %d)",
+				seed, res.Stats.SolveCalls, res.Stats.Improvements, limit, total)
+		}
+	}
+	if descended == 0 {
+		t.Fatal("no request descended past its first model: the family no longer exercises descent")
 	}
 }
 
@@ -164,9 +154,9 @@ func objectiveTotal(t *testing.T, u *repo.Universe, roots []Root) int64 {
 // model, and the first model found can sit far above the optimum while
 // every linear probe below it returns only the next model down. Adaptive
 // descent must notice (its first linear probe improves) and bisect, so a
-// miss costs O(log range) solve calls like binary descent plus the one
-// linear probe — and still returns the cold path's answer pick for pick
-// (registry optima are unique).
+// miss costs O(log range) solve calls plus the one linear probe — and
+// still returns the cold path's answer pick for pick (registry optima are
+// unique).
 func TestAdaptiveDescentWarmFirstVisitLogarithmic(t *testing.T) {
 	u, _ := repo.SynthRegistry(firstVisitPkgs, firstVisitVers)
 	sess := newFirstVisitSession(t, u)
@@ -196,7 +186,7 @@ func TestAdaptiveDescentWarmFirstVisitLogarithmic(t *testing.T) {
 // already-proven bound must allocate no variable at all.
 func TestDescentNoPerRoundAllocation(t *testing.T) {
 	u, root := repo.SynthVirtualDiamond(6, 3, 6)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	pool := [][]Root{
 		{{Pkg: root}},
 		{MustParseRoot("virtual:virt0")},
@@ -242,7 +232,7 @@ func TestDescentNoPerRoundAllocation(t *testing.T) {
 // new variables, with no answer store in front of the session.
 func TestBoundMemoRepeatRequestStable(t *testing.T) {
 	u, root := repo.SynthDense(30, 6, 3, 3)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	roots := []Root{{Pkg: root}}
 	// Two warmup requests: the first proves the optimum (ending in a
 	// refutation round whose search trajectory perturbs the saved phases),
@@ -290,7 +280,7 @@ func TestBoundMemoRepeatRequestStable(t *testing.T) {
 // picks all-newest at cost 0).
 func TestBoundMemoBanksZeroOptimum(t *testing.T) {
 	u, root := repo.SynthDense(20, 6, 3, 2)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	roots := []Root{{Pkg: root}}
 	// Version-lag-only weights: the all-newest optimum costs exactly 0,
 	// but models picking older versions cost more, so descent is armed.

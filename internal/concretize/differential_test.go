@@ -70,7 +70,7 @@ func runDifferentialStream(t *testing.T, rng *rand.Rand, u *repo.Universe, pkgs,
 // own request shapes. It returns the warm session for further checks.
 func runDifferentialGenStream(t *testing.T, rng *rand.Rand, u *repo.Universe, gen func(rng *rand.Rand) []Root, nReqs int, exactPicks bool) *Session {
 	t.Helper()
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	var replay [][]Root
 	for i := 0; i < nReqs; i++ {
 		var roots []Root
@@ -162,7 +162,7 @@ func TestDifferentialConflicts(t *testing.T) {
 func TestDifferentialUnsatWeb(t *testing.T) {
 	for width := 2; width <= 6; width++ {
 		u, root := repo.SynthUnsatWeb(width, 3)
-		sess := NewSession(u, SessionOptions{})
+		sess := NewSession(u)
 		roots := []Root{{Pkg: root}}
 		for rep := 0; rep < 3; rep++ {
 			_, coldErr := Concretize(u, roots, Options{})

@@ -23,8 +23,8 @@ import (
 //     and cost equality, with every answer independently re-verified
 //     against the universe.
 //
-// Together with the portfolio arm in resolve (TestPortfolioVirtual-
-// Differential), this covers the ROADMAP's "oracle arm for richer
+// Together with the pool arm in resolve (TestPoolVirtualDifferential),
+// this covers the ROADMAP's "oracle arm for richer
 // universes" across well over 100 seeded universes.
 
 // rangeSpec renders a random range form over versions 1..max+1 (the +1

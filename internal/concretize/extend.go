@@ -28,7 +28,7 @@ import (
 // Extend applies the delta to it (repo.Universe.Apply) and then extends
 // the encoding; when the universe is already exactly one epoch ahead — a
 // sibling session sharing the universe applied this same delta first,
-// which is how a portfolio broadcasts — Extend trusts the caller that d
+// which is how a pool broadcasts — Extend trusts the caller that d
 // is that delta and only extends the encoding. Any other epoch gap is an
 // error: the universe changed behind the session's back.
 //
@@ -37,7 +37,7 @@ import (
 // calls issued concurrently will simply order before or after the
 // extension (both hold the session lock); a resolver layer that needs "no
 // request observes a half-applied broadcast" adds its own barrier
-// (resolve.PortfolioResolver does).
+// (resolve.PoolResolver does).
 //
 // goarxivlint:blocking cancel=none
 func (se *Session) Extend(d *repo.Delta) (repo.Epoch, error) {

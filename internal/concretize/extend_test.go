@@ -17,7 +17,7 @@ import (
 // both independently passing verify.
 func assertWarmMatchesCold(t *testing.T, sess *Session, u *repo.Universe, roots []Root, label string) {
 	t.Helper()
-	cold := NewSession(u, SessionOptions{})
+	cold := NewSession(u)
 	coldRes, coldErr := cold.Resolve(context.Background(), roots, Options{})
 	warmRes, warmErr := sess.Resolve(context.Background(), roots, Options{})
 	if (coldErr == nil) != (warmErr == nil) {
@@ -54,7 +54,7 @@ func TestExtendMatchesCold(t *testing.T) {
 	u.Add("base", "1.2.11")
 	u.Add("base", "1.1")
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	requests := [][]Root{
 		{MustParseRoot("app")},
 		{MustParseRoot("liba"), MustParseRoot("libb")},
@@ -119,7 +119,7 @@ func TestExtendDeltaScopedInvalidation(t *testing.T) {
 	u.Add("libB", "1.5")
 	u.Add("libB", "1.0")
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 	rootsA := []Root{MustParseRoot("appA")}
 	rootsB := []Root{MustParseRoot("appB")}
@@ -184,7 +184,7 @@ func TestExtendVirtualProviderFlip(t *testing.T) {
 	// tool needs any mpi and resolves through the heavy provider for now.
 	u.Add("tool", "1.0", repo.Dep("mpi", ":"))
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 	appRoots := []Root{MustParseRoot("app")}
 	toolRoots := []Root{MustParseRoot("tool")}
@@ -242,7 +242,7 @@ func TestExtendResurrection(t *testing.T) {
 	// chain rooted at it — unsatisfiable until the delta.
 	u.Add("doomed", "1.0", repo.Dep("base", "9:"))
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	appRoots := []Root{MustParseRoot("app")}
 	doomedRoots := []Root{MustParseRoot("doomed")}
 
@@ -293,7 +293,7 @@ func TestExtendDormantTrigger(t *testing.T) {
 	u.Add("tool", "1.0", repo.DepWhen("plugin", ":", "ext", ":"))
 	u.Add("plugin", "1.0")
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	toolRoots := []Root{MustParseRoot("tool")}
 
 	pre, err := sess.Resolve(context.Background(), toolRoots, Options{})
@@ -337,8 +337,8 @@ func TestExtendEpochContract(t *testing.T) {
 	u.Add("app", "1.0", repo.Dep("lib", ":"))
 	u.Add("lib", "1.0")
 
-	s1 := NewSession(u, SessionOptions{})
-	s2 := NewSession(u, SessionOptions{})
+	s1 := NewSession(u)
+	s2 := NewSession(u)
 
 	// Parity: s1 applies the delta itself.
 	d1 := repo.NewDelta()
@@ -380,7 +380,7 @@ func TestExtendEpochContract(t *testing.T) {
 	// A validation failure mutates neither the universe nor the session.
 	fresh := repo.New()
 	fresh.Add("app", "1.0")
-	se := NewSession(fresh, SessionOptions{})
+	se := NewSession(fresh)
 	bad := repo.NewDelta()
 	bad.Add("app", "1.0") // re-adds an existing version
 	if _, err := se.Extend(bad); err == nil {
@@ -404,7 +404,7 @@ func TestExtendConcurrentWithResolve(t *testing.T) {
 		u.Add(fmt.Sprintf("root%d", c), "1.0", repo.Dep(fmt.Sprintf("leaf%d", c), ":"))
 		u.Add(fmt.Sprintf("leaf%d", c), "1.0")
 	}
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 
 	const goroutines = 8
 	const resolvesPer = 40

@@ -10,7 +10,7 @@ import "github.com/paper-repo-growth/go-arxiv/internal/faultpoint"
 var (
 	// fpExtend fires at the top of Session.Extend, before the universe or
 	// the encoding mutate. For a session whose universe a sibling already
-	// advanced (the portfolio/pool broadcast case) an injected error
+	// advanced (the pool broadcast case) an injected error
 	// leaves the encoding one epoch behind the universe — exactly the
 	// stale-member state the member rebuild exists for.
 	fpExtend = faultpoint.New("concretize/extend")

@@ -186,7 +186,7 @@ func TestLazyChurnMonotone(t *testing.T) {
 		u, _ := repo.SynthDense(pkgs, versions, depsPer, seed)
 		t.Run(fmt.Sprintf("u%03d_p%d_v%d_d%d", i, pkgs, versions, depsPer), func(t *testing.T) {
 			c := newChurner(rng, u, denseNames(pkgs), denseNames(pkgs))
-			runChurnStream(t, c, 3, 4, true, SessionOptions{})
+			runChurnStream(t, c, 3, 4, true)
 		})
 	}
 }
@@ -209,7 +209,7 @@ func TestLazyChurnVirtual(t *testing.T) {
 			targets := []string{root, "vbase"}
 			rootable := append([]string{root}, u.VirtualNames()...)
 			c := newChurner(rng, u, targets, rootable)
-			runChurnStream(t, c, 3, 4, false, SessionOptions{})
+			runChurnStream(t, c, 3, 4, false)
 		})
 	}
 }
@@ -233,7 +233,7 @@ func TestLazyChurnConditional(t *testing.T) {
 			rootable := append([]string{}, targets...)
 			rootable = append(rootable, "ccx")
 			c := newChurner(rng, u, targets, rootable)
-			runChurnStream(t, c, 3, 4, false, SessionOptions{})
+			runChurnStream(t, c, 3, 4, false)
 		})
 	}
 }
@@ -244,7 +244,7 @@ func TestLazyChurnConditional(t *testing.T) {
 func TestLazyEncodingStats(t *testing.T) {
 	u, root := repo.SynthRegistry(200, 4)
 
-	lazy := NewSession(u, SessionOptions{})
+	lazy := NewSession(u)
 	ls := lazy.EncodingStats()
 	if ls.MaterializedPackages != 0 || ls.UniversePackages != 200 || ls.SolverVars != 0 {
 		t.Fatalf("lazy stats before any request %+v: want zero coverage", ls)
@@ -265,7 +265,7 @@ func TestLazyEncodingStats(t *testing.T) {
 // rooting the parked package must see the delta's version.
 func TestLazyDeltaParking(t *testing.T) {
 	u, root := repo.SynthRegistry(300, 5)
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 
 	res1, err := storeResolve(store, se, []Root{{Pkg: root}}, Options{})
@@ -334,7 +334,7 @@ func TestLazyRegistryScaling(t *testing.T) {
 	u, root := repo.SynthRegistry(pkgs, versions)
 	roots := []Root{{Pkg: root}}
 
-	lazy := NewSession(u, SessionOptions{})
+	lazy := NewSession(u)
 	lres, err := lazy.Resolve(context.Background(), roots, Options{})
 	if err != nil {
 		t.Fatalf("lazy Resolve: %v", err)
@@ -359,7 +359,7 @@ func TestLazyRegistryScaling(t *testing.T) {
 		t.Skip("full-scale registry: skipped under -short and -race")
 	}
 	uFull, rootFull := repo.SynthRegistry(10000, 100)
-	lazyFull := NewSession(uFull, SessionOptions{})
+	lazyFull := NewSession(uFull)
 	for _, spec := range []string{rootFull, "reg5000"} {
 		res, err := lazyFull.Resolve(context.Background(), []Root{MustParseRoot(spec)}, Options{})
 		if err != nil {
@@ -390,7 +390,7 @@ func TestLazyRegistryScaling(t *testing.T) {
 func TestLazySessionHammer(t *testing.T) {
 	const workers = 8
 	u, _ := repo.SynthRegistry(400, 4)
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -14,8 +14,8 @@ import (
 //
 // Implementations must be deterministic pure functions of their inputs and
 // safe for concurrent use: a Session may evaluate the same objective from
-// multiple requests, and a portfolio may evaluate it against several
-// differently-configured solvers at once.
+// multiple requests, and a pool may evaluate it on several shards at
+// once.
 type Objective interface {
 	// Key returns a stable identifier for the objective's semantics,
 	// mixed into the request-shape key (ShapeKey). Two objectives that can

@@ -1,14 +1,12 @@
 package concretize
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
-	"github.com/paper-repo-growth/go-arxiv/internal/sat"
 	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
@@ -164,7 +162,7 @@ func TestObjectiveCacheSeparation(t *testing.T) {
 	u := repo.New()
 	u.Add("app", "2.0")
 	u.Add("app", "1.0")
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(4)
 	roots := []Root{MustParseRoot("app")}
 
@@ -245,60 +243,6 @@ func TestObjectiveValidation(t *testing.T) {
 		_, err := Concretize(u, roots, Options{Objective: tc.obj})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want contains %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestDescentConfigDifferential(t *testing.T) {
-	// Solver configurations — polarity, restart schedule — must never
-	// change the answer, only the search path: every config agrees with
-	// the default-config oracle on cost (and on picks for the monotone
-	// family, whose optimum is unique).
-	configs := []SessionOptions{
-		{},
-		{Solver: sat.Config{PositiveFirst: true, RestartBase: 40}},
-		{Solver: sat.Config{PositiveFirst: true, RestartBase: 400}},
-	}
-	for seed := int64(0); seed < 10; seed++ {
-		u, root := repo.SynthDense(20, 6, 3, seed)
-		roots := []Root{{Pkg: root}}
-		oracle, err := Concretize(u, roots, Options{})
-		if err != nil {
-			t.Fatalf("seed %d: oracle: %v", seed, err)
-		}
-		for i, so := range configs {
-			res, err := NewSession(u, so).Resolve(context.Background(), roots, Options{})
-			if err != nil {
-				t.Fatalf("seed %d config %d: %v", seed, i, err)
-			}
-			if res.Stats.Cost != oracle.Stats.Cost {
-				t.Fatalf("seed %d config %d: cost %d, oracle %d", seed, i, res.Stats.Cost, oracle.Stats.Cost)
-			}
-			if !reflect.DeepEqual(res.Picks, oracle.Picks) {
-				t.Fatalf("seed %d config %d: picks diverge:\n%v\n%v", seed, i, res.Picks, oracle.Picks)
-			}
-		}
-	}
-	// Conflict-bearing family: optima can tie, so compare cost and
-	// satisfiability only.
-	for seed := int64(0); seed < 10; seed++ {
-		u, root := repo.SynthDenseConflicts(20, 6, 3, 2, seed)
-		roots := []Root{{Pkg: root}}
-		oracle, oracleErr := Concretize(u, roots, Options{})
-		for i, so := range configs {
-			res, err := NewSession(u, so).Resolve(context.Background(), roots, Options{})
-			if oracleErr != nil {
-				if !errors.Is(err, ErrUnsatisfiable) || !errors.Is(oracleErr, ErrUnsatisfiable) {
-					t.Fatalf("seed %d config %d: err %v, oracle %v", seed, i, err, oracleErr)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("seed %d config %d: %v", seed, i, err)
-			}
-			if res.Stats.Cost != oracle.Stats.Cost {
-				t.Fatalf("seed %d config %d: cost %d, oracle %d", seed, i, res.Stats.Cost, oracle.Stats.Cost)
-			}
 		}
 	}
 }

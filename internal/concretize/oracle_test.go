@@ -534,7 +534,7 @@ func runOracleStream(t *testing.T, seed int64) oracleStats {
 	t.Helper()
 	g := newOracleGen(seed)
 	u := g.universe()
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 	type request struct {
 		roots []Root

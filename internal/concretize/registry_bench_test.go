@@ -34,7 +34,7 @@ func reportRegistryMetrics(b *testing.B, u *repo.Universe, root string) {
 	b.StopTimer()
 	defer b.StartTimer()
 	before := heapAlloc()
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	if _, err := sess.Resolve(context.Background(), []Root{{Pkg: root}}, Options{}); err != nil {
 		b.Fatalf("metrics Resolve: %v", err)
 	}
@@ -56,7 +56,7 @@ func BenchmarkRegistryCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := NewSession(u, SessionOptions{})
+		sess := NewSession(u)
 		res, err := sess.Resolve(context.Background(), roots, Options{})
 		if err != nil {
 			b.Fatalf("Resolve: %v", err)
@@ -74,7 +74,7 @@ func BenchmarkRegistryCold(b *testing.B) {
 func BenchmarkRegistryWarm(b *testing.B) {
 	u, root := repo.SynthRegistry(benchRegPkgs, benchRegVers)
 	roots := []Root{{Pkg: root}}
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(AnswersPerSession)
 	if _, err := storeResolve(store, sess, roots, Options{}); err != nil {
 		b.Fatalf("prime Resolve: %v", err)
@@ -118,7 +118,7 @@ func BenchmarkRegistryChurn(b *testing.B) {
 		b.StopTimer()
 		u, root = repo.SynthRegistry(benchRegPkgs, benchRegVers)
 		roots := []Root{{Pkg: root}}
-		sess := NewSession(u, SessionOptions{})
+		sess := NewSession(u)
 		store := NewAnswers(AnswersPerSession)
 		if _, err := storeResolve(store, sess, roots, Options{}); err != nil {
 			b.Fatalf("prime Resolve: %v", err)
@@ -157,7 +157,7 @@ const (
 // third position of the last, short block.
 func newFirstVisitSession(tb testing.TB, u *repo.Universe) *Session {
 	tb.Helper()
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	for pkg := firstVisitFullBlocks * firstVisitBlock; pkg < firstVisitHubStart; pkg += 3 {
 		if _, err := sess.Resolve(context.Background(), []Root{{Pkg: fmt.Sprintf("reg%d", pkg)}}, Options{}); err != nil {
 			tb.Fatalf("prewarm reg%d: %v", pkg, err)

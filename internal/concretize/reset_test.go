@@ -74,7 +74,7 @@ func TestResetSelfDeadDependency(t *testing.T) {
 			if tc.live {
 				u.Add("a", "0.5")
 			}
-			se := NewSession(u, SessionOptions{})
+			se := NewSession(u)
 			roots := []Root{MustParseRoot("a")}
 			if _, err := resolveWithin(t, se, roots); tc.live != (err == nil) {
 				t.Fatalf("pre-delta: %v", err)
@@ -105,7 +105,7 @@ func TestResetMutualDeadDependencies(t *testing.T) {
 	u := repo.New()
 	u.Add("a", "1.0", repo.Dep("b", "5:"))
 	u.Add("b", "1.0", repo.Dep("a", "5:"))
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 	aRoots, bRoots := []Root{MustParseRoot("a")}, []Root{MustParseRoot("b")}
 	if _, err := resolveWithin(t, se, aRoots); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("pre-delta a: %v, want unsatisfiable", err)
@@ -138,7 +138,7 @@ func TestResetMutualDeadDependencies(t *testing.T) {
 func TestResetDeltaThenRevive(t *testing.T) {
 	u := repo.New()
 	u.Add("base", "1.0")
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 	roots := []Root{MustParseRoot("selfdep")}
 
 	d1 := repo.NewDelta()
@@ -168,7 +168,7 @@ func TestResetDeltaThenRevive(t *testing.T) {
 func TestResetOnMaterialization(t *testing.T) {
 	u := repo.New()
 	u.Add("app", "1.0", repo.Dep("missing", ":"))
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 	roots := []Root{MustParseRoot("app")}
 	if _, err := resolveWithin(t, se, roots); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("pre-delta: %v, want unsatisfiable", err)
@@ -204,7 +204,7 @@ func TestResetConcurrentWithResolve(t *testing.T) {
 		u.Add(fmt.Sprintf("d%d", i), "1.0", repo.Dep(fmt.Sprintf("d%d", i), "9:"))
 		u.Add(fmt.Sprintf("app%d", i), "1.0", repo.Dep(fmt.Sprintf("d%d", i), ":"))
 	}
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

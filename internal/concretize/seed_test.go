@@ -25,7 +25,7 @@ func TestSeedNewRootVersionCold(t *testing.T) {
 	u, _ := repo.SynthDiamond(40, 8)
 	u.Add("app", "99.0", repo.Dep("mid0", ":"))
 	app := []Root{MustParseRoot("app")}
-	res, err := resolveWithin(t, NewSession(u, SessionOptions{}), app)
+	res, err := resolveWithin(t, NewSession(u), app)
 	if err != nil {
 		t.Fatalf("app: %v", err)
 	}
@@ -111,7 +111,7 @@ func reuseSwapDraw(rng *rand.Rand, n int) []reuseSwapRequest {
 func TestSeedReuseSwapFirstModels(t *testing.T) {
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
 	reqs := reuseSwapDraw(rand.New(rand.NewSource(1)), 200)
-	se := NewSession(u, SessionOptions{})
+	se := NewSession(u)
 	firstOptimal, calls, conflicts := 0, 0, int64(0)
 	for i, rq := range reqs {
 		opts := Options{Objective: rq.obj}
@@ -168,7 +168,7 @@ func keptProviderRequest() ([]Root, Objective) {
 func TestSeedKeepsUnrequiredInstalled(t *testing.T) {
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
 	roots, obj := keptProviderRequest()
-	res, err := NewSession(u, SessionOptions{}).Resolve(context.Background(), roots, Options{Objective: obj})
+	res, err := NewSession(u).Resolve(context.Background(), roots, Options{Objective: obj})
 	if err != nil {
 		t.Fatalf("%s: %v", rootsString(roots), err)
 	}
@@ -213,7 +213,7 @@ func TestSeedKeptPackageWalksItsDependencies(t *testing.T) {
 	u.Add("lib", "1.0")
 	roots := []Root{MustParseRoot("app"), MustParseRoot("prov2")}
 	obj := MinimalChange(repo.Profile{"app": version.MustParse("1.0"), "prov1": version.MustParse("1.0")})
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	order, costs := seedInputs(t, sess, roots, obj)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -275,7 +275,7 @@ func TestSeedPhasesAllocs(t *testing.T) {
 		obj   Objective
 	}{
 		{"registry", newFirstVisitSession(t, reg), []Root{MustParseRoot("reg49")}, DefaultObjective},
-		{"kept-provider", NewSession(swap, SessionOptions{}), swapRoots, swapObj},
+		{"kept-provider", NewSession(swap), swapRoots, swapObj},
 	} {
 		sess, roots := tc.sess, tc.roots
 		order, costs := seedInputs(t, sess, roots, tc.obj)

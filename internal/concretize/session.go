@@ -22,15 +22,6 @@ import (
 // bound).
 const maxActivations = 4096
 
-// SessionOptions tunes a Session.
-type SessionOptions struct {
-	// Solver tunes the underlying SAT search (branching polarity, restart
-	// schedule, objective-descent strategy). The zero value selects the
-	// defaults; differently-tuned Sessions return cost-identical answers,
-	// which is what lets a portfolio race them. See sat.Config.
-	Solver sat.Config
-}
-
 // Session is a reusable concretization handle bound to one universe: the
 // warm path of the resolver. A new Session encodes nothing. Each request's
 // reachable subgraph — the closure of its roots over dependency, conflict,
@@ -210,7 +201,7 @@ type supEntry struct {
 
 // NewSession returns a warm handle for resolving requests against the
 // universe. It encodes nothing: requests materialize what they reach.
-func NewSession(u *repo.Universe, opts SessionOptions) *Session {
+func NewSession(u *repo.Universe) *Session {
 	se := &Session{
 		u:         u,
 		epoch:     u.Epoch(),
@@ -220,7 +211,7 @@ func NewSession(u *repo.Universe, opts SessionOptions) *Session {
 		seedBuf:   make(map[string]int),
 	}
 	se.epochA.Store(uint64(se.epoch))
-	se.newEncoding(sat.NewWithConfig(opts.Solver))
+	se.newEncoding(sat.New())
 	se.syncEncodingStats()
 	return se
 }
@@ -250,14 +241,14 @@ func (se *Session) newEncoding(s *sat.Solver) {
 // resetEncodingLocked drops the whole encoding — the solver with its learnt
 // clauses and phases, the materialized packages, the requirement
 // bookkeeping, the activations, and the closure and bound memos — and
-// starts over with an empty one under the same solver configuration. It is
+// starts over with an empty one. It is
 // the revival path: a variable the solver fixed false at the top level can
 // never be assigned again, so when a delta makes such a version (or
 // package, or virtual) buildable again, re-encoding from scratch replaces
 // reviving it in place. Nothing is encoded up front, so the reset itself costs O(1);
 // requests re-materialize what they reach. Callers hold se.mu.
 func (se *Session) resetEncodingLocked() {
-	se.newEncoding(sat.NewWithConfig(se.solver.Config()))
+	se.newEncoding(sat.New())
 	se.resetsA.Add(1)
 }
 
@@ -780,7 +771,6 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	// whatever this request proves is banked for the next one. Over-eager
 	// targets cost at most extra UNSAT rounds and can never change the
 	// returned answer.
-	cfg := s.Config()
 	warmBound := memo.proven // a previous request already proved a bound
 	lo := memo.lo            // optimal cost is known to be >= lo
 	proved := false          // this request completed a proof round (an
@@ -861,19 +851,19 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 				return finish(true)
 			}
 		}
-		// Pick the next bound target in [lo, bestCost-1]. Binary descent
-		// probes the midpoint — far from the incumbent, so a warm solver
+		// Pick the next bound target in [lo, bestCost-1]. The descent
+		// first probes just below the incumbent — fewest rounds when the
+		// first model is already optimal, which is the norm for a fresh
+		// (cold) solver and for a seeded first visit — and bisects from
+		// then on if that probe improved (the first model came from stale
+		// saved phases, and each further linear probe would hand back only
+		// the next model down) or if the shape has a proven bound banked.
+		// A midpoint probe sits far from the incumbent, so a warm solver
 		// whose saved phases sit on a bad model is propagated straight out
 		// of that neighborhood instead of refuting it clause by clause.
-		// Adaptive descent first probes just below the incumbent — fewest
-		// rounds when the first model is already optimal, which is the
-		// norm for a fresh (cold) solver — and bisects from then on if
-		// that probe improved (the first model came from stale saved
-		// phases, and each further linear probe would hand back only the
-		// next model down) or if the shape has a proven bound banked.
 		// bestCost > lo here, so the linear probe never undercuts lo.
 		target := bestCost - 1
-		if cfg.Descent == sat.DescentBinary || warmBound || stats.Improvements > 1 {
+		if warmBound || stats.Improvements > 1 {
 			target = lo + (bestCost-1-lo)/2
 		}
 		// Install or strengthen the bound: guard -> objective <= target,
@@ -980,12 +970,11 @@ func (se *Session) decisionScope(order []string) []int {
 // outranks decisionScope's order, so once conflicts bump an installed
 // variable the search can decide it before its versions, and a false
 // phase there drops a package the greedy model needs. A version-only
-// seed, with every installed phase false, made every search
-// configuration slower on minimal-change provider swaps than the plain
-// newest-version seed (binary descent 2.28 → 4.31 CPU ms per request on
-// a 2-vCPU host); on TestSeedReuseSwapFirstModels' stream it finds an
-// optimal first model for 6 of 200 requests, where this seed finds all
-// 200 (193 without the pass over order).
+// seed, with every installed phase false, made the search slower on
+// minimal-change provider swaps than the plain newest-version seed; on
+// TestSeedReuseSwapFirstModels' stream it finds an optimal first model
+// for 6 of 200 requests, where this seed finds all 200 (193 without the
+// pass over order).
 //
 // The walk ignores conditional dependencies and conflicts, so the seed
 // can miss a model; phases steer only which model the search finds

@@ -27,7 +27,7 @@ func TestSessionMatchesColdCurated(t *testing.T) {
 	u.Add("base", "1.2.8")
 	u.Add("base", "1.1")
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	requests := [][]Root{
 		{MustParseRoot("app")},
 		{MustParseRoot("liba"), MustParseRoot("libb")},
@@ -62,7 +62,7 @@ func TestSessionMatchesColdCurated(t *testing.T) {
 // session's lifetime conflict count.
 func TestSessionBudgetIsPerRequest(t *testing.T) {
 	u, root := repo.SynthUnsatWeb(10, 4)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	roots := []Root{{Pkg: root}}
 	// Burn some lifetime conflicts first with an unbudgeted request.
 	if _, err := sess.Resolve(context.Background(), roots, Options{}); !errors.Is(err, ErrUnsatisfiable) {
@@ -88,7 +88,7 @@ func TestSessionBudgetIsPerRequest(t *testing.T) {
 // and constraint slots are recycled.
 func TestSessionGuardRetirementBoundsSolverMemory(t *testing.T) {
 	u, root := repo.SynthDense(20, 5, 3, 5)
-	sess := NewSession(u, SessionOptions{}) // every request hits the solver
+	sess := NewSession(u) // every request hits the solver
 	roots := []Root{{Pkg: root}}
 
 	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
@@ -154,7 +154,7 @@ func TestSessionConcurrent(t *testing.T) {
 		pool = append(pool, e)
 	}
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(4) // small: force hit/miss/evict interleaving
 	const goroutines, iters = 8, 30
 	var wg sync.WaitGroup
@@ -194,7 +194,7 @@ func TestSessionConcurrent(t *testing.T) {
 // allocated on demand).
 func TestSessionActivationEviction(t *testing.T) {
 	u, _ := repo.SynthDense(10, 5, 2, 13)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	sess.actsMax = 3
 	cold := map[string]*Resolution{}
 	var specs []string
@@ -254,7 +254,7 @@ func TestSessionActivationEviction(t *testing.T) {
 // without touching the solver, and a store does not file it.
 func TestSessionEmptyRoots(t *testing.T) {
 	u, _ := repo.SynthDense(4, 2, 1, 2)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(4)
 	res, err := storeResolve(store, sess, nil, Options{})
 	if err != nil || len(res.Picks) != 0 || !res.Stats.Optimal {
@@ -269,7 +269,7 @@ func TestSessionEmptyRoots(t *testing.T) {
 // from unsatisfiability, and a store does not file them.
 func TestSessionUnknownRoot(t *testing.T) {
 	u, _ := repo.SynthDense(4, 2, 1, 2)
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(4)
 	_, err := storeResolve(store, sess, []Root{{Pkg: "ghost"}}, Options{})
 	if err == nil || errors.Is(err, ErrUnsatisfiable) {

@@ -254,7 +254,7 @@ func TestUnknownRootTyped(t *testing.T) {
 	}
 
 	// Warm path agrees with cold.
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	_, err := sess.Resolve(context.Background(), []Root{MustParseRoot("virtual:ghost")}, Options{})
 	var ue *UnknownPackageError
 	if !errors.As(err, &ue) || !ue.Virtual {
@@ -302,7 +302,7 @@ func TestSessionVirtualDiamondRace(t *testing.T) {
 		pool = append(pool, e)
 	}
 
-	sess := NewSession(u, SessionOptions{})
+	sess := NewSession(u)
 	store := NewAnswers(4) // force hit/miss/evict interleaving
 	const goroutines, iters = 8, 25
 	var wg sync.WaitGroup

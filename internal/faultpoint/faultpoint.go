@@ -26,13 +26,13 @@
 //
 // Site names are slash-separated paths, "<package>/<operation>" (a third
 // segment for sub-operations): "concretize/extend",
-// "resolve/portfolio/solve", "serve/backend/apply". The package segment is
+// "resolve/pool/solve", "serve/backend/apply". The package segment is
 // the package that DECLARES the site — the layer whose failure the site
 // models — not the caller. Inject's label argument carries the dynamic
-// instance within the site: the portfolio member name, the pool shard
-// index (strconv.Itoa), or "" where the site has one instance. Rules match
-// a specific label (On) or any label (Any), so one site covers "member
-// 'steady' fails" and "any member fails" without multiplying site names.
+// instance within the site: the pool shard index (strconv.Itoa), or ""
+// where the site has one instance. Rules match a specific label (On) or
+// any label (Any), so one site covers "shard 1 fails" and "any shard
+// fails" without multiplying site names.
 //
 // # Environment schedule grammar
 //
@@ -119,8 +119,7 @@ type Rule struct {
 	Steps []Step
 }
 
-// On binds steps to one specific injection label (a portfolio member
-// name, a pool shard index).
+// On binds steps to one specific injection label (a pool shard index).
 func On(label string, steps ...Step) Rule { return Rule{Label: label, Steps: steps} }
 
 // Any binds steps to every injection label.

@@ -40,8 +40,8 @@ type VersionAdd struct {
 // Build a delta with Add (same string-literal surface as Universe.Add),
 // then hand it to Universe.Apply. The zero value is an empty delta. A
 // Delta is not safe for concurrent mutation; once built it is read-only
-// and may be applied to any number of universes (a portfolio broadcasts
-// one delta across members).
+// and may be applied to any number of universes (a pool broadcasts one
+// delta across shards).
 type Delta struct {
 	adds []VersionAdd
 }
@@ -228,7 +228,7 @@ func chainFingerprint(prev string, d *Delta) string {
 // live, freezing direct Add mutation for good.
 //
 // Apply is not safe for use concurrent with readers: callers that share
-// the universe across sessions (resolve.PortfolioResolver) must quiesce
+// the universe across sessions (resolve.PoolResolver) must quiesce
 // or lock out requests around it, which is exactly what the serving
 // layer's Apply broadcast does.
 func (u *Universe) Apply(d *Delta) (Epoch, error) {

@@ -223,7 +223,7 @@ type Universe struct {
 	// names memoizes the sorted package-name slice (read-heavy: every
 	// fingerprint and skeleton encode walks it). Add invalidates it;
 	// Apply updates it incrementally (copy-on-write merge). atomic so
-	// concurrent readers (e.g. portfolio members fingerprinting lazily)
+	// concurrent readers (e.g. pool shards fingerprinting lazily)
 	// never race; racing rebuilders produce identical slices.
 	names atomic.Pointer[[]string]
 

@@ -107,40 +107,12 @@ func TestBudgetStillReportsUnknown(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	cfg := New().Config()
-	if cfg.RestartBase != DefaultRestartBase || cfg.Descent != DescentAdaptive || cfg.PositiveFirst {
-		t.Fatalf("default config = %+v", cfg)
-	}
-	got := NewWithConfig(Config{RestartBase: 40, Descent: DescentBinary, PositiveFirst: true}).Config()
-	if got.RestartBase != 40 || got.Descent != DescentBinary || !got.PositiveFirst {
-		t.Fatalf("config = %+v", got)
-	}
-}
-
-func TestConfigPolarity(t *testing.T) {
-	// With no constraints, the first decision on a fresh variable follows
-	// the configured initial polarity.
-	neg := New()
-	v := neg.NewVar()
-	if st := neg.Solve(); st != Sat || neg.ValueOf(v) {
-		t.Fatalf("negative-first default: status %v, value %v", st, neg.ValueOf(v))
-	}
-	pos := NewWithConfig(Config{PositiveFirst: true})
-	w := pos.NewVar()
-	if st := pos.Solve(); st != Sat || !pos.ValueOf(w) {
-		t.Fatalf("positive-first: status %v, value %v", st, pos.ValueOf(w))
-	}
-}
-
-func TestConfigRestartBaseSolves(t *testing.T) {
-	// An aggressive restart schedule must not change answers, only the
-	// search path: the hard-but-small PHP(6) stays UNSAT under both.
-	for _, base := range []int64{1, 10, 1000} {
-		s := NewWithConfig(Config{RestartBase: base})
-		encodePHP(s, 6)
-		if st := s.Solve(); st != Unsat {
-			t.Fatalf("RestartBase=%d: PHP(6) = %v, want Unsat", base, st)
-		}
+func TestNegativeFirstPolarity(t *testing.T) {
+	// With no constraints, the first decision on a fresh variable assigns
+	// it false.
+	s := New()
+	v := s.NewVar()
+	if st := s.Solve(); st != Sat || s.ValueOf(v) {
+		t.Fatalf("negative-first: status %v, value %v", st, s.ValueOf(v))
 	}
 }

@@ -56,8 +56,8 @@ const (
 	Unsat
 	// Canceled means the search was stopped by Interrupt before reaching
 	// an answer. It is distinct from Unknown so callers can tell "the
-	// budget ran out" from "someone asked us to stop" — a portfolio
-	// canceling losers must not be mistaken for a solver giving up.
+	// budget ran out" from "someone asked us to stop" — a request whose
+	// deadline fired must not be mistaken for a solver giving up.
 	Canceled
 )
 
@@ -177,8 +177,6 @@ type Solver struct {
 	conflictBudget int64
 	model          []lbool
 
-	cfg Config
-
 	// interrupted is the asynchronous stop flag set by Interrupt. It may
 	// be written from any goroutine while Solve runs on another; the
 	// search loop polls it and returns Canceled. It stays set until
@@ -186,13 +184,13 @@ type Solver struct {
 	interrupted atomic.Bool
 }
 
-// New returns an empty solver with the default configuration.
-func New() *Solver { return NewWithConfig(Config{}) }
+// restartBase scales the Luby restart schedule: a restart fires after
+// luby(i) * restartBase conflicts.
+const restartBase = 100
 
-// NewWithConfig returns an empty solver tuned by cfg (zero fields select
-// defaults; see Config).
-func NewWithConfig(cfg Config) *Solver {
-	s := &Solver{varInc: 1.0, ok: true, learntBase: 2000, cfg: cfg.withDefaults()}
+// New returns an empty solver.
+func New() *Solver {
+	s := &Solver{varInc: 1.0, ok: true, learntBase: 2000}
 	s.order = newVarHeap(&s.activity, &s.scopeRank)
 	// index 0 unused
 	s.assigns = append(s.assigns, lUndef)
@@ -212,11 +210,6 @@ func NewWithConfig(cfg Config) *Solver {
 	return s
 }
 
-// Config returns the configuration the solver was created with, with
-// defaults resolved. Layers above the solver (branch-and-bound in
-// internal/concretize) read the Descent strategy from here.
-func (s *Solver) Config() Config { return s.cfg }
-
 // Interrupt asynchronously stops an in-flight Solve, which returns
 // Canceled at its next poll (per search-loop iteration, so promptly). It
 // is safe to call from any goroutine, before or during a solve, and is
@@ -231,8 +224,8 @@ func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
 // Interrupted reports whether the stop flag is currently set.
 func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
 
-// ResetPhases restores every variable's saved phase to the configured
-// initial polarity. Phase saving assumes the last search's trajectory is
+// ResetPhases restores every variable's saved phase to the initial
+// polarity, negative-first. Phase saving assumes the last search's trajectory is
 // worth resuming; after a search is abandoned mid-flight (Canceled, or a
 // budget expiry deep in a refutation) the saved phases instead pin the
 // next solve inside the abandoned — possibly unsatisfiable — subspace,
@@ -242,7 +235,7 @@ func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
 // and useful).
 func (s *Solver) ResetPhases() {
 	for v := 1; v <= s.nVars; v++ {
-		s.polarity[v] = !s.cfg.PositiveFirst
+		s.polarity[v] = true
 	}
 }
 
@@ -255,8 +248,7 @@ func (s *Solver) ResetPhases() {
 // optimum instead of wherever default polarities happen to land (on
 // version-deep registry universes the difference is hundreds of descent
 // rounds). Phase saving overwrites the seed as soon as the variable is
-// assigned in search, exactly as it overwrites the configured initial
-// polarity.
+// assigned in search, exactly as it overwrites the initial polarity.
 func (s *Solver) SetPhase(v int, val bool) {
 	// polarity true means "assign -v first"; see allocVar.
 	s.polarity[v] = !val
@@ -295,9 +287,10 @@ func (s *Solver) allocVar() int {
 	s.level = append(s.level, 0)
 	s.trailPos = append(s.trailPos, 0)
 	s.reasons = append(s.reasons, reason{})
-	// Initial phase: polarity true => assign -v first. Negative-first is
-	// the default; Config.PositiveFirst flips it.
-	s.polarity = append(s.polarity, !s.cfg.PositiveFirst)
+	// Initial phase: polarity true => assign -v first. Negative-first
+	// means "try not installing / not selecting" before committing to a
+	// version.
+	s.polarity = append(s.polarity, true)
 	s.decision = append(s.decision, false)
 	s.scopeMark = append(s.scopeMark, 0)
 	s.scopeRank = append(s.scopeRank, 0)
@@ -692,7 +685,7 @@ func (s *Solver) solve(assumptions []Lit) Status {
 
 	restartNum := int64(1)
 	conflictsSinceRestart := int64(0)
-	restartLimit := luby(restartNum) * s.cfg.RestartBase
+	restartLimit := luby(restartNum) * restartBase
 	learntLimit := int64(len(s.clauses)/3) + s.learntBase
 
 	for {
@@ -753,7 +746,7 @@ func (s *Solver) solve(assumptions []Lit) Status {
 		if conflictsSinceRestart >= restartLimit {
 			restartNum++
 			conflictsSinceRestart = 0
-			restartLimit = luby(restartNum) * s.cfg.RestartBase
+			restartLimit = luby(restartNum) * restartBase
 			s.cancelUntil(len(assumptions))
 			continue
 		}

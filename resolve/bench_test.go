@@ -8,11 +8,11 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
 )
 
-// The BenchmarkPortfolio* benchmarks extend the repo's perf trajectory
+// The BenchmarkPool* benchmarks extend the repo's perf trajectory
 // (BenchmarkConcretize*, BenchmarkSessionWarm*) to the serving surface:
-// they measure full requests through the public Resolver backends over
-// the same deterministic dense universe, so `make bench` tracks the
-// serving path across PRs.
+// they measure full requests through a single-session pool over the same
+// deterministic dense universe, so `make bench` tracks the serving path
+// across PRs.
 
 func benchRequests(n int) []Request {
 	reqs := make([]Request, n)
@@ -22,36 +22,30 @@ func benchRequests(n int) []Request {
 	return reqs
 }
 
-// BenchmarkPortfolioDenseCold measures construction plus one request:
-// the portfolio's worst case (N skeleton encodes, no warm state).
-func BenchmarkPortfolioDenseCold(b *testing.B) {
+// BenchmarkPoolDenseCold measures construction plus one request: the
+// pool's worst case (a first visit materializes its closure, no warm
+// state).
+func BenchmarkPoolDenseCold(b *testing.B) {
 	u, root := repo.SynthDense(40, 8, 3, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := NewPortfolioResolver(u)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := NewPoolResolver(u, 1, SessionOptions{})
 		if _, err := p.Resolve(context.Background(), Request{Roots: []Root{{Pkg: root}}}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPortfolioWarmMiss measures steady-state racing over rotating
-// roots on warm members: it runs the race behind the answer store
-// directly, so the solvers actually run (each member solves from its
-// shape's banked bound).
+// BenchmarkPoolWarmMiss measures steady-state solving over rotating
+// roots on a warm shard: it runs the miss path behind the answer store
+// directly, so the solver actually runs (from each shape's banked bound).
 //
 // goarxivlint:blocking cancel=none
-func BenchmarkPortfolioWarmMiss(b *testing.B) {
+func BenchmarkPoolWarmMiss(b *testing.B) {
 	u, _ := repo.SynthDense(40, 8, 3, 1)
-	p, err := NewPortfolioResolver(u)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := NewPoolResolver(u, 1, SessionOptions{})
 	reqs := benchRequests(8)
-	// Warm the members once.
+	// Warm the shard once.
 	for _, r := range reqs {
 		if _, err := p.Resolve(context.Background(), r); err != nil {
 			b.Fatal(err)
@@ -62,7 +56,7 @@ func BenchmarkPortfolioWarmMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req := reqs[i%len(reqs)]
 		p.mu.RLock()
-		_, err := p.race(context.Background(), req, req.Key())
+		_, err := p.routeAndSolve(context.Background(), req, req.Key())
 		p.mu.RUnlock()
 		if err != nil {
 			b.Fatal(err)
@@ -70,14 +64,11 @@ func BenchmarkPortfolioWarmMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolioWarmHit measures the repeat-request fast path: the
-// answer store answers without a race.
-func BenchmarkPortfolioWarmHit(b *testing.B) {
+// BenchmarkPoolWarmHit measures the repeat-request fast path: the answer
+// store answers without reaching a shard.
+func BenchmarkPoolWarmHit(b *testing.B) {
 	u, root := repo.SynthDense(40, 8, 3, 1)
-	p, err := NewPortfolioResolver(u)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := NewPoolResolver(u, 1, SessionOptions{})
 	req := Request{Roots: []Root{{Pkg: root}}}
 	if _, err := p.Resolve(context.Background(), req); err != nil {
 		b.Fatal(err)

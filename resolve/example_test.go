@@ -11,7 +11,7 @@ import (
 )
 
 // Example mirrors the README quickstart: build a universe, stand up a
-// portfolio resolver, and answer a deadline-bounded request.
+// single-session pool, and answer a deadline-bounded request.
 func Example() {
 	u := repo.New()
 	u.Add("app", "2.0", repo.Dep("zlib", "1.2:"), repo.Dep("ssl", ":"))
@@ -21,10 +21,7 @@ func Example() {
 	u.Add("ssl", "3.0", repo.Confl("zlib", ":1.2"))
 	u.Add("ssl", "1.1")
 
-	r, err := resolve.NewPortfolioResolver(u)
-	if err != nil {
-		panic(err)
-	}
+	r := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

@@ -95,59 +95,6 @@ func TestOneShardPoolApply(t *testing.T) {
 	}
 }
 
-// TestPortfolioApplyBroadcast: one Apply must land the delta on every
-// member — whichever member wins any later race, the answer reflects the
-// grown universe.
-func TestPortfolioApplyBroadcast(t *testing.T) {
-	u := liveUniverse(2)
-	p := mustPortfolio(t, u)
-
-	req := Request{Roots: []Root{{Pkg: "root0"}}}
-	if _, err := p.Resolve(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-
-	d := NewDelta()
-	d.Add("leaf0", "3.0")
-	epoch, err := p.Apply(d)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if epoch != 1 {
-		t.Fatalf("Apply epoch = %d, want 1", epoch)
-	}
-
-	// Every member must answer from the grown universe: query repeatedly so
-	// race wins spread across members, and pin each member directly too.
-	seen := map[string]bool{}
-	for i := 0; i < 8; i++ {
-		res, err := p.Resolve(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Picks["leaf0"].String(); got != "3.0" {
-			t.Fatalf("iteration %d (member %s): leaf0 = %s, want 3.0", i, res.Config, got)
-		}
-		if res.Stats.Epoch > 1 {
-			t.Fatalf("iteration %d: Epoch = %d, want <= 1", i, res.Stats.Epoch)
-		}
-		seen[res.Config] = true
-	}
-	// A member that missed the broadcast cannot hide behind faster
-	// siblings on this shape: only the delta's version satisfies it, so a
-	// stale member would race in with a definitive unsat answer and win.
-	strict := Request{Roots: []Root{MustParseRootT(t, "leaf0@3:")}}
-	for i := 0; i < 8; i++ {
-		res, err := p.Resolve(context.Background(), strict)
-		if err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-		if got := res.Picks["leaf0"].String(); got != "3.0" {
-			t.Fatalf("iteration %d: leaf0 = %s, want 3.0", i, got)
-		}
-	}
-}
-
 // MustParseRootT parses a root spec or fails the test.
 func MustParseRootT(t testing.TB, s string) Root {
 	t.Helper()
@@ -164,24 +111,11 @@ func MustParseRootT(t testing.TB, s string) Root {
 // every answer must be coherent — a root's leaf pick is always a version
 // that existed at some applied epoch, never a torn in-between.
 func TestLiveConcurrentApplyResolve(t *testing.T) {
-	for _, backend := range []string{"session", "portfolio"} {
-		backend := backend
-		t.Run(backend, func(t *testing.T) {
-			u := liveUniverse(4)
-			type liveResolver interface {
-				Resolver
-				Apply(*Delta) (Epoch, error)
-			}
-			var r liveResolver
-			if backend == "session" {
-				r = NewPoolResolver(u, 1, SessionOptions{})
-			} else {
-				// Two members keep the hammer fast while still exercising
-				// the broadcast barrier.
-				r = mustPortfolio(t, u,
-					BackendConfig{Name: "a", Options: SessionOptions{}},
-					BackendConfig{Name: "b", Options: SessionOptions{}})
-			}
+	// One shard is the single-session backend; two keep the hammer fast
+	// while still exercising the broadcast barrier across shards.
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			r := NewPoolResolver(liveUniverse(4), shards, SessionOptions{})
 
 			const goroutines = 8
 			const resolvesPer = 30

@@ -2,8 +2,8 @@ package resolve
 
 // Differential test of the Result.Picks ownership contract: every path
 // that can hand back an answer — a fresh session solve, an answer-store
-// hit, and a portfolio race — must return a Picks map the
-// caller owns outright. Mutating it must never bleed into a later answer
+// hit, and a multi-shard pool — must return a Picks map the caller owns
+// outright. Mutating it must never bleed into a later answer
 // for the same request. (The serving tier's coalesced-follower leg lives
 // in serve's TestCoalescedPicksOwnership.)
 
@@ -36,9 +36,9 @@ func TestResultPicksOwnership(t *testing.T) {
 			}
 			return r, newReq(root)
 		}},
-		{"portfolio", func(t *testing.T) (Resolver, Request) {
+		{"pool", func(t *testing.T) (Resolver, Request) {
 			u, root := repo.SynthDiamond(3, 4)
-			return mustPortfolio(t, u), newReq(root)
+			return NewPoolResolver(u, 3, SessionOptions{}), newReq(root)
 		}},
 	}
 	for _, b := range backends {

@@ -274,34 +274,33 @@ func TestPoolHammer(t *testing.T) {
 	}
 }
 
-// TestPortfolioRebuild: benched members return to the race — rebuilt
-// from the current universe with their own configuration, serving at the
-// current epoch.
-func TestPortfolioRebuild(t *testing.T) {
+// TestPoolRebuild: benched shards return to routing — rebuilt from the
+// current universe, serving at the current epoch.
+func TestPoolRebuild(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p := mustPortfolio(t, u)
-	// Members extend in racing order (baseline, positive, steady): fault
-	// the second and third, and fail both rebuilds the broadcast attempts;
-	// then the exhausted schedules auto-disarm.
+	p := NewPoolResolver(u, 3, SessionOptions{})
+	// Shards extend in shard order: fault the second and third, and fail
+	// both rebuilds the broadcast attempts; then the exhausted schedules
+	// auto-disarm.
 	armFault(t, "concretize/extend", faultpoint.Skip(1), faultpoint.Error(2, nil))
-	armFault(t, "resolve/portfolio/rebuild", faultpoint.Error(2, nil))
+	armFault(t, "resolve/pool/rebuild", faultpoint.Error(2, nil))
 	if _, err := p.Apply(diamondDelta()); err != nil {
 		t.Fatal(err)
 	}
 
 	healed := p.Rebuild()
-	if len(healed) != 2 || healed[0] != "positive" || healed[1] != "steady" {
-		t.Fatalf("Rebuild healed %v, want [positive steady]", healed)
+	if len(healed) != 2 || healed[0] != "pool/1" || healed[1] != "pool/2" {
+		t.Fatalf("Rebuild healed %v, want [pool/1 pool/2]", healed)
 	}
 	if again := p.Rebuild(); again != nil {
 		t.Fatalf("second Rebuild healed %v, want nil", again)
 	}
 	for _, h := range p.Health() {
 		if h.Quarantined || h.Err != nil {
-			t.Fatalf("member %s still benched after Rebuild: %+v", h.Name, h)
+			t.Fatalf("shard %s still benched after Rebuild: %+v", h.Name, h)
 		}
 		if h.Epoch != 1 {
-			t.Fatalf("member %s at epoch %d, want 1", h.Name, h.Epoch)
+			t.Fatalf("shard %s at epoch %d, want 1", h.Name, h.Epoch)
 		}
 	}
 	res, err := p.Resolve(context.Background(), poolRequest(root))

@@ -1,48 +1,35 @@
 // Package resolve is the public serving surface of the concretizer: the
 // top of the version -> repo -> sat -> concretize -> resolve stack. It
 // answers "which concrete (package, version) set satisfies these roots,
-// best, under this objective?" through one small interface — Resolver —
-// behind which callers choose a backend. Roots may name concrete packages
-// or virtual interfaces ("virtual:mpi@2:", or a bare virtual name): a
-// virtual root is satisfied by any provider whose provided version lies in
-// the range, with the chosen provider weighed at root rank by the
-// objective. The backends:
+// best, under this objective?" through one small interface — Resolver.
+// Roots may name concrete packages or virtual interfaces ("virtual:mpi@2:",
+// or a bare virtual name): a virtual root is satisfied by any provider
+// whose provided version lies in the range, with the chosen provider
+// weighed at root rank by the objective.
 //
-//   - PortfolioResolver races several differently-configured Sessions per
-//     request and returns the first definitive answer, canceling the
-//     losers through the solver's interrupt. Configurations differ only
-//     in search heuristics — branching polarity, restart schedule, and
-//     the objective-descent strategy (sat.Config.Descent: adaptive, or
-//     binary search between the incumbent and the proven lower bound) —
-//     so every member returns cost-identical answers; racing changes
-//     latency, never results. The stock member set (DefaultPortfolio) is
-//     the default configuration alone: with the objective-priced
-//     first-visit seed its first model is nearly always optimal, so racing
-//     mostly spent CPU on losers. By default each request is solved on one
-//     session; a race runs only over an explicit member list.
-//   - PoolResolver shards requests across N identically-configured
-//     Sessions for throughput: shape-affine routing (hash of Request.Key)
-//     with work stealing, so distinct request shapes solve in parallel and
-//     repeats land on the shard already warm for them. Each shard
-//     materializes solver clauses only for the subgraphs its requests
-//     reach, so a pool over a catalog of thousands of packages carries
-//     formulas proportional to the working set, not the catalog. A pool of
-//     one shard, NewPoolResolver(u, 1, opts), is the single-session
-//     backend.
+// The backend is PoolResolver, which shards requests across N
+// identically-configured Sessions for throughput: shape-affine routing
+// (hash of Request.Key) with work stealing, so distinct request shapes
+// solve in parallel and repeats land on the shard already warm for them.
+// Each shard materializes solver clauses only for the subgraphs its
+// requests reach, so a pool over a catalog of thousands of packages
+// carries formulas proportional to the working set, not the catalog. A
+// pool of one shard, NewPoolResolver(u, 1, SessionOptions{}), is the
+// single-session backend. Every shard runs one search configuration:
+// negative-first branching, Luby restarts, and adaptive objective descent
+// seeded by a greedy model priced by the request's objective, whose first
+// model is nearly always optimal.
 //
-// The portfolio and the pool are two policies over one supervised member
-// set, and differ only in how they use its members: the portfolio races
-// them, the pool routes each request to one. Both keep one answer store
-// (concretize.Answers) in front of their members: a request it answers
-// touches no member, and every definitive answer a member produces is
-// filed there with the member's name. Both contain a panic at any member
-// boundary (solve, extension, rebuild) as a *PanicError and bench the
-// member instead of crashing, and both heal benched members with fresh
-// sessions — inside the Apply broadcast for a failed extension, at the
-// next Resolve entry after a solve panic or a failed rebuild, and through
-// Rebuild, the operator override — bounded by a crashloop breaker
-// (SetCrashLoopPolicy). Both report their state through Health and
-// Snapshot.
+// The pool keeps one answer store (concretize.Answers) in front of its
+// shards: a request it answers touches no shard, and every definitive
+// answer a shard produces is filed there with the shard's name. It
+// contains a panic at any shard boundary (solve, extension, rebuild) as a
+// *PanicError and benches the shard instead of crashing, and heals benched
+// shards with fresh sessions — inside the Apply broadcast for a failed
+// extension, at the next Resolve entry after a solve panic or a failed
+// rebuild, and through Rebuild, the operator override — bounded by a
+// crashloop breaker (SetCrashLoopPolicy). It reports its state through
+// Health and Snapshot.
 //
 // Warm requests are cheap twice over: beyond the answer store, each
 // Session banks per-request-shape facts — the lowered objective and the
@@ -53,15 +40,15 @@
 //
 // Requests are context-aware end to end: canceling the request context
 // (or exceeding its deadline) interrupts in-flight solves promptly and
-// leaves every backend reusable, which is what makes deadline-bounded
-// serving and loser-cancellation safe.
+// leaves the pool reusable, which is what makes deadline-bounded serving
+// safe.
 //
-// Universes are live: every backend implements Apply(repo.Delta), which
-// grows the shared universe by one epoch and extends every member
-// session's materialized encoding in place under a write barrier — no
+// Universes are live: PoolResolver.Apply(repo.Delta) grows the shared
+// universe by one epoch and extends every shard session's materialized
+// encoding in place under a write barrier — no
 // rebuild, and no in-flight request ever observes a half-applied delta. A
 // delta that makes a dead version buildable again resets the encoding of
-// each member that had materialized it (EncodingStats.Resets counts them).
+// each shard that had materialized it (EncodingStats.Resets counts them).
 // Stored answers whose requests a delta cannot touch stay fresh; the
 // others go stale, and are only ever served again as a degraded answer
 // (LastGood). Result.Stats.Epoch reports the epoch each answer was
@@ -91,9 +78,6 @@ type (
 	Objective = concretize.Objective
 	// Stats reports search effort for one request.
 	Stats = concretize.Stats
-	// SessionOptions tunes one backend Session: the sat.Config solver
-	// knobs a portfolio varies.
-	SessionOptions = concretize.SessionOptions
 	// ObjectiveFunc adapts a custom weight function into an Objective.
 	ObjectiveFunc = concretize.ObjectiveFunc
 	// ObjectiveRequest is the read-only context an Objective prices.
@@ -125,11 +109,10 @@ type (
 // NewDelta returns an empty delta ready for Add calls.
 func NewDelta() *Delta { return repo.NewDelta() }
 
-// MemberError attributes a member's failure: which portfolio member or
-// pool shard produced the error and at what universe epoch. Every
-// definitive unsat proof, stored or solved, and the portfolio's
-// first-error fallback wrap through it, so callers get uniform
-// attribution; Unwrap keeps errors.Is(ErrUnsatisfiable) and
+// MemberError attributes a failure: which pool shard produced the error
+// and at what universe epoch. Every definitive unsat proof, stored or
+// solved, wraps through it, so callers get the attribution Result.Config
+// gives an answer; Unwrap keeps errors.Is(ErrUnsatisfiable) and
 // errors.As(*UnsatError) matching the underlying taxonomy.
 type MemberError struct {
 	Member string
@@ -195,18 +178,17 @@ func (req Request) Key() string {
 }
 
 // Result is a concrete resolution: the picks, the effort spent producing
-// them, and which backend configuration produced them.
+// them, and which shard produced them.
 type Result struct {
 	// Picks maps each installed package to its chosen version. The map is
 	// owned by the caller.
 	Picks map[string]version.Version
 
-	// Stats reports the winning backend's search effort.
+	// Stats reports the solving shard's search effort.
 	Stats Stats
 
-	// Config names the member that produced the answer: the winning
-	// portfolio member ("steady") or the pool shard that solved it
-	// ("pool/3"), also when the answer store served it.
+	// Config names the pool shard that solved the answer ("pool/3"), also
+	// when the answer store served it.
 	Config string
 }
 

@@ -67,13 +67,13 @@ func TestVirtualRootTable(t *testing.T) {
 	}
 }
 
-// TestPortfolioVirtualDifferential is the portfolio arm of the richer-
-// universe oracle: over seeded SynthVirtualDiamond and
-// SynthConditionalChain universes, a full portfolio race and a single warm
-// session must agree on satisfiability and optimal cost for every request
-// — provider ties and trigger flips may change picks between backends, but
-// never the optimum.
-func TestPortfolioVirtualDifferential(t *testing.T) {
+// TestPoolVirtualDifferential is the pool arm of the richer-universe
+// oracle: over seeded SynthVirtualDiamond and SynthConditionalChain
+// universes, a three-shard pool (whose shards warm on different slices of
+// the stream) and a single warm session must agree on satisfiability and
+// optimal cost for every request — provider ties and trigger flips may
+// change picks between backends, but never the optimum.
+func TestPoolVirtualDifferential(t *testing.T) {
 	nUniverses := 20
 	if testing.Short() {
 		nUniverses = 5
@@ -101,10 +101,7 @@ func TestPortfolioVirtualDifferential(t *testing.T) {
 				vocab = append(vocab, fmt.Sprintf("cc%d", l))
 			}
 		}
-		port, err := NewPortfolioResolver(u)
-		if err != nil {
-			t.Fatalf("portfolio: %v", err)
-		}
+		pool := NewPoolResolver(u, 3, SessionOptions{})
 		single := NewPoolResolver(u, 1, SessionOptions{})
 		t.Run(fmt.Sprintf("u%02d", i), func(t *testing.T) {
 			for reqN := 0; reqN < 8; reqN++ {
@@ -128,10 +125,10 @@ func TestPortfolioVirtualDifferential(t *testing.T) {
 					roots = append(roots, root)
 				}
 				req := Request{Roots: roots}
-				pRes, pErr := port.Resolve(context.Background(), req)
+				pRes, pErr := pool.Resolve(context.Background(), req)
 				sRes, sErr := single.Resolve(context.Background(), req)
 				if (pErr == nil) != (sErr == nil) {
-					t.Fatalf("roots %v: portfolio err %v, session err %v", roots, pErr, sErr)
+					t.Fatalf("roots %v: pool err %v, session err %v", roots, pErr, sErr)
 				}
 				if pErr != nil {
 					if !errors.Is(pErr, ErrUnsatisfiable) || !errors.Is(sErr, ErrUnsatisfiable) {
@@ -140,7 +137,7 @@ func TestPortfolioVirtualDifferential(t *testing.T) {
 					continue
 				}
 				if pRes.Stats.Cost != sRes.Stats.Cost {
-					t.Fatalf("roots %v: cost %d (portfolio %s) vs %d (session)",
+					t.Fatalf("roots %v: cost %d (pool %s) vs %d (session)",
 						roots, pRes.Stats.Cost, pRes.Config, sRes.Stats.Cost)
 				}
 			}

@@ -98,7 +98,7 @@ type ApplyResponse struct {
 }
 
 // MemberHealthResponse is one backend member's state in GET /v1/stats: a
-// portfolio member or a pool shard ("pool/3"). CrashLoop marks a sticky
+// pool shard ("pool/3"). CrashLoop marks a sticky
 // bench: the member exhausted its rebuild budget and stays out until POST
 // /v1/rebuild.
 type MemberHealthResponse struct {
@@ -138,9 +138,10 @@ type ShardStatsResponse struct {
 	Encoding  EncodingResponse `json:"encoding"`
 }
 
-// PoolStatsResponse is the pool backend's routing snapshot in GET
-// /v1/stats: Hits counts requests its answer store answered, plus the
-// routing counters and per-shard state.
+// PoolStatsResponse is the pool backend's snapshot in GET /v1/stats:
+// Hits counts requests its answer store answered, Rebuilds the shards
+// returned to service by a rebuild (automatic or operator), plus the
+// routing counters and per-shard state. Every backend reports it.
 type PoolStatsResponse struct {
 	Shards   int                  `json:"shards"`
 	Hits     uint64               `json:"hits"`
@@ -187,7 +188,7 @@ type ServerStats struct {
 
 // ErrorResponse is the wire form of every non-2xx answer. Kind is a stable
 // machine-readable discriminator; Roots carries unsat attribution, Member
-// the portfolio configuration that produced the failure.
+// the pool shard that produced the failure.
 type ErrorResponse struct {
 	Error  string   `json:"error"`
 	Kind   string   `json:"kind"`
@@ -321,8 +322,8 @@ func isPanicError(err error) bool {
 // errorStatus maps the resolver's typed error taxonomy onto HTTP: request
 // defects are 4xx, capacity and deadline outcomes distinct 429/503/504,
 // contained panics 500 with kind "panic", everything else 500. Attribution
-// (unsat roots, portfolio member) rides in the body so operators can tell
-// *which* configuration proved unsat.
+// (unsat roots, pool shard) rides in the body so operators can tell
+// *which* shard proved unsat.
 func errorStatus(err error) (int, ErrorResponse) {
 	resp := ErrorResponse{Error: err.Error()}
 	var me *resolve.MemberError

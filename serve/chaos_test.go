@@ -12,7 +12,11 @@ package serve
 //   3. Degraded 200s verify the same way against their (stale) epoch.
 //   4. Failures only ever map to the sanctioned statuses (429/500/503/504).
 //   5. Capacity always recovers: after the storm, one operator rebuild
-//      restores every member/shard and every shape resolves fresh.
+//      restores every shard and every shape resolves fresh.
+//
+// Seeds 1 and 7 run on a one-shard pool, the single-session backend;
+// seeds 3 and 11 on a four-shard pool, where routing, steals and
+// per-shard rebuilds join the storm.
 //
 // The oracle is an identically-seeded universe behind a single-session
 // pool, fed the same deltas with no faults armed; oracle answers are
@@ -39,15 +43,15 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/resolve"
 )
 
-func TestChaosPortfolio(t *testing.T) {
+func TestChaosOneShard(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runChaos(t, "portfolio", seed) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runChaos(t, 1, seed) })
 	}
 }
 
 func TestChaosPool(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runChaos(t, "pool", seed) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runChaos(t, 4, seed) })
 	}
 }
 
@@ -57,7 +61,7 @@ type oracleAns struct {
 	unsat bool
 }
 
-func runChaos(t *testing.T, kind string, seed int64) {
+func runChaos(t *testing.T, shards int, seed int64) {
 	const (
 		pkgs     = 48
 		versions = 5
@@ -70,25 +74,9 @@ func runChaos(t *testing.T, kind string, seed int64) {
 
 	// Generous crashloop budget: the storm deliberately crashes solvers
 	// over and over; sticky benches are the recovery phase's concern.
-	var backend Backend
-	var solveSite string
-	switch kind {
-	case "portfolio":
-		p, err := resolve.NewPortfolioResolver(uSrv, raceConfigs()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.SetCrashLoopPolicy(1000, time.Minute)
-		backend = p
-		solveSite = "resolve/portfolio/solve"
-	case "pool":
-		p := resolve.NewPoolResolver(uSrv, 4, resolve.SessionOptions{})
-		p.SetCrashLoopPolicy(1000, time.Minute)
-		backend = p
-		solveSite = "resolve/pool/solve"
-	default:
-		t.Fatalf("unknown backend kind %q", kind)
-	}
+	backend := resolve.NewPoolResolver(uSrv, shards, resolve.SessionOptions{})
+	backend.SetCrashLoopPolicy(1000, time.Minute)
+	const solveSite = "resolve/pool/solve"
 
 	oracle := resolve.NewPoolResolver(uOracle, 1, resolve.SessionOptions{})
 	s := New(backend, Options{MaxInflight: 4, MaxRetries: 2, RetryBackoff: time.Millisecond})
@@ -155,7 +143,7 @@ func runChaos(t *testing.T, kind string, seed int64) {
 		if rng.Intn(2) == 0 {
 			arm("serve/backend/resolve", faultpoint.Skip(rng.Intn(4)), faultpoint.Error(1+rng.Intn(2), nil))
 		}
-		if kind == "pool" && rng.Intn(3) == 0 {
+		if rng.Intn(3) == 0 {
 			arm("concretize/materialize", faultpoint.Error(1, nil))
 		}
 	}
@@ -216,7 +204,7 @@ func runChaos(t *testing.T, kind string, seed int64) {
 		}
 
 		// Grow the universe — sometimes with a faulted broadcast, which
-		// rebuilds the failed member inside the broadcast; either way the
+		// rebuilds the failed shard inside the broadcast; either way the
 		// apply succeeds, the universe advances, and the oracle follows
 		// with the same delta.
 		if rng.Intn(2) == 0 {
@@ -281,7 +269,7 @@ func runChaos(t *testing.T, kind string, seed int64) {
 	st := s.Stats()
 	for _, m := range st.Members {
 		if m.Quarantined {
-			t.Fatalf("member %s still benched after recovery: %s", m.Name, m.Error)
+			t.Fatalf("shard %s still benched after recovery: %s", m.Name, m.Error)
 		}
 	}
 	if st.Pool != nil && st.Pool.Broken != 0 {

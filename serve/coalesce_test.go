@@ -55,7 +55,7 @@ func (b *stubBackend) Apply(d *resolve.Delta) (resolve.Epoch, error) {
 func (b *stubBackend) Epoch() resolve.Epoch { return resolve.Epoch(b.epoch.Load()) }
 
 func (b *stubBackend) Rebuild() []string          { return nil }
-func (b *stubBackend) Snapshot() resolve.Snapshot { return resolve.Snapshot{Backend: "stub"} }
+func (b *stubBackend) Snapshot() resolve.Snapshot { return resolve.Snapshot{} }
 func (b *stubBackend) LastGood(string) (*resolve.Result, bool, bool) {
 	return nil, false, false
 }

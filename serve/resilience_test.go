@@ -19,23 +19,8 @@ import (
 
 	"github.com/paper-repo-growth/go-arxiv/internal/faultpoint"
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
-	"github.com/paper-repo-growth/go-arxiv/internal/sat"
 	"github.com/paper-repo-growth/go-arxiv/resolve"
 )
-
-// raceConfigs is a three-member portfolio whose members search
-// differently: the default configuration, positive-first branching, and
-// patient restarts with binary descent. resolve.DefaultPortfolio has one
-// member, which never races, so the tests of a racing backend's
-// supervision (benched members, rebuilds, the crashloop breaker) and the
-// chaos harness's portfolio seeds race these.
-func raceConfigs() []resolve.BackendConfig {
-	return []resolve.BackendConfig{
-		{Name: "baseline", Options: resolve.SessionOptions{}},
-		{Name: "positive", Options: resolve.SessionOptions{Solver: sat.Config{PositiveFirst: true}}},
-		{Name: "steady", Options: resolve.SessionOptions{Solver: sat.Config{RestartBase: 400, Descent: sat.DescentBinary}}},
-	}
-}
 
 // armServeFault arms one faultpoint site with one anonymous rule and
 // registers a full disarm at test end (schedules are process-global).
@@ -270,22 +255,18 @@ func TestServeShedRetryAfter(t *testing.T) {
 }
 
 // TestServeRebuildEndpoint: POST /v1/rebuild force-heals a backend whose
-// members were benched by a faulted broadcast and kept benched by failing
+// shards were benched by a faulted broadcast and kept benched by failing
 // rebuilds; on a backend with nothing benched it heals nothing.
 func TestServeRebuildEndpoint(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p, err := resolve.NewPortfolioResolver(u, raceConfigs()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(p, Options{MaxRetries: -1})
+	s := New(resolve.NewPoolResolver(u, 3, resolve.SessionOptions{}), Options{MaxRetries: -1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Bench every member: the broadcast faults on each extension, and
+	// Bench every shard: the broadcast faults on each extension, and
 	// every rebuild fails until the faults are disarmed.
 	armServeFault(t, "concretize/extend", faultpoint.Error(0, nil))
-	armServeFault(t, "resolve/portfolio/rebuild", faultpoint.Error(0, nil))
+	armServeFault(t, "resolve/pool/rebuild", faultpoint.Error(0, nil))
 	d := ApplyRequest{Adds: []VersionAddRequest{{Pkg: "app", Version: "99.0", Deps: []DeclRequest{{Pkg: "mid0"}}}}}
 	buf, _ := json.Marshal(d)
 	resp, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(buf))
@@ -297,7 +278,7 @@ func TestServeRebuildEndpoint(t *testing.T) {
 		t.Fatalf("faulted apply = %d, want 200", resp.StatusCode)
 	}
 
-	// Every member benched: resolving fail-stops (no stored answer for this
+	// Every shard benched: resolving fail-stops (no stored answer for this
 	// shape).
 	status, _, bad, err := postResolve(ts.URL, ResolveRequest{Roots: []string{root}})
 	if err != nil {
@@ -307,7 +288,7 @@ func TestServeRebuildEndpoint(t *testing.T) {
 		t.Fatalf("all-benched resolve = %d kind %q, want 503 no_members", status, bad.Kind)
 	}
 
-	// The operator override heals all three members.
+	// The operator override heals all three shards.
 	faultpoint.DisarmAll()
 	resp, err = http.Post(ts.URL+"/v1/rebuild", "application/json", nil)
 	if err != nil {
@@ -319,7 +300,7 @@ func TestServeRebuildEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || len(rb.Healed) != 3 {
-		t.Fatalf("rebuild = %d healed %v, want 200 with 3 members", resp.StatusCode, rb.Healed)
+		t.Fatalf("rebuild = %d healed %v, want 200 with 3 shards", resp.StatusCode, rb.Healed)
 	}
 
 	// Capacity is back: the delta's answer serves at epoch 1.
@@ -351,29 +332,26 @@ func TestServeRebuildEndpoint(t *testing.T) {
 
 // TestServeRetryRebuildsBenchedBackend: a fully-benched backend heals
 // itself, no operator involved — the backend's Resolve entry rebuilds
-// its members, and serve's retry only gives it another entry. The
+// its shards, and serve's retry only gives it another entry. The
 // broadcast's rebuilds fail, and so does the first request's; its retry
 // then succeeds.
 func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p, err := resolve.NewPortfolioResolver(u, raceConfigs()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := resolve.NewPoolResolver(u, 3, resolve.SessionOptions{})
 	s := New(p, Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Bench every member via a fully-faulted broadcast; the rebuild fault
+	// Bench every shard via a fully-faulted broadcast; the rebuild fault
 	// covers the broadcast's three rebuilds and the first entry's three.
 	armServeFault(t, "concretize/extend", faultpoint.Error(0, nil))
-	armServeFault(t, "resolve/portfolio/rebuild", faultpoint.Error(6, nil))
+	armServeFault(t, "resolve/pool/rebuild", faultpoint.Error(6, nil))
 	if _, err := p.Apply(diamondDeltaServe()); err != nil {
 		t.Fatal(err)
 	}
 	faultpoint.Disarm("concretize/extend")
 	if st := p.Snapshot(); st.Broken != 3 {
-		t.Fatalf("broken members after the faulted broadcast = %d, want 3", st.Broken)
+		t.Fatalf("broken shards after the faulted broadcast = %d, want 3", st.Broken)
 	}
 
 	status, ok, _, err := postResolve(ts.URL, ResolveRequest{Roots: []string{root}})
@@ -398,23 +376,20 @@ func TestServeRetryRebuildsBenchedBackend(t *testing.T) {
 }
 
 // TestServeRetryRespectsCrashLoop: the retry path heals benched capacity
-// but never overrides the crashloop breaker — once every member is sticky,
+// but never overrides the crashloop breaker — once every shard is sticky,
 // requests fail without further rebuild attempts (only POST /v1/rebuild
 // resets the window).
 func TestServeRetryRespectsCrashLoop(t *testing.T) {
 	u, root := repo.SynthDiamond(3, 4)
-	p, err := resolve.NewPortfolioResolver(u, raceConfigs()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := resolve.NewPoolResolver(u, 3, resolve.SessionOptions{})
 	p.SetCrashLoopPolicy(1, time.Hour)
 	s := New(p, Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Every member panics on every solve and on every rebuild.
-	armServeFault(t, "resolve/portfolio/solve", faultpoint.Panic(0, "injected solve panic"))
-	if err := faultpoint.Arm("resolve/portfolio/rebuild", faultpoint.Any(faultpoint.Panic(0, "injected rebuild panic"))); err != nil {
+	// Every shard panics on every solve and on every rebuild.
+	armServeFault(t, "resolve/pool/solve", faultpoint.Panic(0, "injected solve panic"))
+	if err := faultpoint.Arm("resolve/pool/rebuild", faultpoint.Any(faultpoint.Panic(0, "injected rebuild panic"))); err != nil {
 		t.Fatal(err)
 	}
 	allSticky := func() bool {
@@ -431,10 +406,10 @@ func TestServeRetryRespectsCrashLoop(t *testing.T) {
 		}
 	}
 	if !allSticky() {
-		t.Fatalf("members never all went sticky: %+v", p.Health())
+		t.Fatalf("shards never all went sticky: %+v", p.Health())
 	}
 
-	before := faultpoint.Hits("resolve/portfolio/rebuild")
+	before := faultpoint.Hits("resolve/pool/rebuild")
 	for i := 0; i < 5; i++ {
 		status, _, bad, err := postResolve(ts.URL, ResolveRequest{Roots: []string{root}})
 		if err != nil {
@@ -444,7 +419,7 @@ func TestServeRetryRespectsCrashLoop(t *testing.T) {
 			t.Fatalf("resolve %d against a sticky backend = %d kind %q, want 503 no_members", i, status, bad.Kind)
 		}
 	}
-	if after := faultpoint.Hits("resolve/portfolio/rebuild"); after != before {
+	if after := faultpoint.Hits("resolve/pool/rebuild"); after != before {
 		t.Fatalf("sticky backend made %d rebuild attempts across 5 requests, want 0", after-before)
 	}
 }

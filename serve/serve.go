@@ -1,8 +1,8 @@
 // Package serve is the daemon tier over the resolve API: an HTTP JSON
 // surface (POST /v1/resolve, POST /v1/apply, POST /v1/rebuild, GET
 // /v1/stats, GET /healthz) fronting one per-universe resolve backend — a
-// pool or a portfolio — built for the traffic shape that dominates at
-// scale: duplicate requests for the same resolution.
+// pool (resolve.PoolResolver) — built for the traffic shape that
+// dominates at scale: duplicate requests for the same resolution.
 //
 // Three mechanisms carry the load:
 //
@@ -29,14 +29,15 @@
 //     promptly and the backend stays warm and reusable.
 //
 // Errors map typed: unknown roots 400, proven-unsat 422 (with roots and
-// the proving member), budget exhaustion and shed 503/429, deadline 504.
+// the proving shard), budget exhaustion and shed 503/429, deadline 504.
 // When the backend cannot answer, degraded mode serves the shape's last
 // good answer from the backend's answer store (Backend.LastGood): a fresh
 // one whatever its epoch, a stale one within Options.MaxStaleEpochs. GET
 // /v1/stats exposes the process-wide registry — request and coalesce
 // counters, answer-store and bound-memo hits, shed and timeout counts,
 // p50/p90/p99 latency — and the backend's Snapshot: member health, and
-// for a pool its routing counters and per-shard encoder coverage.
+// in the pool section its answer-store hits, supervision and routing
+// counters, and per-shard encoder coverage.
 package serve
 
 import (
@@ -56,8 +57,7 @@ import (
 )
 
 // Backend is what the daemon serves: the resolve API plus growth,
-// supervision and observability. Both resolve backends
-// (*resolve.PoolResolver, *resolve.PortfolioResolver) implement it.
+// supervision and observability. *resolve.PoolResolver implements it.
 type Backend interface {
 	resolve.Resolver
 	// Apply grows the backend's universe by one delta; it may block on the
@@ -537,27 +537,25 @@ func (s *Server) Stats() ServerStats {
 		}
 		st.Members = append(st.Members, mh)
 	}
-	if snap.Backend == "pool" {
-		pool := PoolStatsResponse{
-			Shards:   len(snap.Members),
-			Hits:     snap.Hits,
-			Steals:   snap.Steals,
-			Waits:    snap.Waits,
-			Rebuilds: snap.Rebuilds,
-			Panics:   snap.Panics,
-			Broken:   snap.Broken,
-		}
-		for _, h := range snap.Members {
-			pool.Shard = append(pool.Shard, ShardStatsResponse{
-				Served:    h.Served,
-				Inflight:  h.Inflight,
-				Broken:    h.Quarantined,
-				CrashLoop: h.CrashLoop,
-				Encoding:  encodingResponse(h.Encoding),
-			})
-		}
-		st.Pool = &pool
+	pool := PoolStatsResponse{
+		Shards:   len(snap.Members),
+		Hits:     snap.Hits,
+		Steals:   snap.Steals,
+		Waits:    snap.Waits,
+		Rebuilds: snap.Rebuilds,
+		Panics:   snap.Panics,
+		Broken:   snap.Broken,
 	}
+	for _, h := range snap.Members {
+		pool.Shard = append(pool.Shard, ShardStatsResponse{
+			Served:    h.Served,
+			Inflight:  h.Inflight,
+			Broken:    h.Quarantined,
+			CrashLoop: h.CrashLoop,
+			Encoding:  encodingResponse(h.Encoding),
+		})
+	}
+	st.Pool = &pool
 	return st
 }
 

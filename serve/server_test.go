@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repo-growth/go-arxiv/internal/faultpoint"
 	"github.com/paper-repo-growth/go-arxiv/internal/repo"
 	"github.com/paper-repo-growth/go-arxiv/resolve"
 )
@@ -82,15 +83,10 @@ func TestServerResolveMatchesDirect(t *testing.T) {
 }
 
 // TestServerUnsatAttribution: a proven-unsat answer maps to 422 with kind
-// "unsat", the offending roots, and — on a portfolio backend — the member
-// that produced the proof.
+// "unsat", the offending roots, and the shard that produced the proof.
 func TestServerUnsatAttribution(t *testing.T) {
 	u, root := repo.SynthUnsatWeb(4, 2)
-	p, err := resolve.NewPortfolioResolver(u, resolve.DefaultPortfolio()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(p, Options{})
+	s := New(resolve.NewPoolResolver(u, 1, resolve.SessionOptions{}), Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -106,7 +102,7 @@ func TestServerUnsatAttribution(t *testing.T) {
 		t.Fatalf("unsat roots missing attribution: %v", er.Roots)
 	}
 	if er.Member == "" {
-		t.Fatal("portfolio unsat lost member attribution")
+		t.Fatal("unsat lost shard attribution")
 	}
 	if s.Stats().Unsat != 1 {
 		t.Fatalf("unsat counter = %d, want 1", s.Stats().Unsat)
@@ -184,7 +180,9 @@ func TestServerApplyRejectsBadWire(t *testing.T) {
 }
 
 // TestServerStatsAndHealthz: the ops surface is wired — stats counts the
-// traffic and reports portfolio member health; healthz answers.
+// traffic, reports member health and the pool section, and shows an
+// automatic rebuild after a failed extension; healthz answers. The
+// backend is built the way the benchmark's reuse-swap daemon builds it.
 func TestServerStatsAndHealthz(t *testing.T) {
 	u, root := repo.SynthDiamond(4, 6)
 	p, err := resolve.NewPortfolioResolver(u, resolve.DefaultPortfolio()...)
@@ -218,12 +216,36 @@ func TestServerStatsAndHealthz(t *testing.T) {
 		t.Fatal("stats recorded no solves")
 	}
 	if len(st.Members) == 0 {
-		t.Fatal("portfolio backend reported no member health")
+		t.Fatal("backend reported no member health")
 	}
 	for _, m := range st.Members {
 		if m.Quarantined {
 			t.Fatalf("member %s unexpectedly quarantined: %s", m.Name, m.Error)
 		}
+	}
+	if st.Pool == nil || st.Pool.Shards != 1 {
+		t.Fatalf("stats pool section = %+v, want one shard", st.Pool)
+	}
+
+	// A delta whose extension fails is rebuilt inside the broadcast, and
+	// the rebuild shows over HTTP.
+	armServeFault(t, "concretize/extend", faultpoint.Error(1, nil))
+	var ar ApplyResponse
+	delta := ApplyRequest{Adds: []VersionAddRequest{{Pkg: "app", Version: "99.0", Deps: []DeclRequest{{Pkg: "mid0"}}}}}
+	if status, er := postJSON(t, ts.URL+"/v1/apply", delta, &ar); status != http.StatusOK {
+		t.Fatalf("faulted apply: %d %s", status, er.Error)
+	}
+	resp2, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var after ServerStats
+	if err := json.NewDecoder(resp2.Body).Decode(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Pool == nil || after.Pool.Rebuilds != 1 || after.Pool.Broken != 0 {
+		t.Fatalf("stats pool section after a failed extension = %+v, want 1 rebuild, 0 broken", after.Pool)
 	}
 
 	hz, err := http.Get(ts.URL + "/healthz")
