@@ -44,18 +44,31 @@
 //     of (p, v) becomes the implication
 //     x_{p,v} -> OR {x_{c} : candidate c of t with R.Satisfies(c.Matched)}
 //     (an empty disjunction forbids x_{p,v}) — for a virtual target the
-//     candidates are its providers filtered by provided version; each
-//     conflict (t, R) becomes binary clauses !x_{p,v} | !x_{c} per matching
-//     candidate. A conditional declaration is guarded behind its trigger
-//     literal z — a memoized support variable with x_{c} -> z for every
-//     candidate of the trigger inside its range — so the clause constrains
-//     only in models that actually select the trigger:
-//     x_{p,v} AND z -> (dep-or-conflict clause). Support literals are
-//     allocated with sat.Solver.NewAuxVar, so the solver defines them by
-//     propagation but never branches on them: richer declaration forms do
-//     not widen the search space. With no roots asserted the encoding is
-//     satisfied by installing nothing, so it can never drive the solver
-//     into a top-level conflict.
+//     candidates are its providers filtered by provided version. Support
+//     literals carry the rest: z_{t@R}, memoized per "t@R" key, with
+//     x_{c} -> z_{t@R} for every matching candidate c, so z_{t@R} is
+//     forced true exactly when a model selects a match. Each conflict
+//     (t, R) of (p, v) becomes the one clause x_{p,v} -> !z_{t@R}, and a
+//     conditional declaration is guarded behind its trigger's support
+//     literal z, so its clause constrains only in models that actually
+//     select the trigger: x_{p,v} AND z -> (dependency disjunction), or
+//     x_{p,v} AND z -> !z_{t@R}. Support literals are allocated with
+//     sat.Solver.NewAuxVar, so the solver defines them by propagation but
+//     never branches on them: richer declaration forms do not widen the
+//     search space. With no roots asserted the encoding is satisfied by
+//     installing nothing, so it can never drive the solver into a
+//     top-level conflict.
+//
+//     Growth — a request materializing more packages, or a delta adding
+//     versions — keeps these clauses complete by two registration rules.
+//     Every dependency clause is recorded under its target name t (a
+//     clause forbidding x_{p,v} while t has no candidate included), and
+//     when t grows the clause is detached and re-emitted over the current
+//     candidates. Every trigger or conflict target gets its support
+//     literal at first use, matching or not: until a candidate matches,
+//     nothing forces the literal, which keeps the clauses guarded on it
+//     vacuous; when t grows it only gains support clauses, so no clause
+//     guarded on it is ever re-emitted.
 //
 //   - Activation (per request): each root (t, R) is represented by a
 //     reusable assumption literal a with permanent clauses a -> y_t (the
@@ -105,11 +118,12 @@
 // terrible first incumbent).
 //
 // Live universes. Session.Extend (extend.go) applies a repo.Delta to the
-// bound universe and grows the materialized encoding in place — new
-// variables and clauses are appended, requirement clauses whose candidate
-// sets widened are detached and re-emitted over the current candidates,
-// and parked declarations (dead dependency targets, dormant triggers,
-// vacuous conflicts) are revived — instead of rebuilding the session.
+// bound universe and grows the materialized encoding in place, by the
+// same two rules and the same growth routine a request's materialization
+// uses — new variables and clauses are appended, dependency clauses on a
+// grown target (a dead target's included) are detached and re-emitted
+// over the current candidates, and support literals gain clauses for the
+// new candidates — instead of rebuilding the session.
 // Learnt clauses are dropped when a delta touches a materialized package
 // (widening invalidates them), while VSIDS activity and saved phases
 // persist; packages no request reached wait for the first request that

@@ -11,9 +11,9 @@ import (
 // Extend grows the session's materialized encoding in place to absorb one
 // append-only delta, instead of rebuilding the session: new versions of
 // materialized packages get fresh variables and clauses, widenable
-// constraints touched by the delta (exactly-one rows, requirement clauses,
-// provider selections) are re-emitted through their handles, parked
-// declarations whose targets the delta grew are revived, and only the
+// constraints touched by the delta (exactly-one rows, dependency clauses,
+// provider selections) are re-emitted through their handles, support
+// literals gain clauses for the new candidates, and only the
 // bound-memo entries whose recorded reach set intersects the delta's
 // touched names are invalidated (the answer store, which lives above the
 // session, applies the same rule in Answers.Invalidate). Packages no
@@ -128,22 +128,9 @@ func (se *Session) extendEncodingLocked(d *repo.Delta) bool {
 
 	// Variables and selection structure for the new versions. Within a
 	// package group Adds() orders versions descending, so insertion
-	// indices ascend and earlier recorded indices stay valid. touched
-	// collects the names whose widenable structures the new variables
-	// affect: the packages and the virtuals their new versions provide.
-	type newVer struct {
-		pv  *pkgVars
-		idx int
-	}
-	var newVers []newVer
-	var touched []string
-	inTouched := make(map[string]bool)
-	touch := func(name string) {
-		if !inTouched[name] {
-			inTouched[name] = true
-			touched = append(touched, name)
-		}
-	}
+	// indices ascend and earlier recorded indices stay valid. A group
+	// touches the virtuals its new versions provide, then the package.
+	var g growth
 	for gi := 0; gi < len(adds); {
 		gj := gi
 		for gj < len(adds) && adds[gj].Pkg == adds[gi].Pkg {
@@ -167,68 +154,88 @@ func (se *Session) extendEncodingLocked(d *repo.Delta) bool {
 			copy(pv.vers[idx+1:], pv.vers[idx:])
 			pv.vers[idx] = x
 			s.AddClause(sat.Lit(x).Neg(), sat.Lit(pv.installed))
-			newVers = append(newVers, newVer{pv, idx})
+			g.vers = append(g.vers, newVersion{pv, idx})
 			for _, pr := range a.Def.Provides {
-				touch(pr.Virtual)
+				g.touch(pr.Virtual)
 			}
 		}
 		se.emitPackageStructure(pv)
-		touch(pv.pkg.Name)
+		g.touch(pv.pkg.Name)
 	}
+	return se.grow(&g)
+}
 
-	// Re-examine the touched names before the new versions' own
-	// requirements exist, so every declaration re-run here predates the
-	// delta.
-	for _, name := range touched {
+// growth is one batch of encoding growth, a request's materialization or
+// a delta's extension: the touched names, whose widenable structures the
+// batch's new variables affect, in the order extendName visits them, and
+// the new versions, whose requirements are lowered after them.
+type growth struct {
+	touched []string
+	seen    map[string]bool
+	vers    []newVersion
+}
+
+// newVersion is one freshly encoded version: index idx of pv's package.
+type newVersion struct {
+	pv  *pkgVars
+	idx int
+}
+
+// touch adds a name to the touched set once.
+func (g *growth) touch(name string) {
+	if g.seen[name] {
+		return
+	}
+	if g.seen == nil {
+		g.seen = make(map[string]bool)
+	}
+	g.seen[name] = true
+	g.touched = append(g.touched, name)
+}
+
+// grow is the growth tail materialization and Extend share. It first runs
+// every touched name through extendName, so every dependency re-run there
+// predates the batch, then lowers the new versions' requirements over
+// candidate sets that already include the whole batch. It reports false,
+// mid-way, when extendName would revive a variable the solver fixed false
+// at the top level. Callers have already forgotten learnt clauses if
+// anything touched will detach a clause.
+func (se *Session) grow(g *growth) bool {
+	for _, name := range g.touched {
 		if !se.extendName(name) {
 			return false
 		}
 	}
-	// Requirements for the new versions, over candidate sets that already
-	// include the whole delta.
-	for _, nv := range newVers {
+	for _, nv := range g.vers {
 		se.encodeVersionReqs(nv.pv, nv.idx)
 	}
 	return true
 }
 
-// extendName re-examines one touched name: requirement clauses keyed on
-// it are re-emitted over the widened candidate set, support keys gain
-// clauses for new candidates, its provider-selection clause (when the name
-// is a virtual) is re-emitted, and declarations parked under it are
-// re-run. It reports false, mid-way, when that would revive a variable
-// the solver fixed false at the top level.
+// extendName re-examines one touched name: dependency sites recorded under
+// it are re-run over the widened candidate set, support keys gain clauses
+// for new candidates, and its provider-selection clause (when the name is
+// a virtual) is re-emitted. It reports false, mid-way, when that would
+// revive a variable the solver fixed false at the top level.
 func (se *Session) extendName(name string) bool {
 	s := se.solver
 
-	// Requirement keys: every dependency site that lowered against a key
-	// on this name has its inlined requirement clause detached and its
-	// declaration re-run, re-emitting the clause over the current
-	// candidate set.
-	for _, key := range se.defsByName[name] {
-		de := se.defs[key]
-		users := de.users
-		de.users = nil
-		for _, site := range users {
-			s.DetachClause(site.ref)
-			if !se.rerunDecl(site.id) {
-				return false
-			}
+	// Dependency sites: each one's clause is detached and the dependency
+	// re-run, which records the site under the name again.
+	sites := se.deps[name]
+	delete(se.deps, name)
+	for _, site := range sites {
+		s.DetachClause(site.ref)
+		if !se.rerunDep(site) {
+			return false
 		}
 	}
 
 	// Support keys widen additively: one new support clause per candidate
 	// not yet seen. Existing conflict and trigger clauses against the
 	// support literal need no rewrite.
-	for _, key := range se.supsByName[name] {
-		en := se.sups[key]
-		for _, x := range se.matchingLits(en.name, en.rng) {
-			if en.seen[x] {
-				continue
-			}
-			en.seen[x] = true
-			s.AddClause(x.Neg(), en.lit)
-		}
+	for _, en := range se.supsByName[name] {
+		se.widenSupport(en)
 	}
 
 	// Provider selection: widen (or first-encode) the virtual's selection
@@ -242,52 +249,33 @@ func (se *Session) extendName(name string) bool {
 	} else if se.u.IsVirtual(name) {
 		se.encodeVirtual(name)
 	}
-
-	// Parked declarations: consume the name's pending list and re-run each
-	// site against the current universe (it re-parks itself if still
-	// unemittable).
-	sites := se.pendingByName[name]
-	delete(se.pendingByName, name)
-	for _, site := range sites {
-		s.DetachClause(site.ref)
-		if !se.rerunDecl(site.id) {
-			return false
-		}
-	}
 	return true
 }
 
-// rerunDecl re-lowers one declaration, identified stably, against the
-// current universe and variables. It reports false instead when the
-// declaring version died at the top level and the re-run would revive it:
-// an unconditional dependency that now has candidates. A conflict or a
-// conditional dependency never forces a version false at the top level
-// (its clause carries a trigger or a target literal nothing fixes true
-// there), and a dependency that still has no candidate would kill the
-// version again, so those re-run in place.
-func (se *Session) rerunDecl(id declID) bool {
-	pv := se.vars[id.pkg]
-	idx := pv.pkg.IndexOf(id.ver)
-	xi := sat.Lit(pv.vers[idx])
-	def := &pv.pkg.Versions()[idx]
-	if id.conflict {
-		c := def.Conflicts[id.idx]
-		se.addRequirement(xi, id, c.When, c.Pkg, c.Range, true)
-		return true
-	}
-	dd := def.Deps[id.idx]
-	if dd.When.IsZero() && se.solver.FixedFalse(xi) && len(se.matchingLits(dd.Pkg, dd.Range)) > 0 {
+// rerunDep re-lowers one dependency site against the current universe and
+// variables. It reports false instead when the declaring version died at
+// the top level and the re-run would revive it: an unconditional
+// dependency that now has candidates. A conditional dependency never
+// forces a version false at the top level (its clause carries a trigger
+// literal nothing fixes true there), and a dependency that still has no
+// candidate would kill the version again, so those re-run in place.
+func (se *Session) rerunDep(site depSite) bool {
+	pv := se.vars[site.pkg]
+	i := pv.pkg.IndexOf(site.ver)
+	d := &pv.pkg.Versions()[i].Deps[site.idx]
+	if d.When.IsZero() && se.solver.FixedFalse(sat.Lit(pv.vers[i])) && len(se.matchingLits(d.Pkg, d.Range)) > 0 {
 		return false
 	}
-	se.addRequirement(xi, id, dd.When, dd.Pkg, dd.Range, false)
+	se.addDependency(pv, i, site.idx)
 	return true
 }
 
 // matchingLits enumerates the current in-scope candidate literals for a
-// requirement key, in Universe.Candidates order. A concrete target is its
-// own only candidate package, so its versions are walked in place (newest
-// first) instead of copying the candidate list: materializing a closure
-// lowers every dependency of every version through here.
+// requirement on name inside rng, in Universe.Candidates order. A
+// concrete target is its own only candidate package, so its versions are
+// walked in place (newest first) instead of copying the candidate list:
+// materializing a closure lowers every dependency of every version through
+// here.
 func (se *Session) matchingLits(name string, rng version.Range) []sat.Lit {
 	var out []sat.Lit
 	if _, ok := se.u.Package(name); ok {

@@ -24,14 +24,14 @@ const maxActivations = 4096
 
 // Session is a reusable concretization handle bound to one universe: the
 // warm path of the resolver. A new Session encodes nothing. Each request's
-// reachable subgraph — the closure of its roots over dependency, conflict,
-// trigger, and provides edges — is materialized into the shared solver the
-// first time any request reaches it (materialize.go), so the solver formula
-// tracks the union of what requests reach rather than the catalog. Each
-// Resolve call then activates its roots through assumption literals and
-// runs branch-and-bound on the shared solver, so learnt clauses, VSIDS
-// activity, and saved phases accumulate across requests instead of being
-// rebuilt and discarded per call. A Session memoizes no answers: its
+// reachable subgraph — the closure of its roots over dependency targets
+// and the providers of reached virtuals — is materialized into the shared
+// solver the first time any request reaches it (materialize.go), so the
+// solver formula tracks the union of what requests reach rather than the
+// catalog. Each Resolve call then activates its roots through assumption
+// literals and runs branch-and-bound on the shared solver, so learnt
+// clauses, VSIDS activity, and saved phases accumulate across requests
+// instead of being rebuilt and discarded per call. A Session memoizes no answers: its
 // backend's answer store (Answers) does, keyed by the canonical request
 // shape (objective key + canonicalized roots), so a repeat request never
 // reaches the session at all. What a session does bank is two memos. The
@@ -49,7 +49,7 @@ const maxActivations = 4096
 // formula and the session footprint by the catalog-to-working-set ratio;
 // EncodingStats reports the coverage. Materialization is purely additive
 // once a closure is encoded, and the one hazard — re-emitting a
-// requirement clause over a widened candidate set while stale learnt
+// dependency clause over a widened candidate set while stale learnt
 // clauses pin its old support — is fenced by the same ForgetLearnts
 // discipline Extend uses.
 //
@@ -79,9 +79,9 @@ type Session struct {
 	// goarxivlint:lockfree
 	epochA atomic.Uint64
 
-	// Encoder-coverage mirrors for EncodingStats (written under mu at
-	// every materialization point, read without — stats endpoints must
-	// never queue behind an in-flight solve).
+	// Encoder-coverage mirrors for EncodingStats (written under mu at the
+	// end of every solve and every Extend, read without — stats endpoints
+	// must never queue behind an in-flight solve).
 	//
 	// goarxivlint:lockfree
 	matPkgsA atomic.Int64
@@ -104,28 +104,22 @@ type Session struct {
 	actsLRU *list.List // of *actEntry, most-recently-used first
 	actsMax int        // maxActivations; tests lower it to force eviction
 
-	// Requirement lowering state, all keyed by "name@range" with a
-	// name-index alongside so a delta touching a name finds every affected
-	// key without scanning:
+	// Requirement lowering state, by two registration rules:
 	//
-	//   - defs: requirement keys recording every dependency site whose
-	//     inlined clause (xi [AND z] -> OR matching-candidates) mentions the
-	//     key's candidate set. Most keys have exactly one user, so the
-	//     clause is emitted directly (no shared indirection literal); a
-	//     delta that widens the candidate set detaches each user's clause
-	//     and re-runs its declaration.
+	//   - deps: every dependency site, keyed by its target name, with the
+	//     clause it emitted (xi [AND z] -> OR matching candidates; with no
+	//     candidate, the pruning clause xi [AND z] -> false). When the
+	//     name grows, extendName detaches each site's clause and re-runs
+	//     the dependency over the current candidates.
 	//   - sups: support literals z with x_c -> z per matching candidate,
-	//     used for condition triggers and (negated) for conflict targets.
-	//     Widening is purely additive: new support clauses for new
-	//     candidates.
-	//   - pendingByName: declarations currently unemittable (dormant
-	//     trigger, empty dependency target, vacuous conflict) parked under
-	//     the name whose growth would change them.
-	defs          map[string]*reqDef
-	defsByName    map[string][]string
-	sups          map[string]*supEntry
-	supsByName    map[string][]string
-	pendingByName map[string][]declSite
+	//     keyed "name@range" with a name index alongside, used for
+	//     condition triggers and (negated) for conflict targets. A key
+	//     gets its literal at first use, matching or not: an unforced z
+	//     keeps the clauses guarded on it vacuous. Widening only adds
+	//     support clauses, so nothing guarded on z is ever re-run.
+	deps       map[string][]depSite
+	sups       map[string]*supEntry
+	supsByName map[string][]*supEntry
 
 	// closures memoizes, per canonical root set, the roots' reachability
 	// closure, which every objective over those roots shares; bounds
@@ -159,34 +153,16 @@ type actEntry struct {
 	lit    sat.Lit
 }
 
-// declID names one declaration — the idx'th dependency or conflict of
-// (pkg, ver) — stably across delta-driven index shifts and variable
-// reallocation. The encoder re-fetches the declaration and the version's
-// current variable through it whenever a parked or widened declaration is
-// re-emitted.
-type declID struct {
-	pkg      string
-	ver      version.Version
-	conflict bool
-	idx      int
-}
-
-// declSite is a declaration occurrence with the clause it emitted (zero
-// when nothing was emitted): a def usage, or a parked pending entry whose
-// pruning clause must be detached on revival.
-type declSite struct {
-	id  declID
+// depSite is one dependency occurrence — the idx'th dependency of (pkg,
+// ver), named stably across delta-driven index shifts and variable
+// reallocation — with the clause it emitted (zero when the clause
+// normalized to a unit or away). extendName detaches the clause and
+// re-runs the dependency through it when the target name grows.
+type depSite struct {
+	pkg string
+	ver version.Version
+	idx int
 	ref sat.ClauseRef
-}
-
-// reqDef is one shared requirement key "name@range": users records every
-// dependency site whose requirement clause (xi [AND trigger] -> OR
-// matching candidates) was emitted against the key, each with the
-// ClauseRef of its inlined clause. When a delta grows the key's candidate
-// set, Extend detaches each user's clause and re-runs the declaration so
-// the clause is re-emitted over the current candidates.
-type reqDef struct {
-	users []declSite
 }
 
 // supEntry is one support key "name@range": lit is forced true whenever a
@@ -224,11 +200,9 @@ func (se *Session) newEncoding(s *sat.Solver) {
 	se.solver = s
 	se.vars = make(map[string]*pkgVars)
 	se.virts = make(map[string]*virtVars)
-	se.defs = make(map[string]*reqDef)
-	se.defsByName = make(map[string][]string)
+	se.deps = make(map[string][]depSite)
 	se.sups = make(map[string]*supEntry)
-	se.supsByName = make(map[string][]string)
-	se.pendingByName = make(map[string][]declSite)
+	se.supsByName = make(map[string][]*supEntry)
 	se.acts = make(map[string]*list.Element)
 	se.actsLRU = list.New()
 	// The closure and bound memos share the activation memo's capacity
@@ -330,20 +304,44 @@ func (se *Session) emitVirtualSelection(vv *virtVars, cands []repo.Candidate) {
 	vv.selRef, _ = s.AddClauseRef(sel...)
 }
 
-// encodeVersionReqs lowers every dependency and conflict of version i of
-// pv's package through addRequirement.
+// encodeVersionReqs lowers every dependency (addDependency) and conflict
+// of version i of pv's package. A conflict (t, R) lowers to the one clause
+// xi AND z -> !z_t through the support literal z_t of t@R, which never
+// needs re-emitting: growth of t only adds support clauses.
 func (se *Session) encodeVersionReqs(pv *pkgVars, i int) {
-	defs := pv.pkg.Versions()
-	def := &defs[i]
-	xi := sat.Lit(pv.vers[i])
+	def := &pv.pkg.Versions()[i]
 	for j := range def.Deps {
-		d := &def.Deps[j]
-		se.addRequirement(xi, declID{pkg: pv.pkg.Name, ver: def.Version, idx: j}, d.When, d.Pkg, d.Range, false)
+		se.addDependency(pv, i, j)
 	}
-	for j := range def.Conflicts {
-		c := &def.Conflicts[j]
-		se.addRequirement(xi, declID{pkg: pv.pkg.Name, ver: def.Version, conflict: true, idx: j}, c.When, c.Pkg, c.Range, true)
+	for _, c := range def.Conflicts {
+		se.solver.AddClause(se.guarded(sat.Lit(pv.vers[i]), c.When, se.supportLit(c.Pkg, c.Range).Neg())...)
 	}
+}
+
+// guarded returns a declaration's clause for the version literal xi: !xi,
+// then !z for a conditional declaration's trigger support literal z, then
+// lits.
+func (se *Session) guarded(xi sat.Lit, when repo.Condition, lits ...sat.Lit) []sat.Lit {
+	out := make([]sat.Lit, 0, len(lits)+2)
+	out = append(out, xi.Neg())
+	if !when.IsZero() {
+		out = append(out, se.supportLit(when.Pkg, when.Range).Neg())
+	}
+	return append(out, lits...)
+}
+
+// addDependency emits the clause for the j'th dependency (t, R) of version
+// i of pv's package, guarded by its condition: xi AND z -> OR {x_c :
+// candidate c of t inside R}, which prunes xi (under the trigger) while no
+// candidate matches. Either way the site is recorded under t, so growth of
+// t re-runs it (extendName). It is the one path a dependency lowers
+// through, at first encoding and on every re-run — concrete and virtual
+// targets differ only in what Candidates enumerates.
+func (se *Session) addDependency(pv *pkgVars, i, j int) {
+	def := &pv.pkg.Versions()[i]
+	d := &def.Deps[j]
+	ref, _ := se.solver.AddClauseRef(se.guarded(sat.Lit(pv.vers[i]), d.When, se.matchingLits(d.Pkg, d.Range)...)...)
+	se.deps[d.Pkg] = append(se.deps[d.Pkg], depSite{pkg: pv.pkg.Name, ver: def.Version, idx: j, ref: ref})
 }
 
 // scopedCandidates enumerates the candidates for a requirement target that
@@ -366,116 +364,38 @@ func (se *Session) scopedCandidates(name string) []repo.Candidate {
 	return inScope
 }
 
-// supportLit returns the memoized support literal for "name@rng": a
-// variable z with x_c -> z for every in-scope candidate c of name inside
-// rng, so z is forced true exactly when some model selection matches the
-// key (and is free — never forced — otherwise, keeping clauses guarded on
-// z vacuous in models that avoid it). Condition triggers use z directly;
-// conflict targets use !z (a spurious true assignment to an unforced z
-// only prunes a branch the solver could take anyway, so projecting any
-// model onto the package variables stays sound). ok is false when no
-// candidate matches yet: the key is dormant and unregistered, and a later
-// delta that makes it matchable re-runs the parked declaration, which
-// re-requests the key. Widening a live key is purely additive — new
-// support clauses for new candidates — so no clause refs are kept.
-func (se *Session) supportLit(name string, rng version.Range) (sat.Lit, bool) {
+// supportLit returns the memoized support literal for "name@rng",
+// allocating it on first use: a variable z with x_c -> z for every
+// in-scope candidate c of name inside rng, so z is forced true exactly
+// when some model selection matches the key (and is free — never forced —
+// otherwise, keeping clauses guarded on z vacuous in models that avoid
+// it). Condition triggers use z directly; conflict targets use !z (a
+// spurious true assignment to an unforced z only prunes a branch the
+// solver could take anyway, so projecting any model onto the package
+// variables stays sound). A key no candidate matches yet gets its literal
+// all the same, with no support clause: until a candidate appears it is
+// never forced, and when one does, extendName adds its support clause.
+func (se *Session) supportLit(name string, rng version.Range) sat.Lit {
 	key := name + "@" + rng.String()
 	if en, ok := se.sups[key]; ok {
-		return en.lit, true
+		return en.lit
 	}
-	support := se.matchingLits(name, rng)
-	if len(support) == 0 {
-		return 0, false
-	}
-	z := sat.Lit(se.solver.NewAuxVar())
-	en := &supEntry{name: name, rng: rng, lit: z, seen: make(map[sat.Lit]bool, len(support))}
-	for _, x := range support {
-		se.solver.AddClause(x.Neg(), z)
-		en.seen[x] = true
-	}
+	en := &supEntry{name: name, rng: rng, lit: sat.Lit(se.solver.NewAuxVar()), seen: make(map[sat.Lit]bool)}
 	se.sups[key] = en
-	se.supsByName[name] = append(se.supsByName[name], key)
-	return z, true
+	se.supsByName[name] = append(se.supsByName[name], en)
+	se.widenSupport(en)
+	return en.lit
 }
 
-// defEntry returns the memoized requirement-key entry for "name@rng",
-// registering it on first use. The entry carries no solver state of its
-// own: each dependency on the key emits its requirement clause directly
-// (candidates inlined — the propagation-cheapest form) and records its
-// ref-tracked site under users, so a delta that widens the candidate set
-// finds every affected clause by key and re-emits it.
-func (se *Session) defEntry(name string, rng version.Range) *reqDef {
-	key := name + "@" + rng.String()
-	if de, ok := se.defs[key]; ok {
-		return de
-	}
-	de := &reqDef{}
-	se.defs[key] = de
-	se.defsByName[name] = append(se.defsByName[name], key)
-	return de
-}
-
-// addPending parks a declaration that currently lowers to nothing emittable
-// (dormant trigger, dead dependency target, vacuous conflict) under the
-// name whose growth would change it. Extend and materialization re-run
-// parked declarations when that name is touched.
-func (se *Session) addPending(name string, site declSite) {
-	se.pendingByName[name] = append(se.pendingByName[name], site)
-}
-
-// addRequirement emits the clauses for one dependency or conflict of the
-// version literal xi, guarded by its condition: for a dependency,
-// xi AND z -> OR {x_c : candidate c of target inside rng} (an empty
-// candidate set makes xi unbuildable whenever the trigger holds); for a
-// conflict, xi AND z -> !z_target. This is the one code path every
-// declaration kind lowers through — concrete and virtual targets differ
-// only in what Candidates enumerates — and the one Extend re-runs for
-// parked, widened, or revived declarations, which is why it takes the
-// declaration's stable identity rather than borrowing state from its
-// caller.
-func (se *Session) addRequirement(xi sat.Lit, id declID, when repo.Condition, target string, rng version.Range, conflict bool) {
-	var z sat.Lit
-	if !when.IsZero() {
-		var live bool
-		z, live = se.supportLit(when.Pkg, when.Range)
-		if !live {
-			// The trigger can never fire yet: dormant, parked under the
-			// trigger's name.
-			se.addPending(when.Pkg, declSite{id: id})
-			return
+// widenSupport adds the support clause x_c -> z for every matching
+// candidate the key has not seen yet.
+func (se *Session) widenSupport(en *supEntry) {
+	for _, x := range se.matchingLits(en.name, en.rng) {
+		if !en.seen[x] {
+			en.seen[x] = true
+			se.solver.AddClause(x.Neg(), en.lit)
 		}
 	}
-	guard := func(lits ...sat.Lit) []sat.Lit {
-		out := make([]sat.Lit, 0, len(lits)+3)
-		out = append(out, xi.Neg())
-		if z != 0 {
-			out = append(out, z.Neg())
-		}
-		return append(out, lits...)
-	}
-	if conflict {
-		zt, live := se.supportLit(target, rng)
-		if !live {
-			// Nothing matching can be installed: vacuous, parked under the
-			// target's name.
-			se.addPending(target, declSite{id: id})
-			return
-		}
-		se.solver.AddClause(guard(zt.Neg())...)
-		return
-	}
-	matching := se.matchingLits(target, rng)
-	if len(matching) == 0 {
-		// Dead target: xi is unbuildable (under the trigger) until a delta
-		// grows the target; the pruning clause is parked with the
-		// declaration so revival can detach it.
-		ref, _ := se.solver.AddClauseRef(guard()...)
-		se.addPending(target, declSite{id: id, ref: ref})
-		return
-	}
-	ref, _ := se.solver.AddClauseRef(guard(matching...)...)
-	de := se.defEntry(target, rng)
-	de.users = append(de.users, declSite{id: id, ref: ref})
 }
 
 // activation returns the assumption literal enforcing one root constraint,
@@ -654,6 +574,9 @@ func (se *Session) closureLocked(rootsKey string, roots []Root) (*closure, error
 //
 // goarxivlint:blocking
 func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string, rootsKey, shapeKey string, obj Objective, opts Options) (*Resolution, error) {
+	// Materialization, activations and bound guards all allocate solver
+	// variables, so every solve refreshes the stats mirrors on its way out.
+	defer se.syncEncodingStats()
 	// The bound memo remembers, per request shape, everything a repeat
 	// solve can reuse: the roots' closure, the lowered objective terms, and
 	// the proven lower bound on the optimal cost. All three stay valid

@@ -272,10 +272,9 @@ func (s *Solver) NewVar() int {
 // Tseitin shape "aux OR NOT antecedent" has this property: an unassigned
 // aux means no antecedent forced it, so those clauses are satisfied by
 // the antecedent's negation, and extending the model with aux = false
-// satisfies the rest). Encoders use this for shared requirement-definition
-// and support literals, whose truth is only ever needed when propagation
-// derives it. SolveAssuming's decision scope is the per-call form of the
-// same contract.
+// satisfies the rest). Encoders use this for support literals, whose
+// truth is only ever needed when propagation derives it. SolveAssuming's
+// decision scope is the per-call form of the same contract.
 func (s *Solver) NewAuxVar() int {
 	return s.allocVar()
 }
@@ -712,28 +711,19 @@ func (s *Solver) solve(assumptions []Lit) Status {
 				btLevel = len(assumptions)
 			}
 			s.cancelUntil(btLevel)
-			if len(learnt) == 1 && s.decisionLevel() == 0 {
-				// Store even unit learnts as (unwatched) learnt clause
-				// objects and use them as the assignment's reason: the
-				// level-0 trail must be able to tell learnt-derived facts
-				// from axioms, because ForgetLearnts releases the former
-				// when the formula is weakened by a skeleton extension.
-				c := &clause{lits: learnt, learnt: true, activity: s.varInc}
-				s.learnts = append(s.learnts, c)
-				if !s.enqueue(learnt[0], reason{cl: c}) {
-					s.ok = false
-					return Unsat
-				}
-			} else {
-				c := &clause{lits: learnt, learnt: true, activity: s.varInc}
-				s.learnts = append(s.learnts, c)
-				if len(learnt) >= 2 {
-					s.watchClause(c)
-				}
-				if !s.enqueue(learnt[0], reason{cl: c}) {
-					s.ok = false
-					return Unsat
-				}
+			// Store even unit learnts as (unwatched) learnt clause objects
+			// and use them as the assignment's reason: the level-0 trail
+			// must be able to tell learnt-derived facts from axioms,
+			// because ForgetLearnts releases the former when the formula
+			// is weakened by a skeleton extension.
+			c := &clause{lits: learnt, learnt: true, activity: s.varInc}
+			s.learnts = append(s.learnts, c)
+			if len(learnt) >= 2 {
+				s.watchClause(c)
+			}
+			if !s.enqueue(learnt[0], reason{cl: c}) {
+				s.ok = false
+				return Unsat
 			}
 			s.decayVarActivity()
 			if s.conflictBudget > 0 && s.Conflicts >= s.conflictBudget {

@@ -11,9 +11,9 @@ package serve
 //   - Caller outcomes (deadline, cancellation) are never retried — the
 //     caller is gone — and never degraded past the shed path.
 //   - Transient failures (a contained panic, a fully-benched backend, an
-//     unexplained member failure, an injected fault) are retried within
-//     the request's deadline budget, then degraded if a fresh-enough
-//     last good answer exists, then surfaced.
+//     injected fault) are retried within the request's deadline budget,
+//     then degraded if a fresh-enough last good answer exists, then
+//     surfaced.
 
 import (
 	"context"
@@ -36,9 +36,9 @@ var (
 // backend failed for an internal, plausibly self-healing reason rather
 // than answering. Contained panics and a fully-benched backend are
 // transient (the retry's Resolve entry rebuilds benched members); so is
-// any remaining member failure that does not wrap a definitive answer,
-// and a raw injected fault (which simulates exactly this class).
-// Definitive answers and caller outcomes are not.
+// a raw injected fault (which simulates exactly this class). Definitive
+// answers — including an unsat proof the pool wraps in a *MemberError
+// naming its shard — and caller outcomes are not.
 func transient(err error) bool {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -54,14 +54,7 @@ func transient(err error) bool {
 	if errors.As(err, &pe) {
 		return true
 	}
-	if errors.Is(err, resolve.ErrNoActiveMembers) {
-		return true
-	}
-	if errors.Is(err, faultpoint.ErrInjected) {
-		return true
-	}
-	var me *resolve.MemberError
-	return errors.As(err, &me)
+	return errors.Is(err, resolve.ErrNoActiveMembers) || errors.Is(err, faultpoint.ErrInjected)
 }
 
 // degradable reports whether a failure may be answered with a last good

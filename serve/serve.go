@@ -100,8 +100,8 @@ type Options struct {
 
 	// MaxRetries bounds how many times a leader solve is retried after a
 	// transient backend failure (contained panic, fully-benched backend,
-	// unexplained member error) before the failure surfaces. Zero selects
-	// 2; negative disables retries.
+	// injected fault) before the failure surfaces. Zero selects 2;
+	// negative disables retries.
 	MaxRetries int
 
 	// RetryBackoff is the base of the jittered exponential backoff between
