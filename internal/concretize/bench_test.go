@@ -172,9 +172,13 @@ func BenchmarkSessionWarmDescent(b *testing.B) {
 // SynthVirtualDiamond(8, 3, 8), prewarmed with 100 requests of the
 // reuseSwapDraw stream, resolves the stream's next distinct request each
 // iteration. Every request is a new shape over one of 25 root sets, so a
-// miss lowers its objective and descends (2 solve calls, 1 conflict) over
-// a closure the session already holds. The requests are drawn before the
-// timer starts.
+// miss lowers its objective over a closure the session already holds and
+// seeds its first visit; the seed keeps every package at the cheapest
+// state the roots allow, so verify and the cost floor close the miss with
+// no solve call. solve_calls/miss reports the descent rounds a miss
+// takes, and solver_vars the session's solver variables at the end, which
+// grow by one retired bound guard per miss that refutes. The requests are
+// drawn before the timer starts.
 func BenchmarkSessionWarmProviderSwap(b *testing.B) {
 	const prefix = 100
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
@@ -185,6 +189,7 @@ func BenchmarkSessionWarmProviderSwap(b *testing.B) {
 			b.Fatalf("prime Resolve: %v", err)
 		}
 	}
+	calls := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -196,7 +201,10 @@ func BenchmarkSessionWarmProviderSwap(b *testing.B) {
 		if len(res.Picks) == 0 {
 			b.Fatal("empty resolution")
 		}
+		calls += res.Stats.SolveCalls
 	}
+	b.ReportMetric(float64(calls)/float64(b.N), "solve_calls/miss")
+	b.ReportMetric(float64(sess.EncodingStats().SolverVars), "solver_vars")
 }
 
 // BenchmarkSessionColdStart measures NewSession itself. A Session encodes

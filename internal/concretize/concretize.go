@@ -92,15 +92,27 @@
 // and strengthened in place with sat.TightenPB as the target drops, so a
 // tightening round allocates no solver variable and no constraint slot.
 // The target schedule is adaptive: one probe just below the incumbent on
-// a shape's first visit — the closing refutation when the first model is
-// already best — then binary-search midpoints (O(log range) rounds from
-// arbitrarily bad incumbents) once that probe improves or a bound is
+// a shape's first visit — the closing refutation when the first incumbent
+// is already best — then binary-search midpoints (O(log range) rounds
+// from arbitrarily bad incumbents) once that probe improves or a bound is
 // banked; a warm solver's saved phases can hand it a first model far
 // above the optimum and, probed linearly, only the next model down each
-// round. Guards are
-// retired at request end (fixed false and their PB constraints
-// garbage-collected), so bounds from past requests never constrain, slow
-// down, or leak memory into future ones.
+// round. Guards are retired at request end (fixed false and their PB
+// constraints garbage-collected), so bounds from past requests never
+// constrain, slow down, or leak memory into future ones.
+//
+// A shape's first visit starts from a heuristic upper bound, as linear
+// SAT–UNSAT search does: a greedy model priced by the request's objective
+// seeds the solver's saved phases, and when verify — which reads only the
+// universe — accepts it, it is the first incumbent, so the first solve is
+// already the refutation below its cost. Lowering the objective also
+// yields a cost floor, the sum over reached packages of each one's
+// cheapest state (left out, or installed at its cheapest version; a root
+// package installed at its cheapest version in range), which starts the
+// shape's lower bound. A seed priced at the floor is optimal with no
+// solve call at all, which is the keep-everything answer of a
+// minimal-change request: reusing every installed binary across a
+// provider swap costs verify and a sum.
 //
 // Warm bound banking. A Session additionally memoizes, per canonical root
 // set, the roots' reachability closure — the reached packages in order and
@@ -236,10 +248,16 @@ type Options struct {
 
 // Stats reports search effort for one resolution request.
 type Stats struct {
-	Packages     int   // reachable packages in the request
-	Variables    int   // solver variables allocated (session-wide)
-	SolveCalls   int   // SAT solve invocations (including the final UNSAT proof)
-	Improvements int   // models found (first model plus each strict improvement)
+	Packages  int // reachable packages in the request
+	Variables int // solver variables allocated (session-wide)
+	// SolveCalls counts SAT solve invocations, including the final UNSAT
+	// proof. It is 0 when a first visit's seed, accepted by verify, costs
+	// the shape's cost floor, which proves it optimal without the solver.
+	SolveCalls int
+	// Improvements counts incumbents: the first one — a first visit's
+	// seed when verify accepts it, else the first model — plus each
+	// strict improvement.
+	Improvements int
 	Cost         int64 // objective value of the returned resolution
 	Optimal      bool  // false only when the conflict budget expired early
 

@@ -199,28 +199,15 @@ func (o *oracle) price(sel []oracleSel) int64 {
 	return total
 }
 
-// solve enumerates every assignment over the closure. It returns one
-// optimal assignment, its cost, and how many assignments attain it (zero
-// when none is valid).
-func (o *oracle) solve() (best map[string]version.Version, cost int64, optima int) {
+// each calls visit with every assignment over the closure: each package
+// left out or installed at one of its versions. The slice is reused
+// between calls.
+func (o *oracle) each(visit func(sel []oracleSel)) {
 	var sel []oracleSel
 	var walk func(i int)
 	walk = func(i int) {
 		if i == len(o.names) {
-			if !o.valid(sel) {
-				return
-			}
-			c := o.price(sel)
-			switch {
-			case optima == 0 || c < cost:
-				cost, optima = c, 1
-				best = make(map[string]version.Version, len(sel))
-				for _, s := range sel {
-					best[s.pkg] = s.def.Version
-				}
-			case c == cost:
-				optima++
-			}
+			visit(sel)
 			return
 		}
 		walk(i + 1) // not installed
@@ -232,7 +219,35 @@ func (o *oracle) solve() (best map[string]version.Version, cost int64, optima in
 		}
 	}
 	walk(0)
+}
+
+// solve enumerates every assignment over the closure. It returns one
+// optimal assignment, its cost, and how many assignments attain it (zero
+// when none is valid).
+func (o *oracle) solve() (best map[string]version.Version, cost int64, optima int) {
+	o.each(func(sel []oracleSel) {
+		if !o.valid(sel) {
+			return
+		}
+		c := o.price(sel)
+		switch {
+		case optima == 0 || c < cost:
+			cost, optima = c, 1
+			best = oraclePicks(sel)
+		case c == cost:
+			optima++
+		}
+	})
 	return best, cost, optima
+}
+
+// oraclePicks renders an assignment as a picks map.
+func oraclePicks(sel []oracleSel) map[string]version.Version {
+	picks := make(map[string]version.Version, len(sel))
+	for _, s := range sel {
+		picks[s.pkg] = s.def.Version
+	}
+	return picks
 }
 
 // judge converts an encoder answer into an assignment over the closure and
@@ -257,9 +272,11 @@ func (o *oracle) judge(picks map[string]version.Version) (valid bool, price int6
 // checkOracle answers one request through the store in front of the
 // session — a fresh entry, else a solve whose definitive answer is filed —
 // and checks the answer against the oracle, so stored answers are checked
-// exactly like solved ones. It reports whether the oracle found the
-// request satisfiable and whether the store answered it.
-func checkOracle(t *testing.T, store *Answers, se *Session, u *repo.Universe, roots []Root, obj Objective, label string) (sat, hit bool) {
+// exactly like solved ones. It tallies the answer in st: whether the
+// oracle found the request satisfiable, whether the store answered it,
+// and whether the session answered it with no solve call, which only the
+// cost floor closing an accepted seed does.
+func checkOracle(t *testing.T, st *oracleStats, store *Answers, se *Session, u *repo.Universe, roots []Root, obj Objective, label string) {
 	t.Helper()
 	o, err := newOracle(u, roots, obj)
 	if err != nil {
@@ -271,20 +288,24 @@ func checkOracle(t *testing.T, store *Answers, se *Session, u *repo.Universe, ro
 		res, gotErr = se.Resolve(context.Background(), roots, Options{Objective: obj})
 		store.Put(key, "session", res, gotErr)
 	}
+	st.answers++
+	if hit {
+		st.hits++
+	}
 	label = fmt.Sprintf("%s hit %v", label, hit)
 	if o.unknown {
 		var ue *UnknownPackageError
 		if !errors.As(gotErr, &ue) {
 			t.Fatalf("%s: oracle: unknown root; session: %v", label, gotErr)
 		}
-		return false, hit
+		return
 	}
 	best, cost, optima := o.solve()
 	if optima == 0 {
 		if !errors.Is(gotErr, ErrUnsatisfiable) {
 			t.Fatalf("%s: oracle: unsatisfiable; session: %v, picks %v", label, gotErr, res)
 		}
-		return false, hit
+		return
 	}
 	if gotErr != nil {
 		t.Fatalf("%s: oracle: cost %d with %v; session: %v", label, cost, best, gotErr)
@@ -307,7 +328,10 @@ func checkOracle(t *testing.T, store *Answers, se *Session, u *repo.Universe, ro
 			}
 		}
 	}
-	return true, hit
+	st.sat++
+	if !hit && res.Stats.SolveCalls == 0 {
+		st.floorClosed++
+	}
 }
 
 // oracleGen generates small universes, deltas and requests over a fixed
@@ -504,24 +528,32 @@ func (g *oracleGen) roots() []Root {
 	return out
 }
 
-// objective draws NewestVersion or MinimalChange against a profile of
-// existing packages at carried (or since-superseded) majors.
+// objective draws NewestVersion or MinimalChange against a profile.
 func (g *oracleGen) objective() Objective {
 	if g.rng.Intn(2) == 0 {
 		return NewestVersion{}
 	}
+	return MinimalChange(g.profile())
+}
+
+// profile draws an installed profile of existing packages at carried (or
+// since-superseded) majors. It walks the pool in order, not the vers map,
+// so a seed draws the same profiles on every run.
+func (g *oracleGen) profile() repo.Profile {
 	prof := repo.Profile{}
-	for pkg, majors := range g.vers {
-		if g.rng.Intn(2) == 0 {
+	for _, pkg := range g.pkgs {
+		majors, ok := g.vers[pkg]
+		if ok && g.rng.Intn(2) == 0 {
 			prof[pkg] = version.MustParse(fmt.Sprintf("%d.0", majors[g.rng.Intn(len(majors))]))
 		}
 	}
-	return MinimalChange(prof)
+	return prof
 }
 
-// oracleStats tallies one warm stream.
+// oracleStats tallies one warm stream; floorClosed counts the satisfiable
+// answers a session solved with no solve call.
 type oracleStats struct {
-	answers, sat, hits, deltas, resets int
+	answers, sat, hits, floorClosed, deltas, resets int
 }
 
 // runOracleStream drives one generated universe through one warm session
@@ -561,14 +593,7 @@ func runOracleStream(t *testing.T, seed int64) oracleStats {
 			asked = append(asked, req)
 		}
 		label := fmt.Sprintf("seed %d step %d epoch %d roots %s objective %s", seed, step, u.Epoch(), rootsString(req.roots), req.obj.Key())
-		sat, hit := checkOracle(t, store, se, u, req.roots, req.obj, label)
-		if sat {
-			st.sat++
-		}
-		if hit {
-			st.hits++
-		}
-		st.answers++
+		checkOracle(t, &st, store, se, u, req.roots, req.obj, label)
 	}
 	st.resets = se.EncodingStats().Resets
 	return st
@@ -576,7 +601,9 @@ func runOracleStream(t *testing.T, seed int64) oracleStats {
 
 // TestOracleWarmStream checks a warm session against the brute-force
 // oracle over 400 generated streams. The streams must reach the revival
-// path: some deltas have to reset an encoding.
+// path, where some deltas reset an encoding, and the floor's: some solved
+// answers must be accepted seeds the cost floor proved optimal with no
+// solve call, whose optimality rests on verify and the floor alone.
 func TestOracleWarmStream(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -588,11 +615,12 @@ func TestOracleWarmStream(t *testing.T) {
 		total.answers += st.answers
 		total.sat += st.sat
 		total.hits += st.hits
+		total.floorClosed += st.floorClosed
 		total.deltas += st.deltas
 		total.resets += st.resets
 	}
-	t.Logf("%d streams: %d answers (%d satisfiable, %d from the store), %d deltas, %d encoding resets",
-		seeds, total.answers, total.sat, total.hits, total.deltas, total.resets)
+	t.Logf("%d streams: %d answers (%d satisfiable, %d from the store, %d closed by the floor), %d deltas, %d encoding resets",
+		seeds, total.answers, total.sat, total.hits, total.floorClosed, total.deltas, total.resets)
 	if total.sat == 0 || total.sat == total.answers {
 		t.Fatalf("streams drew %d satisfiable answers of %d: the generator lost its mix", total.sat, total.answers)
 	}
@@ -601,6 +629,88 @@ func TestOracleWarmStream(t *testing.T) {
 	}
 	if total.resets == 0 {
 		t.Fatal("no stream reset an encoding: the generator no longer draws reviving deltas")
+	}
+	if total.floorClosed == 0 {
+		t.Fatal("the floor closed no solved answer: the streams no longer check answers proved by verify and the floor alone")
+	}
+}
+
+// TestVerifyAgreesWithOracle checks the two checks an accepted seed's
+// answer rests on when the cost floor closes it with no solve call. On
+// every assignment over the closure of requests drawn from generated
+// universes (grown by a delta every other request), verify accepts the
+// picks exactly
+// when the oracle's evaluator finds them valid. And on every satisfiable
+// request, under NewestVersion and under MinimalChange against a drawn
+// profile, the floor the session lowers never exceeds the oracle's
+// optimum.
+func TestVerifyAgreesWithOracle(t *testing.T) {
+	const seeds, requests = 400, 6
+	var assignments, valid, floors, tight int
+	for seed := int64(0); seed < seeds; seed++ {
+		g := newOracleGen(seed)
+		u := g.universe()
+		se := NewSession(u)
+		for k := 0; k < requests; k++ {
+			if k%2 == 0 && k > 0 {
+				if d := g.delta(); d != nil {
+					if _, err := se.Extend(d); err != nil {
+						t.Fatalf("seed %d: Extend: %v", seed, err)
+					}
+				}
+			}
+			roots := g.roots()
+			label := fmt.Sprintf("seed %d request %d roots %s", seed, k, rootsString(roots))
+			o, err := newOracle(u, roots, NewestVersion{})
+			if err != nil {
+				t.Fatalf("%s: oracle pricing: %v", label, err)
+			}
+			if o.unknown {
+				continue
+			}
+			o.each(func(sel []oracleSel) {
+				picks := oraclePicks(sel)
+				want := o.valid(sel)
+				if err := verify(u, roots, picks); (err == nil) != want {
+					t.Fatalf("%s: picks %v: oracle valid=%v, verify: %v", label, picks, want, err)
+				}
+				assignments++
+				if want {
+					valid++
+				}
+			})
+			for _, obj := range []Objective{NewestVersion{}, MinimalChange(g.profile())} {
+				o, err := newOracle(u, roots, obj)
+				if err != nil {
+					t.Fatalf("%s: oracle pricing: %v", label, err)
+				}
+				_, cost, optima := o.solve()
+				if optima == 0 {
+					continue
+				}
+				se.mu.Lock()
+				cl, err := se.closureLocked(rootsKey(canonicalRootParts(roots)), roots)
+				var memo *boundEntry
+				if err == nil {
+					memo, _, err = se.objectiveTerms(obj, cl, roots)
+				}
+				se.mu.Unlock()
+				if err != nil {
+					t.Fatalf("%s objective %s: lowering: %v", label, obj.Key(), err)
+				}
+				if memo.lo > cost {
+					t.Fatalf("%s objective %s: floor %d exceeds the oracle's optimum %d", label, obj.Key(), memo.lo, cost)
+				}
+				floors++
+				if memo.lo == cost {
+					tight++
+				}
+			}
+		}
+	}
+	t.Logf("%d assignments (%d valid); %d floors, %d of them at the optimum", assignments, valid, floors, tight)
+	if valid == 0 || valid == assignments || tight == 0 || tight == floors {
+		t.Fatal("the requests lost their mix of valid and invalid assignments, or of floors at and below the optimum")
 	}
 }
 

@@ -3,6 +3,7 @@ package concretize
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,15 +13,17 @@ import (
 )
 
 // This file pins seedPhases' greedy, objective-priced first-visit seed:
-// the first model a shape's first visit finds is already optimal on the
-// families below, so the descent ends after one refutation, and the walk
-// that builds the seed allocates nothing per dependency.
+// on the families below verify accepts it and it is already optimal, so
+// the descent starts from it and ends after one refutation, or with none
+// when it costs the shape's floor; and the walk that builds the seed
+// allocates nothing per dependency.
 
 // TestSeedNewRootVersionCold: a fresh session on a universe whose newest
 // root version reaches far less than the older ones (SynthDiamond(40, 8)
-// grown by app@99.0 -> mid0) finds the cheap model first. Seeding only the
-// reached packages' newest versions installed every one of them, and the
-// descent walked 42, 41, 20, 9, 4 and 3 down to the optimum.
+// grown by app@99.0 -> mid0) starts from the cheap model, so one
+// refutation closes it. Seeding only the reached packages' newest versions
+// installed every one of them, and the descent walked 42, 41, 20, 9, 4
+// and 3 down to the optimum.
 func TestSeedNewRootVersionCold(t *testing.T) {
 	u, _ := repo.SynthDiamond(40, 8)
 	u.Add("app", "99.0", repo.Dep("mid0", ":"))
@@ -29,8 +32,8 @@ func TestSeedNewRootVersionCold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("app: %v", err)
 	}
-	if res.Stats.SolveCalls != 2 || res.Stats.Cost != 3 {
-		t.Errorf("app took %d solve calls (%d models, %d decisions) at cost %d; want 2 calls at cost 3",
+	if res.Stats.SolveCalls != 1 || res.Stats.Cost != 3 {
+		t.Errorf("app took %d solve calls (%d models, %d decisions) at cost %d; want 1 call at cost 3",
 			res.Stats.SolveCalls, res.Stats.Improvements, res.Stats.Decisions, res.Stats.Cost)
 	}
 	cold := mustConcretize(t, u, app)
@@ -41,12 +44,12 @@ func TestSeedNewRootVersionCold(t *testing.T) {
 
 // TestSeedVirtualDiamondOneShot: a one-shot Concretize of a virtual
 // diamond seeds one provider per virtual instead of every provider's
-// newest version, so its first model is optimal.
+// newest version, so its seed is optimal and one refutation closes it.
 func TestSeedVirtualDiamondOneShot(t *testing.T) {
 	u, root := repo.SynthVirtualDiamond(6, 3, 6)
 	res := mustConcretize(t, u, []Root{MustParseRoot(root)})
-	if res.Stats.SolveCalls != 2 {
-		t.Errorf("Concretize took %d solve calls (%d models, %d conflicts), want 2",
+	if res.Stats.SolveCalls != 1 {
+		t.Errorf("Concretize took %d solve calls (%d models, %d conflicts), want 1",
 			res.Stats.SolveCalls, res.Stats.Improvements, res.Stats.Conflicts)
 	}
 }
@@ -102,17 +105,19 @@ func reuseSwapDraw(rng *rand.Rand, n int) []reuseSwapRequest {
 // returns, and the first model is nearly always the optimum. A seed of
 // newest versions with nothing installed found an optimal first model for
 // none of these 200 requests and took 12.76 solve calls per request. The
+// seed keeps every package at the cheapest state the roots allow, so it
+// costs the shape's floor, which proves it optimal with no solve call. The
 // solver is deterministic, so the counts repeat exactly (all 200 first
-// models optimal, 2.00 calls and 1.00 conflict per request; 193 and 2.35
-// calls while the seed left out installed packages nothing requires); the
-// bounds leave room for a change to the solver's tie order or
-// learnt-clause policy to move a few requests without failing a seed that
-// still does its job.
+// models optimal, all 200 closed by the floor; 193 first models optimal
+// and 2.35 calls while the seed left out installed packages nothing
+// requires); the bounds leave room for a change to the solver's tie order
+// or learnt-clause policy to move a few requests without failing a seed
+// that still does its job.
 func TestSeedReuseSwapFirstModels(t *testing.T) {
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
 	reqs := reuseSwapDraw(rand.New(rand.NewSource(1)), 200)
 	se := NewSession(u)
-	firstOptimal, calls, conflicts := 0, 0, int64(0)
+	firstOptimal, floorClosed, calls, conflicts := 0, 0, 0, int64(0)
 	for i, rq := range reqs {
 		opts := Options{Objective: rq.obj}
 		res, err := se.Resolve(context.Background(), rq.roots, opts)
@@ -130,14 +135,20 @@ func TestSeedReuseSwapFirstModels(t *testing.T) {
 		if res.Stats.Improvements == 1 {
 			firstOptimal++
 		}
+		if res.Stats.SolveCalls == 0 {
+			floorClosed++
+		}
 		calls += res.Stats.SolveCalls
 		conflicts += res.Stats.Conflicts
 	}
 	n := len(reqs)
-	t.Logf("%d requests: first model optimal on %d, %.2f solve calls and %.2f conflicts per request",
-		n, firstOptimal, float64(calls)/float64(n), float64(conflicts)/float64(n))
+	t.Logf("%d requests: first model optimal on %d, no solve call on %d, %.2f solve calls and %.2f conflicts per request",
+		n, firstOptimal, floorClosed, float64(calls)/float64(n), float64(conflicts)/float64(n))
 	if firstOptimal < 190 {
 		t.Errorf("first model optimal on %d of %d requests, want at least 190", firstOptimal, n)
+	}
+	if floorClosed < 190 {
+		t.Errorf("the floor closed %d of %d requests with no solve call, want at least 190", floorClosed, n)
 	}
 	if float64(calls) > 3*float64(n) {
 		t.Errorf("%.2f solve calls per request, want at most 3", float64(calls)/float64(n))
@@ -162,9 +173,11 @@ func keptProviderRequest() ([]Root, Objective) {
 
 // TestSeedKeepsUnrequiredInstalled: the seed keeps an installed package
 // nothing requires, because MinimalChange prices leaving it out at a
-// change step. Choosing only what the roots' walk requires seeded
-// prov2_0 uninstalled, so the first model cost a change step above the
-// optimum and the request took 12 solve calls, 2 models and 11 conflicts.
+// change step. It then keeps every package at the cheapest state the
+// roots allow, so it costs the shape's floor and needs no solve call.
+// Choosing only what the roots' walk requires seeded prov2_0 uninstalled,
+// so the first model cost a change step above the optimum and the request
+// took 12 solve calls, 2 models and 11 conflicts.
 func TestSeedKeepsUnrequiredInstalled(t *testing.T) {
 	u, _ := repo.SynthVirtualDiamond(8, 3, 8)
 	roots, obj := keptProviderRequest()
@@ -172,8 +185,8 @@ func TestSeedKeepsUnrequiredInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%s: %v", rootsString(roots), err)
 	}
-	if res.Stats.SolveCalls != 2 || res.Stats.Improvements != 1 || res.Stats.Cost != 795 {
-		t.Errorf("%s took %d solve calls (%d models, %d conflicts) at cost %d; want 2 calls, 1 model, cost 795",
+	if res.Stats.SolveCalls != 0 || res.Stats.Improvements != 1 || res.Stats.Cost != 795 {
+		t.Errorf("%s took %d solve calls (%d models, %d conflicts) at cost %d; want 0 calls, 1 model, cost 795",
 			rootsString(roots), res.Stats.SolveCalls, res.Stats.Improvements, res.Stats.Conflicts, res.Stats.Cost)
 	}
 	if got, ok := res.Picks["prov2_0"]; !ok || got.String() != "3.0" {
@@ -225,18 +238,101 @@ func TestSeedKeptPackageWalksItsDependencies(t *testing.T) {
 	}
 }
 
+// TestSeedProviderFromSomeVersions: provider packages that provide the
+// virtual from only some of their versions, so an entry's version index
+// is not its position in its package's group of the provider index. For
+// app's mpi@:1 the walk must choose bprov at 2.0 (index 1, the cheapest
+// in-range entry) over aprov at 2.0 (index 2), and then see that choice
+// satisfy lib's mpi@1 instead of choosing aprov as well. The seed is a
+// resolution, so one refutation closes the request.
+func TestSeedProviderFromSomeVersions(t *testing.T) {
+	u := repo.New()
+	u.Add("app", "1.0", repo.Dep("mpi", ":1"), repo.Dep("lib", ":"))
+	u.Add("lib", "1.0", repo.Dep("mpi", "1"))
+	u.Add("aprov", "4.0", repo.Prov("mpi", "2.0"))
+	u.Add("aprov", "3.0")
+	u.Add("aprov", "2.0", repo.Prov("mpi", "1.0"))
+	u.Add("bprov", "3.0")
+	u.Add("bprov", "2.0", repo.Prov("mpi", "1.0"))
+	roots := []Root{MustParseRoot("app")}
+	sess := NewSession(u)
+	order, costs := seedInputs(t, sess, roots, DefaultObjective)
+	sess.mu.Lock()
+	sess.seedPhases(order, roots, costs)
+	got := maps.Clone(sess.seedBuf)
+	sess.mu.Unlock()
+	if want := map[string]int{"app": 0, "lib": 0, "bprov": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("seed chose version indices %v, want %v", got, want)
+	}
+	res := mustConcretize(t, u, roots)
+	if want := map[string]string{"app": "1.0", "lib": "1.0", "bprov": "2.0"}; !reflect.DeepEqual(pickStrings(res), want) {
+		t.Errorf("picks %v, want %v", pickStrings(res), want)
+	}
+	if res.Stats.SolveCalls != 1 || res.Stats.Improvements != 1 {
+		t.Errorf("took %d solve calls and %d models, want the seed and 1 refutation", res.Stats.SolveCalls, res.Stats.Improvements)
+	}
+}
+
+// TestSeedClosedByFloor: a seed priced at the shape's cost floor returns
+// with no solve call, at the cost any model with its picks has. The floor
+// prices a root naming a package at Install plus its cheapest version
+// inside the root's range (lib@:2 must install 2.0 or 1.0), and the seed's
+// price counts Omit for each reached package it leaves out (old, reached
+// through app@1.0, costs 3 to leave out and 10 to install).
+func TestSeedClosedByFloor(t *testing.T) {
+	ranged := repo.New()
+	for _, v := range []string{"3.0", "2.0", "1.0"} {
+		ranged.Add("lib", v)
+	}
+	omitted := repo.New()
+	omitted.Add("app", "2.0", repo.Dep("lib", ":"))
+	omitted.Add("app", "1.0", repo.Dep("old", ":"))
+	omitted.Add("lib", "1.0")
+	omitted.Add("old", "1.0")
+	omitOld := ObjectiveFunc{ID: "omit-old", Fn: func(ObjectiveRequest) (map[string]PkgCost, error) {
+		return map[string]PkgCost{"old": {Install: 10, Omit: 3}}, nil
+	}}
+	for _, tc := range []struct {
+		name  string
+		u     *repo.Universe
+		root  string
+		obj   Objective
+		picks map[string]string
+		cost  int64
+	}{
+		{"ranged root", ranged, "lib@:2", DefaultObjective, map[string]string{"lib": "2.0"}, 3},
+		{"omitted package", omitted, "app", omitOld, map[string]string{"app": "2.0", "lib": "1.0"}, 3},
+	} {
+		res, err := Concretize(tc.u, []Root{MustParseRoot(tc.root)}, Options{Objective: tc.obj})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := pickStrings(res); !reflect.DeepEqual(got, tc.picks) || res.Stats.Cost != tc.cost {
+			t.Errorf("%s: picks %v at cost %d, want %v at cost %d", tc.name, got, res.Stats.Cost, tc.picks, tc.cost)
+		}
+		if res.Stats.SolveCalls != 0 || res.Stats.Improvements != 1 {
+			t.Errorf("%s: %d solve calls and %d models, want the seed alone", tc.name, res.Stats.SolveCalls, res.Stats.Improvements)
+		}
+	}
+}
+
 // TestSeedTightCapFirstVisits: first visits of tight registry packages
 // (every fourth, whose own dependencies are capped) capped at 1-7 on the
 // prewarmed registry session. A cap that binds forces lags on the root's
-// capped dependencies, which the walk takes from the chosen root
-// version's own ranges, so each visit takes one model and one
-// refutation, and answers as Concretize. A seed of newest versions took 2
-// calls on 28 of these 40 (worst 16,626 conflicts), and this seed without
-// the branch heap's scope-rank tie-break on 34 (worst 45,438).
+// capped dependencies, which the walk takes from the chosen root version's
+// own ranges, so each visit takes one model and answers as Concretize.
+// Where verify accepts the seed, that model is the seed and one refutation
+// closes the visit (27 of the 40). Where it rejects the seed (the walk met
+// a tighter range on a dependency it had already chosen newer), the scope
+// order and the seeded phases still make the search's first model optimal,
+// so the visit takes one model and one refutation: 2 calls. A seed of
+// newest versions took 2 calls on 28 of these 40 (worst 16,626 conflicts),
+// and this seed without the branch heap's scope-rank tie-break on 34
+// (worst 45,438).
 func TestSeedTightCapFirstVisits(t *testing.T) {
 	u, _ := repo.SynthRegistry(firstVisitPkgs, firstVisitVers)
 	sess := newFirstVisitSession(t, u)
-	worst := int64(0)
+	worst, accepted := int64(0), 0
 	for k := 0; k < 40; k++ {
 		roots := []Root{MustParseRoot(fmt.Sprintf("reg%d@:%d", 4*k, 1+k%7))}
 		res, err := sess.Resolve(context.Background(), roots, Options{})
@@ -244,8 +340,11 @@ func TestSeedTightCapFirstVisits(t *testing.T) {
 			t.Fatalf("%s: %v", rootsString(roots), err)
 		}
 		worst = max(worst, res.Stats.Conflicts)
-		if res.Stats.SolveCalls != 2 {
-			t.Errorf("%s: first visit took %d solve calls (%d models, %d conflicts), want 2",
+		if res.Stats.SolveCalls == 1 {
+			accepted++
+		}
+		if res.Stats.Improvements != 1 || res.Stats.SolveCalls < 1 || res.Stats.SolveCalls > 2 {
+			t.Errorf("%s: first visit took %d solve calls (%d models, %d conflicts), want 1 model and 1 or 2 calls",
 				rootsString(roots), res.Stats.SolveCalls, res.Stats.Improvements, res.Stats.Conflicts)
 		}
 		cold := mustConcretize(t, u, roots)
@@ -253,7 +352,10 @@ func TestSeedTightCapFirstVisits(t *testing.T) {
 			t.Fatalf("%s: session picks diverge from Concretize:\n%v\n%v", rootsString(roots), res.Picks, cold.Picks)
 		}
 	}
-	t.Logf("worst first visit: %d conflicts", worst)
+	t.Logf("worst first visit: %d conflicts; %d of 40 took 1 solve call", worst, accepted)
+	if accepted < 27 {
+		t.Errorf("%d of 40 first visits took 1 solve call, want at least 27", accepted)
+	}
 }
 
 // TestSeedPhasesAllocs: seeding a first visit allocates nothing per

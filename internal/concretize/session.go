@@ -502,9 +502,10 @@ func shapeKey(obj Objective, rootsKey string) string {
 // Stats.Optimal == false when the conflict budget expired after a model
 // was found. Stats.BoundMemoHit marks solves that reused a shape's banked
 // bound, and Stats.Epoch the universe epoch the answer was produced at.
-// Every call reaches the solver; a definitive answer carries what
-// Answers.Put needs to memoize it. The returned Picks map is owned by the
-// caller.
+// A session memoizes no answers, so every call does the search itself
+// (a first visit whose verified seed costs the shape's floor needs no
+// solve call); a definitive answer carries what Answers.Put needs to
+// memoize it. The returned Picks map is owned by the caller.
 //
 // Canceling ctx (or passing one past its deadline) interrupts an in-flight
 // solve promptly — the context is checked between branch-and-bound rounds
@@ -641,26 +642,37 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	se.assumpsBuf = assumps // retain the (possibly regrown) scratch array
 	se.evictActivations(pinned)
 
+	stats := Stats{Packages: len(order), Epoch: se.epoch, BoundMemoHit: memoHit}
+	var best map[string]version.Version
+	var bestCost int64
+	verified := false // best is the accepted seed, which verify has checked
 	if memo == nil {
-		objTerms, total, costs, err := se.objectiveTerms(obj, order, roots)
-		if err != nil {
+		var costs map[string]PkgCost
+		var err error
+		if memo, costs, err = se.objectiveTerms(obj, cl, roots); err != nil {
 			return nil, err
 		}
-		memo = &boundEntry{cl: cl, terms: objTerms, total: total}
 		se.bounds.put(shapeKey, memo)
 		// First visit of this shape: seed saved phases with a greedy model
-		// priced by the request's objective, so the descent's first
-		// incumbent is usually already optimal and one refutation closes
-		// it. A repeat visit keeps the phases the last solve saved, which
-		// sit on this shape's last answer or its neighbors. Phases are pure
-		// heuristics, so seeding can never change the optimal cost.
+		// priced by the request's objective. When verify accepts that
+		// model it is the descent's first incumbent, so the first solve is
+		// already the refutation below its cost, and none runs at all when
+		// it costs the shape's floor (memo.lo). A rejected seed still
+		// steers the search's first model. A repeat visit keeps the phases
+		// the last solve saved, which sit on this shape's last answer or
+		// its neighbors. Phases are pure heuristics and an accepted seed
+		// is a verified resolution priced like any model, so seeding can
+		// never change the optimal cost.
 		se.seedPhases(order, roots, costs)
+		if best, bestCost = se.seedModel(order, roots, costs); best != nil {
+			verified = true
+			stats.Improvements++
+		}
 	}
 
 	s := se.solver
 	objTerms, total := memo.terms, memo.total
 	scope := se.decisionScope(order)
-	stats := Stats{Packages: len(order), Epoch: se.epoch, BoundMemoHit: memoHit}
 	conflicts0, decisions0, props0 := s.Conflicts, s.Decisions, s.Propagations
 	if opts.MaxConflicts > 0 {
 		s.MaxConflicts = conflicts0 + opts.MaxConflicts
@@ -668,8 +680,6 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 		s.MaxConflicts = 0
 	}
 
-	var best map[string]version.Version
-	var bestCost int64
 	var guard sat.Lit
 	var bound sat.PBRef // live guarded bound constraint (zero: none)
 	var boundAt int64   // target the live constraint enforces under the guard
@@ -690,10 +700,11 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	// Objective descent between the proven lower bound and the incumbent.
 	// lo tracks the proven lower bound on the optimal cost (an UNSAT
 	// answer under a guard at target proves optimum > target); it starts
-	// from the memoized bound of earlier requests for the same shape, and
-	// whatever this request proves is banked for the next one. Over-eager
-	// targets cost at most extra UNSAT rounds and can never change the
-	// returned answer.
+	// from the memoized bound of earlier requests for the same shape —
+	// on a first visit, the cost floor lowering computed — and whatever
+	// this request proves is banked for the next one. Over-eager targets
+	// cost at most extra UNSAT rounds and can never change the returned
+	// answer.
 	warmBound := memo.proven // a previous request already proved a bound
 	lo := memo.lo            // optimal cost is known to be >= lo
 	proved := false          // this request completed a proof round (an
@@ -709,8 +720,10 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	}()
 
 	finish := func(optimal bool) (*Resolution, error) {
-		if err := verify(se.u, roots, best); err != nil {
-			return nil, err
+		if !verified {
+			if err := verify(se.u, roots, best); err != nil {
+				return nil, err
+			}
 		}
 		if optimal {
 			lo, proved = bestCost, true // no model costs less than the answer
@@ -725,6 +738,72 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	}
 
 	for {
+		if best != nil {
+			// An incumbent at the proven lower bound is optimal: the first
+			// model, an accepted seed priced at the floor, or an UNSAT
+			// round that pushed lo up to the incumbent.
+			if bestCost <= lo {
+				return finish(true)
+			}
+			// Pick the next bound target in [lo, bestCost-1]. The descent
+			// first probes just below the incumbent — fewest rounds when
+			// the first incumbent is already optimal, which is the norm for
+			// a fresh (cold) solver and for a seeded first visit — and
+			// bisects from then on if that probe improved (the first model
+			// came from stale saved phases, and each further linear probe
+			// would hand back only the next model down) or if the shape has
+			// a proven bound banked. A midpoint probe sits far from the
+			// incumbent, so a warm solver whose saved phases sit on a bad
+			// model is propagated straight out of that neighborhood instead
+			// of refuting it clause by clause. bestCost > lo here, so the
+			// linear probe never undercuts lo.
+			target := bestCost - 1
+			if warmBound || stats.Improvements > 1 {
+				target = lo + (bestCost-1-lo)/2
+			}
+			// Install or strengthen the bound: guard -> objective <=
+			// target, encoded as objective + total*guard <= total + target,
+			// which is vacuous while the guard is free, so the solver stays
+			// reusable. A target below the live constraint's is a pure
+			// strengthening and is applied in place — no new variable,
+			// constraint, or copy of the objective terms. Only a relaxation
+			// (an UNSAT round pushed lo above a still-improvable
+			// incumbent's probe) retires the guard and installs a fresh
+			// one.
+			if bound.Valid() && target < boundAt {
+				if !s.TightenPB(bound, total+target) {
+					// Unreachable: the guard is unassigned at the top level,
+					// so the constraint keeps slack >= total -
+					// sum(level-0-true objective weights) >= target >= 0.
+					return nil, fmt.Errorf("concretize: internal error: bound %d conflicts at top level", target)
+				}
+			} else {
+				retire()
+				if !s.Okay() {
+					return finish(true)
+				}
+				g := sat.Lit(s.NewVar())
+				terms := append(append(se.termsBuf[:0], objTerms...), sat.PBTerm{Lit: g, Weight: total})
+				se.termsBuf = terms[:0]
+				var ok bool
+				bound, ok = s.AddPBRef(terms, total+target)
+				if !ok {
+					// Unreachable in practice (the guarded constraint is
+					// vacuous until assumed), kept as a safety net:
+					// tightening to bestCost-1 being impossible at the top
+					// level proves best optimal; a wider probe proves
+					// nothing.
+					if target == bestCost-1 {
+						return finish(true)
+					}
+					return nil, fmt.Errorf("concretize: internal error: guarded bound %d rejected at top level", target)
+				}
+				guard = g
+			}
+			boundAt = target
+			assumps = append(assumps[:nBase], guard)
+			se.assumpsBuf = assumps
+		}
 		// A cancellation between rounds is cheaper to honor here than via
 		// the interrupt round-trip.
 		if err := ctx.Err(); err != nil {
@@ -760,75 +839,14 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 			}
 			// UNSAT under the guard proves optimum > target.
 			lo, proved = boundAt+1, true
-			if lo >= bestCost {
-				return finish(true)
-			}
 		case sat.Sat:
 			picks, err := se.decode(order)
 			if err != nil {
 				return nil, err
 			}
-			best, bestCost = picks, se.cost(objTerms)
+			best, bestCost, verified = picks, se.cost(objTerms), false
 			stats.Improvements++
-			if bestCost <= lo {
-				return finish(true)
-			}
 		}
-		// Pick the next bound target in [lo, bestCost-1]. The descent
-		// first probes just below the incumbent — fewest rounds when the
-		// first model is already optimal, which is the norm for a fresh
-		// (cold) solver and for a seeded first visit — and bisects from
-		// then on if that probe improved (the first model came from stale
-		// saved phases, and each further linear probe would hand back only
-		// the next model down) or if the shape has a proven bound banked.
-		// A midpoint probe sits far from the incumbent, so a warm solver
-		// whose saved phases sit on a bad model is propagated straight out
-		// of that neighborhood instead of refuting it clause by clause.
-		// bestCost > lo here, so the linear probe never undercuts lo.
-		target := bestCost - 1
-		if warmBound || stats.Improvements > 1 {
-			target = lo + (bestCost-1-lo)/2
-		}
-		// Install or strengthen the bound: guard -> objective <= target,
-		// encoded as objective + total*guard <= total + target, which is
-		// vacuous while the guard is free, so the solver stays reusable.
-		// A target below the live constraint's is a pure strengthening and
-		// is applied in place — no new variable, constraint, or copy of
-		// the objective terms. Only a relaxation (an UNSAT round pushed lo
-		// above a still-improvable incumbent's probe) retires the guard
-		// and installs a fresh one.
-		if bound.Valid() && target < boundAt {
-			if !s.TightenPB(bound, total+target) {
-				// Unreachable: the guard is unassigned at the top level, so
-				// the constraint keeps slack >= total - sum(level-0-true
-				// objective weights) >= target >= 0.
-				return nil, fmt.Errorf("concretize: internal error: bound %d conflicts at top level", target)
-			}
-		} else {
-			retire()
-			if !s.Okay() {
-				return finish(true)
-			}
-			g := sat.Lit(s.NewVar())
-			terms := append(append(se.termsBuf[:0], objTerms...), sat.PBTerm{Lit: g, Weight: total})
-			se.termsBuf = terms[:0]
-			var ok bool
-			bound, ok = s.AddPBRef(terms, total+target)
-			if !ok {
-				// Unreachable in practice (the guarded constraint is
-				// vacuous until assumed), kept as a safety net: tightening
-				// to bestCost-1 being impossible at the top level proves
-				// best optimal; a wider probe proves nothing.
-				if target == bestCost-1 {
-					return finish(true)
-				}
-				return nil, fmt.Errorf("concretize: internal error: guarded bound %d rejected at top level", target)
-			}
-			guard = g
-		}
-		boundAt = target
-		assumps = append(assumps[:nBase], guard)
-		se.assumpsBuf = assumps
 	}
 }
 
@@ -843,10 +861,12 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 // older versions first and selects the newest one left standing. Its
 // installed variable comes last, by when the selected version has set
 // it; decided first, its false phase would drop a package before its
-// dependents are known, a conflict whenever one of them needs it. On a
-// first visit, where seedPhases' greedy model is consistent (as on a
-// registry first visit, capped or not), that first model is optimal and
-// the descent ends after one refutation. Everything else the session has
+// dependents are known, a conflict whenever one of them needs it. A
+// first visit whose seed verify accepts starts from the seed and never
+// searches for a first model. The order matters on repeat visits and
+// where verify rejects the seed (13 of TestSeedTightCapFirstVisits' 40
+// capped registry visits): those still find the optimum as their first
+// model and end after one refutation. Everything else the session has
 // materialized (other requests' closures, activations, support literals,
 // virtuals' needed variables) stays unassigned in a scoped model and
 // reads false, which the encoding keeps sound: every clause carries the
@@ -899,11 +919,13 @@ func (se *Session) decisionScope(order []string) []int {
 // for 6 of 200 requests, where this seed finds all 200 (193 without the
 // pass over order).
 //
-// The walk ignores conditional dependencies and conflicts, so the seed
-// can miss a model; phases steer only which model the search finds
-// first, never what is satisfiable, so seeding cannot change the optimal
-// cost. It allocates nothing per dependency: candidates are walked in
-// place, and the chosen map and queue are session-owned scratch.
+// The chosen versions are also the descent's first incumbent whenever
+// verify accepts them (seedModel). The walk ignores conditional
+// dependencies and conflicts, so the seed can miss a model; then it only
+// steers which model the search finds first, never what is satisfiable,
+// so seeding cannot change the optimal cost. It allocates nothing per
+// dependency: candidates are walked in place, and the chosen map and
+// queue are session-owned scratch.
 func (se *Session) seedPhases(order []string, roots []Root, costs map[string]PkgCost) {
 	chosen := se.seedBuf
 	clear(chosen)
@@ -966,7 +988,11 @@ func (se *Session) seedWalk(q int, costs map[string]PkgCost) {
 // already satisfies name@rng, it chooses the cheapest in-range candidate
 // whose package is not chosen yet and queues it. A concrete target's
 // versions are walked in place (as matchingLits does) and a virtual's
-// providers through Universe.Virtual, so no candidate list is built.
+// providers through Universe.Virtual, so no candidate list is built. The
+// provider index comes grouped by package, each group's versions newest
+// first, which is Package.Versions()'s order: each group looks its
+// package up once, and a cursor that only moves forward finds each
+// entry's version index.
 func (se *Session) seedChoose(name string, rng version.Range, costs map[string]PkgCost) {
 	chosen := se.seedBuf
 	if _, ok := chosen[name]; ok {
@@ -996,13 +1022,22 @@ func (se *Session) seedChoose(name string, rng version.Range, costs map[string]P
 		}
 	} else {
 		provs, _ := se.u.Virtual(name)
-		for _, pr := range provs {
+		var defs []repo.VersionDef
+		i, ci, taken := 0, 0, false
+		for k := range provs {
+			pr := &provs[k]
+			if k == 0 || pr.Pkg != provs[k-1].Pkg {
+				p, _ := se.u.Package(pr.Pkg)
+				defs, i = p.Versions(), 0
+				ci, taken = chosen[pr.Pkg]
+			}
 			if !rng.Satisfies(pr.Provided) {
 				continue
 			}
-			p, _ := se.u.Package(pr.Pkg)
-			i := p.IndexOf(pr.Version)
-			if ci, ok := chosen[pr.Pkg]; ok {
+			for !defs[i].Version.Equal(pr.Version) {
+				i++
+			}
+			if taken {
 				if ci == i {
 					return // a chosen provider satisfies the requirement
 				}
@@ -1017,15 +1052,55 @@ func (se *Session) seedChoose(name string, rng version.Range, costs map[string]P
 	}
 }
 
-// objectiveTerms lowers an Objective's package costs into weighted PB
-// terms over the session's solver variables, returning the terms, their
-// total weight (the k of the guarded bound constraint), and the validated
-// costs themselves, which seedPhases prices its greedy model with.
-// Install costs weight y_p, Omit costs weight !y_p, and version costs
-// weight x_{p,v}; zero costs produce no term. Pricing a package outside
-// order is an error: the walk over order counts the priced names it
+// seedModel reads seedPhases' choices as a resolution — each chosen
+// package at its chosen version, every other reached package left out —
+// and prices it as cost prices a model: Install + Version[i] for a chosen
+// package, Omit for any other. It returns nil when verify rejects the
+// picks: the walk ignores conflicts and conditional dependencies, and
+// leaves a requirement unmet when it already chose the target outside the
+// range. Verify reads only the universe, so an accepted seed is a
+// resolution whatever the encoding says.
+func (se *Session) seedModel(order []string, roots []Root, costs map[string]PkgCost) (map[string]version.Version, int64) {
+	chosen := se.seedBuf
+	picks := make(map[string]version.Version, len(chosen))
+	var cost int64
+	for _, name := range order {
+		pc := costs[name]
+		i, ok := chosen[name]
+		if !ok {
+			cost += pc.Omit
+			continue
+		}
+		picks[name] = se.vars[name].pkg.Versions()[i].Version
+		cost += pc.Install
+		if pc.Version != nil {
+			cost += pc.Version[i]
+		}
+	}
+	if verify(se.u, roots, picks) != nil {
+		return nil, 0
+	}
+	return picks, cost
+}
+
+// objectiveTerms lowers an Objective's package costs over a closure into
+// the shape's bound entry — weighted PB terms over the session's solver
+// variables, their total weight (the k of the guarded bound constraint),
+// and the cost floor as the starting lo — and returns the validated costs
+// themselves, which seedPhases prices its greedy model with. Install costs
+// weight y_p, Omit costs weight !y_p, and version costs weight x_{p,v};
+// zero costs produce no term. A first pass validates the costs, counts the
+// terms and sums the floor, so the terms are allocated once. Pricing a
+// package outside order is an error: the pass counts the priced names it
 // meets, and only when the count falls short of the map is the culprit
 // looked for.
+//
+// The floor is branch-and-bound's trivial lower bound: every reached
+// package costs at least min(Omit, Install + its cheapest version), and a
+// root naming a package at least Install + its cheapest version in range
+// (rootFloor). Like verify it reads only the universe and the costs, never
+// the encoding, and it is not a proof of anything the solver did, so the
+// entry is not marked proven.
 //
 // Materialized variables outside the reachable set carry no weight and are
 // ignored by decode, so their assignments never affect the request's cost
@@ -1033,54 +1108,118 @@ func (se *Session) seedChoose(name string, rng version.Range, costs map[string]P
 // model by leaving everything else uninstalled. That is why the search
 // branches only on the reach set (decisionScope, and the scope contract
 // of sat.Solver.SolveAssuming), leaving everything else unassigned.
-func (se *Session) objectiveTerms(obj Objective, order []string, roots []Root) ([]sat.PBTerm, int64, map[string]PkgCost, error) {
+func (se *Session) objectiveTerms(obj Objective, cl *closure, roots []Root) (*boundEntry, map[string]PkgCost, error) {
+	order := cl.order
 	costs, err := obj.Costs(ObjectiveRequest{Universe: se.u, Order: order, Roots: roots})
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("concretize: objective %q: %w", obj.Key(), err)
+		return nil, nil, fmt.Errorf("concretize: objective %q: %w", obj.Key(), err)
 	}
-	var terms []sat.PBTerm
-	var total int64
-	priced := 0 // order holds each name once
+	n, priced := 0, 0 // order holds each name once
+	var floor int64
 	for _, name := range order {
 		pc, ok := costs[name]
 		if !ok {
 			continue
 		}
 		priced++
-		pv := se.vars[name]
-		if pc.Install < 0 || pc.Omit < 0 {
-			return nil, 0, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
+		if pc.Version != nil && len(pc.Version) != len(se.vars[name].vers) {
+			return nil, nil, fmt.Errorf("concretize: objective %q: %d version costs for %q (%d versions)",
+				obj.Key(), len(pc.Version), name, len(se.vars[name].vers))
 		}
-		if pc.Version != nil && len(pc.Version) != len(pv.vers) {
-			return nil, 0, nil, fmt.Errorf("concretize: objective %q: %d version costs for %q (%d versions)",
-				obj.Key(), len(pc.Version), name, len(pv.vers))
+		least, nonzero := versionCosts(pc.Version)
+		if pc.Install < 0 || pc.Omit < 0 || least < 0 {
+			return nil, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
 		}
+		floor += min(pc.Omit, pc.Install+least)
+		n += nonzero
 		if pc.Install > 0 {
-			terms = append(terms, sat.PBTerm{Lit: sat.Lit(pv.installed), Weight: pc.Install})
-			total += pc.Install
+			n++
 		}
 		if pc.Omit > 0 {
-			terms = append(terms, sat.PBTerm{Lit: sat.Lit(pv.installed).Neg(), Weight: pc.Omit})
-			total += pc.Omit
-		}
-		for i, w := range pc.Version {
-			if w < 0 {
-				return nil, 0, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
-			}
-			if w > 0 {
-				terms = append(terms, sat.PBTerm{Lit: sat.Lit(pv.vers[i]), Weight: w})
-				total += w
-			}
+			n++
 		}
 	}
 	if priced != len(costs) {
 		for name := range costs {
 			if !slices.Contains(order, name) {
-				return nil, 0, nil, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
+				return nil, nil, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
 			}
 		}
 	}
-	return terms, total, costs, nil
+	terms := make([]sat.PBTerm, 0, n)
+	var total int64
+	add := func(l sat.Lit, w int64) {
+		if w > 0 {
+			terms = append(terms, sat.PBTerm{Lit: l, Weight: w})
+			total += w
+		}
+	}
+	for _, name := range order {
+		pc, ok := costs[name]
+		if !ok {
+			continue
+		}
+		pv := se.vars[name]
+		add(sat.Lit(pv.installed), pc.Install)
+		add(sat.Lit(pv.installed).Neg(), pc.Omit)
+		for i, w := range pc.Version {
+			add(sat.Lit(pv.vers[i]), w)
+		}
+	}
+	return &boundEntry{cl: cl, terms: terms, total: total, lo: floor + rootFloor(se.u, roots, costs)}, costs, nil
+}
+
+// versionCosts returns the least of a package's version costs (0 for
+// nil) and how many of them are nonzero, each one a term of the lowered
+// objective.
+func versionCosts(version []int64) (least int64, nonzero int) {
+	for i, w := range version {
+		if i == 0 || w < least {
+			least = w
+		}
+		if w != 0 {
+			nonzero++
+		}
+	}
+	return least, nonzero
+}
+
+// rootFloor is what the request's package roots add to the floor: every
+// model installs a root's package at a version inside the range of every
+// root naming it, so the package's term rises from min(Omit, Install +
+// cheapest version) to Install plus the cheapest such version. A package
+// no version of which lies in all those ranges makes the request
+// unsatisfiable and raises nothing.
+func rootFloor(u *repo.Universe, roots []Root, costs map[string]PkgCost) int64 {
+	var raise int64
+	for i, r := range roots {
+		p, ok := u.Package(r.Pkg)
+		if r.Virtual || !ok || slices.ContainsFunc(roots[:i], func(q Root) bool { return !q.Virtual && q.Pkg == r.Pkg }) {
+			continue // a virtual root, or a package an earlier root raised
+		}
+		pc := costs[r.Pkg]
+		least, found := int64(0), false
+	versions:
+		for vi, def := range p.Versions() {
+			for _, q := range roots[i:] {
+				if !q.Virtual && q.Pkg == r.Pkg && !q.Range.Satisfies(def.Version) {
+					continue versions
+				}
+			}
+			w := int64(0)
+			if pc.Version != nil {
+				w = pc.Version[vi]
+			}
+			if !found || w < least {
+				least, found = w, true
+			}
+		}
+		if found {
+			cheapest, _ := versionCosts(pc.Version)
+			raise += max(0, pc.Install+least-min(pc.Omit, pc.Install+cheapest))
+		}
+	}
+	return raise
 }
 
 // cost evaluates the objective under the solver's current model. Negative
