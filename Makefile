@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr31
-PREV_PR ?= pr30
+PR ?= pr32
+PREV_PR ?= pr31
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
 # single-session pool, the HTTP daemon pipeline, and the registry-scale suite

@@ -21,11 +21,11 @@ const AnswersPerSession = 1024
 // with the member that solved it.
 //
 // Entries carry the shape's reach set (the names whose growth could change
-// the answer, as the session's bound memo records them). Invalidate marks
-// every entry a delta touches stale, under the same rule the bound memo
-// sweep uses; stale entries are never served as hits, but their optimal
-// answers stay readable through LastGood — the degraded-mode answer — until
-// a re-solve replaces them or they age out of the LRU.
+// the answer, as the session's closure memo records them). Invalidate
+// marks every entry a delta touches stale, under the same rule the
+// closure memo sweep uses; stale entries are never served as hits, but
+// their optimal answers stay readable through LastGood — the degraded-mode
+// answer — until a re-solve replaces them or they age out of the LRU.
 //
 // An Answers is safe for concurrent use. Its lock is a leaf: no method
 // calls out while holding it.
@@ -75,11 +75,15 @@ func (a *Answers) Get(key string, roots []Root) (res *Resolution, err error, by 
 // LastGood returns the shape's optimal answer, fresh or stale, the member
 // that solved it, and whether the entry is fresh (still the answer at the
 // current epoch); Stats.Epoch is the epoch it was solved at. An unsat
-// entry is never returned: a stale "no" says nothing about today.
+// entry is never returned: a stale "no" says nothing about today. A fresh
+// read is a hit, so it promotes the entry as Get does.
 func (a *Answers) LastGood(key string) (res *Resolution, by string, fresh, ok bool) {
 	a.mu.Lock()
 	ent, ok := a.lru.peek(key)
 	fresh = ok && !ent.stale
+	if fresh && !ent.unsat {
+		a.lru.touch(key)
+	}
 	a.mu.Unlock()
 	if !ok || ent.unsat {
 		return nil, "", false, false
@@ -163,7 +167,7 @@ func dirtyNames(d *repo.Delta) map[string]bool {
 	return dirty
 }
 
-// touches is the one delta-scoped invalidation rule, shared by the bound
+// touches is the one delta-scoped invalidation rule, shared by the closure
 // memo sweep (Session.Extend) and the answer store (Answers.Invalidate):
 // an entry falls when its recorded reach set intersects the delta's dirty
 // names.

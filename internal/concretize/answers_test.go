@@ -117,9 +117,9 @@ func TestSessionNeverMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repeat Resolve: %v", err)
 	}
-	if res.Stats.SolutionCacheHit || res.Stats.SolveCalls == 0 || !res.Stats.BoundMemoHit {
-		t.Errorf("repeat: hit=%v solve calls=%d memo=%v, want a bound-memo solve",
-			res.Stats.SolutionCacheHit, res.Stats.SolveCalls, res.Stats.BoundMemoHit)
+	if res.Stats.SolutionCacheHit || res.Stats.SolveCalls == 0 {
+		t.Errorf("repeat: hit=%v solve calls=%d, want a solve",
+			res.Stats.SolutionCacheHit, res.Stats.SolveCalls)
 	}
 }
 
@@ -137,13 +137,14 @@ func TestAnswersLRUEviction(t *testing.T) {
 	if got := store.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	// dense0 was evicted long ago; resolving it again is a miss.
-	decisions := sess.solver.Decisions
+	// dense0 was evicted long ago; resolving it again is a miss. The miss
+	// re-solves with no solver decision (its accepted seed's refutation is
+	// propagation alone), so only the hit flag tells it from a hit.
 	res, err := storeResolve(store, sess, []Root{{Pkg: "dense0"}}, Options{})
 	if err != nil {
 		t.Fatalf("Resolve dense0: %v", err)
 	}
-	if res.Stats.SolutionCacheHit || sess.solver.Decisions == decisions {
+	if res.Stats.SolutionCacheHit {
 		t.Error("evicted entry still served from the store")
 	}
 }
@@ -212,5 +213,63 @@ func TestAnswersStaleEntries(t *testing.T) {
 	if !fresh || lg.Stats.Epoch != 1 || lg.Picks["lib"].String() != "2.0" || store.Len() != 2 {
 		t.Fatalf("after the re-solve: LastGood fresh %v epoch %d lib %s, Len %d; want fresh, epoch 1, lib 2.0, Len 2",
 			fresh, lg.Stats.Epoch, lg.Picks["lib"], store.Len())
+	}
+}
+
+// TestAnswersLastGoodPromotesFresh: a fresh LastGood read is a hit, so it
+// promotes the entry as Get does and the next eviction takes another
+// entry; a stale read promotes nothing, so a stale entry ages out first.
+func TestAnswersLastGoodPromotesFresh(t *testing.T) {
+	u := repo.New()
+	u.Add("app", "1.0", repo.Dep("lib", ":"))
+	u.Add("lib", "1.0")
+	u.Add("other", "1.0")
+	u.Add("third", "1.0")
+	u.Add("fourth", "1.0")
+	sess := NewSession(u)
+	store := NewAnswers(2)
+	app, other := []Root{{Pkg: "app"}}, []Root{{Pkg: "other"}}
+	third, fourth := []Root{{Pkg: "third"}}, []Root{{Pkg: "fourth"}}
+	for _, roots := range [][]Root{app, other} {
+		if _, err := storeResolve(store, sess, roots, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// app is the least recently used; a fresh read promotes it, so third
+	// evicts other.
+	if _, _, fresh, ok := store.LastGood(ShapeKey(nil, app)); !ok || !fresh {
+		t.Fatalf("LastGood(app) fresh %v %v, want fresh", fresh, ok)
+	}
+	if _, err := storeResolve(store, sess, third, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := store.LastGood(ShapeKey(nil, other)); ok {
+		t.Fatal("other survived, yet the fresh read promoted app past it")
+	}
+	if _, _, _, ok := store.Get(ShapeKey(nil, app), app); !ok {
+		t.Fatal("fresh read did not promote app: it was evicted")
+	}
+
+	// A read of third leaves app the least recently used, and a delta
+	// leaves it stale. The stale read of app must not promote it past
+	// third, so fourth evicts app.
+	if _, _, _, ok := store.Get(ShapeKey(nil, third), third); !ok {
+		t.Fatal("third missing from the store")
+	}
+	d := repo.NewDelta()
+	d.Add("lib", "2.0")
+	storeExtend(t, store, sess, d)
+	if _, _, fresh, ok := store.LastGood(ShapeKey(nil, app)); !ok || fresh {
+		t.Fatalf("LastGood(app) fresh %v %v, want stale", fresh, ok)
+	}
+	if _, err := storeResolve(store, sess, fourth, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, fresh, ok := store.LastGood(ShapeKey(nil, app)); ok {
+		t.Fatalf("stale app survived (fresh %v): the stale read promoted it", fresh)
+	}
+	if _, _, _, ok := store.Get(ShapeKey(nil, third), third); !ok {
+		t.Fatal("third was evicted in place of the stale entry")
 	}
 }

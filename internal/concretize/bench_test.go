@@ -52,11 +52,13 @@ func BenchmarkConcretizeDense(b *testing.B) {
 //   - WarmHit: repeat request answered by the answer store in front of
 //     the session — a store lookup plus a picks-map copy, no solver
 //     contact.
-//   - WarmMiss: every iteration re-runs branch-and-bound on the shared
-//     solver — re-encoding is skipped and learnt clauses, VSIDS activity,
-//     and saved phases carry over.
-//   - WarmMissRotate: the root rotates, so iterations cannot ride
-//     phase-saving toward an already-found model.
+//   - WarmMiss: every iteration re-solves a known shape with no answer
+//     store in front, as a first visit does — objective lowering, the
+//     seed, verify and the descent all run again on the shared solver,
+//     while the closure memo skips reachability and materialization and
+//     learnt clauses, VSIDS activity, and saved phases carry over.
+//   - WarmMissRotate: the same re-solve with the root rotating, so
+//     iterations cannot ride phase-saving toward an already-found model.
 
 func benchSessionWarm(b *testing.B, rootFor func(i int) []Root) {
 	b.Helper()

@@ -25,12 +25,8 @@ func TestProviderSwapMissAllocs(t *testing.T) {
 	resolve := func() {
 		rq := reqs[next]
 		next++
-		res, err := se.Resolve(context.Background(), rq.roots, Options{Objective: rq.obj})
-		if err != nil {
+		if _, err := se.Resolve(context.Background(), rq.roots, Options{Objective: rq.obj}); err != nil {
 			t.Fatalf("request %d (%s): %v", next-1, rootsString(rq.roots), err)
-		}
-		if res.Stats.BoundMemoHit {
-			t.Fatalf("request %d (%s): a distinct shape hit the bound memo", next-1, rootsString(rq.roots))
 		}
 	}
 	for next < prefix {

@@ -91,43 +91,37 @@
 // total + target, vacuous while the guard is unassumed — installed once
 // and strengthened in place with sat.TightenPB as the target drops, so a
 // tightening round allocates no solver variable and no constraint slot.
-// The target schedule is adaptive: one probe just below the incumbent on
-// a shape's first visit — the closing refutation when the first incumbent
-// is already best — then binary-search midpoints (O(log range) rounds
-// from arbitrarily bad incumbents) once that probe improves or a bound is
-// banked; a warm solver's saved phases can hand it a first model far
-// above the optimum and, probed linearly, only the next model down each
-// round. Guards are retired at request end (fixed false and their PB
-// constraints garbage-collected), so bounds from past requests never
-// constrain, slow down, or leak memory into future ones.
+// The target schedule is adaptive: one probe just below the incumbent —
+// the closing refutation when the first incumbent is already best — then
+// binary-search midpoints (O(log range) rounds from arbitrarily bad
+// incumbents) once that probe improves; a warm solver's saved phases can
+// hand it a first model far above the optimum and, probed linearly, only
+// the next model down each round. Guards are retired at request end
+// (fixed false and their PB constraints garbage-collected), so bounds
+// from past requests never constrain, slow down, or leak memory into
+// future ones.
 //
-// A shape's first visit starts from a heuristic upper bound, as linear
-// SAT–UNSAT search does: a greedy model priced by the request's objective
-// seeds the solver's saved phases, and when verify — which reads only the
-// universe — accepts it, it is the first incumbent, so the first solve is
-// already the refutation below its cost. Lowering the objective also
-// yields a cost floor, the sum over reached packages of each one's
-// cheapest state (left out, or installed at its cheapest version; a root
-// package installed at its cheapest version in range), which starts the
-// shape's lower bound. A seed priced at the floor is optimal with no
-// solve call at all, which is the keep-everything answer of a
-// minimal-change request: reusing every installed binary across a
-// provider swap costs verify and a sum.
+// Every request starts from a heuristic upper bound, as linear SAT–UNSAT
+// search does: a greedy model priced by the request's objective seeds the
+// solver's saved phases, and when verify — which reads only the universe
+// — accepts it, it is the first incumbent, so the first solve is already
+// the refutation below its cost. Lowering the objective also yields a
+// cost floor, the sum over reached packages of each one's cheapest state
+// (left out, or installed at its cheapest version; a root package
+// installed at its cheapest version in range), which starts the lower
+// bound. A seed priced at the floor is optimal with no solve call at all,
+// which is the keep-everything answer of a minimal-change request:
+// reusing every installed binary across a provider swap costs verify and
+// a sum.
 //
-// Warm bound banking. A Session additionally memoizes, per canonical root
-// set, the roots' reachability closure — the reached packages in order and
-// the reach set — which depends on no objective, so a new request shape
-// over known roots lowers only its objective; and per request shape
-// (objective key + canonical roots), a pointer to that shared closure,
-// the lowered objective terms, and the proven lower bound on the optimal
-// cost. The bound is a fact about the formula under that shape's
-// assumptions — later requests only add learnt clauses, never new
-// constraints on the shape — so a repeat request that finds a model
-// matching the banked bound is done after one SAT round, with no
-// refutation and no bound constraint at all. This is what keeps a warm session strictly faster
-// than a cold solve even on request streams that rotate roots and
-// objectives (whose saved-phase cross-pollution otherwise hands descent a
-// terrible first incumbent).
+// The closure memo. A Session memoizes, per canonical root set, the
+// roots' reachability closure — the reached packages in order and the
+// reach set — which depends on no objective, so any request over known
+// roots, a repeat or a new objective or installed profile, skips the
+// reachability walk and materialization and lowers only its objective.
+// Nothing per request shape is memoized below the answer store: a request
+// that reaches a session is solved in full, seed and descent, whether or
+// not the session has seen its shape before.
 //
 // Live universes. Session.Extend (extend.go) applies a repo.Delta to the
 // bound universe and grows the materialized encoding in place, by the
@@ -142,11 +136,11 @@
 // does. A version the solver already fixed false at the top level cannot
 // be revived in place: a delta that makes one buildable again resets the
 // session's encoding, and requests re-materialize what they reach.
-// Invalidation of the closure and bound memos and the answer store is
-// delta-scoped, by one rule: each entry records the names its request could
-// reach, and only entries intersecting the delta's touched set fall (the
-// memos drop them, the store marks them stale), so a request untouched by
-// a delta keeps its stored answer with zero new solver work.
+// Invalidation of the closure memo and the answer store is delta-scoped,
+// by one rule: each entry records the names its request could reach, and
+// only entries intersecting the delta's touched set fall (the memo drops
+// them, the store marks them stale), so a request untouched by a delta
+// keeps its stored answer with zero new solver work.
 // Stats.Epoch reports the universe epoch an answer was computed at.
 package concretize
 
@@ -251,24 +245,21 @@ type Stats struct {
 	Packages  int // reachable packages in the request
 	Variables int // solver variables allocated (session-wide)
 	// SolveCalls counts SAT solve invocations, including the final UNSAT
-	// proof. It is 0 when a first visit's seed, accepted by verify, costs
+	// proof. It is 0 when the request's seed, accepted by verify, costs
 	// the shape's cost floor, which proves it optimal without the solver.
 	SolveCalls int
-	// Improvements counts incumbents: the first one — a first visit's
-	// seed when verify accepts it, else the first model — plus each
-	// strict improvement.
+	// Improvements counts incumbents: the first one — the seed when
+	// verify accepts it, else the first model — plus each strict
+	// improvement.
 	Improvements int
 	Cost         int64 // objective value of the returned resolution
 	Optimal      bool  // false only when the conflict budget expired early
 
 	// SolutionCacheHit marks answers served from a backend's answer store
-	// (Answers) without touching any session; BoundMemoHit marks solves
-	// that reused the request shape's banked reachability/objective/bound
-	// facts. Together they make churn-invalidation behavior observable:
-	// after a delta, untouched shapes keep reporting hits while touched
-	// shapes re-solve.
+	// (Answers) without touching any session. It makes churn-invalidation
+	// behavior observable: after a delta, untouched shapes keep reporting
+	// hits while touched shapes re-solve.
 	SolutionCacheHit bool
-	BoundMemoHit     bool
 
 	// Coalesced marks an answer shared from another request's in-flight
 	// solve. The concretizer never sets it: it belongs to serving tiers

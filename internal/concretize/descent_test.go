@@ -14,16 +14,17 @@ import (
 // descent_test.go pins the in-place bound-tightening rewrite of the
 // branch-and-bound loop: a warm session's descent must return the cold
 // path's answer, adaptive descent must take O(log range) solve rounds on a
-// cold session and bisect once a warm first visit's linear probe
-// improves, and a tightening round must never allocate a fresh solver
-// variable or PB constraint slot.
+// cold session and bisect once a warm request's linear probe improves,
+// and a tightening round must never allocate a fresh solver variable or
+// PB constraint slot.
 
 // runDescentDifferential feeds one warm request stream through a session
 // and through the cold one-shot path, requiring both to agree on
 // satisfiability and optimal cost (and on picks when the family's optima
-// are unique). Repeats within the stream drive the warm bound-memo path —
-// the second visit to a shape descends from a proven bound, which is
-// exactly the code path the cold oracle must still match.
+// are unique). Repeats within the stream re-solve a known shape on a
+// session with no answer store in front: the descent then starts from
+// saved phases and learnt clauses the shape's earlier solve left behind,
+// which is exactly the warm state the cold oracle must still match.
 func runDescentDifferential(t *testing.T, u *repo.Universe, gen func(rng *rand.Rand) []Root, nReqs int, exactPicks bool, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -32,7 +33,7 @@ func runDescentDifferential(t *testing.T, u *repo.Universe, gen func(rng *rand.R
 	for i := 0; i < nReqs; i++ {
 		var roots []Root
 		if len(replay) > 0 && rng.Intn(3) == 0 {
-			roots = replay[rng.Intn(len(replay))] // warm-bound repeat
+			roots = replay[rng.Intn(len(replay))] // warm repeat
 		} else {
 			roots = gen(rng)
 			replay = append(replay, roots)
@@ -179,11 +180,12 @@ func TestAdaptiveDescentWarmFirstVisitLogarithmic(t *testing.T) {
 	}
 }
 
-// TestDescentNoPerRoundAllocation: the regression the tentpole exists to
-// pin. A multi-round descent must allocate at most ONE solver variable
-// (the per-request bound guard) and recycle PB constraint slots, no matter
-// how many tightening rounds it runs — and a request that descends from an
-// already-proven bound must allocate no variable at all.
+// TestDescentNoPerRoundAllocation: the regression in-place tightening
+// exists to pin. A multi-round descent must allocate at most ONE solver
+// variable (the per-request bound guard) and recycle PB constraint slots,
+// no matter how many tightening rounds it runs. Every request here
+// repeats a warmed shape, which re-solves in full, seed and descent, and
+// is held to that bound.
 func TestDescentNoPerRoundAllocation(t *testing.T) {
 	u, root := repo.SynthVirtualDiamond(6, 3, 6)
 	sess := NewSession(u)
@@ -193,8 +195,8 @@ func TestDescentNoPerRoundAllocation(t *testing.T) {
 		{MustParseRoot("virt1@:4")},
 		{MustParseRoot("virtual:virt2@2:")},
 	}
-	// Warm up: every shape gets its activation literal, bound memo entry,
-	// and proven bound.
+	// Warm up: every shape gets its activation literal and its closure in
+	// the closure memo.
 	for _, roots := range pool {
 		if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
 			t.Fatal(err)
@@ -224,94 +226,5 @@ func TestDescentNoPerRoundAllocation(t *testing.T) {
 				t.Fatalf("round %d: active PBs %d exceed warmed slot count %d", round, sess.solver.ActivePBs(), slots0)
 			}
 		}
-	}
-}
-
-// TestBoundMemoRepeatRequestStable: a repeated identical request descends
-// from its banked proven optimum — one SAT round, no bound constraint, no
-// new variables, with no answer store in front of the session.
-func TestBoundMemoRepeatRequestStable(t *testing.T) {
-	u, root := repo.SynthDense(30, 6, 3, 3)
-	sess := NewSession(u)
-	roots := []Root{{Pkg: root}}
-	// Two warmup requests: the first proves the optimum (ending in a
-	// refutation round whose search trajectory perturbs the saved phases),
-	// the second re-converges the phases onto the optimal model and ends
-	// on a SAT round. From then on the stream is steady-state.
-	first, err := sess.Resolve(context.Background(), roots, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Resolve(context.Background(), roots, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	vars0, slots0 := sess.solver.NumVars(), sess.solver.PBSlots()
-	for i := 0; i < 5; i++ {
-		res, err := sess.Resolve(context.Background(), roots, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.SolutionCacheHit {
-			t.Fatal("cache disabled, yet served from cache")
-		}
-		if res.Stats.Cost != first.Stats.Cost || !res.Stats.Optimal {
-			t.Fatalf("repeat %d: cost %d optimal=%v, want cost %d optimal", i, res.Stats.Cost, res.Stats.Optimal, first.Stats.Cost)
-		}
-		if !reflect.DeepEqual(res.Picks, first.Picks) {
-			t.Fatalf("repeat %d: picks diverged", i)
-		}
-		if sess.solver.NumVars() != vars0 {
-			t.Fatalf("repeat %d: NumVars %d -> %d (repeat request must not allocate)", i, vars0, sess.solver.NumVars())
-		}
-		if sess.solver.PBSlots() != slots0 {
-			t.Fatalf("repeat %d: PBSlots %d -> %d", i, slots0, sess.solver.PBSlots())
-		}
-		if res.Stats.SolveCalls != 1 {
-			t.Fatalf("repeat %d: %d solve calls, want 1 (descend from banked optimum)", i, res.Stats.SolveCalls)
-		}
-	}
-}
-
-// TestBoundMemoBanksZeroOptimum: a shape whose proven optimum is zero must
-// still bank its bound — "proven >= 0" and "never proved anything" are
-// different states, and conflating them would pin adaptive descent to the
-// cold-path linear schedule for such shapes forever (re-exposing the
-// phase-pollution pathology for e.g. lag-only objectives whose optimum
-// picks all-newest at cost 0).
-func TestBoundMemoBanksZeroOptimum(t *testing.T) {
-	u, root := repo.SynthDense(20, 6, 3, 2)
-	sess := NewSession(u)
-	roots := []Root{{Pkg: root}}
-	// Version-lag-only weights: the all-newest optimum costs exactly 0,
-	// but models picking older versions cost more, so descent is armed.
-	lagOnly := ObjectiveFunc{ID: "lag-only", Fn: func(req ObjectiveRequest) (map[string]PkgCost, error) {
-		costs := make(map[string]PkgCost, len(req.Order))
-		for _, name := range req.Order {
-			p, _ := req.Universe.Package(name)
-			pc := PkgCost{Version: make([]int64, p.NumVersions())}
-			for i := range pc.Version {
-				pc.Version[i] = int64(i)
-			}
-			costs[name] = pc
-		}
-		return costs, nil
-	}}
-	res, err := sess.Resolve(context.Background(), roots, Options{Objective: lagOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Cost != 0 || !res.Stats.Optimal {
-		t.Fatalf("cost %d optimal=%v, want proven optimum 0", res.Stats.Cost, res.Stats.Optimal)
-	}
-	key := lagOnly.Key() + "\x00" + canonicalRootParts(roots)[0]
-	ent, ok := sess.bounds.get(key)
-	if !ok {
-		t.Fatal("no bound memo entry for the shape")
-	}
-	if !ent.proven {
-		t.Fatal("zero optimum was proven but not banked (proven flag unset)")
-	}
-	if ent.lo != 0 {
-		t.Fatalf("banked lo = %d, want 0", ent.lo)
 	}
 }

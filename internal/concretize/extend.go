@@ -14,7 +14,7 @@ import (
 // constraints touched by the delta (exactly-one rows, dependency clauses,
 // provider selections) are re-emitted through their handles, support
 // literals gain clauses for the new candidates, and only the
-// bound-memo entries whose recorded reach set intersects the delta's
+// closure-memo entries whose recorded reach set intersects the delta's
 // touched names are invalidated (the answer store, which lives above the
 // session, applies the same rule in Answers.Invalidate). Packages no
 // request has reached stay unencoded: the first request to reach them
@@ -93,12 +93,11 @@ func (se *Session) extendLocked(d *repo.Delta) {
 		se.resetEncodingLocked()
 	}
 
-	// Delta-scoped invalidation: closure- and bound-memo entries fall only
-	// when their recorded reach set intersects the dirty names; everything
-	// else — including the learnt clauses and phases backing those shapes,
+	// Delta-scoped invalidation: closure-memo entries fall only when their
+	// recorded reach set intersects the dirty names; everything else —
+	// including the learnt clauses and phases backing those root sets,
 	// unless the encoding reset — survives the delta untouched.
 	se.closures.sweep(func(_ string, cl *closure) bool { return touches(cl.reach, dirty) })
-	se.bounds.sweep(func(_ string, b *boundEntry) bool { return touches(b.cl.reach, dirty) })
 	se.syncEncodingStats()
 }
 

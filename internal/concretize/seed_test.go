@@ -316,6 +316,71 @@ func TestSeedClosedByFloor(t *testing.T) {
 	}
 }
 
+// TestSeedClosedByFloorOnRepeat: a session memoizes no bound per request
+// shape, so each repeat of a shape with no answer store in front is solved
+// as its first visit was: the seed, priced at the floor, closes it with no
+// solve call and no new solver variable, at the first visit's picks and
+// cost. A version-lag objective, whose all-newest optimum costs 0, gives a
+// zero floor, which proves the seed optimal as any other floor does.
+func TestSeedClosedByFloorOnRepeat(t *testing.T) {
+	ranged := repo.New()
+	for _, v := range []string{"3.0", "2.0", "1.0"} {
+		ranged.Add("lib", v)
+	}
+	dense, denseRoot := repo.SynthDense(20, 6, 3, 2)
+	lagOnly := ObjectiveFunc{ID: "lag-only", Fn: func(req ObjectiveRequest) (map[string]PkgCost, error) {
+		costs := make(map[string]PkgCost, len(req.Order))
+		for _, name := range req.Order {
+			p, _ := req.Universe.Package(name)
+			pc := PkgCost{Version: make([]int64, p.NumVersions())}
+			for i := range pc.Version {
+				pc.Version[i] = int64(i)
+			}
+			costs[name] = pc
+		}
+		return costs, nil
+	}}
+	for _, tc := range []struct {
+		name string
+		u    *repo.Universe
+		root string
+		obj  Objective
+		cost int64
+	}{
+		{"ranged root", ranged, "lib@:2", DefaultObjective, 3},
+		{"zero floor", dense, denseRoot, lagOnly, 0},
+	} {
+		sess := NewSession(tc.u)
+		roots := []Root{MustParseRoot(tc.root)}
+		var first *Resolution
+		vars := 0
+		for visit := 0; visit < 3; visit++ {
+			res, err := sess.Resolve(context.Background(), roots, Options{Objective: tc.obj})
+			if err != nil {
+				t.Fatalf("%s visit %d: %v", tc.name, visit, err)
+			}
+			if res.Stats.Cost != tc.cost || !res.Stats.Optimal || res.Stats.SolutionCacheHit {
+				t.Fatalf("%s visit %d: cost %d optimal=%v hit=%v, want an optimal solve at cost %d",
+					tc.name, visit, res.Stats.Cost, res.Stats.Optimal, res.Stats.SolutionCacheHit, tc.cost)
+			}
+			if res.Stats.SolveCalls != 0 || res.Stats.Improvements != 1 {
+				t.Errorf("%s visit %d: %d solve calls and %d models, want the seed alone",
+					tc.name, visit, res.Stats.SolveCalls, res.Stats.Improvements)
+			}
+			if visit == 0 {
+				first, vars = res, sess.solver.NumVars()
+				continue
+			}
+			if !reflect.DeepEqual(pickStrings(res), pickStrings(first)) {
+				t.Errorf("%s visit %d: picks %v, want the first visit's %v", tc.name, visit, pickStrings(res), pickStrings(first))
+			}
+			if got := sess.solver.NumVars(); got != vars {
+				t.Errorf("%s visit %d: NumVars %d -> %d, want no new variable", tc.name, visit, vars, got)
+			}
+		}
+	}
+}
+
 // TestSeedTightCapFirstVisits: first visits of tight registry packages
 // (every fourth, whose own dependencies are capped) capped at 1-7 on the
 // prewarmed registry session. A cap that binds forces lags on the root's

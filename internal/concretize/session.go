@@ -16,10 +16,9 @@ import (
 )
 
 // maxActivations bounds a session's memoized root-activation literals
-// and, alongside them, its closure and bound memos (LRU eviction; an
-// evicted activation is fixed false in the solver and re-allocated on
-// demand, so diverse request streams cannot grow solver variables without
-// bound).
+// and, alongside them, its closure memo (LRU eviction; an evicted
+// activation is fixed false in the solver and re-allocated on demand, so
+// diverse request streams cannot grow solver variables without bound).
 const maxActivations = 4096
 
 // Session is a reusable concretization handle bound to one universe: the
@@ -31,18 +30,16 @@ const maxActivations = 4096
 // catalog. Each Resolve call then activates its roots through assumption
 // literals and runs branch-and-bound on the shared solver, so learnt
 // clauses, VSIDS activity, and saved phases accumulate across requests
-// instead of being rebuilt and discarded per call. A Session memoizes no answers: its
-// backend's answer store (Answers) does, keyed by the canonical request
-// shape (objective key + canonicalized roots), so a repeat request never
-// reaches the session at all. What a session does bank is two memos. The
-// closure memo holds, per canonical root set, the roots' reachability
-// closure (closure), which depends on no objective, so a new shape over
-// known roots — the same roots under another objective or installed
-// profile — skips the reachability walk and the materialization scan and
-// lowers only its objective. The bound memo holds, per request shape, a
-// pointer to that closure, the lowered objective and the proven lower
-// bound, so a repeat solve skips the objective lowering too and usually
-// skips the closing optimality refutation.
+// instead of being rebuilt and discarded per call. A Session memoizes no
+// answers: its backend's answer store (Answers) does, keyed by the
+// canonical request shape (objective key + canonicalized roots), so a
+// repeat request never reaches the session at all. What a session does
+// memoize beyond its encoding and activations is the closure memo: per
+// canonical root set, the roots' reachability closure (closure), which
+// depends on no objective, so a new shape over known roots — the same
+// roots under another objective or installed profile — skips the
+// reachability walk and the materialization scan and lowers only its
+// objective.
 //
 // Against registry-shaped universes (thousands of packages, sparse
 // per-root closures) materializing on first reach shrinks the solver
@@ -54,13 +51,13 @@ const maxActivations = 4096
 // discipline Extend uses.
 //
 // A live universe grows through Session.Extend (see extend.go): the
-// materialized encoding is widened in place and only the closure- and
-// bound-memo entries whose recorded reach set intersects the delta are
-// invalidated, which is what keeps root-set and shape keys (rather than
-// fingerprint-qualified keys) sound across epochs. When a delta would
-// revive a variable the solver already fixed false at the top level, the
-// session resets its encoding instead (resetEncodingLocked) and requests
-// re-materialize what they reach.
+// materialized encoding is widened in place and only the closure-memo
+// entries whose recorded reach set intersects the delta are invalidated,
+// which is what keeps root-set keys (rather than fingerprint-qualified
+// keys) sound across epochs. When a delta would revive a variable the
+// solver already fixed false at the top level, the session resets its
+// encoding instead (resetEncodingLocked) and requests re-materialize what
+// they reach.
 //
 // A Session is safe for concurrent use: solver access is serialized. The
 // universe must not be mutated behind the session's back — growth arrives
@@ -122,19 +119,16 @@ type Session struct {
 	supsByName map[string][]*supEntry
 
 	// closures memoizes, per canonical root set, the roots' reachability
-	// closure, which every objective over those roots shares; bounds
-	// memoizes per-request-shape solve facts: the shape's closure, the
-	// lowered objective terms, and — the warm-path keystone — the proven
-	// lower bound on the optimal cost. Entries of both stay valid until a
-	// delta touches their reach set or the encoding resets, and an entry of
-	// either implies its closure is materialized. Guarded by mu.
+	// closure, which every objective over those roots shares. An entry
+	// stays valid until a delta touches its reach set or the encoding
+	// resets, and implies its closure is materialized. Guarded by mu.
 	closures *lru[*closure]
-	bounds   *lru[*boundEntry]
 
 	// Per-request scratch reused across Resolve calls (guarded by mu):
-	// assumption literals, the decision scope, the guarded PB term copy
-	// handed to the solver, the pinned-activation / root-by-part lookups,
-	// and seedPhases' chosen versions and walk queue.
+	// assumption literals, the decision scope, the lowered objective
+	// terms (with room for the bound guard's term), the pinned-activation
+	// / root-by-part lookups, and seedPhases' chosen versions and walk
+	// queue.
 	assumpsBuf []sat.Lit
 	scopeBuf   []int
 	termsBuf   []sat.PBTerm
@@ -194,8 +188,8 @@ func NewSession(u *repo.Universe) *Session {
 
 // newEncoding installs an empty encoding over the given solver: no
 // materialized package or virtual, no requirement bookkeeping, no
-// activation, and empty closure and bound memos (whose entries promise a
-// materialized closure, and name solver variables).
+// activation, and an empty closure memo (whose entries promise a
+// materialized closure).
 func (se *Session) newEncoding(s *sat.Solver) {
 	se.solver = s
 	se.vars = make(map[string]*pkgVars)
@@ -205,17 +199,15 @@ func (se *Session) newEncoding(s *sat.Solver) {
 	se.supsByName = make(map[string][]*supEntry)
 	se.acts = make(map[string]*list.Element)
 	se.actsLRU = list.New()
-	// The closure and bound memos share the activation memo's capacity
-	// policy: all three grow with the number of distinct root sets or
-	// request shapes a session serves.
+	// The closure memo shares the activation memo's capacity policy: both
+	// grow with the number of distinct root sets a session serves.
 	se.closures = newLRU[*closure](se.actsMax)
-	se.bounds = newLRU[*boundEntry](se.actsMax)
 }
 
 // resetEncodingLocked drops the whole encoding — the solver with its learnt
 // clauses and phases, the materialized packages, the requirement
-// bookkeeping, the activations, and the closure and bound memos — and
-// starts over with an empty one. It is
+// bookkeeping, the activations, and the closure memo — and starts over
+// with an empty one. It is
 // the revival path: a variable the solver fixed false at the top level can
 // never be assigned again, so when a delta makes such a version (or
 // package, or virtual) buildable again, re-encoding from scratch replaces
@@ -473,15 +465,14 @@ func canonicalRootParts(roots []Root) []string {
 // ShapeKey returns the canonical request-shape key for (objective, roots):
 // the objective's Key plus the sorted, deduplicated root specs. Requests
 // with equal shape keys are answer-identical against the same universe
-// epoch — the invariant behind the answer store (Answers) and the bound
-// memo, exported so serving tiers can coalesce identical in-flight
-// requests onto one solve.
+// epoch — the invariant behind the answer store (Answers), exported so
+// serving tiers can coalesce identical in-flight requests onto one solve.
 // A nil objective selects DefaultObjective, mirroring Resolve.
 func ShapeKey(obj Objective, roots []Root) string {
 	if obj == nil {
 		obj = DefaultObjective
 	}
-	return shapeKey(obj, rootsKey(canonicalRootParts(roots)))
+	return obj.Key() + "\x00" + rootsKey(canonicalRootParts(roots))
 }
 
 // rootsKey joins canonical root parts into the root set's key: the key of
@@ -490,22 +481,16 @@ func rootsKey(parts []string) string {
 	return strings.Join(parts, "\x1f")
 }
 
-// shapeKey joins an objective identity with a root set's key; Session.Resolve
-// uses it directly to avoid re-canonicalizing.
-func shapeKey(obj Objective, rootsKey string) string {
-	return obj.Key() + "\x00" + rootsKey
-}
-
 // Resolve answers one concretization request on the warm path. The result
 // contract is identical to Concretize: optimal resolution under the
 // request's objective, a *UnsatError, or a wrapped ErrBudget, with
 // Stats.Optimal == false when the conflict budget expired after a model
-// was found. Stats.BoundMemoHit marks solves that reused a shape's banked
-// bound, and Stats.Epoch the universe epoch the answer was produced at.
-// A session memoizes no answers, so every call does the search itself
-// (a first visit whose verified seed costs the shape's floor needs no
-// solve call); a definitive answer carries what Answers.Put needs to
-// memoize it. The returned Picks map is owned by the caller.
+// was found, and Stats.Epoch the universe epoch the answer was produced
+// at. A session memoizes no answers, so every call does the search
+// itself, repeat or not (a request whose verified seed costs the shape's
+// floor needs no solve call); a definitive answer carries what
+// Answers.Put needs to memoize it. The returned Picks map is owned by the
+// caller.
 //
 // Canceling ctx (or passing one past its deadline) interrupts an in-flight
 // solve promptly — the context is checked between branch-and-bound rounds
@@ -530,13 +515,6 @@ func (se *Session) Resolve(ctx context.Context, roots []Root, opts Options) (*Re
 	if obj == nil {
 		obj = DefaultObjective
 	}
-	// The request-shape key: objective semantics plus the canonical root
-	// set's key, which alone keys the closure memo. The shape key keys the
-	// bound memo; epochs never enter either key — Extend's delta-scoped
-	// invalidation drops exactly the entries a delta could change, so
-	// surviving entries stay valid across universe growth.
-	rootsKey := rootsKey(parts)
-	shapeKey := shapeKey(obj, rootsKey)
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	// Re-check under the solver lock: the wait for it may have outlived
@@ -544,12 +522,14 @@ func (se *Session) Resolve(ctx context.Context, roots []Root, opts Options) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, canceledError(err)
 	}
-	return se.solveLocked(ctx, roots, parts, rootsKey, shapeKey, obj, opts)
+	return se.solveLocked(ctx, roots, parts, obj, opts)
 }
 
 // closureLocked returns the roots' materialized closure: the memoized one
-// for their root set, or else reachable's, encoding whatever it reaches
-// that isn't materialized yet. Callers hold se.mu.
+// for their root set (rootsKey, which carries no epoch: Extend's
+// delta-scoped invalidation drops exactly the entries a delta could
+// change), or else reachable's, encoding whatever it reaches that isn't
+// materialized yet. Callers hold se.mu.
 func (se *Session) closureLocked(rootsKey string, roots []Root) (*closure, error) {
 	// A closure-memo hit implies the whole closure is materialized: entries
 	// fall whenever a delta touches their reach set, and all of them at a
@@ -574,30 +554,16 @@ func (se *Session) closureLocked(rootsKey string, roots []Root) (*closure, error
 // solveLocked runs branch-and-bound for one request. Callers hold se.mu.
 //
 // goarxivlint:blocking
-func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string, rootsKey, shapeKey string, obj Objective, opts Options) (*Resolution, error) {
+func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string, obj Objective, opts Options) (*Resolution, error) {
 	// Materialization, activations and bound guards all allocate solver
 	// variables, so every solve refreshes the stats mirrors on its way out.
 	defer se.syncEncodingStats()
-	// The bound memo remembers, per request shape, everything a repeat
-	// solve can reuse: the roots' closure, the lowered objective terms, and
-	// the proven lower bound on the optimal cost. All three stay valid
-	// until a delta touches the shape or the encoding resets — the
-	// objective is a pure function of (universe, order, roots), and a
-	// bound proven under the request's activation assumptions is a fact
-	// about the formula, which later requests only extend with learnt
-	// clauses (consequences, never new constraints on this shape). A miss
-	// on a root set the closure memo holds, such as the same roots under a
-	// new objective, lowers only the objective.
-	memo, _ := se.bounds.get(shapeKey)
-	memoHit := memo != nil
-	var cl *closure
-	if memo != nil {
-		cl = memo.cl
-	} else {
-		var err error
-		if cl, err = se.closureLocked(rootsKey, roots); err != nil {
-			return nil, err
-		}
+	// A request over a root set the closure memo holds, such as the same
+	// roots under a new objective, skips reachability and materialization
+	// and lowers only its objective.
+	cl, err := se.closureLocked(rootsKey(parts), roots)
+	if err != nil {
+		return nil, err
 	}
 	order := cl.order
 
@@ -642,36 +608,29 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	se.assumpsBuf = assumps // retain the (possibly regrown) scratch array
 	se.evictActivations(pinned)
 
-	stats := Stats{Packages: len(order), Epoch: se.epoch, BoundMemoHit: memoHit}
-	var best map[string]version.Version
-	var bestCost int64
-	verified := false // best is the accepted seed, which verify has checked
-	if memo == nil {
-		var costs map[string]PkgCost
-		var err error
-		if memo, costs, err = se.objectiveTerms(obj, cl, roots); err != nil {
-			return nil, err
-		}
-		se.bounds.put(shapeKey, memo)
-		// First visit of this shape: seed saved phases with a greedy model
-		// priced by the request's objective. When verify accepts that
-		// model it is the descent's first incumbent, so the first solve is
-		// already the refutation below its cost, and none runs at all when
-		// it costs the shape's floor (memo.lo). A rejected seed still
-		// steers the search's first model. A repeat visit keeps the phases
-		// the last solve saved, which sit on this shape's last answer or
-		// its neighbors. Phases are pure heuristics and an accepted seed
-		// is a verified resolution priced like any model, so seeding can
-		// never change the optimal cost.
-		se.seedPhases(order, roots, costs)
-		if best, bestCost = se.seedModel(order, roots, costs); best != nil {
-			verified = true
-			stats.Improvements++
-		}
+	// lo tracks the proven lower bound on the optimal cost: it starts at
+	// the cost floor lowering computes, and an UNSAT answer under a guard
+	// at target proves optimum > target.
+	objTerms, total, lo, costs, err := se.objectiveTerms(obj, cl, roots)
+	if err != nil {
+		return nil, err
+	}
+	stats := Stats{Packages: len(order), Epoch: se.epoch}
+	// Seed saved phases with a greedy model priced by the request's
+	// objective. When verify accepts that model it is the descent's first
+	// incumbent, so the first solve is already the refutation below its
+	// cost, and none runs at all when it costs the floor. A rejected seed
+	// still steers the search's first model. Phases are pure heuristics
+	// and an accepted seed is a verified resolution priced like any model,
+	// so seeding can never change the optimal cost.
+	se.seedPhases(order, roots, costs)
+	best, bestCost := se.seedModel(order, roots, costs)
+	verified := best != nil // best is the accepted seed, which verify has checked
+	if verified {
+		stats.Improvements++
 	}
 
 	s := se.solver
-	objTerms, total := memo.terms, memo.total
 	scope := se.decisionScope(order)
 	conflicts0, decisions0, props0 := s.Conflicts, s.Decisions, s.Propagations
 	if opts.MaxConflicts > 0 {
@@ -697,36 +656,11 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 	}
 	defer retire()
 
-	// Objective descent between the proven lower bound and the incumbent.
-	// lo tracks the proven lower bound on the optimal cost (an UNSAT
-	// answer under a guard at target proves optimum > target); it starts
-	// from the memoized bound of earlier requests for the same shape —
-	// on a first visit, the cost floor lowering computed — and whatever
-	// this request proves is banked for the next one. Over-eager targets
-	// cost at most extra UNSAT rounds and can never change the returned
-	// answer.
-	warmBound := memo.proven // a previous request already proved a bound
-	lo := memo.lo            // optimal cost is known to be >= lo
-	proved := false          // this request completed a proof round (an
-	// UNSAT refutation, or optimality itself) — only then is the bank
-	// updated, so a canceled first visit can't masquerade as a warm shape
-	defer func() {
-		if proved {
-			memo.proven = true
-			if lo > memo.lo {
-				memo.lo = lo
-			}
-		}
-	}()
-
 	finish := func(optimal bool) (*Resolution, error) {
 		if !verified {
 			if err := verify(se.u, roots, best); err != nil {
 				return nil, err
 			}
-		}
-		if optimal {
-			lo, proved = bestCost, true // no model costs less than the answer
 		}
 		stats.Cost = bestCost
 		stats.Optimal = optimal
@@ -748,17 +682,16 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 			// Pick the next bound target in [lo, bestCost-1]. The descent
 			// first probes just below the incumbent — fewest rounds when
 			// the first incumbent is already optimal, which is the norm for
-			// a fresh (cold) solver and for a seeded first visit — and
-			// bisects from then on if that probe improved (the first model
-			// came from stale saved phases, and each further linear probe
-			// would hand back only the next model down) or if the shape has
-			// a proven bound banked. A midpoint probe sits far from the
-			// incumbent, so a warm solver whose saved phases sit on a bad
-			// model is propagated straight out of that neighborhood instead
-			// of refuting it clause by clause. bestCost > lo here, so the
-			// linear probe never undercuts lo.
+			// a fresh (cold) solver and for a seeded request — and bisects
+			// from then on if that probe improved (the first model came
+			// from stale saved phases, and each further linear probe would
+			// hand back only the next model down). A midpoint probe sits
+			// far from the incumbent, so a warm solver whose saved phases
+			// sit on a bad model is propagated straight out of that
+			// neighborhood instead of refuting it clause by clause.
+			// bestCost > lo here, so the linear probe never undercuts lo.
 			target := bestCost - 1
-			if warmBound || stats.Improvements > 1 {
+			if stats.Improvements > 1 {
 				target = lo + (bestCost-1-lo)/2
 			}
 			// Install or strengthen the bound: guard -> objective <=
@@ -782,11 +715,11 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 				if !s.Okay() {
 					return finish(true)
 				}
+				// objTerms has room for the guard's term, and the solver
+				// copies what it is handed.
 				g := sat.Lit(s.NewVar())
-				terms := append(append(se.termsBuf[:0], objTerms...), sat.PBTerm{Lit: g, Weight: total})
-				se.termsBuf = terms[:0]
 				var ok bool
-				bound, ok = s.AddPBRef(terms, total+target)
+				bound, ok = s.AddPBRef(append(objTerms, sat.PBTerm{Lit: g, Weight: total}), total+target)
 				if !ok {
 					// Unreachable in practice (the guarded constraint is
 					// vacuous until assumed), kept as a safety net:
@@ -838,7 +771,7 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 				return nil, &UnsatError{Roots: append([]Root(nil), roots...), reach: cl.reach}
 			}
 			// UNSAT under the guard proves optimum > target.
-			lo, proved = boundAt+1, true
+			lo = boundAt + 1
 		case sat.Sat:
 			picks, err := se.decode(order)
 			if err != nil {
@@ -862,11 +795,11 @@ func (se *Session) solveLocked(ctx context.Context, roots []Root, parts []string
 // installed variable comes last, by when the selected version has set
 // it; decided first, its false phase would drop a package before its
 // dependents are known, a conflict whenever one of them needs it. A
-// first visit whose seed verify accepts starts from the seed and never
-// searches for a first model. The order matters on repeat visits and
-// where verify rejects the seed (13 of TestSeedTightCapFirstVisits' 40
-// capped registry visits): those still find the optimum as their first
-// model and end after one refutation. Everything else the session has
+// request whose seed verify accepts starts from the seed and never
+// searches for a first model. The order matters where verify rejects the
+// seed (13 of TestSeedTightCapFirstVisits' 40 capped registry visits):
+// those still find the optimum as their first model and end after one
+// refutation. Everything else the session has
 // materialized (other requests' closures, activations, support literals,
 // virtuals' needed variables) stays unassigned in a scoped model and
 // reads false, which the encoding keeps sound: every clause carries the
@@ -1084,23 +1017,23 @@ func (se *Session) seedModel(order []string, roots []Root, costs map[string]PkgC
 }
 
 // objectiveTerms lowers an Objective's package costs over a closure into
-// the shape's bound entry — weighted PB terms over the session's solver
-// variables, their total weight (the k of the guarded bound constraint),
-// and the cost floor as the starting lo — and returns the validated costs
-// themselves, which seedPhases prices its greedy model with. Install costs
-// weight y_p, Omit costs weight !y_p, and version costs weight x_{p,v};
-// zero costs produce no term. A first pass validates the costs, counts the
-// terms and sums the floor, so the terms are allocated once. Pricing a
-// package outside order is an error: the pass counts the priced names it
-// meets, and only when the count falls short of the map is the culprit
-// looked for.
+// weighted PB terms over the session's solver variables, their total
+// weight (the k of the guarded bound constraint) and the cost floor (the
+// descent's starting lo), and returns the validated costs themselves,
+// which seedPhases prices its greedy model with. The terms are session
+// scratch, valid until the next request, with capacity for one more term:
+// the bound guard's. Install costs weight y_p, Omit costs weight !y_p, and
+// version costs weight x_{p,v}; zero costs produce no term. A first pass
+// validates the costs, counts the terms and sums the floor, so the
+// scratch grows at most once. Pricing a package outside order is an
+// error: the pass counts the priced names it meets, and only when the
+// count falls short of the map is the culprit looked for.
 //
 // The floor is branch-and-bound's trivial lower bound: every reached
 // package costs at least min(Omit, Install + its cheapest version), and a
 // root naming a package at least Install + its cheapest version in range
 // (rootFloor). Like verify it reads only the universe and the costs, never
-// the encoding, and it is not a proof of anything the solver did, so the
-// entry is not marked proven.
+// the encoding.
 //
 // Materialized variables outside the reachable set carry no weight and are
 // ignored by decode, so their assignments never affect the request's cost
@@ -1108,14 +1041,13 @@ func (se *Session) seedModel(order []string, roots []Root, costs map[string]PkgC
 // model by leaving everything else uninstalled. That is why the search
 // branches only on the reach set (decisionScope, and the scope contract
 // of sat.Solver.SolveAssuming), leaving everything else unassigned.
-func (se *Session) objectiveTerms(obj Objective, cl *closure, roots []Root) (*boundEntry, map[string]PkgCost, error) {
+func (se *Session) objectiveTerms(obj Objective, cl *closure, roots []Root) (terms []sat.PBTerm, total, floor int64, costs map[string]PkgCost, err error) {
 	order := cl.order
-	costs, err := obj.Costs(ObjectiveRequest{Universe: se.u, Order: order, Roots: roots})
+	costs, err = obj.Costs(ObjectiveRequest{Universe: se.u, Order: order, Roots: roots})
 	if err != nil {
-		return nil, nil, fmt.Errorf("concretize: objective %q: %w", obj.Key(), err)
+		return nil, 0, 0, nil, fmt.Errorf("concretize: objective %q: %w", obj.Key(), err)
 	}
 	n, priced := 0, 0 // order holds each name once
-	var floor int64
 	for _, name := range order {
 		pc, ok := costs[name]
 		if !ok {
@@ -1123,12 +1055,12 @@ func (se *Session) objectiveTerms(obj Objective, cl *closure, roots []Root) (*bo
 		}
 		priced++
 		if pc.Version != nil && len(pc.Version) != len(se.vars[name].vers) {
-			return nil, nil, fmt.Errorf("concretize: objective %q: %d version costs for %q (%d versions)",
+			return nil, 0, 0, nil, fmt.Errorf("concretize: objective %q: %d version costs for %q (%d versions)",
 				obj.Key(), len(pc.Version), name, len(se.vars[name].vers))
 		}
 		least, nonzero := versionCosts(pc.Version)
 		if pc.Install < 0 || pc.Omit < 0 || least < 0 {
-			return nil, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
+			return nil, 0, 0, nil, fmt.Errorf("concretize: objective %q: negative cost for %q", obj.Key(), name)
 		}
 		floor += min(pc.Omit, pc.Install+least)
 		n += nonzero
@@ -1142,12 +1074,13 @@ func (se *Session) objectiveTerms(obj Objective, cl *closure, roots []Root) (*bo
 	if priced != len(costs) {
 		for name := range costs {
 			if !slices.Contains(order, name) {
-				return nil, nil, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
+				return nil, 0, 0, nil, fmt.Errorf("concretize: objective %q prices package %q outside the request's reachable set", obj.Key(), name)
 			}
 		}
 	}
-	terms := make([]sat.PBTerm, 0, n)
-	var total int64
+	if terms = se.termsBuf[:0]; cap(terms) < n+1 {
+		terms = make([]sat.PBTerm, 0, n+1)
+	}
 	add := func(l sat.Lit, w int64) {
 		if w > 0 {
 			terms = append(terms, sat.PBTerm{Lit: l, Weight: w})
@@ -1166,7 +1099,8 @@ func (se *Session) objectiveTerms(obj Objective, cl *closure, roots []Root) (*bo
 			add(sat.Lit(pv.vers[i]), w)
 		}
 	}
-	return &boundEntry{cl: cl, terms: terms, total: total, lo: floor + rootFloor(se.u, roots, costs)}, costs, nil
+	se.termsBuf = terms
+	return terms, total, floor + rootFloor(se.u, roots, costs), costs, nil
 }
 
 // versionCosts returns the least of a package's version costs (0 for
@@ -1269,36 +1203,19 @@ func (se *Session) decode(order []string) (map[string]version.Version, error) {
 // whose growth could change an answer over these roots (reachable
 // packages, dependency-target names, root names). It depends on the roots
 // and the universe alone, so every objective over the same roots shares
-// one: the closure memo files it under the root set's key, each bound
-// entry over the set points at it, and Extend drops the memo's entry and
-// every such bound entry when a delta touches the reach set, which the
-// shapes' answers also carry into the answer store. Shared, so never
-// mutated.
+// one: the closure memo files it under the root set's key, and Extend
+// drops the entry when a delta touches the reach set, which the shapes'
+// answers also carry into the answer store. Shared, so never mutated.
 type closure struct {
 	order []string
 	reach map[string]bool
 }
 
-// boundEntry memoizes the solve facts one request shape (objective key +
-// canonical roots) carries until a delta touches it: the roots' shared
-// closure, the lowered objective terms with their total weight, and the
-// proven lower bound on the optimal cost. The terms slice is shared across
-// requests and must never be mutated; the descent loop copies terms into
-// scratch before appending its guard.
-type boundEntry struct {
-	lo     int64 // optimal cost is proven >= lo for this shape
-	proven bool  // a completed proof backs lo (distinguishes a banked
-	// optimum of zero from "never proved anything")
-	cl    *closure
-	terms []sat.PBTerm
-	total int64
-}
-
 // The memo layers — the answer store (lru[*answer], callers hold
-// Answers.mu), the closure memo (lru[*closure]) and the bound memo
-// (lru[*boundEntry]), both under se.mu — share one LRU core. The activation memo keeps its own list: its eviction
-// must skip the in-flight request's pinned literals and fix evictees false
-// in the solver.
+// Answers.mu) and the closure memo (lru[*closure], under se.mu) — share
+// one LRU core. The activation memo keeps its own list: its eviction must
+// skip the in-flight request's pinned literals and fix evictees false in
+// the solver.
 
 // lru is a plain least-recently-used map. Callers synchronize.
 type lru[V any] struct {
@@ -1358,7 +1275,7 @@ func (c *lru[V]) put(key string, val V) {
 }
 
 // sweep removes every entry drop reports true for. Extend uses it for
-// delta-scoped invalidation of the closure and bound memos.
+// delta-scoped invalidation of the closure memo.
 func (c *lru[V]) sweep(drop func(key string, val V) bool) {
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()

@@ -38,7 +38,8 @@ func BenchmarkPoolDenseCold(b *testing.B) {
 
 // BenchmarkPoolWarmMiss measures steady-state solving over rotating
 // roots on a warm shard: it runs the miss path behind the answer store
-// directly, so the solver actually runs (from each shape's banked bound).
+// directly, so each iteration re-solves a known shape on the shard as a
+// first visit does, seed and descent included.
 //
 // goarxivlint:blocking cancel=none
 func BenchmarkPoolWarmMiss(b *testing.B) {

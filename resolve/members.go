@@ -162,12 +162,20 @@ func (p *PoolResolver) attribute(by string, res *concretize.Resolution, err erro
 // request-shape key (Request.Key), fresh or stale, with Result.Config
 // naming the shard that solved it and Stats.Epoch the epoch it was solved
 // at; fresh reports whether it is still the answer at the current epoch.
-// It never returns an unsat answer. The serving tier's degraded mode reads
-// it when the pool cannot answer.
+// It never returns an unsat answer. It reads under the shared barrier, as
+// Resolve does, so fresh never straddles an Apply, and a fresh read counts
+// as a store hit (Snapshot.Hits). The serving tier reads it twice: a fresh
+// answer is served at once, before coalescing and admission, and when the
+// pool cannot answer, degraded mode serves what it returns.
 func (p *PoolResolver) LastGood(key string) (res *Result, fresh, ok bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	r, by, fresh, ok := p.answers.LastGood(key)
 	if !ok {
 		return nil, false, false
+	}
+	if fresh {
+		p.hits.Add(1)
 	}
 	return &Result{Picks: r.Picks, Stats: r.Stats, Config: by}, fresh, true
 }
@@ -281,7 +289,7 @@ func (p *PoolResolver) benchMember(m *member, err error) {
 // A benched shard's encoding is behind the shared universe (or corrupted
 // by a contained panic) and cannot be extended in place; re-encoding is
 // the only way back, and it restarts the shard cold: learnt clauses and
-// banked bounds are gone. The pool's answer store is not a shard's, so
+// memoized closures are gone. The pool's answer store is not a shard's, so
 // its answers survive. Rebuild is the operator override: it resets a
 // crashlooping shard's sticky bench and window (no automatic path does),
 // and each attempt is still bounded by the crashloop policy, so even an

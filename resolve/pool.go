@@ -17,9 +17,9 @@ import (
 // PoolResolver shards requests across N identically-configured warm
 // Sessions over one shared universe. It spends one solver per request:
 // distinct request shapes solve in parallel on distinct shards, and each
-// shard accumulates warm state — learnt clauses, saved phases, banked
-// bounds, and a materialized subgraph — for the slice of the request space
-// that hashes to it. A pool of one shard is the single-session backend.
+// shard accumulates warm state — learnt clauses, saved phases, memoized
+// closures, and a materialized subgraph — for the slice of the request
+// space that hashes to it. A pool of one shard is the single-session backend.
 //
 // A request the pool's answer store already answers is served from it,
 // whichever shard solved it, without routing. Otherwise routing is

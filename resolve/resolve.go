@@ -31,12 +31,11 @@
 // crashloop breaker (SetCrashLoopPolicy). It reports its state through
 // Health and Snapshot.
 //
-// Warm requests are cheap twice over: beyond the answer store, each
-// Session banks per-request-shape facts — the lowered objective and the
-// proven lower bound on its optimal cost — so a repeat solve usually
-// proves optimality without a single refutation round, and descent
-// tightens one in-place pseudo-Boolean bound instead of allocating
-// constraints per round.
+// Warm requests are cheap: a repeat is answered by the answer store, and
+// a miss over roots a shard already reached reuses that shard's memoized
+// closure and lowers only its objective; its descent tightens one
+// in-place pseudo-Boolean bound instead of allocating constraints per
+// round.
 //
 // Requests are context-aware end to end: canceling the request context
 // (or exceeding its deadline) interrupts in-flight solves promptly and

@@ -34,6 +34,8 @@ type ResolveRequest struct {
 }
 
 // StatsResponse is the per-answer effort report inside a ResolveResponse.
+// BoundMemoHit is always false: sessions no longer keep a per-shape bound
+// memo, and the field stays on the wire for readers that still decode it.
 type StatsResponse struct {
 	Packages         int   `json:"packages"`
 	SolveCalls       int   `json:"solve_calls"`
@@ -160,7 +162,6 @@ type ServerStats struct {
 	Coalesced int64 `json:"coalesced"`
 	Solves    int64 `json:"solves"`
 	CacheHits int64 `json:"cache_hits"`
-	MemoHits  int64 `json:"bound_memo_hits"`
 	Unsat     int64 `json:"unsat"`
 	Shed      int64 `json:"shed"`
 	Timeouts  int64 `json:"timeouts"`

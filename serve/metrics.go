@@ -23,8 +23,7 @@ type metrics struct {
 	requests  atomic.Int64 // /v1/resolve requests accepted for processing
 	coalesced atomic.Int64 // followers that shared a leader's in-flight solve
 	solves    atomic.Int64 // backend Resolve calls actually issued
-	cacheHits atomic.Int64 // solves answered from the backend's answer store
-	memoHits  atomic.Int64 // solves that reused a banked shape bound
+	cacheHits atomic.Int64 // requests answered from the backend's answer store
 	unsat     atomic.Int64 // definitive unsatisfiable answers
 	shed      atomic.Int64 // requests rejected by admission control
 	timeouts  atomic.Int64 // requests that exhausted their deadline

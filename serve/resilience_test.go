@@ -87,13 +87,14 @@ func TestServeBackendPanicContained(t *testing.T) {
 	}
 }
 
-// TestServeDegradedStaleAnswer: when the backend cannot answer, degraded
-// mode serves the shape's last good answer from the backend's answer
-// store — fresh or stale, stamped degraded and carrying the epoch it was
-// computed at — until the universe moves past the staleness bound, never
-// from an unsat entry, and a re-solve replaces the stale entry. The
-// backend is a real single-session pool; the serve/backend/resolve fault
-// fails every attempt before it reaches the backend.
+// TestServeDegradedStaleAnswer: while the backend cannot answer, a fresh
+// stored answer is still served as it is (200, not degraded), since it
+// never reaches the backend; degraded mode serves a stale one, stamped
+// degraded and carrying the epoch it was computed at, until the universe
+// moves past the staleness bound, never from an unsat entry, and a
+// re-solve replaces the stale entry. The backend is a real single-session
+// pool; the serve/backend/resolve fault fails every attempt before it
+// reaches the backend.
 func TestServeDegradedStaleAnswer(t *testing.T) {
 	u := repo.New()
 	u.Add("app", "1.0", repo.Dep("lib", ":"))
@@ -112,9 +113,10 @@ func TestServeDegradedStaleAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// expect resolves under the armed fault: a degraded answer picking lib
-	// at the given epoch, or (lib == "") the failure surfacing as a 500.
-	expect := func(req ResolveRequest, lib string, epoch uint64) {
+	// expect resolves under the armed fault: an answer picking lib at the
+	// given epoch, degraded or not as asked, or (lib == "") the failure
+	// surfacing as a 500.
+	expect := func(req ResolveRequest, lib string, epoch uint64, degraded bool) {
 		t.Helper()
 		status, ok, er, err := postResolve(ts.URL, req)
 		if err != nil {
@@ -126,9 +128,9 @@ func TestServeDegradedStaleAnswer(t *testing.T) {
 			}
 			return
 		}
-		if status != http.StatusOK || !ok.Degraded || ok.Epoch != epoch || ok.Picks["lib"] != lib {
-			t.Fatalf("%v: %d degraded=%v epoch %d lib %s, want degraded lib %s at epoch %d",
-				req.Roots, status, ok.Degraded, ok.Epoch, ok.Picks["lib"], lib, epoch)
+		if status != http.StatusOK || ok.Degraded != degraded || ok.Epoch != epoch || ok.Picks["lib"] != lib {
+			t.Fatalf("%v: %d degraded=%v epoch %d lib %s, want degraded=%v lib %s at epoch %d",
+				req.Roots, status, ok.Degraded, ok.Epoch, ok.Picks["lib"], degraded, lib, epoch)
 		}
 	}
 
@@ -143,14 +145,15 @@ func TestServeDegradedStaleAnswer(t *testing.T) {
 		t.Fatalf("answer store holds %d fresh entries, want 2", st.Answers)
 	}
 
-	// Backend down: the fresh optimal entry serves degraded; the unsat
-	// entry never does, and a shape never answered has nothing to serve.
+	// Backend down: the fresh optimal entry is served as a store hit, not
+	// degraded; the unsat entry never serves, and a shape never answered
+	// has nothing to serve.
 	armServeFault(t, "serve/backend/resolve", faultpoint.Error(0, nil))
-	expect(app, "1.0", 0)
-	expect(bad, "", 0)
-	expect(ResolveRequest{Roots: []string{"never-seen"}}, "", 0)
-	if got := s.metrics.degraded.Load(); got != 1 {
-		t.Fatalf("degraded counter = %d, want 1", got)
+	expect(app, "1.0", 0, false)
+	expect(bad, "", 0, false)
+	expect(ResolveRequest{Roots: []string{"never-seen"}}, "", 0, false)
+	if got := s.metrics.degraded.Load(); got != 0 {
+		t.Fatalf("degraded counter = %d, want 0", got)
 	}
 	// While a fault schedule is armed, /v1/stats says so.
 	if st := s.Stats(); !slices.Contains(st.Faultpoints, "serve/backend/resolve") {
@@ -163,16 +166,16 @@ func TestServeDegradedStaleAnswer(t *testing.T) {
 	if st := s.Stats(); st.Answers != 0 {
 		t.Fatalf("answer store holds %d fresh entries after the delta, want 0", st.Answers)
 	}
-	expect(app, "1.0", 0)
-	expect(bad, "", 0)
+	expect(app, "1.0", 0, true)
+	expect(bad, "", 0, false)
 
 	// The universe moves past the staleness bound: degraded mode refuses.
 	apply("other", "1.0")
 	apply("other", "2.0")
-	expect(app, "", 0)
+	expect(app, "", 0, false)
 
 	// Faults gone: a fresh answer at the current epoch replaces the stale
-	// entry, and is what degraded mode serves from then on.
+	// entry, and is what the store serves from then on, backend or not.
 	faultpoint.DisarmAll()
 	status, ok, _, err := postResolve(ts.URL, app)
 	if err != nil || status != http.StatusOK || ok.Degraded || ok.Epoch != 3 || ok.Picks["lib"] != "2.0" {
@@ -180,13 +183,14 @@ func TestServeDegradedStaleAnswer(t *testing.T) {
 			status, ok.Degraded, ok.Epoch, ok.Picks["lib"], err)
 	}
 	armServeFault(t, "serve/backend/resolve", faultpoint.Error(0, nil))
-	expect(app, "2.0", 3)
+	expect(app, "2.0", 3, false)
 }
 
 // TestServeDegradedFreshAnswer: the staleness bound applies to stale
 // entries only. An answer the store still holds fresh is the current
-// epoch's answer, so degraded mode serves it however many unrelated
-// deltas ago it was solved.
+// epoch's answer however many unrelated deltas ago it was solved, so
+// while the backend fails it is served as it is — 200, not degraded, at
+// the epoch it was solved at — without reaching the backend.
 func TestServeDegradedFreshAnswer(t *testing.T) {
 	u := repo.New()
 	u.Add("app", "1.0", repo.Dep("lib", ":"))
@@ -215,9 +219,59 @@ func TestServeDegradedFreshAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusOK || !ok.Degraded || ok.Epoch != 0 || ok.Picks["lib"] != "1.0" {
-		t.Fatalf("faulted resolve = %d kind %q degraded=%v epoch %d, want the fresh answer degraded at epoch 0",
+	if status != http.StatusOK || ok.Degraded || ok.Epoch != 0 || ok.Picks["lib"] != "1.0" {
+		t.Fatalf("faulted resolve = %d kind %q degraded=%v epoch %d, want the fresh answer, not degraded, at epoch 0",
 			status, er.Kind, ok.Degraded, ok.Epoch)
+	}
+	if got := s.metrics.degraded.Load(); got != 0 {
+		t.Fatalf("degraded counter = %d, want 0", got)
+	}
+}
+
+// TestServeFreshAnswerSkipsAdmission: a fresh stored answer needs no solve
+// slot, so it is served while a miss holds the only one — neither shed
+// nor degraded — and counts as a cache hit, not a solve. The miss holds
+// the slot through a latency fault at the pool's solve site.
+func TestServeFreshAnswerSkipsAdmission(t *testing.T) {
+	u := repo.New()
+	u.Add("app", "1.0", repo.Dep("lib", ":"))
+	u.Add("lib", "1.0")
+	u.Add("other", "1.0")
+	p := resolve.NewPoolResolver(u, 1, resolve.SessionOptions{})
+	s := New(p, Options{MaxInflight: 1, MaxQueue: -1, MaxRetries: -1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	app := ResolveRequest{Roots: []string{"app"}}
+	if status, _, _, err := postResolve(ts.URL, app); err != nil || status != http.StatusOK {
+		t.Fatalf("warm resolve = %d, %v", status, err)
+	}
+
+	armServeFault(t, "resolve/pool/solve", faultpoint.Latency(1, time.Second))
+	missDone := make(chan int, 1) // one send; a failing test never blocks the sender
+	go func() {
+		status, _, _, _ := postResolve(ts.URL, ResolveRequest{Roots: []string{"other"}})
+		missDone <- status
+	}()
+	waitFor(t, func() bool { return faultpoint.Hits("resolve/pool/solve") >= 1 && s.inflight.Load() == 1 })
+
+	status, ok, er, err := postResolve(ts.URL, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK || ok.Degraded || !ok.Stats.SolutionCacheHit || ok.Picks["lib"] != "1.0" {
+		t.Fatalf("stored shape with the slot taken = %d kind %q degraded=%v hit=%v, want a 200 store hit, not degraded",
+			status, er.Kind, ok.Degraded, ok.Stats.SolutionCacheHit)
+	}
+	if status := <-missDone; status != http.StatusOK {
+		t.Fatalf("miss holding the slot = %d, want 200", status)
+	}
+	st := s.Stats()
+	if st.Degraded != 0 || st.Shed != 0 {
+		t.Fatalf("degraded = %d, shed = %d, want 0 and 0", st.Degraded, st.Shed)
+	}
+	if st.CacheHits != 1 || st.Solves != 2 || st.Pool.Hits != 1 {
+		t.Fatalf("cache hits = %d, solves = %d, pool hits = %d, want 1, 2 (the warm-up and the miss) and 1",
+			st.CacheHits, st.Solves, st.Pool.Hits)
 	}
 }
 

@@ -4,7 +4,10 @@
 // pool (resolve.PoolResolver) — built for the traffic shape that
 // dominates at scale: duplicate requests for the same resolution.
 //
-// Three mechanisms carry the load:
+// A request whose answer the backend's store holds fresh
+// (Backend.LastGood) is answered at once: it takes no solve slot, so it
+// can be neither queued nor shed, and its latency never enters the shed
+// estimator. Three mechanisms carry the rest of the load:
 //
 //   - Singleflight coalescing: identical in-flight requests — same
 //     canonical shape key (objective + canonicalized roots, see
@@ -34,7 +37,7 @@
 // good answer from the backend's answer store (Backend.LastGood): a fresh
 // one whatever its epoch, a stale one within Options.MaxStaleEpochs. GET
 // /v1/stats exposes the process-wide registry — request and coalesce
-// counters, answer-store and bound-memo hits, shed and timeout counts,
+// counters, answer-store hits, shed and timeout counts,
 // p50/p90/p99 latency — and the backend's Snapshot: member health, and
 // in the pool section its answer-store hits, supervision and routing
 // counters, and per-shard encoder coverage.
@@ -76,8 +79,10 @@ type Backend interface {
 	// Snapshot reports member health and the backend's counters for
 	// /v1/stats.
 	Snapshot() resolve.Snapshot
-	// LastGood returns the shape's last optimal answer for degraded mode,
-	// and whether it is fresh (still the answer at the current epoch).
+	// LastGood returns the shape's last optimal answer and whether it is
+	// fresh (still the answer at the current epoch). A fresh answer is
+	// served before coalescing and admission; degraded mode serves a
+	// fresh or recent stale one when the backend cannot answer.
 	LastGood(key string) (res *resolve.Result, fresh, ok bool)
 }
 
@@ -249,20 +254,28 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 			Decisions:        res.Stats.Decisions,
 			Propagations:     res.Stats.Propagations,
 			SolutionCacheHit: res.Stats.SolutionCacheHit,
-			BoundMemoHit:     res.Stats.BoundMemoHit,
 			Coalesced:        res.Stats.Coalesced,
 		},
 	})
 }
 
-// resolve is the serving pipeline for one request: coalesce onto an
-// in-flight identical solve when one exists, otherwise lead — pass
-// admission, run the backend under the request deadline with retries —
-// and hand every caller its own copy of the shared result. When the
-// pipeline fails for a degradable reason (shed, or transient after the
-// retry budget), a fresh-enough last good answer for the shape is served
-// instead, reported through the degraded flag.
+// resolve is the serving pipeline for one request: serve the shape's
+// fresh stored answer when the backend holds one; otherwise coalesce onto
+// an in-flight identical solve when one exists, or lead — pass admission,
+// run the backend under the request deadline with retries — and hand
+// every caller its own copy of the shared result. When the pipeline fails
+// for a degradable reason (shed, or transient after the retry budget), a
+// fresh-enough last good answer for the shape is served instead, reported
+// through the degraded flag.
 func (s *Server) resolve(ctx context.Context, req resolve.Request, timeout time.Duration) (_ *resolve.Result, degraded bool, _ error) {
+	shape := req.Key()
+	// A fresh stored answer is the current epoch's answer, whatever the
+	// request's budget: the caller gets it (its own copy) without a solve
+	// slot or a flight.
+	if res, fresh, ok := s.backend.LastGood(shape); ok && fresh {
+		s.metrics.cacheHits.Add(1)
+		return res, false, nil
+	}
 	// The follower's wait (and the fast-path shed check) run under the
 	// caller's context; the leader's solve runs detached below so a
 	// disconnecting leader client cannot kill the answer its followers
@@ -273,7 +286,7 @@ func (s *Server) resolve(ctx context.Context, req resolve.Request, timeout time.
 	// The coalescing key: request shape + budget + epoch. Epoch makes the
 	// key self-invalidating across Apply — post-delta arrivals start a
 	// fresh flight rather than share a pre-delta answer.
-	key := fmt.Sprintf("%s\x1e%d\x1e%d", req.Key(), req.MaxConflicts, s.backend.Epoch())
+	key := fmt.Sprintf("%s\x1e%d\x1e%d", shape, req.MaxConflicts, s.backend.Epoch())
 	res, err, coalesced := s.flights.do(ctx, key, func() (*resolve.Result, error) {
 		release, err := s.admit(ctx)
 		if err != nil {
@@ -288,7 +301,7 @@ func (s *Server) resolve(ctx context.Context, req resolve.Request, timeout time.
 		return s.solveBackend(sctx, req)
 	})
 	if err != nil {
-		if stale := s.staleAnswer(req, err); stale != nil {
+		if stale := s.staleAnswer(shape, err); stale != nil {
 			return stale, true, nil
 		}
 		return nil, false, err
@@ -315,9 +328,6 @@ func (s *Server) solveBackend(ctx context.Context, req resolve.Request) (*resolv
 		if err == nil {
 			if r.Stats.SolutionCacheHit {
 				s.metrics.cacheHits.Add(1)
-			}
-			if r.Stats.BoundMemoHit {
-				s.metrics.memoHits.Add(1)
 			}
 			return r, nil
 		}
@@ -364,17 +374,20 @@ func (s *Server) callBackend(ctx context.Context, req resolve.Request) (r *resol
 // reason, serve the shape's last good answer from the backend's answer
 // store — an optimal answer, never an unsat one — provided it is fresh,
 // or stale but computed within the staleness bound of the current
-// universe. The caller receives its own copy, stamped with the epoch it
-// was computed at; the degraded flag rides the response.
+// universe. A fresh one is still possible here although resolve serves
+// fresh answers first: requests for one shape with different budgets
+// lead separate flights, so another flight can file the answer between
+// that read and this one. The caller receives its own copy, stamped with
+// the epoch it was computed at; the degraded flag rides the response.
 //
 // Deltas are append-only, so a stale answer is still a consistent
 // resolution of the universe as of its epoch: it may miss newer versions,
 // it cannot name things that never existed.
-func (s *Server) staleAnswer(req resolve.Request, cause error) *resolve.Result {
+func (s *Server) staleAnswer(shape string, cause error) *resolve.Result {
 	if s.opts.MaxStaleEpochs < 0 || !degradable(cause) {
 		return nil
 	}
-	res, fresh, ok := s.backend.LastGood(req.Key())
+	res, fresh, ok := s.backend.LastGood(shape)
 	if !ok {
 		return nil
 	}
@@ -508,7 +521,6 @@ func (s *Server) Stats() ServerStats {
 		Coalesced:   s.metrics.coalesced.Load(),
 		Solves:      s.metrics.solves.Load(),
 		CacheHits:   s.metrics.cacheHits.Load(),
-		MemoHits:    s.metrics.memoHits.Load(),
 		Unsat:       s.metrics.unsat.Load(),
 		Shed:        s.metrics.shed.Load(),
 		Timeouts:    s.metrics.timeouts.Load(),
