@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 0.3s
-PR ?= pr32
-PREV_PR ?= pr31
+PR ?= pr34
+PREV_PR ?= pr32
 BENCH_JSON ?= BENCH_$(PR).json
 # The perf-trajectory suite: cold concretization, warm Session paths, the
 # single-session pool, the HTTP daemon pipeline, and the registry-scale suite
@@ -75,3 +75,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseRange$$' -fuzztime=20s ./internal/version/
 	$(GO) test -run=NONE -fuzz='^FuzzParseRoot$$' -fuzztime=20s ./internal/concretize/
 	$(GO) test -run=NONE -fuzz='^FuzzOracle$$' -fuzztime=20s ./internal/concretize/
+	$(GO) test -run=NONE -fuzz='^FuzzDeltaApply$$' -fuzztime=20s ./internal/repo/

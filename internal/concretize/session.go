@@ -15,10 +15,9 @@ import (
 	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
 
-// maxActivations bounds a session's memoized root-activation literals
-// and, alongside them, its closure memo (LRU eviction; an evicted
-// activation is fixed false in the solver and re-allocated on demand, so
-// diverse request streams cannot grow solver variables without bound).
+// maxActivations bounds a session's memo of root-activation literals and,
+// alongside it, its closure memo (LRU eviction). It bounds the memos, not
+// the solver's variables: see evictActivations.
 const maxActivations = 4096
 
 // Session is a reusable concretization handle bound to one universe: the
@@ -426,9 +425,9 @@ func (se *Session) activation(r Root) sat.Lit {
 
 // evictActivations trims the activation memo to its capacity, skipping the
 // pinned literals of the in-flight request. An evicted activation is fixed
-// false, permanently deactivating its implication clauses; a later request
-// for the same root spec simply allocates a fresh literal, so eviction
-// trades a little re-encoding for a hard bound on per-spec solver growth.
+// false, permanently deactivating its implication clauses, but its variable
+// is never reclaimed; a later request for the same root spec allocates a
+// fresh literal. Eviction bounds the memo, not the solver's variables.
 func (se *Session) evictActivations(pinned map[sat.Lit]bool) {
 	for el := se.actsLRU.Back(); el != nil && len(se.acts) > se.actsMax; {
 		prev := el.Prev()

@@ -1,8 +1,6 @@
 package repo
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -69,17 +67,14 @@ func (d *Delta) Add(pkg, ver string, decls ...Decl) {
 	d.adds = append(d.adds, VersionAdd{Pkg: pkg, Def: def})
 }
 
-// Empty reports whether the delta carries no additions.
-func (d *Delta) Empty() bool { return len(d.adds) == 0 }
-
 // Len returns the number of version additions.
 func (d *Delta) Len() int { return len(d.adds) }
 
 // Adds returns the additions in canonical order: package name ascending,
 // then version descending (newest first, matching universe iteration
-// order). The canonical order makes the chained fingerprint — and every
-// skeleton-extension artifact derived from the delta — independent of the
-// order Add was called in. The slice is owned by the delta.
+// order). The canonical order makes every skeleton-extension artifact
+// derived from the delta independent of the order Add was called in. The
+// slice is owned by the delta.
 //
 // goarxivlint:owned owned by the delta; callers must not mutate
 func (d *Delta) Adds() []VersionAdd {
@@ -90,18 +85,6 @@ func (d *Delta) Adds() []VersionAdd {
 		return d.adds[i].Def.Version.Compare(d.adds[j].Def.Version) > 0
 	})
 	return d.adds
-}
-
-// Packages returns the sorted distinct package names the delta adds
-// versions to.
-func (d *Delta) Packages() []string {
-	var out []string
-	for _, a := range d.Adds() {
-		if len(out) == 0 || out[len(out)-1] != a.Pkg {
-			out = append(out, a.Pkg)
-		}
-	}
-	return out
 }
 
 // Validate checks the delta against a target universe incrementally: only
@@ -186,42 +169,10 @@ func (d *Delta) Validate(u *Universe) error {
 	return errors.Join(errs...)
 }
 
-// deltaFingerprintTag versions the chained-fingerprint serialization.
-const deltaFingerprintTag = "go-arxiv-delta-v1\n"
-
-// chainFingerprint hashes the previous universe fingerprint together with
-// the delta's canonical serialization (same line schema as Fingerprint),
-// giving an O(delta) successor fingerprint.
-func chainFingerprint(prev string, d *Delta) string {
-	h := sha256.New()
-	h.Write([]byte(deltaFingerprintTag))
-	h.Write([]byte(prev))
-	lastPkg := ""
-	for i, a := range d.Adds() {
-		if i == 0 || a.Pkg != lastPkg {
-			fmt.Fprintf(h, "p %q\n", a.Pkg)
-			lastPkg = a.Pkg
-		}
-		fmt.Fprintf(h, "v %q\n", a.Def.Version.String())
-		for _, dep := range a.Def.Deps {
-			fmt.Fprintf(h, "d %q %q %q %q\n", dep.Pkg, dep.Range.String(), dep.When.Pkg, dep.When.Range.String())
-		}
-		for _, c := range a.Def.Conflicts {
-			fmt.Fprintf(h, "c %q %q %q %q\n", c.Pkg, c.Range.String(), c.When.Pkg, c.When.Range.String())
-		}
-		for _, pr := range a.Def.Provides {
-			fmt.Fprintf(h, "P %q %q\n", pr.Virtual, pr.Version.String())
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Apply grows the universe by one epoch: the delta is validated
-// incrementally (Delta.Validate), its additions inserted in canonical
-// order, the virtual/provider and memoized name indexes updated in place,
-// and the fingerprint advanced by chaining the previous fingerprint with
-// the canonical delta — O(delta) work beyond the insertions themselves,
-// never O(universe).
+// incrementally (Delta.Validate) and its additions inserted in canonical
+// order, updating the virtual/provider index in place — O(delta) work
+// beyond the insertions themselves, never O(universe).
 //
 // On a validation error nothing is mutated and the current epoch is
 // returned with the error. The first successful Apply marks the universe
@@ -235,38 +186,10 @@ func (u *Universe) Apply(d *Delta) (Epoch, error) {
 	if err := d.Validate(u); err != nil {
 		return u.epoch, err
 	}
-	// Memoize the predecessor fingerprint before mutating (the chained
-	// hash needs it, and post-mutation the full recompute would be wrong).
-	prev := u.Fingerprint()
-
-	adds := d.Adds()
-	var newNames []string
-	for _, a := range adds {
-		if _, ok := u.pkgs[a.Pkg]; !ok {
-			if len(newNames) == 0 || newNames[len(newNames)-1] != a.Pkg {
-				newNames = append(newNames, a.Pkg)
-			}
-		}
+	for _, a := range d.Adds() {
 		u.insertDef(a.Pkg, a.Def)
 	}
-
-	// Keep the memoized sorted name index warm with a copy-on-write merge
-	// (concurrent readers hold the old slice; never mutate it in place).
-	if cached := u.names.Load(); cached != nil && len(newNames) > 0 {
-		merged := make([]string, 0, len(*cached)+len(newNames))
-		merged = append(merged, *cached...)
-		for _, n := range newNames {
-			i := sort.SearchStrings(merged, n)
-			merged = append(merged, "")
-			copy(merged[i+1:], merged[i:])
-			merged[i] = n
-		}
-		u.names.Store(&merged)
-	}
-
 	u.live = true
 	u.epoch++
-	fp := chainFingerprint(prev, d)
-	u.fp.Store(&fp)
 	return u.epoch, nil
 }

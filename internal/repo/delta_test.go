@@ -26,7 +26,6 @@ func TestApplyGrowsUniverse(t *testing.T) {
 	if u.Epoch() != 0 || u.Live() {
 		t.Fatalf("fresh universe: epoch=%d live=%v", u.Epoch(), u.Live())
 	}
-	preFP := u.Fingerprint()
 
 	d := NewDelta()
 	d.Add("lib", "2.0", Dep("base", ":"))
@@ -54,10 +53,6 @@ func TestApplyGrowsUniverse(t *testing.T) {
 	if !ok || len(provs) != 2 {
 		t.Fatalf("mpi providers after delta: %v ok=%v", provs, ok)
 	}
-
-	if fp := u.Fingerprint(); fp == preFP {
-		t.Fatalf("fingerprint unchanged across Apply")
-	}
 }
 
 func TestApplyFreezesDirectAdd(t *testing.T) {
@@ -75,9 +70,9 @@ func TestApplyFreezesDirectAdd(t *testing.T) {
 	u.Add("base", "3.0")
 }
 
-// TestApplyKeepsMemoizedNamesWarm: Names() before Apply memoizes the index;
-// Apply must merge incrementally and stay identical to a fresh sort — and
-// the pre-Apply snapshot held by a concurrent reader must not be mutated.
+// TestApplyKeepsMemoizedNamesWarm: after Apply, Names is the sorted union
+// of the old names and the delta's new packages, and a slice Names
+// returned before Apply is left as it was.
 func TestApplyKeepsMemoizedNamesWarm(t *testing.T) {
 	u := seedUniverse()
 	before := u.Names()
@@ -101,8 +96,11 @@ func TestApplyKeepsMemoizedNamesWarm(t *testing.T) {
 	}
 }
 
-func TestDeltaFingerprintChain(t *testing.T) {
-	build := func(addOrder []int) string {
+// TestDeltaApplyIndependentOfAddOrder: versions and providers are inserted
+// sorted, so the order of a delta's Add calls does not change the grown
+// catalog.
+func TestDeltaApplyIndependentOfAddOrder(t *testing.T) {
+	build := func(addOrder []int) *Universe {
 		u := seedUniverse()
 		d := NewDelta()
 		adds := []func(){
@@ -116,45 +114,11 @@ func TestDeltaFingerprintChain(t *testing.T) {
 		if _, err := u.Apply(d); err != nil {
 			t.Fatal(err)
 		}
-		return u.Fingerprint()
+		return u
 	}
 
-	a := build([]int{0, 1, 2})
-	b := build([]int{2, 0, 1})
-	if a != b {
-		t.Fatalf("chained fingerprint depends on Add call order: %s vs %s", a, b)
-	}
-
-	// Sensitivity: a different delta chains to a different fingerprint.
-	u := seedUniverse()
-	d := NewDelta()
-	d.Add("lib", "2.0") // same version, no dependency
-	if _, err := u.Apply(d); err != nil {
-		t.Fatal(err)
-	}
-	if u.Fingerprint() == a {
-		t.Fatalf("fingerprint insensitive to delta content")
-	}
-
-	// The chained fingerprint identifies delta history: applying the same
-	// additions in two deltas differs from one delta (documented behavior).
-	u2 := seedUniverse()
-	d1 := NewDelta()
-	d1.Add("lib", "2.0", Dep("base", ":"))
-	d2 := NewDelta()
-	d2.Add("extra", "1.0")
-	d2.Add("lib", "3.0")
-	if _, err := u2.Apply(d1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u2.Apply(d2); err != nil {
-		t.Fatal(err)
-	}
-	if u2.Epoch() != 2 {
-		t.Fatalf("epoch after two deltas = %d", u2.Epoch())
-	}
-	if u2.Fingerprint() == a {
-		t.Fatalf("differently-partitioned histories chained to one fingerprint")
+	if !sameContent(build([]int{0, 1, 2}), build([]int{2, 0, 1})) {
+		t.Fatal("grown catalog depends on Add call order")
 	}
 }
 
@@ -190,8 +154,6 @@ func TestDeltaValidateRejects(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			u := seedUniverse()
-			preFP := u.Fingerprint()
-			prePkgs := u.NumPackages()
 			d := NewDelta()
 			tc.build(d)
 			epoch, err := u.Apply(d)
@@ -201,7 +163,7 @@ func TestDeltaValidateRejects(t *testing.T) {
 			if epoch != 0 || u.Epoch() != 0 || u.Live() {
 				t.Fatalf("failed Apply advanced the epoch")
 			}
-			if u.Fingerprint() != preFP || u.NumPackages() != prePkgs {
+			if !sameContent(u, seedUniverse()) {
 				t.Fatalf("failed Apply mutated the universe")
 			}
 		})
@@ -218,12 +180,36 @@ func TestDeltaValidateRejects(t *testing.T) {
 	}
 }
 
+// TestApplyRejectsWholeDelta: Apply is all or nothing. A delta whose last
+// entry is invalid leaves none of its valid entries behind: not a new
+// version of an existing package, and not a new provider of an existing
+// virtual.
+func TestApplyRejectsWholeDelta(t *testing.T) {
+	u := seedUniverse()
+	d := NewDelta()
+	d.Add("lib", "3.0", Dep("base", ":"))
+	d.Add("openmpi", "4.0", Prov("mpi", "4.0"))
+	d.Add("extra", "1.0", Dep("ghost", ":"))
+	if _, err := u.Apply(d); err == nil {
+		t.Fatal("delta with an unknown dependency target applied")
+	}
+	if !sameContent(u, seedUniverse()) {
+		t.Fatal("rejected delta left some of its entries behind")
+	}
+	if p, _ := u.Package("lib"); len(p.Versions()) != 2 {
+		t.Fatalf("lib has %d versions after a rejected delta, want 2", len(p.Versions()))
+	}
+	if provs, _ := u.Virtual("mpi"); len(provs) != 1 {
+		t.Fatalf("mpi has %d providers after a rejected delta, want 1", len(provs))
+	}
+}
+
 // FuzzDeltaApply drives random delta streams against a seed universe:
-// every valid delta must apply with a strictly increasing epoch and a
-// fingerprint consistent with an independent replay of the same history,
-// and the grown universe must be structurally identical to one built from
-// scratch with the same content; injected invalid deltas must be rejected
-// without mutating anything.
+// every valid delta must apply with a strictly increasing epoch and leave
+// the same catalog as an independent replay of the same history, and the
+// grown universe must be structurally identical to one built from scratch
+// with the same content; injected invalid deltas must be rejected without
+// mutating anything.
 func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x10, 0xff}, uint8(3))
 	f.Add([]byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0x07, 0x31}, uint8(5))
@@ -236,7 +222,7 @@ func FuzzDeltaApply(f *testing.F) {
 			return int(data[i%len(data)])
 		}
 		u := seedUniverse()
-		shadow := seedUniverse() // replays the same deltas for fp consistency
+		shadow := seedUniverse() // replays the valid deltas only
 		fresh := New()           // accumulates the union via direct Add
 		union := []struct {
 			pkg, ver string
@@ -295,13 +281,12 @@ func FuzzDeltaApply(f *testing.F) {
 			}
 
 			preEpoch := u.Epoch()
-			preFP := u.Fingerprint()
 			epoch, err := u.Apply(d)
 			if invalid {
 				if err == nil {
 					t.Fatalf("step %d: poisoned delta applied", step)
 				}
-				if u.Epoch() != preEpoch || u.Fingerprint() != preFP {
+				if u.Epoch() != preEpoch || !sameContent(u, shadow) {
 					t.Fatalf("step %d: rejected delta mutated the universe", step)
 				}
 				continue
@@ -315,8 +300,8 @@ func FuzzDeltaApply(f *testing.F) {
 			if _, err := shadow.Apply(d); err != nil {
 				t.Fatalf("step %d: shadow replay rejected: %v", step, err)
 			}
-			if u.Fingerprint() != shadow.Fingerprint() {
-				t.Fatalf("step %d: chained fingerprint not reproducible", step)
+			if !sameContent(u, shadow) {
+				t.Fatalf("step %d: replay does not reproduce the catalog", step)
 			}
 		}
 

@@ -80,7 +80,7 @@ func TestSynthPigeonhole(t *testing.T) {
 	}
 	// Determinism.
 	u2, _ := SynthPigeonhole(4)
-	if u.Fingerprint() != u2.Fingerprint() {
+	if !sameContent(u, u2) {
 		t.Fatal("SynthPigeonhole must be deterministic")
 	}
 }

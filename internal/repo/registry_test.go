@@ -6,20 +6,20 @@ import (
 )
 
 // TestSynthRegistryDeterministic: the family is pure arithmetic — two
-// builds at the same scale must be byte-identical (same fingerprint), and
-// scale changes must change it.
+// builds at the same scale must hold the same catalog, and scale changes
+// must change it.
 func TestSynthRegistryDeterministic(t *testing.T) {
 	a, rootA := SynthRegistry(300, 7)
 	b, rootB := SynthRegistry(300, 7)
 	if rootA != "reg0" || rootB != "reg0" {
 		t.Fatalf("roots %q, %q; want reg0", rootA, rootB)
 	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("same scale, different fingerprints:\n %s\n %s", a.Fingerprint(), b.Fingerprint())
+	if !sameContent(a, b) {
+		t.Fatal("same scale, different catalogs")
 	}
 	c, _ := SynthRegistry(300, 8)
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Fatalf("different scales share fingerprint %s", a.Fingerprint())
+	if sameContent(a, c) {
+		t.Fatal("different scales build the same catalog")
 	}
 }
 

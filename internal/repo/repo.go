@@ -46,18 +46,13 @@
 // extend state in place rather than rebuild (see
 // internal/concretize.Session.Extend). Delta.Validate checks a delta
 // against the universe it will apply to without mutating it; Apply is
-// all-or-nothing. Fingerprints chain per epoch — each epoch's fingerprint
-// hashes the previous one plus the delta — so two universes with equal
-// content but different growth histories remain distinguishable.
+// all-or-nothing.
 package repo
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"github.com/paper-repo-growth/go-arxiv/internal/version"
 )
@@ -220,17 +215,6 @@ type Universe struct {
 	pkgs     map[string]*Package
 	virtuals map[string][]Provider // virtual name -> providers (canonical order)
 
-	// names memoizes the sorted package-name slice (read-heavy: every
-	// fingerprint and skeleton encode walks it). Add invalidates it;
-	// Apply updates it incrementally (copy-on-write merge). atomic so
-	// concurrent readers (e.g. pool shards fingerprinting lazily)
-	// never race; racing rebuilders produce identical slices.
-	names atomic.Pointer[[]string]
-
-	// fp memoizes the content fingerprint. Add invalidates it; Apply
-	// replaces it with the delta-chained hash in O(delta).
-	fp atomic.Pointer[string]
-
 	// epoch counts applied deltas; live marks the universe as
 	// delta-managed, freezing direct Add mutation.
 	epoch Epoch
@@ -272,8 +256,6 @@ func (u *Universe) Add(pkg, ver string, decls ...Decl) {
 		panic(fmt.Sprintf("repo: duplicate version %s@%s", pkg, ver))
 	}
 	u.insertDef(pkg, def)
-	u.names.Store(nil) // invalidate the memoized sorted name slice
-	u.fp.Store(nil)    // invalidate the memoized fingerprint
 }
 
 // insertDef inserts one version definition keeping newest-first order and
@@ -407,20 +389,13 @@ func (u *Universe) TargetPackages(name string) []string {
 	return out
 }
 
-// Names returns all package names in sorted order. The slice is memoized
-// (rebuilt after Add) and shared: callers must not mutate it.
-//
-// goarxivlint:owned memoized shared slice; callers must not mutate
+// Names returns all package names in sorted order.
 func (u *Universe) Names() []string {
-	if cached := u.names.Load(); cached != nil {
-		return *cached
-	}
 	names := make([]string, 0, len(u.pkgs))
 	for n := range u.pkgs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	u.names.Store(&names)
 	return names
 }
 
@@ -434,56 +409,6 @@ func (u *Universe) NumVersions() int {
 		n += len(p.versions)
 	}
 	return n
-}
-
-// fingerprintTag versions the Fingerprint serialization. It is bumped
-// whenever the serialized declaration schema changes (v2: provides lines
-// and condition fields), so cache keys derived from universes written under
-// an older schema can never collide with keys written under the current
-// one.
-const fingerprintTag = "go-arxiv-universe-v2\n"
-
-// Fingerprint returns a stable content hash of the universe: the SHA-256
-// (hex) of a canonical serialization covering every package name, its
-// versions newest-first, and each version's dependency, conflict, and
-// provides declarations — including condition triggers — with their ranges.
-// Two universes built from the same declarations hash identically
-// regardless of Add order (version insertion is sorted); any change to a
-// name, version, range, provided virtual, or condition changes the hash.
-// The serialization carries a schema tag, so a schema change (new
-// declaration kinds) changes every hash at once.
-//
-// The hash is memoized: the full O(universe) serialization runs at most
-// once per mutation. On a live universe, Apply replaces the memo with a
-// delta-chained hash (previous fingerprint + canonical delta), so
-// fingerprinting stays O(delta) per epoch; the chained value identifies
-// the universe's delta history, meaning two universes with identical
-// content reached through different delta partitionings hash differently.
-func (u *Universe) Fingerprint() string {
-	if cached := u.fp.Load(); cached != nil {
-		return *cached
-	}
-	h := sha256.New()
-	h.Write([]byte(fingerprintTag))
-	for _, name := range u.Names() {
-		p := u.pkgs[name]
-		fmt.Fprintf(h, "p %q\n", name)
-		for _, def := range p.versions {
-			fmt.Fprintf(h, "v %q\n", def.Version.String())
-			for _, d := range def.Deps {
-				fmt.Fprintf(h, "d %q %q %q %q\n", d.Pkg, d.Range.String(), d.When.Pkg, d.When.Range.String())
-			}
-			for _, c := range def.Conflicts {
-				fmt.Fprintf(h, "c %q %q %q %q\n", c.Pkg, c.Range.String(), c.When.Pkg, c.When.Range.String())
-			}
-			for _, pr := range def.Provides {
-				fmt.Fprintf(h, "P %q %q\n", pr.Virtual, pr.Version.String())
-			}
-		}
-	}
-	fp := hex.EncodeToString(h.Sum(nil))
-	u.fp.Store(&fp)
-	return fp
 }
 
 // Validate checks declaration integrity, collecting every violation and

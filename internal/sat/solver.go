@@ -243,8 +243,8 @@ func (s *Solver) ResetPhases() {
 // first the next time it branches on v. Phases are pure heuristics — they
 // steer which model a search finds first, never what is satisfiable — so
 // callers may seed them toward a known-good assignment. Branch-and-bound
-// in internal/concretize seeds the objective's cheap polarity on a
-// shape's first visit, so the descent's first incumbent starts near the
+// in internal/concretize seeds the objective's cheap polarity before
+// every request it solves, so the descent's first incumbent starts near the
 // optimum instead of wherever default polarities happen to land (on
 // version-deep registry universes the difference is hundreds of descent
 // rounds). Phase saving overwrites the seed as soon as the variable is

@@ -266,18 +266,6 @@ func (r Range) String() string {
 	return b.String()
 }
 
-// IntersectsOver reports whether two ranges admit at least one common
-// version among the given candidates. It is a candidate-based check because
-// prefix semantics make symbolic intersection ambiguous.
-func (r Range) IntersectsOver(other Range, candidates []Version) bool {
-	for _, v := range candidates {
-		if r.Satisfies(v) && other.Satisfies(v) {
-			return true
-		}
-	}
-	return false
-}
-
 // Sort orders versions ascending in place (insertion sort; version lists in
 // package definitions are short).
 func Sort(vs []Version) {
